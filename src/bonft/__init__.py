@@ -1,7 +1,7 @@
 """Birkhoff coordinates for the periodic Benjamin-Ono equation.
 
 The pipeline: truncated Lax spectra (`lax`), the coordinate map and its
-scaling chain (`birkhoff`), linear evolution and Newton inversion
+scaling chain (`birkhoff`), linear evolution and Broyden inversion
 (`flow`), an independent pseudospectral integrator (`pde`), the exact
 residue and partition verifiers (`residues`), and modulus-of-continuity
 probes at negative regularity (`continuity`).

@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 invalid input (bad flags, unreadable paths,
 malformed JSON), 2 numerical failure, 3 property violation found by a
 verifier subcommand.  All randomness flows from the single --seed
 generator; with fixed flags and seed the output bytes are reproducible.
-Sweep parallelism is controlled by the BONFT_WORKERS environment variable.
+The BONFT_WORKERS environment variable sets the process count of the
+vanishing sweep; combi runs in one process.
 """
 
 import argparse
@@ -111,7 +112,7 @@ def _cmd_transform(args):
 
 def _cmd_inverse(args):
     z = state_from_json(_read_json(args.input))
-    cfg = FlowConfig(newton={"max_iter": 25, "tol": args.tol_newton, "fd_step": 1e-6},
+    cfg = FlowConfig(newton={"tol": args.tol_newton},
                      lax={} if args.lax_dim is None else {"M": args.lax_dim})
     u = invert(z, cfg)
     _emit_json(potential_to_json(u), args.output)

@@ -30,7 +30,7 @@ class DivergenceError(NumericalFailure):
 
 
 class InversionFailure(NumericalFailure):
-    """Newton inversion stagnated or lost the Jacobian; carries the residual history."""
+    """Broyden inversion found no descent or did not converge; carries the residual history."""
 
     def __init__(self, message, history=None):
         super().__init__(message)

@@ -3,23 +3,27 @@
 The flow in coordinates is exactly solvable: every zeta_n spins at the
 constant rate omega_n determined by the initial actions, so a trajectory is
 one forward transform, a phase multiplication per sample time, and one
-Newton inversion per sample back to a potential.
+inversion per sample back to a potential.  The inversion is a Broyden
+quasi-Newton iteration seeded by the closed-form differential at zero, of
+which the coordinate map is a near-identity perturbation.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InversionFailure
-from .birkhoff import BirkhoffState, birkhoff_forward
+from .errors import InversionFailure, NumericalFailure
+from .birkhoff import BirkhoffState, birkhoff_forward, default_lax_dim
 from .hardy import Potential, sobolev_norm
+
+NEWTON_DEFAULTS = {"max_iter": 40, "tol": 1e-12}
+MAX_HALVINGS = 6  # step halvings allowed before a trial step counts as failed
 
 
 @dataclass
 class FlowConfig:
     t_grid: tuple = (0.0, 0.5, 1.0)
-    newton: dict = field(default_factory=lambda: {
-        "max_iter": 25, "tol": 1e-12, "fd_step": 1e-6})
+    newton: dict = field(default_factory=dict)  # overrides of NEWTON_DEFAULTS
     lax: dict = field(default_factory=dict)  # {"M": ..., "K_use": ...}
     warm_start: bool = False
 
@@ -27,7 +31,11 @@ class FlowConfig:
         self.t_grid = tuple(float(t) for t in self.t_grid)
         if not all(np.isfinite(self.t_grid)):
             raise ValueError("non-finite sample times")
-        if not self.newton.get("tol", 1e-12) > 0:
+        unknown = sorted(set(self.newton) - set(NEWTON_DEFAULTS))
+        if unknown:
+            raise ValueError("unknown newton settings: %s" % ", ".join(unknown))
+        self.newton = {**NEWTON_DEFAULTS, **self.newton}
+        if not self.newton["tol"] > 0:
             raise ValueError("Newton tolerance must be positive")
 
 
@@ -73,87 +81,75 @@ def evolve(z0, t):
     return out
 
 
-def _coords_to_potential(x, s, n_modes):
-    coeffs = {n: x[2 * (n - 1)] + 1j * x[2 * (n - 1) + 1] for n in range(1, n_modes + 1)}
-    coeffs = {n: v for n, v in coeffs.items() if v != 0}
-    return Potential(s, n_modes, coeffs, real=True)
-
-
-def _residual(u, target, M, n_modes):
-    z = birkhoff_forward(u, M=M, k_use=n_modes)
-    diff = z.plus - target.plus
-    out = np.empty(2 * n_modes)
-    out[0::2] = diff.real
-    out[1::2] = diff.imag
-    return out
+def _weighted_norm(diff, s):
+    """(sum_n n^{1+2s} |diff_n|^2)^{1/2} over n = 1..len(diff): the coordinate-space norm."""
+    return float(np.linalg.norm(np.arange(1, len(diff) + 1) ** (0.5 + s) * diff))
 
 
 def invert(target, cfg=None, initial=None):
     """Recover the real potential mapping to the target coordinates.
 
-    Newton iteration on the truncated forward map over the 2 N_b real
-    degrees of freedom u_hat(1..N_b), Jacobian by central differences with
-    per-coordinate step fd_step * max(1, |x_j|); the starting point inverts
-    the differential at zero, u_hat(n) = -sqrt(n) zeta_n, unless an
-    explicit initial potential is handed in.  Residuals are measured in the
-    weighted sequence norm of the coordinate space.  A residual that stops
-    decreasing above tolerance or a singular Jacobian raises
-    InversionFailure carrying the residual history.
+    Good-Broyden iteration on the real view of u_hat(1..N_b).  The inverse
+    Jacobian starts as the exact inverse of the differential at zero
+    (d0_phi: u_hat(n) -> -u_hat(n)/sqrt(n)), so the first step is the chord
+    step from u_hat(n) = -sqrt(n) zeta_n (or from `initial`); every accepted
+    step makes a Sherman-Morrison rank-one update.  A trial step that does
+    not lower the weighted residual, or leaves the forward map's trusted
+    regime, is halved, at most MAX_HALVINGS times; each trial costs one
+    forward map.  Failure raises InversionFailure with every trial residual.
     """
     if cfg is None:
         cfg = FlowConfig()
     if not target.real_flag:
         raise ValueError("inversion is defined for real-flagged targets")
-    n_modes = target.n_modes
-    newton = cfg.newton
-    max_iter = int(newton.get("max_iter", 25))
-    tol = float(newton.get("tol", 1e-12))
-    fd_step = float(newton.get("fd_step", 1e-6))
-    M = cfg.lax.get("M", max(4 * n_modes, 32))
-    weights = np.repeat(np.arange(1, n_modes + 1, dtype=float) ** (0.5 + target.s), 2)
-
-    if initial is not None:
-        x = np.empty(2 * n_modes)
-        for n in range(1, n_modes + 1):
-            c = initial.coeff(n) if n <= initial.N else 0.0
-            x[2 * (n - 1)] = np.real(c)
-            x[2 * (n - 1) + 1] = np.imag(c)
+    n_modes, s = target.n_modes, target.s
+    M = cfg.lax.get("M")
+    max_iter, tol = cfg.newton["max_iter"], cfg.newton["tol"]
+    root_n = np.sqrt(np.arange(1, n_modes + 1))
+    if initial is None:
+        u_hat = -root_n * target.plus
     else:
-        guess = -np.sqrt(np.arange(1, n_modes + 1)) * target.plus
-        x = np.empty(2 * n_modes)
-        x[0::2] = guess.real
-        x[1::2] = guess.imag
-
+        u_hat = np.zeros(n_modes, dtype=complex)
+        k = min(n_modes, initial.N)
+        u_hat[:k] = initial.band()[initial.N + 1:initial.N + 1 + k]
+    H = np.diag(-np.repeat(root_n, 2))
     history = []
-    r = _residual(_coords_to_potential(x, target.s, n_modes), target, M, n_modes)
-    res = float(np.linalg.norm(weights * r))
-    history.append(res)
+
+    def trial(coeffs):
+        u = Potential(s, n_modes, dict(enumerate(coeffs, 1)), real=True)
+        diff = birkhoff_forward(u, M=M, k_use=n_modes).plus - target.plus
+        history.append(_weighted_norm(diff, s))
+        return u, diff.view(float)
+
+    u, r = trial(u_hat)
     for _ in range(max_iter):
+        res = history[-1]
         if res < tol:
-            return _coords_to_potential(x, target.s, n_modes)
-        J = np.empty((2 * n_modes, 2 * n_modes))
-        for j in range(2 * n_modes):
-            step = fd_step * max(1.0, abs(x[j]))
-            xp = x.copy(); xp[j] += step
-            xm = x.copy(); xm[j] -= step
-            J[:, j] = (_residual(_coords_to_potential(xp, target.s, n_modes), target, M, n_modes)
-                       - _residual(_coords_to_potential(xm, target.s, n_modes), target, M, n_modes)) / (2 * step)
-        try:
-            dx = np.linalg.solve(J, -r)
-        except np.linalg.LinAlgError as exc:
-            raise InversionFailure("singular Jacobian: %s" % exc, history) from exc
-        x = x + dx
-        r = _residual(_coords_to_potential(x, target.s, n_modes), target, M, n_modes)
-        new_res = float(np.linalg.norm(weights * r))
-        history.append(new_res)
-        if new_res >= res and new_res > tol:
+            break
+        step = -(H @ r)
+        for _ in range(MAX_HALVINGS + 1):
+            try:
+                u_new, r_new = trial(u_hat + step.view(complex))
+            except NumericalFailure:  # the step left the trusted regime
+                history.append(np.inf)
+            if history[-1] < res:
+                break
+            step /= 2.0
+        else:
             raise InversionFailure(
-                "Newton stagnated at residual %.3e" % new_res, history)
-        res = new_res
-    if res < tol:
-        return _coords_to_potential(x, target.s, n_modes)
-    raise InversionFailure(
-        "no convergence in %d iterations (residual %.3e)" % (max_iter, res), history)
+                "no descent after %d step halvings at residual %.3e"
+                % (MAX_HALVINGS, res), history)
+        Hy = H @ (r_new - r)
+        denom = step @ Hy
+        if denom == 0.0:
+            raise InversionFailure("singular Broyden update", history)
+        H += np.outer(step - Hy, step @ H) / denom
+        u_hat = u_hat + step.view(complex)
+        u, r = u_new, r_new
+    if not history[-1] < tol:
+        raise InversionFailure("no convergence in %d iterations (residual %.3e)"
+                               % (max_iter, history[-1]), history)
+    return u
 
 
 def solve_trajectory(u0, cfg=None):
@@ -163,16 +159,19 @@ def solve_trajectory(u0, cfg=None):
     diagnostics holds per-sample inversion residuals, the largest action
     drift of the re-transformed samples against the initial state, and the
     adjacent-sample increments of t -> u(t) in the H^s norm as a continuity
-    monitor.  With cfg.warm_start the previous sample seeds the next Newton
-    solve; by default every sample starts from the linearized guess.
+    monitor.  Every forward map runs at the one truncation M (cfg.lax, or
+    the default for u0) and K_use.  With cfg.warm_start the previous sample
+    seeds the next inversion; by default every sample starts from the
+    linearized guess.
     """
     if cfg is None:
         cfg = FlowConfig()
     if not u0.real:
         raise ValueError("trajectory evolution needs a real potential")
-    n_modes_cfg = cfg.lax.get("K_use")
-    M = cfg.lax.get("M", max(4 * u0.N, 32))
-    z0 = birkhoff_forward(u0, M=M, k_use=n_modes_cfg)
+    if cfg.lax.get("M") is None:
+        cfg = replace(cfg, lax={**cfg.lax, "M": default_lax_dim(u0)})
+    M = cfg.lax["M"]
+    z0 = birkhoff_forward(u0, M=M, k_use=cfg.lax.get("K_use"))
     samples = []
     residuals = []
     action_drift = 0.0
@@ -184,9 +183,7 @@ def solve_trajectory(u0, cfg=None):
         z_back = birkhoff_forward(u_t, M=M, k_use=z0.n_modes)
         action_drift = max(action_drift, float(np.max(
             np.abs(0.5 * np.abs(z_back.plus) ** 2 - I0))))
-        diff = z_back.plus - zt.plus
-        weights = np.arange(1, z0.n_modes + 1, dtype=float) ** (0.5 + u0.s)
-        residuals.append(float(np.linalg.norm(weights * diff)))
+        residuals.append(_weighted_norm(z_back.plus - zt.plus, u0.s))
         samples.append((t, u_t))
         prev_u = u_t
     increments = []
@@ -194,7 +191,7 @@ def solve_trajectory(u0, cfg=None):
         band = max(ua.N, ub.N)
         merged = {n: ub.coeff(n) - ua.coeff(n) for n in range(1, band + 1)}
         merged = {n: v for n, v in merged.items() if v != 0}
-        d = Potential(u0.s, band, merged, real=True)
+        d =Potential(u0.s, band, merged, real=True)
         increments.append(sobolev_norm(d, u0.s))
     diagnostics = {
         "residuals": residuals,
