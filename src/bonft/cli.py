@@ -4,13 +4,10 @@ Exit codes: 0 success, 1 invalid input (bad flags, unreadable paths,
 malformed JSON), 2 numerical failure, 3 property violation found by a
 verifier subcommand.  All randomness flows from the single --seed
 generator; with fixed flags and seed the output bytes are reproducible.
-The BONFT_WORKERS environment variable sets the process count of the
-vanishing sweep; combi runs in one process.
 """
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -31,13 +28,6 @@ class _Parser(argparse.ArgumentParser):
     # the numerical-failure code; route everything through ValueError -> 1
     def error(self, message):
         raise ValueError(message)
-
-
-def _workers():
-    try:
-        return max(1, int(os.environ.get("BONFT_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 def _read_json(path):
@@ -184,8 +174,7 @@ def _gcd_all(values):
 def _cmd_vanishing(args):
     rng = np.random.default_rng(args.seed)
     counts, random_checked, violations = sweep_vanishing(
-        args.max_d, args.l_bound, random_count=args.random_count,
-        rng=rng, workers=_workers())
+        args.max_d, args.l_bound, random_count=args.random_count, rng=rng)
     if args.format == "json":
         _emit_json({"exhaustive": {str(d): counts[d] for d in sorted(counts)},
                     "random": random_checked,
@@ -202,7 +191,7 @@ def _cmd_vanishing(args):
 
 
 def _cmd_combi(args):
-    counts, violations = sweep_combi(args.max_d, workers=_workers())
+    counts, violations = sweep_combi(args.max_d)
     if args.format == "json":
         _emit_json({"instances": {str(d): counts[d] for d in sorted(counts)},
                     "violations": len(violations)}, args.output)

@@ -5,16 +5,20 @@ All contour integrals here run counterclockwise around the circle of radius
 factors (l - mu)^-1 are analytic inside.  A factor with l = 0 contributes
 -1/mu, raising the pole order by one and flipping the sign once.  The
 residue is therefore a single Taylor coefficient of the product of the
-nonzero factors, computed in exact big-integer rationals:
+nonzero factors:
 
     (1/2pi i) oint mu^-(1+extra) prod_j (l_j - mu)^-1 dmu
-        = (-1)^z [mu^(extra + z)] prod_{l_j != 0} (l_j - mu)^-1,
+        = (-1)^z [mu^k] prod_{l_j != 0} (l_j - mu)^-1,   k = extra + z,
 
-with z the number of zero entries.  Truncated rational Taylor series of the
-product (never partial fractions) handle repeated factors uniformly.
+with z the number of zero entries.  That coefficient has the closed form
+h_k(1/l_1, ..., 1/l_n) / prod l_j, where h_k is the complete homogeneous
+symmetric polynomial in the nonzero entries; repeated factors need no
+special case.  It is evaluated on plain Python integers (see _residue_pair),
+so every value is exact and the vanishing test compares an integer with 0.
 """
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -22,32 +26,24 @@ from functools import lru_cache
 from .errors import DivergenceError
 
 
-def _series_inv_linear(l, order):
-    """Taylor coefficients of (l - mu)^-1 at mu = 0 up to the given order."""
-    inv = Fraction(1, l)
-    out = [inv]
-    for _ in range(order):
-        inv *= Fraction(1, l)
-        out.append(inv)
-    return out
+@lru_cache(maxsize=None)
+def _residue_pair(ls, extra_mu_power):
+    """Unreduced (numerator, denominator) of residue_A(ls, extra_mu_power).
 
-
-def _series_mul(a, b, order):
-    out = [Fraction(0)] * (order + 1)
-    for i, ai in enumerate(a):
-        if i > order or ai == 0:
-            continue
-        top = min(order - i, len(b) - 1)
-        for j in range(top + 1):
-            out[i + j] += ai * b[j]
-    return out
-
-
-def _product_series(ls, order):
-    series = [Fraction(1)] + [Fraction(0)] * order
-    for l in ls:
-        series = _series_mul(series, _series_inv_linear(l, order), order)
-    return series
+    With P the product of the nonzero l_j and y_j = P / l_j, the closed form
+    becomes h_k(y) / P^(k+1), and h_k(y) follows from the recurrence
+    h_i += y_j h_(i-1) (i ascending) over the nonzero entries.
+    """
+    nonzero = [l for l in ls if l]
+    zeros = len(ls) - len(nonzero)
+    k = extra_mu_power + zeros
+    P = math.prod(nonzero)
+    h = [1] + [0] * k
+    for l in nonzero:
+        y = P // l
+        for i in range(1, k + 1):
+            h[i] += y * h[i - 1]
+    return (-h[k] if zeros % 2 else h[k]), P ** (k + 1)
 
 
 def residue_A(ls, extra_mu_power=0):
@@ -61,17 +57,7 @@ def residue_A(ls, extra_mu_power=0):
         raise ValueError("need a nonempty tuple")
     if extra_mu_power not in (0, 1):
         raise ValueError("extra_mu_power must be 0 or 1")
-    return _residue_A_cached(ls, extra_mu_power)
-
-
-@lru_cache(maxsize=None)
-def _residue_A_cached(ls, extra_mu_power):
-    zeros = sum(1 for l in ls if l == 0)
-    nonzero = tuple(l for l in ls if l != 0)
-    order = extra_mu_power + zeros
-    series = _product_series(nonzero, order)
-    value = series[order]
-    return -value if zeros % 2 else value
+    return Fraction(*_residue_pair(ls, extra_mu_power))
 
 
 def vanishing_D(ls):
@@ -82,13 +68,21 @@ def vanishing_D(ls):
     evaluated exactly.
     """
     ls = tuple(int(l) for l in ls)
-    d = len(ls)
-    if d == 0:
+    if len(ls) == 0:
         raise ValueError("need a nonempty tuple")
-    total = Fraction(0)
-    for m in range(1, d + 1):
-        total += residue_A(ls[:m]) * residue_A(ls[m - 1:])
-    return total - residue_A(ls, extra_mu_power=1)
+    return Fraction(*_vanishing_pair(ls))
+
+
+def _vanishing_pair(ls):
+    """Unreduced (numerator, denominator) of vanishing_D for a tuple of ints."""
+    num, den = _residue_pair(ls, 1)
+    num = -num
+    for m in range(1, len(ls) + 1):
+        a, b = _residue_pair(ls[:m], 0)
+        c, e = _residue_pair(ls[m - 1:], 0)
+        num = num * b * e + a * c * den
+        den *= b * e
+    return num, den
 
 
 @dataclass(frozen=True)
@@ -173,11 +167,7 @@ def iter_partition_instances(d):
                                         q=tuple(zip(K, q)))
 
 
-def _violating_tuple(ls):
-    return ls if vanishing_D(ls) != 0 else None
-
-
-def sweep_vanishing(max_d, l_bound, random_count=0, rng=None, workers=1):
+def sweep_vanishing(max_d, l_bound, random_count=0, rng=None):
     """Exhaustive + random exact sweep of vanishing_D.
 
     Returns (counts per d, violations); violations lists offending tuples.
@@ -189,19 +179,10 @@ def sweep_vanishing(max_d, l_bound, random_count=0, rng=None, workers=1):
     values = range(-l_bound, l_bound + 1)
     for d in range(1, max_d + 1):
         n = 0
-        tuples = itertools.product(values, repeat=d)
-        if workers > 1:
-            from multiprocessing import Pool
-            with Pool(workers) as pool:
-                for bad in pool.imap(_violating_tuple, tuples, chunksize=1024):
-                    n += 1
-                    if bad is not None:
-                        violations.append(bad)
-        else:
-            for ls in tuples:
-                n += 1
-                if vanishing_D(ls) != 0:
-                    violations.append(ls)
+        for ls in itertools.product(values, repeat=d):
+            n += 1
+            if _vanishing_pair(ls)[0] != 0:
+                violations.append(ls)
         counts[d] = n
     random_checked = 0
     if random_count:
@@ -211,13 +192,17 @@ def sweep_vanishing(max_d, l_bound, random_count=0, rng=None, workers=1):
             d = int(rng.integers(1, 7))
             ls = tuple(int(v) for v in rng.integers(-50, 51, size=d))
             random_checked += 1
-            if vanishing_D(ls) != 0:
+            if _vanishing_pair(ls)[0] != 0:
                 violations.append(ls)
     return counts, random_checked, violations
 
 
 def sweep_combi(max_d, workers=1):
-    """Exhaustive check of the counting identity for all instances with d <= max_d."""
+    """Exhaustive check of the counting identity for all instances with d <= max_d.
+
+    workers is ignored: the sweep always runs in one process.  The parameter
+    stays only because existing callers pass it positionally.
+    """
     counts = {}
     violations = []
     for d in range(1, max_d + 1):
@@ -309,23 +294,6 @@ def _remainder_block(coef, supp, n, d, m, k):
     return acc
 
 
-@lru_cache(maxsize=None)
-def _residue_with_pole_shift(ls, n):
-    """Exact (1/2pi i) oint (1/(n+mu)) mu^-1 prod (l_j - mu)^-1 dmu.
-
-    The factor 1/(n+mu) is analytic inside the contour for n >= 1 and is
-    expanded as sum (-1)^k mu^k / n^(k+1).
-    """
-    zeros = sum(1 for l in ls if l == 0)
-    nonzero = tuple(l for l in ls if l != 0)
-    order = zeros
-    series = _product_series(nonzero, order)
-    shift = [Fraction((-1) ** k, n ** (k + 1)) for k in range(order + 1)]
-    series = _series_mul(series, shift, order)
-    value = series[order]
-    return -value if zeros % 2 else value
-
-
 def psi_series(u, n, d_max):
     """Taylor sum of the zero-mode component of the projected basis vector.
 
@@ -354,7 +322,8 @@ def psi_series(u, n, d_max):
                 w = weight * coef.get(-n - prev, 0.0)
                 if w == 0.0:
                     return
-                term += -float(_residue_with_pole_shift(prefix, n)) * w
+                # 1/(n+mu) = -(-n-mu)^-1: one more factor (l-mu)^-1, l = -n
+                term += float(residue_A(prefix + (-n,))) * w
                 return
             if pos == 1:
                 choices = [l for l in supp if l >= -n]

@@ -1,10 +1,13 @@
 """Independent oracles used to pin expected values in the test suite.
 
-Everything here is deliberately primitive: plain quadrature, dense linear
-solves, perturbation formulas, and finite differences.  Nothing imports the
+Everything here is deliberately primitive: plain quadrature, truncated
+Fraction Taylor series, dense linear solves, perturbation formulas, and
+finite differences.  Nothing imports the
 package under test, so agreement between a package routine and its oracle is
 evidence, not circularity.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -33,6 +36,60 @@ def vanishing_sum_quadrature(ls):
     for m in range(1, d + 1):
         total += contour_residue_quadrature(ls[:m]) * contour_residue_quadrature(ls[m - 1:])
     return total - contour_residue_quadrature(ls, extra_mu_power=1)
+
+
+def _series_inv_linear(l, order):
+    """Taylor coefficients of (l - mu)^-1 at mu = 0 up to the given order."""
+    inv = Fraction(1, l)
+    out = [inv]
+    for _ in range(order):
+        inv *= Fraction(1, l)
+        out.append(inv)
+    return out
+
+
+def _series_mul(a, b, order):
+    out = [Fraction(0)] * (order + 1)
+    for i, ai in enumerate(a):
+        if i > order or ai == 0:
+            continue
+        top = min(order - i, len(b) - 1)
+        for j in range(top + 1):
+            out[i + j] += ai * b[j]
+    return out
+
+
+def _product_series(ls, order):
+    series = [Fraction(1)] + [Fraction(0)] * order
+    for l in ls:
+        series = _series_mul(series, _series_inv_linear(l, order), order)
+    return series
+
+
+def series_residue(ls, extra_mu_power=0):
+    """Exact residue of mu^-(1+extra) prod 1/(l_j - mu) by truncated Fraction series.
+
+    Each zero entry is a -1/mu factor; the rest are expanded as Taylor
+    series, multiplied term by term, and the coefficient of mu^(extra + z)
+    is read off.
+    """
+    zeros = sum(1 for l in ls if l == 0)
+    order = extra_mu_power + zeros
+    value = _product_series([l for l in ls if l != 0], order)[order]
+    return -value if zeros % 2 else value
+
+
+def series_residue_pole_shift(ls, n):
+    """Exact residue of (1/(n+mu)) mu^-1 prod 1/(l_j - mu) by Fraction series.
+
+    1/(n+mu) is expanded directly as sum (-1)^k mu^k / n^(k+1), n >= 1.
+    """
+    zeros = sum(1 for l in ls if l == 0)
+    order = zeros
+    series = _product_series([l for l in ls if l != 0], order)
+    shift = [Fraction((-1) ** k, n ** (k + 1)) for k in range(order + 1)]
+    value = _series_mul(series, shift, order)[order]
+    return -value if zeros % 2 else value
 
 
 def lax_matrix(coeffs, M):

@@ -42,6 +42,17 @@ def test_gaps_nonnegative_for_real_potential():
     assert np.all(gaps(sd).real >= -1e-12)
 
 
+def test_min_separation_equals_all_pairs_minimum():
+    rng = np.random.default_rng(8)
+    for scale, M in ((0.0, 8), (0.05, 32), (0.3, 48)):
+        coeffs = {n: scale * (rng.standard_normal() + 1j * rng.standard_normal())
+                  for n in range(1, 4)}
+        sd = spectrum(Potential(0.5, 3, coeffs, real=True), M)
+        sep = np.abs(sd.lambdas[:, None] - sd.lambdas[None, :])
+        np.fill_diagonal(sep, np.inf)
+        assert sd.min_separation == float(sep.min())
+
+
 def test_hermitian_and_general_paths_agree():
     """A real potential stored without the real flag must give the same spectrum."""
     coeffs = {1: 0.02 + 0.01j, 2: -0.015j}

@@ -10,7 +10,8 @@ from bonft.lax import spectrum
 from bonft.residues import (PartitionInstance, combi_check, delta_series,
                             iter_partition_instances, psi_series, residue_A,
                             sweep_combi, sweep_vanishing, vanishing_D)
-from oracles import contour_residue_quadrature, vanishing_sum_quadrature
+from oracles import (contour_residue_quadrature, series_residue,
+                     series_residue_pole_shift, vanishing_sum_quadrature)
 
 QUAD_TOL = 1e-10
 
@@ -35,6 +36,33 @@ def test_residue_matches_quadrature():
         exact = residue_A(ls, extra_mu_power=extra)
         quad = contour_residue_quadrature(ls, extra)
         assert abs(complex(exact) - quad) < QUAD_TOL, (ls, extra)
+
+
+def _seeded_tuples(seed, count, max_d, bound):
+    # a narrow value range forces zeros and repeated entries
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        d = int(rng.integers(1, max_d + 1))
+        yield tuple(int(v) for v in rng.integers(-bound, bound + 1, size=d))
+
+
+def test_residue_matches_series_oracle():
+    cases = [(0,), (0, 0, 0), (3, 3, 3), (-2, 0, -2, 0), (5, -5, 0, 1)]
+    cases += list(_seeded_tuples(31, 600, 6, 3))
+    cases += list(_seeded_tuples(32, 200, 5, 40))
+    assert any(0 in ls for ls in cases)
+    assert any(len(set(ls)) < len(ls) for ls in cases if 0 not in ls)
+    for ls in cases:
+        for extra in (0, 1):
+            assert residue_A(ls, extra_mu_power=extra) == series_residue(ls, extra), (ls, extra)
+
+
+def test_pole_shift_is_one_more_factor():
+    """1/(n+mu) = -(l - mu)^-1 at l = -n, so the psi_series residue is -A(ls + (-n,))."""
+    cases = [()] + list(_seeded_tuples(33, 60, 4, 3))
+    for n in range(1, 10):
+        for ls in cases:
+            assert series_residue_pole_shift(ls, n) == -residue_A(ls + (-n,)), (ls, n)
 
 
 def test_vanishing_examples():
@@ -81,14 +109,12 @@ def test_instance_counts_are_central_binomials():
         assert count == math.comb(2 * d, d - 1)
 
 
-def test_sweeps_are_clean_and_parallel_consistent():
-    counts1, rc1, v1 = sweep_vanishing(2, 3, random_count=25,
-                                       rng=np.random.default_rng(9), workers=1)
-    counts2, rc2, v2 = sweep_vanishing(2, 3, random_count=25,
-                                       rng=np.random.default_rng(9), workers=2)
-    assert counts1 == counts2 == {1: 7, 2: 49}
-    assert rc1 == rc2 == 25
-    assert v1 == v2 == []
+def test_sweeps_are_clean():
+    counts, rc, v = sweep_vanishing(2, 3, random_count=25,
+                                    rng=np.random.default_rng(9))
+    assert counts == {1: 7, 2: 49}
+    assert rc == 25
+    assert v == []
     counts, violations = sweep_combi(4)
     assert counts == {1: 1, 2: 4, 3: 15, 4: 56}
     assert violations == []
