@@ -20,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BranchCutError, DegenerateProduct, DegenerateProjector,
-                     DivergenceError, NumericalFailure, OutOfNeighborhood)
-from .hardy import HardyVector, Potential, SeqState, involute, pair, shift, synthesize
+                     DivergenceError, NumericalFailure, OutOfNeighborhood,
+                     TruncationWarning)
+from .hardy import SHIFT_DROP_THRESHOLD, Potential, SeqState, involute, synthesize
 from .lax import spectrum
 from .residues import psi_series
 
@@ -37,11 +38,16 @@ def default_lax_dim(u):
 
 
 def sqrt_plus(z):
-    """Principal square root, Re > 0 off the cut; the cut (-inf, 0] is an error."""
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0:
-        raise BranchCutError("square root argument %r on the branch cut" % (z,))
-    return complex(np.sqrt(z))
+    """Principal square root, Re > 0 off the cut; the cut (-inf, 0] is an error.
+
+    Elementwise on arrays, where the first entry on the cut raises.
+    """
+    z = np.asarray(z, dtype=complex)
+    cut = np.flatnonzero((z.imag == 0.0) & (z.real <= 0.0))
+    if cut.size:
+        raise BranchCutError("square root argument %r on the branch cut"
+                             % (complex(z.flat[cut[0]]),))
+    return complex(np.sqrt(z)) if z.ndim == 0 else np.sqrt(z)
 
 
 @dataclass
@@ -63,6 +69,24 @@ class ScalingData:
     mu_tail: float
 
 
+def _mul(a, b):
+    """Elementwise a * b, rounded like numpy's scalar complex product.
+
+    numpy's vectorised complex multiply can round the last bit differently
+    from its scalar product (its SIMD loop may fuse a multiply and an add);
+    spelled out in real arithmetic, each component rounds as the scalar
+    product does, so vectorised code keeps the bits of a scalar loop.
+    """
+    if not (np.iscomplexobj(a) or np.iscomplexobj(b)):
+        return a * b
+    a = np.asarray(a)
+    b = np.asarray(b)
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
 def scaling_constants(sd):
     """Norming constants kappa_n and scaling factors mu_n from the spectrum.
 
@@ -74,53 +98,47 @@ def scaling_constants(sd):
     with products over k = 1..K_use.  Returns (kappa, mu, tails): the tail
     dict reports the largest deviation from 1 among the last retained
     factors, an estimate of what truncating the products discards.
+
+    Row n of a factor matrix holds the factors k != n in increasing k, and
+    np.prod takes them left to right, as a scalar loop would.
     """
     K = sd.K_use
     lam = sd.lambdas[:K + 1]
     if sd.hermitian:
         lam = lam.real
     gam = lam[1:] - lam[:-1] - 1.0  # gam[k-1] = gamma_k
+    n = np.arange(1, K + 1)[:, None]
+    j = np.arange(1, K)
+    k = j + (j >= n)  # k[n-1, :] = 1..K without n
+    lead = 1.0 - gam / (lam[1:] - lam[0])  # the kappa_0 factors, and mu_n's leading ones
+    kap = 1.0 - gam[k - 1] / (lam[k] - lam[n])
+    rows = np.concatenate(([np.abs(lead).min(initial=np.inf)],
+                           np.abs(kap).min(axis=1, initial=np.inf)))
+    bad = np.flatnonzero(rows < DEGENERATE_TOL)
+    if bad.size:
+        raise DegenerateProduct("kappa_%d product factor of size %.3e"
+                                % (bad[0], rows[bad[0]]))
     kappa = np.empty(K + 1, dtype=complex)
-    mu = np.full(K + 1, np.nan, dtype=complex)
-    kappa_tail = 0.0
-    mu_tail = 0.0
-    for n in range(K + 1):
-        factors = np.ones(0, dtype=complex)
-        if n == 0:
-            factors = 1.0 - gam / (lam[1:] - lam[0])
-            value = np.prod(factors)
-        else:
-            ks = np.array([k for k in range(1, K + 1) if k != n])
-            if len(ks):
-                factors = 1.0 - gam[ks - 1] / (lam[ks] - lam[n])
-            value = np.prod(factors) / (lam[n] - lam[0])
-        if len(factors):
-            small = float(np.min(np.abs(factors)))
-            if small < DEGENERATE_TOL:
-                raise DegenerateProduct(
-                    "kappa_%d product factor of size %.3e" % (n, small))
-            kappa_tail = max(kappa_tail, float(abs(factors[-1] - 1.0)))
-        kappa[n] = value
-    for n in range(1, K + 1):
-        lead = 1.0 - gam[n - 1] / (lam[n] - lam[0])
-        if abs(lead) < DEGENERATE_TOL:
+    kappa[0] = np.prod(lead)
+    kappa[1:] = np.prod(kap, axis=1) / (lam[1:] - lam[0])
+    mus = np.concatenate((lead[:, None], 1.0 - _mul(gam[n - 1], gam[k - 1])
+                          / _mul(lam[k - 1] - lam[n - 1], lam[k] - lam[n])), axis=1)
+    bad = np.argwhere(np.abs(mus) < DEGENERATE_TOL)
+    if bad.size:
+        row, col = bad[0]
+        if col == 0:
             raise DegenerateProduct("mu_%d leading factor of size %.3e"
-                                    % (n, abs(lead)))
-        value = lead
-        last = None
-        for k in range(1, K + 1):
-            if k == n:
-                continue
-            f = 1.0 - gam[n - 1] * gam[k - 1] / ((lam[k - 1] - lam[n - 1]) * (lam[k] - lam[n]))
-            if abs(f) < DEGENERATE_TOL:
-                raise DegenerateProduct("mu_%d product factor of size %.3e at k=%d"
-                                        % (n, abs(f), k))
-            value *= f
-            last = f
-        if last is not None:
-            mu_tail = max(mu_tail, float(abs(last - 1.0)))
-        mu[n] = value
-    return kappa, mu, {"kappa_tail": kappa_tail, "mu_tail": mu_tail}
+                                    % (row + 1, abs(mus[row, 0])))
+        raise DegenerateProduct("mu_%d product factor of size %.3e at k=%d"
+                                % (row + 1, abs(mus[row, col]), k[row, col - 1]))
+    mu = np.full(K + 1, np.nan, dtype=complex)
+    mu[1:] = np.prod(mus, axis=1)
+    # the tails are reported to the last digit, so they take the scalar abs
+    # of each last factor: np.abs on an array may round differently
+    last_kap = np.concatenate((lead[-1:], kap[:, -1:].ravel()))
+    last_mu = mus[:, -1] if K > 1 else lead[:0]
+    return kappa, mu, {"kappa_tail": float(max([0.0, *map(abs, last_kap - 1.0)])),
+                       "mu_tail": float(max([0.0, *map(abs, last_mu - 1.0)]))}
 
 
 def eigen_chain(u, sd):
@@ -136,47 +154,67 @@ def eigen_chain(u, sd):
     fill delta_n = beta_n - alpha_n, nu_n = beta_n / alpha_n and the
     cumulative a_n = a_0 prod_{k<=n} nu_k / sqrt(mu_k).  The admissibility
     guards |mu_n - 1| < 1/2 and |alpha_n| >= 1/2 delimit the neighborhood
-    where the construction is trusted; leaving it raises OutOfNeighborhood.
+    where the construction is trusted; leaving it raises OutOfNeighborhood
+    at the first offending n (mu before alpha).  Returns (f, scaling) with
+    f the (M+1) x (K+1) array whose column n is f_n.
     """
     K = sd.K_use
+    h = sd.h
     kappa, mu, tails = scaling_constants(sd)
-    h0_zero = complex(sd.h[0].coeffs[0])  # bilinear <h_0, 1>
+    h0_zero = complex(h[0, 0])  # bilinear <h_0, 1>
     if abs(h0_zero) < DEGENERATE_TOL:
         raise DegenerateProjector("projected vacuum has zero mean component")
     a0 = sqrt_plus(kappa[0]) / h0_zero
-    f = [HardyVector(a0 * sd.h[0].coeffs)]
-    alpha = np.full(K + 1, np.nan, dtype=complex)
+    alpha = np.diagonal(h).copy()
+    alpha[0] = np.nan
+    far_mu = np.abs(mu[1:] - 1.0) >= NEIGHBORHOOD_MU
+    far_alpha = np.abs(alpha[1:]) < NEIGHBORHOOD_ALPHA
+    bad = np.flatnonzero(far_mu | far_alpha)
+    if bad.size:
+        n = bad[0] + 1
+        if far_mu[n - 1]:
+            raise OutOfNeighborhood("|mu_%d - 1| = %.3f >= %.1f"
+                                    % (n, abs(mu[n] - 1.0), NEIGHBORHOOD_MU))
+        raise OutOfNeighborhood("|alpha_%d| = %.3f < %.1f"
+                                % (n, abs(alpha[n]), NEIGHBORHOOD_ALPHA))
+    roots = np.concatenate(([np.nan], sqrt_plus(mu[1:])))
     beta = np.full(K + 1, np.nan, dtype=complex)
     nu = np.full(K + 1, np.nan, dtype=complex)
     a = np.empty(K + 1, dtype=complex)
     a[0] = a0
+    f = np.empty((K + 1, sd.M + 1), dtype=complex)  # row n is f_n
+    f[0] = a0 * h[:, 0]
+    up = np.zeros(sd.M + 1, dtype=complex)  # S x, the top mode dropped
     for n in range(1, K + 1):
-        if abs(mu[n] - 1.0) >= NEIGHBORHOOD_MU:
-            raise OutOfNeighborhood("|mu_%d - 1| = %.3f >= %.1f"
-                                    % (n, abs(mu[n] - 1.0), NEIGHBORHOOD_MU))
-        alpha[n] = complex(sd.h[n].coeffs[n])
-        if abs(alpha[n]) < NEIGHBORHOOD_ALPHA:
-            raise OutOfNeighborhood("|alpha_%d| = %.3f < %.1f"
-                                    % (n, abs(alpha[n]), NEIGHBORHOOD_ALPHA))
-        beta[n] = complex(sd.project(n, shift(sd.h[n - 1]).coeffs)[n])
+        up[1:] = h[:-1, n - 1]
+        beta[n] = sd.project(n, up)[n]
         nu[n] = beta[n] / alpha[n]
-        root = sqrt_plus(mu[n])
-        a[n] = a[n - 1] * nu[n] / root
-        f.append(HardyVector(sd.project(n, shift(f[n - 1]).coeffs) / root))
-    delta = beta - alpha
+        a[n] = a[n - 1] * nu[n] / roots[n]
+        up[1:] = f[n - 1, :-1]
+        f[n] = sd.project(n, up) / roots[n]
+    if not np.isfinite(f).all():
+        raise ValueError("non-finite Hardy coefficients")
+    # S drops the top mode of every vector it shifts: h_0..h_{K-1}, f_0..f_{K-1}
+    size = np.abs(np.concatenate((h[:, :K], f[:K].T), axis=1))
+    scale = size.max(axis=0, initial=0.0)
+    drop = (scale > 0.0) & (size[-1] > SHIFT_DROP_THRESHOLD * scale)
+    if drop.any():
+        warnings.warn("chain shift dropped top coefficient of relative size %.3e"
+                      % np.max(size[-1, drop] / scale[drop]), TruncationWarning,
+                      stacklevel=2)
     scaling = ScalingData(kappa=kappa, mu=mu, alpha=alpha, beta=beta,
-                          delta=delta, nu=nu, a=a,
+                          delta=beta - alpha, nu=nu, a=a,
                           kappa_tail=tails["kappa_tail"], mu_tail=tails["mu_tail"])
-    return f, scaling
+    return f.T, scaling
 
 
 def pre_birkhoff(u, sd):
     """The sequence Psi_n = <1, h_n> (bilinear), n = 1..K_use.
 
     Only the zero-mode coefficient of h_n survives the bilinear pairing
-    against the constant, so this reads a single entry per index.
+    against the constant, so this reads row 0 of h.
     """
-    entries = {n: complex(sd.h[n].coeffs[0]) for n in range(1, sd.K_use + 1)}
+    entries = {n: complex(v) for n, v in enumerate(sd.h[0, 1:], start=1)}
     return SeqState(1.0 + u.s, entries)
 
 
@@ -281,18 +319,18 @@ def state_from_json(obj):
     return BirkhoffState(float(obj["s"]), plus, minus, bool(obj.get("real", False)))
 
 
-def _assemble_plus(n_range, kappa_u, a_conj, psi_conj):
-    out = np.empty(len(n_range), dtype=complex)
-    for j, n in enumerate(n_range):
-        out[j] = np.sqrt(n) * np.conj(a_conj[n] * psi_conj[n]) / sqrt_plus(n * kappa_u[n])
-    return out
+def _assemble_plus(kappa_u, a_conj, psi_conj):
+    """sqrt(n) conj(a_n Psi_n) / sqrt(n kappa_n) for n = 1..K, from index-aligned arrays."""
+    ns = np.arange(1, len(kappa_u))
+    return (_mul(np.sqrt(ns), np.conj(_mul(a_conj[1:], psi_conj[1:])))
+            / sqrt_plus(_mul(ns, kappa_u[1:])))
 
 
-def _assemble_minus(n_range, kappa_conj, a_u, psi_u):
-    out = np.empty(len(n_range), dtype=complex)
-    for j, n in enumerate(n_range):
-        out[j] = np.sqrt(n) * a_u[n] * psi_u[n] / sqrt_plus(n * np.conj(kappa_conj[n]))
-    return out
+def _assemble_minus(kappa_conj, a_u, psi_u):
+    """sqrt(n) a_n Psi_n / sqrt(n conj(kappa_n)) for n = 1..K, from index-aligned arrays."""
+    ns = np.arange(1, len(kappa_conj))
+    return (_mul(_mul(np.sqrt(ns), a_u[1:]), psi_u[1:])
+            / sqrt_plus(_mul(ns, np.conj(kappa_conj[1:]))))
 
 
 def birkhoff_forward(u, M=None, k_use=None):
@@ -314,14 +352,12 @@ def birkhoff_forward(u, M=None, k_use=None):
         M = default_lax_dim(u)
     sd = spectrum(u, M, k_use=k_use)
     f, scaling = eigen_chain(u, sd)
-    K = sd.K_use
-    ns = range(1, K + 1)
-    psi_u = np.concatenate(([np.nan], [complex(sd.h[n].coeffs[0]) for n in ns]))
-    norm_drift = max(abs(float(np.linalg.norm(fv.coeffs)) - 1.0) for fv in f)
+    # one norm per column: np.linalg.norm of a whole matrix rounds differently
+    norm_drift = max(abs(float(np.linalg.norm(fv)) - 1.0) for fv in f.T)
     if u.real:
-        plus = np.array([np.conj(f[n].coeffs[0]) / sqrt_plus(scaling.kappa[n]) for n in ns])
-        check = _assemble_plus(ns, scaling.kappa, scaling.a, psi_u)
-        dev = float(np.max(np.abs(plus - check))) if K else 0.0
+        plus = np.conj(f[0, 1:]) / sqrt_plus(scaling.kappa[1:])
+        check = _assemble_plus(scaling.kappa, scaling.a, sd.h[0])
+        dev = float(np.max(np.abs(plus - check), initial=0.0))
         if dev > CROSS_ASSERT_TOL:
             raise NumericalFailure(
                 "shortcut and product coordinates disagree by %.3e" % dev)
@@ -330,16 +366,14 @@ def birkhoff_forward(u, M=None, k_use=None):
         uc = involute(u, "conj")
         sd_c = spectrum(uc, M, k_use=k_use)
         _, scaling_c = eigen_chain(uc, sd_c)
-        psi_c = np.concatenate(([np.nan], [complex(sd_c.h[n].coeffs[0]) for n in ns]))
-        plus = _assemble_plus(ns, scaling.kappa, scaling_c.a, psi_c)
-        minus = _assemble_minus(ns, scaling_c.kappa, scaling.a, psi_u)
+        plus = _assemble_plus(scaling.kappa, scaling_c.a, sd_c.h[0])
+        minus = _assemble_minus(scaling_c.kappa, scaling.a, sd.h[0])
         state = BirkhoffState(u.s, plus, minus, real_flag=False)
-    state_diag = {
+    state.diagnostics = {
         "kappa_tail": scaling.kappa_tail,
         "mu_tail": scaling.mu_tail,
         "norm_drift": float(norm_drift),
     }
-    state.diagnostics = state_diag
     return state
 
 

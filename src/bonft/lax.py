@@ -67,15 +67,17 @@ class SpectralData:
 
     lambdas are sorted by increasing real part; right_vecs and left_vecs
     store eigenvectors columnwise (left vectors w satisfy w^H L = lambda w^H,
-    so for a Hermitian matrix they coincide with the right ones); h[n] is
-    the projected basis vector P_n e_n for n <= K_use.
+    so for a Hermitian matrix they coincide with the right ones); denoms[n]
+    is the pairing w_n^H v_n and column n of the (M+1) x (K_use+1) array h
+    is the projected basis vector P_n e_n, for n <= K_use.
     """
 
-    def __init__(self, lambdas, right_vecs, left_vecs, h, K_use, M, hermitian,
-                 min_separation):
+    def __init__(self, lambdas, right_vecs, left_vecs, denoms, h, K_use, M,
+                 hermitian, min_separation):
         self.lambdas = lambdas
         self.right_vecs = right_vecs
         self.left_vecs = left_vecs
+        self.denoms = denoms
         self.h = h
         self.K_use = K_use
         self.M = M
@@ -83,11 +85,10 @@ class SpectralData:
         self.min_separation = min_separation
 
     def project(self, n, x):
-        """Apply the Riesz projector P_n to a coefficient vector."""
-        v = self.right_vecs[:, n]
+        """Apply the Riesz projector P_n, n <= K_use, to a coefficient vector."""
         w = self.left_vecs[:, n]
-        denom = np.vdot(w, v)
-        return v * (np.vdot(w, np.asarray(x, dtype=complex)) / denom)
+        return self.right_vecs[:, n] * (np.vdot(w, np.asarray(x, dtype=complex))
+                                        / self.denoms[n])
 
 
 def spectrum(u, M, k_use=None, tol_simple=SIMPLICITY_TOL):
@@ -124,15 +125,14 @@ def spectrum(u, M, k_use=None, tol_simple=SIMPLICITY_TOL):
     K_use = M // 2 if k_use is None else int(k_use)
     if not 0 <= K_use <= M:
         raise ValueError("k_use must lie in 0..M")
-    h = []
-    for n in range(K_use + 1):
-        v = V[:, n]
-        w = W[:, n]
-        denom = np.vdot(w, v)
-        if abs(denom) < 1e-12:
-            raise NumericalFailure("left/right eigenvectors nearly orthogonal at n=%d" % n)
-        h.append(HardyVector(v * (np.conj(w[n]) / denom)))
-    return SpectralData(lam, V, W, h, K_use, M, lax.hermitian, min_separation)
+    n_use = K_use + 1
+    denoms = np.array([np.vdot(W[:, n], V[:, n]) for n in range(n_use)], dtype=complex)
+    small = np.flatnonzero(np.abs(denoms) < 1e-12)
+    if small.size:
+        raise NumericalFailure("left/right eigenvectors nearly orthogonal at n=%d"
+                               % small[0])
+    h = V[:, :n_use] * (np.conj(np.diagonal(W)[:n_use]) / denoms)
+    return SpectralData(lam, V, W, denoms, h, K_use, M, lax.hermitian, min_separation)
 
 
 def gaps(sd):

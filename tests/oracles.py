@@ -1,8 +1,9 @@
 """Independent oracles used to pin expected values in the test suite.
 
 Everything here is deliberately primitive: plain quadrature, truncated
-Fraction Taylor series, dense linear solves, perturbation formulas, and
-finite differences.  Nothing imports the
+Fraction Taylor series, dense linear solves, perturbation formulas,
+finite differences, and the scaling products one factor at a time.
+Nothing imports the
 package under test, so agreement between a package routine and its oracle is
 evidence, not circularity.
 """
@@ -178,3 +179,58 @@ def rk4_step(rhs, y, dt):
     k3 = rhs(y + 0.5 * dt * k2)
     k4 = rhs(y + dt * k3)
     return y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def scaling_constants_loop(sd, tol=1e-12):
+    """kappa_n, mu_n and the product tails, one factor at a time.
+
+    The loop form of the scaling products: kappa_n as np.prod over the
+    factors k != n, mu_n multiplied up factor by factor in increasing k.
+    Reads only sd.lambdas, sd.K_use and sd.hermitian.  A factor below tol
+    raises ValueError with the message the package gives its
+    DegenerateProduct, at the same first (n, k).
+    """
+    K = sd.K_use
+    lam = sd.lambdas[:K + 1]
+    if sd.hermitian:
+        lam = lam.real
+    gam = lam[1:] - lam[:-1] - 1.0  # gam[k-1] = gamma_k
+    kappa = np.empty(K + 1, dtype=complex)
+    mu = np.full(K + 1, np.nan, dtype=complex)
+    kappa_tail = 0.0
+    mu_tail = 0.0
+    for n in range(K + 1):
+        factors = np.ones(0, dtype=complex)
+        if n == 0:
+            factors = 1.0 - gam / (lam[1:] - lam[0])
+            value = np.prod(factors)
+        else:
+            ks = np.array([k for k in range(1, K + 1) if k != n])
+            if len(ks):
+                factors = 1.0 - gam[ks - 1] / (lam[ks] - lam[n])
+            value = np.prod(factors) / (lam[n] - lam[0])
+        if len(factors):
+            small = float(np.min(np.abs(factors)))
+            if small < tol:
+                raise ValueError("kappa_%d product factor of size %.3e" % (n, small))
+            kappa_tail = max(kappa_tail, float(abs(factors[-1] - 1.0)))
+        kappa[n] = value
+    for n in range(1, K + 1):
+        lead = 1.0 - gam[n - 1] / (lam[n] - lam[0])
+        if abs(lead) < tol:
+            raise ValueError("mu_%d leading factor of size %.3e" % (n, abs(lead)))
+        value = lead
+        last = None
+        for k in range(1, K + 1):
+            if k == n:
+                continue
+            f = 1.0 - gam[n - 1] * gam[k - 1] / ((lam[k - 1] - lam[n - 1]) * (lam[k] - lam[n]))
+            if abs(f) < tol:
+                raise ValueError("mu_%d product factor of size %.3e at k=%d"
+                                 % (n, abs(f), k))
+            value *= f
+            last = f
+        if last is not None:
+            mu_tail = max(mu_tail, float(abs(last - 1.0)))
+        mu[n] = value
+    return kappa, mu, {"kappa_tail": kappa_tail, "mu_tail": mu_tail}

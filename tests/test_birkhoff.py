@@ -36,9 +36,10 @@ def test_chain_is_normalized_with_positive_vacuum_mean():
     u = small_real()
     sd = spectrum(u, 64, k_use=10)
     f, scal = eigen_chain(u, sd)
-    for v in f:
-        assert np.linalg.norm(v.coeffs) == pytest.approx(1.0, abs=1e-12)
-    mean = complex(f[0].coeffs[0])
+    assert f.shape == (65, 11)
+    for v in f.T:
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+    mean = complex(f[0, 0])
     assert abs(mean.imag) < 1e-13 and mean.real > 0
     assert np.all(np.abs(scal.mu[1:] - 1.0) < 0.5)
 

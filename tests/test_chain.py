@@ -1,0 +1,125 @@
+"""The scaling products and the eigenvector chain: reference oracle and guards.
+
+scaling_constants works on factor matrices; tests/oracles.py keeps the
+loop it replaced, and the two must agree bit for bit, down to which factor
+a DegenerateProduct names.  Every guard of the chain gets an input that
+trips it, and the message must name the first offending index.
+"""
+
+import re
+import warnings
+
+import numpy as np
+import pytest
+
+from bonft.birkhoff import birkhoff_forward, eigen_chain, scaling_constants
+from bonft.errors import (DegenerateProduct, DegenerateProjector, OutOfNeighborhood,
+                          TruncationWarning)
+from bonft.hardy import Potential
+from bonft.lax import SpectralData, spectrum
+from oracles import scaling_constants_loop
+
+
+def hand_built(lambdas, h=None):
+    """Hermitian spectral data with the given eigenvalues and identity vectors."""
+    lam = np.asarray(lambdas, dtype=complex)
+    K = len(lam) - 1
+    eye = np.eye(K + 1, dtype=complex)
+    return SpectralData(lam, eye, eye, np.ones(K + 1, dtype=complex),
+                        eye if h is None else h, K, K, True, 1.0)
+
+
+def seeded(rng, N, scale, real):
+    modes = range(1, N + 1) if real else [n for n in range(-N, N + 1) if n]
+    coeffs = {n: scale * (rng.standard_normal() + 1j * rng.standard_normal()) / abs(n)
+              for n in modes}
+    return Potential(0.5, N, coeffs, real=real)
+
+
+def assert_same_constants(sd):
+    kappa, mu, tails = scaling_constants(sd)
+    ref_kappa, ref_mu, ref_tails = scaling_constants_loop(sd)
+    assert np.array_equal(kappa, ref_kappa)
+    assert np.array_equal(mu, ref_mu, equal_nan=True)
+    assert tails == ref_tails
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_scaling_constants_match_loop_oracle(real):
+    rng = np.random.default_rng(41 if real else 42)
+    for M, k_use in ((8, 0), (8, 1), (8, 2), (16, 5), (32, 16), (64, 32), (96, 32)):
+        for scale in (0.005, 0.02, 0.1):
+            u = seeded(rng, int(rng.integers(1, 5)), scale, real)
+            sd = spectrum(u, M, k_use=k_use)
+            assert sd.hermitian == real
+            assert_same_constants(sd)
+
+
+def test_scaling_constants_match_loop_oracle_off_lattice():
+    """Complex eigenvalues far from the integers, beyond what a small potential gives."""
+    rng = np.random.default_rng(43)
+    for K in (0, 1, 2, 3, 7, 20):
+        lam = np.arange(K + 1) + 0.3 * (rng.standard_normal(K + 1)
+                                        + 1j * rng.standard_normal(K + 1))
+        sd = hand_built(lam)
+        sd.hermitian = False
+        assert_same_constants(sd)
+
+
+def assert_same_degeneracy(sd, message):
+    with pytest.raises(DegenerateProduct, match="^%s$" % re.escape(message)):
+        scaling_constants(sd)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        scaling_constants_loop(sd)
+
+
+def test_degenerate_kappa_factor():
+    # lambda_2 = lambda_0 + 1 zeroes the k=1 factor of kappa_2, and only that
+    assert_same_degeneracy(hand_built([0.0, 0.3, 1.0, 2.5]),
+                           "kappa_2 product factor of size 0.000e+00")
+
+
+def test_degenerate_mu_leading_factor():
+    # The leading factor of mu_n is also the n-th factor of kappa_0, so the
+    # kappa guard fires first unless a NaN hides kappa's row minima.
+    assert_same_degeneracy(hand_built([0.0, -1.0, 3.0, np.nan]),
+                           "mu_2 leading factor of size 0.000e+00")
+
+
+def test_degenerate_mu_factor():
+    # The k=3 factor of mu_2 is the k=2 factor of kappa_3 over
+    # -(lambda_2 - lambda_1) = -4: 2.0e-12 passes the kappa guard and
+    # 5.0e-13 trips the mu guard.
+    delta = 6e-12
+    assert_same_degeneracy(hand_built([0.0, 0.5, 4.5, 1.5 + delta]),
+                           "mu_2 product factor of size 5.000e-13 at k=3")
+
+
+def test_degenerate_projector():
+    h = np.eye(5, dtype=complex)
+    h[0, 0] = 0.0
+    sd = hand_built(np.arange(5.0), h=h)
+    with pytest.raises(DegenerateProjector, match="zero mean component"):
+        eigen_chain(Potential(0.5, 1, {}, real=True), sd)
+
+
+@pytest.mark.parametrize("eps, message", [
+    (1.4, "|mu_1 - 1| = 0.502 >= 0.5"),
+    (0.6, "|alpha_2| = 0.456 < 0.5"),
+], ids=["mu", "alpha"])
+def test_out_of_neighborhood_names_first_index(eps, message):
+    u = Potential(0.5, 1, {1: eps}, real=True)
+    with pytest.raises(OutOfNeighborhood, match="^%s$" % re.escape(message)):
+        birkhoff_forward(u, M=32, k_use=8)
+
+
+def test_chain_warns_once_on_dropped_top_mode():
+    u = Potential(0.5, 8, {n: 0.05 / n for n in range(1, 9)}, real=True)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        birkhoff_forward(u, M=17, k_use=8)
+    assert [w.category for w in caught] == [TruncationWarning]
+    assert "chain shift dropped top coefficient" in str(caught[0].message)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        birkhoff_forward(u, M=48, k_use=8)

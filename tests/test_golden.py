@@ -1,7 +1,8 @@
 """Byte-for-byte CLI output against files recorded from an earlier build.
 
-The files under tests/golden/ pin the stdout of the sweep and spectrum
-verbs, so a change to how they compute must reproduce the same bytes.
+The files under tests/golden/ pin the stdout of every verb, so a change to
+how they compute must reproduce the same bytes.  inverse and evolve read
+the pinned transform output as their input state.
 """
 
 import os
@@ -11,9 +12,12 @@ import pytest
 from bonft import cli
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+U = os.path.join(GOLDEN, "u.json")
+SMALL = ["--lax-dim", "32", "--modes", "8"]
 SWEEP = ["vanishing", "--max-d", "3", "--l-bound", "3", "--random-count", "40",
          "--seed", "7"]
-SPECTRUM = ["spectrum", "-i", os.path.join(GOLDEN, "u.json"), "--lax-dim", "16"]
+SPECTRUM = ["spectrum", "-i", U, "--lax-dim", "16"]
+STATE = os.path.join(GOLDEN, "transform.json")
 
 CASES = [
     (SWEEP + ["--format", "json"], "vanishing.json"),
@@ -21,6 +25,15 @@ CASES = [
     (["combi", "--max-d", "5"], "combi.csv"),
     (SPECTRUM, "spectrum.json"),
     (SPECTRUM + ["--format", "csv"], "spectrum.csv"),
+    (["transform", "-i", U] + SMALL, "transform.json"),
+    (["transform", "-i", U], "transform_default.json"),
+    (["transform", "-i", os.path.join(GOLDEN, "uc.json")] + SMALL,
+     "transform_complex.json"),
+    (["inverse", "-i", STATE, "--lax-dim", "32"], "inverse.json"),
+    (["evolve", "-i", STATE, "--t", "0.05"], "evolve.json"),
+    (["compare", "-i", U] + SMALL + ["--grid", "32", "--t", "0.05"], "compare.json"),
+    (["continuity", "--max-m", "2000"], "continuity.csv"),
+    (["bracket"], "bracket.json"),
 ]
 
 

@@ -64,7 +64,7 @@ def test_hermitian_and_general_paths_agree():
     b = spectrum(v, 24)
     assert np.max(np.abs(a.lambdas - b.lambdas)) < 1e-11
     for n in range(5):
-        ha, hb = a.h[n].coeffs, b.h[n].coeffs
+        ha, hb = a.h[:, n], b.h[:, n]
         assert np.max(np.abs(ha - hb)) < 1e-9
 
 
@@ -91,7 +91,7 @@ def test_h_normalization():
     sd = spectrum(u, 32, k_use=5)
     for n in range(6):
         proj = sd.project(n, np.eye(33)[n])
-        assert proj[n] == pytest.approx(sd.h[n].coeffs[n], abs=1e-12)
+        assert proj[n] == pytest.approx(sd.h[n, n], abs=1e-12)
 
 
 def test_neumann_resolvent_matches_dense_solve():
