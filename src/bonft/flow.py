@@ -75,7 +75,8 @@ def evolve(z0, t):
     om_plus, om_minus = frequencies(z0)
     t = float(t)
     plus = z0.plus * np.exp(1j * t * om_plus)
-    minus = z0.minus * np.exp(1j * t * om_minus)
+    # a real state's minus side is conj(plus): BirkhoffState stores it so anyway
+    minus = np.conj(plus) if z0.real_flag else z0.minus * np.exp(1j * t * om_minus)
     out = BirkhoffState(z0.s, plus, minus, real_flag=z0.real_flag)
     out.diagnostics = z0.diagnostics
     return out

@@ -75,12 +75,6 @@ class Trajectory:
         return Potential(self.s, max(N, 1), coeffs, real=True)
 
 
-def _dealias_mask(grid, fraction):
-    n = np.fft.fftfreq(grid, d=1.0 / grid).astype(int)
-    keep = int(np.floor((grid // 2) * fraction))
-    return np.abs(n) <= keep, n, keep
-
-
 def integrate(u0, cfg=None):
     """Integrating-factor RK4 trajectory from a real mean-zero potential.
 
@@ -97,7 +91,8 @@ def integrate(u0, cfg=None):
     grid = int(cfg.grid_size)
     if grid < 4 * u0.N:
         raise ValueError("grid %d cannot dealias band N=%d (need >= 4N)" % (grid, u0.N))
-    mask, n, keep = _dealias_mask(grid, cfg.dealias_fraction)
+    n = np.fft.fftfreq(grid, d=1.0 / grid).astype(int)
+    keep = int(np.floor((grid // 2) * cfg.dealias_fraction))
     if cfg.dt * (grid // 2) ** 2 > PHASE_BUDGET:
         warnings.warn("dt=%g spins the top mode %.0f radians per step"
                       % (cfg.dt, cfg.dt * (grid // 2) ** 2), stacklevel=2)
@@ -106,34 +101,57 @@ def integrate(u0, cfg=None):
     for m, v in u0.nonzero_coeffs().items():
         c[m % grid] = v
 
-    lin = 1j * n * np.abs(n)
+    # The inverse FFT runs unscaled and the forward FFT's 1/grid sits in coef
+    # with the factor -i n and the dealias mask: all exact (powers of two,
+    # zeros and ones).  The square fills the real part of a complex buffer,
+    # which spares fft() a conversion.  Every complex product keeps its
+    # operand order, because numpy's vectorised complex multiply need not
+    # round commutatively.
+    coef = (-1j * n) * (np.abs(n) <= keep) / grid
+    sq = np.zeros(grid, dtype=complex)
 
     def rhs(state):
-        phys = np.fft.ifft(state * grid)
-        sq = np.fft.fft(np.real(phys) ** 2) / grid
-        sq *= mask
-        out = -1j * n * sq
+        np.square(np.fft.ifft(state, norm="forward").real, out=sq.real)
+        out = np.fft.fft(sq)
+        np.multiply(coef, out, out=out)
         out[0] = 0.0
         return out
 
     steps = int(round(cfg.T / cfg.dt))
     dt = cfg.T / steps if steps else cfg.dt
-    E = np.exp(lin * dt / 2.0)
+    E = np.exp(1j * n * np.abs(n) * dt / 2.0)
     E2 = E * E
+    twoE, dtE, half, sixth = 2.0 * E, dt * E, dt / 2.0, dt / 6.0
     times = [0.0]
-    stored = [c.copy()]
+    stored = [c]
     for step in range(steps):
+        # k2 = rhs(E (c + dt/2 k1)), k3 = rhs(E c + dt/2 k2), k4 = rhs(E2 c + dt E k3),
+        # c <- E2 c + dt/6 (E2 k1 + 2E (k2 + k3) + k4), on reused buffers
+        E2c = E2 * c
         k1 = rhs(c)
-        k2 = rhs(E * (c + dt / 2.0 * k1))
-        k3 = rhs(E * c + dt / 2.0 * k2)
-        k4 = rhs(E2 * c + dt * E * k3)
-        c = E2 * c + dt / 6.0 * (E2 * k1 + 2.0 * E * (k2 + k3) + k4)
+        stage = half * k1
+        stage += c
+        k2 = rhs(np.multiply(E, stage, out=stage))
+        np.multiply(half, k2, out=stage)
+        stage += E * c
+        k3 = rhs(stage)
+        np.multiply(dtE, k3, out=stage)
+        stage += E2c
+        k4 = rhs(stage)
+        k2 += k3
+        np.multiply(twoE, k2, out=k2)
+        np.multiply(E2, k1, out=k1)
+        k1 += k2
+        k1 += k4
+        np.multiply(sixth, k1, out=k1)
+        E2c += k1
+        c = E2c  # a fresh array every step, so stored samples never alias
         c[0] = 0.0
         if (step + 1) % cfg.store_every == 0 or step == steps - 1:
             if not np.all(np.isfinite(c)):
                 raise NumericalFailure("non-finite state at t=%.6f" % ((step + 1) * dt))
             times.append((step + 1) * dt)
-            stored.append(c.copy())
+            stored.append(c)
     return Trajectory(times, stored, u0.s, keep)
 
 
@@ -154,32 +172,3 @@ def isospectral_audit(traj, M, k_max=None):
         drift = max(drift, float(np.max(np.abs(sd.lambdas[:k_top + 1] - lam0))))
     return drift
 
-
-def residual(traj):
-    """Defect of the stored samples in the equation, in the H^{s-2} norm.
-
-    Central differences in time at interior samples against
-    i n |n| u_hat(n) - i n (u^2)_hat(n); the quadratic term is evaluated on
-    the trajectory's own dealiased band.  Returns the max over interior
-    samples; at least 3 samples are required.
-    """
-    if len(traj) < 3:
-        raise ValueError("need at least 3 samples for a central difference")
-    grid = traj.coeffs.shape[1]
-    mask, n, _ = _dealias_mask(grid, 1.0)
-    band_mask = np.abs(n) <= traj.band
-    weight = np.maximum(1.0, np.abs(n)) ** (traj.s - 2.0)
-    worst = 0.0
-    for i in range(1, len(traj) - 1):
-        dt_back = traj.times[i] - traj.times[i - 1]
-        dt_fwd = traj.times[i + 1] - traj.times[i]
-        if abs(dt_fwd - dt_back) > 1e-12 * max(dt_fwd, dt_back):
-            raise ValueError("residual needs uniformly spaced samples")
-        du = (traj.coeffs[i + 1] - traj.coeffs[i - 1]) / (dt_back + dt_fwd)
-        c = traj.coeffs[i]
-        phys = np.fft.ifft(c * grid)
-        sq = np.fft.fft(np.real(phys) ** 2) / grid * band_mask
-        field = 1j * n * np.abs(n) * c - 1j * n * sq
-        defect = (du - field) * band_mask
-        worst = max(worst, float(np.sqrt(np.sum(weight ** 2 * np.abs(defect) ** 2))))
-    return worst

@@ -2,10 +2,10 @@
 
 Everything here is deliberately primitive: plain quadrature, truncated
 Fraction Taylor series, dense linear solves, perturbation formulas,
-finite differences, and the scaling products one factor at a time.
-Nothing imports the
-package under test, so agreement between a package routine and its oracle is
-evidence, not circularity.
+finite differences, the scaling products one factor at a time, the RK4
+loop with its products spelled out, and the time-discrete equation
+residual.  Nothing imports the package under test, so agreement between a
+package routine and its oracle is evidence, not circularity.
 """
 
 from fractions import Fraction
@@ -234,3 +234,80 @@ def scaling_constants_loop(sd, tol=1e-12):
             mu_tail = max(mu_tail, float(abs(last - 1.0)))
         mu[n] = value
     return kappa, mu, {"kappa_tail": kappa_tail, "mu_tail": mu_tail}
+
+
+def integrate_loop(u0, cfg):
+    """The integrating-factor RK4 loop with every product spelled out per step.
+
+    The reference form of the pseudospectral integrator: the nonlinear term
+    scales by the grid around each FFT, and each step recomputes its
+    constants.  Reads u0.nonzero_coeffs() and cfg's grid_size, dt, T,
+    dealias_fraction and store_every; returns (times, coeffs) as float and
+    complex arrays, coeffs in np.fft layout.
+    """
+    grid = int(cfg.grid_size)
+    n = np.fft.fftfreq(grid, d=1.0 / grid).astype(int)
+    keep = int(np.floor((grid // 2) * cfg.dealias_fraction))
+    mask = np.abs(n) <= keep
+
+    c = np.zeros(grid, dtype=complex)
+    for m, v in u0.nonzero_coeffs().items():
+        c[m % grid] = v
+
+    lin = 1j * n * np.abs(n)
+
+    def rhs(state):
+        phys = np.fft.ifft(state * grid)
+        sq = np.fft.fft(np.real(phys) ** 2) / grid
+        sq *= mask
+        out = -1j * n * sq
+        out[0] = 0.0
+        return out
+
+    steps = int(round(cfg.T / cfg.dt))
+    dt = cfg.T / steps if steps else cfg.dt
+    E = np.exp(lin * dt / 2.0)
+    E2 = E * E
+    times = [0.0]
+    stored = [c.copy()]
+    for step in range(steps):
+        k1 = rhs(c)
+        k2 = rhs(E * (c + dt / 2.0 * k1))
+        k3 = rhs(E * c + dt / 2.0 * k2)
+        k4 = rhs(E2 * c + dt * E * k3)
+        c = E2 * c + dt / 6.0 * (E2 * k1 + 2.0 * E * (k2 + k3) + k4)
+        c[0] = 0.0
+        if (step + 1) % cfg.store_every == 0 or step == steps - 1:
+            times.append((step + 1) * dt)
+            stored.append(c.copy())
+    return np.asarray(times, dtype=float), np.asarray(stored, dtype=complex)
+
+
+def equation_residual(traj):
+    """Defect of the stored samples in the equation, in the H^{s-2} norm.
+
+    Central differences in time at interior samples against
+    i n |n| u_hat(n) - i n (u^2)_hat(n); the quadratic term is evaluated on
+    the trajectory's own dealiased band.  Returns the max over interior
+    samples; at least 3 samples are required.
+    """
+    if len(traj) < 3:
+        raise ValueError("need at least 3 samples for a central difference")
+    grid = traj.coeffs.shape[1]
+    n = np.fft.fftfreq(grid, d=1.0 / grid).astype(int)
+    band_mask = np.abs(n) <= traj.band
+    weight = np.maximum(1.0, np.abs(n)) ** (traj.s - 2.0)
+    worst = 0.0
+    for i in range(1, len(traj) - 1):
+        dt_back = traj.times[i] - traj.times[i - 1]
+        dt_fwd = traj.times[i + 1] - traj.times[i]
+        if abs(dt_fwd - dt_back) > 1e-12 * max(dt_fwd, dt_back):
+            raise ValueError("residual needs uniformly spaced samples")
+        du = (traj.coeffs[i + 1] - traj.coeffs[i - 1]) / (dt_back + dt_fwd)
+        c = traj.coeffs[i]
+        phys = np.fft.ifft(c * grid)
+        sq = np.fft.fft(np.real(phys) ** 2) / grid * band_mask
+        field = 1j * n * np.abs(n) * c - 1j * n * sq
+        defect = (du - field) * band_mask
+        worst = max(worst, float(np.sqrt(np.sum(weight ** 2 * np.abs(defect) ** 2))))
+    return worst

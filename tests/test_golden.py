@@ -32,6 +32,7 @@ CASES = [
     (["inverse", "-i", STATE, "--lax-dim", "32"], "inverse.json"),
     (["evolve", "-i", STATE, "--t", "0.05"], "evolve.json"),
     (["compare", "-i", U] + SMALL + ["--grid", "32", "--t", "0.05"], "compare.json"),
+    (["compare", "-i", U] + SMALL + ["--t", "0.05"], "compare_default.json"),
     (["continuity", "--max-m", "2000"], "continuity.csv"),
     (["bracket"], "bracket.json"),
 ]

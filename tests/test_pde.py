@@ -4,13 +4,41 @@ import pytest
 from bonft.birkhoff import observables
 from bonft.hardy import Potential
 from bonft.pde import (IntegratorConfig, Trajectory, integrate,
-                       isospectral_audit, residual)
-from oracles import direct_bo_rhs
+                       isospectral_audit)
+from oracles import direct_bo_rhs, equation_residual, integrate_loop
 
 
 def smooth_potential(scale=0.1):
     return Potential(0.5, 3, {1: scale, 2: 0.4 * scale * 1j, 3: 0.2 * scale},
                      real=True)
+
+
+def edge_potential():
+    """Band 8 content: at grid 32 its square reaches past the 2/3 and 1/2 cuts."""
+    return Potential(0.5, 8, {1: 0.3, 2: 0.12j, 3: 0.06, 8: 0.05 - 0.02j},
+                     real=True)
+
+
+@pytest.mark.parametrize("store_every", [1, 7, 1000])
+@pytest.mark.parametrize("fraction", [2.0 / 3.0, 1.0, 0.5])
+@pytest.mark.parametrize("grid", [32, 64, 128, 256])
+def test_integrate_matches_loop_oracle_exactly(grid, fraction, store_every):
+    # 23 steps: not a multiple of 7, so the last sample is off the stride
+    cfg = IntegratorConfig(grid_size=grid, dt=0.03 / 23, T=0.03,
+                           dealias_fraction=fraction, store_every=store_every)
+    traj = integrate(edge_potential(), cfg)
+    times, coeffs = integrate_loop(edge_potential(), cfg)
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.coeffs, coeffs)
+
+
+@pytest.mark.parametrize("T", [0.0, 0.05])
+def test_integrate_matches_loop_oracle_at_compare_setting(T):
+    cfg = IntegratorConfig(grid_size=256, dt=2.5e-4, T=T, store_every=100)
+    traj = integrate(smooth_potential(0.4), cfg)
+    times, coeffs = integrate_loop(smooth_potential(0.4), cfg)
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.coeffs, coeffs)
 
 
 def test_config_validation():
@@ -92,10 +120,10 @@ def test_residual_is_small_in_dt():
     traj = integrate(smooth_potential(0.2), IntegratorConfig(
         grid_size=64, dt=1e-3, T=0.02, store_every=1))
     # central differences in t limit the defect, not the scheme
-    assert residual(traj) < 1e-2
+    assert equation_residual(traj) < 1e-2
     short = Trajectory(traj.times[:2], traj.coeffs[:2], traj.s, traj.band)
     with pytest.raises(ValueError):
-        residual(short)
+        equation_residual(short)
 
 
 def test_potential_at_trims_declared_band():
