@@ -114,7 +114,7 @@ def scaling_constants(sd):
     kap = 1.0 - gam[k - 1] / (lam[k] - lam[n])
     rows = np.concatenate(([np.abs(lead).min(initial=np.inf)],
                            np.abs(kap).min(axis=1, initial=np.inf)))
-    bad = np.flatnonzero(rows < DEGENERATE_TOL)
+    bad = np.flatnonzero(~(rows >= DEGENERATE_TOL))  # a NaN factor fails too
     if bad.size:
         raise DegenerateProduct("kappa_%d product factor of size %.3e"
                                 % (bad[0], rows[bad[0]]))
@@ -123,12 +123,11 @@ def scaling_constants(sd):
     kappa[1:] = np.prod(kap, axis=1) / (lam[1:] - lam[0])
     mus = np.concatenate((lead[:, None], 1.0 - _mul(gam[n - 1], gam[k - 1])
                           / _mul(lam[k - 1] - lam[n - 1], lam[k] - lam[n])), axis=1)
-    bad = np.argwhere(np.abs(mus) < DEGENERATE_TOL)
+    # column 0 holds mu_n's leading factor, the n-th factor of kappa_0, which
+    # passed the kappa guard: a flagged factor lies in a later column
+    bad = np.argwhere(~(np.abs(mus) >= DEGENERATE_TOL))
     if bad.size:
         row, col = bad[0]
-        if col == 0:
-            raise DegenerateProduct("mu_%d leading factor of size %.3e"
-                                    % (row + 1, abs(mus[row, 0])))
         raise DegenerateProduct("mu_%d product factor of size %.3e at k=%d"
                                 % (row + 1, abs(mus[row, col]), k[row, col - 1]))
     mu = np.full(K + 1, np.nan, dtype=complex)
@@ -162,13 +161,13 @@ def eigen_chain(u, sd):
     h = sd.h
     kappa, mu, tails = scaling_constants(sd)
     h0_zero = complex(h[0, 0])  # bilinear <h_0, 1>
-    if abs(h0_zero) < DEGENERATE_TOL:
+    if not abs(h0_zero) >= DEGENERATE_TOL:
         raise DegenerateProjector("projected vacuum has zero mean component")
     a0 = sqrt_plus(kappa[0]) / h0_zero
     alpha = np.diagonal(h).copy()
     alpha[0] = np.nan
-    far_mu = np.abs(mu[1:] - 1.0) >= NEIGHBORHOOD_MU
-    far_alpha = np.abs(alpha[1:]) < NEIGHBORHOOD_ALPHA
+    far_mu = ~(np.abs(mu[1:] - 1.0) < NEIGHBORHOOD_MU)  # NaN is far
+    far_alpha = ~(np.abs(alpha[1:]) >= NEIGHBORHOOD_ALPHA)
     bad = np.flatnonzero(far_mu | far_alpha)
     if bad.size:
         n = bad[0] + 1
@@ -248,7 +247,8 @@ class BirkhoffState:
 
     plus[j] holds zeta_{j+1}, minus[j] holds zeta_{-(j+1)}.  real_flag
     asserts the conjugation symmetry zeta_{-n} = conj(zeta_n), the image of
-    a real potential.
+    a real potential.  A real state may pass minus=None: the minus side is
+    then conj(plus) by construction, and only plus is checked.
     """
 
     __slots__ = ("s", "plus", "minus", "real_flag", "diagnostics")
@@ -256,12 +256,15 @@ class BirkhoffState:
     def __init__(self, s, plus, minus, real_flag=False):
         self.diagnostics = None
         plus = np.asarray(plus, dtype=complex)
-        minus = np.asarray(minus, dtype=complex)
+        derived = minus is None
+        if derived and not real_flag:
+            raise ValueError("only a real state may omit its minus side")
+        minus = np.conj(plus) if derived else np.asarray(minus, dtype=complex)
         if plus.shape != minus.shape or plus.ndim != 1:
             raise ValueError("plus and minus sides must be 1-d of equal length")
-        if not (np.all(np.isfinite(plus)) and np.all(np.isfinite(minus))):
+        if not (np.isfinite(plus).all() and (derived or np.isfinite(minus).all())):
             raise ValueError("non-finite coordinates")
-        if real_flag:
+        if real_flag and not derived:
             dev = float(np.max(np.abs(minus - np.conj(plus)))) if len(plus) else 0.0
             if dev > 1e-8:
                 raise ValueError("real_flag set but conjugation symmetry off by %.3e" % dev)
@@ -361,7 +364,7 @@ def birkhoff_forward(u, M=None, k_use=None):
         if dev > CROSS_ASSERT_TOL:
             raise NumericalFailure(
                 "shortcut and product coordinates disagree by %.3e" % dev)
-        state = BirkhoffState(u.s, plus, np.conj(plus), real_flag=True)
+        state = BirkhoffState(u.s, plus, None, real_flag=True)
     else:
         uc = involute(u, "conj")
         sd_c = spectrum(uc, M, k_use=k_use)

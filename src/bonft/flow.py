@@ -58,25 +58,29 @@ def frequency_shifts(z):
     return omega_plus, -omega_plus
 
 
-def frequencies(z):
+def frequencies(z, shifts=None):
     """Two-sided frequencies omega_n = sign(n) n^2 + Omega_n(z).
 
     Returns (omega at indices 1..n_modes, omega at indices -1..-n_modes).
     Real states give real arrays; the modulus-preserving rotation of the
-    flow needs exactly these numbers.
+    flow needs exactly these numbers.  shifts is frequency_shifts(z), for a
+    caller that already has it.
     """
-    shift_plus, shift_minus = frequency_shifts(z)
+    shift_plus, shift_minus = frequency_shifts(z) if shifts is None else shifts
     ns = np.arange(1, z.n_modes + 1, dtype=float)
     return ns ** 2 + shift_plus, -(ns ** 2) + shift_minus
 
 
-def evolve(z0, t):
-    """Flow for time t: zeta_n(t) = zeta_n(0) exp(i t omega_n(z0)), both sides."""
-    om_plus, om_minus = frequencies(z0)
+def evolve(z0, t, shifts=None):
+    """Flow for time t: zeta_n(t) = zeta_n(0) exp(i t omega_n(z0)), both sides.
+
+    shifts is frequency_shifts(z0), for a caller that already has it.
+    """
+    om_plus, om_minus = frequencies(z0, shifts)
     t = float(t)
     plus = z0.plus * np.exp(1j * t * om_plus)
-    # a real state's minus side is conj(plus): BirkhoffState stores it so anyway
-    minus = np.conj(plus) if z0.real_flag else z0.minus * np.exp(1j * t * om_minus)
+    # the flow keeps a real state real: its minus side is conj(plus)
+    minus = None if z0.real_flag else z0.minus * np.exp(1j * t * om_minus)
     out = BirkhoffState(z0.s, plus, minus, real_flag=z0.real_flag)
     out.diagnostics = z0.diagnostics
     return out

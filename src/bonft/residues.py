@@ -15,6 +15,8 @@ h_k(1/l_1, ..., 1/l_n) / prod l_j, where h_k is the complete homogeneous
 symmetric polynomial in the nonzero entries; repeated factors need no
 special case.  It is evaluated on plain Python integers (see _residue_pair),
 so every value is exact and the vanishing test compares an integer with 0.
+sweep_vanishing memoises _residue_pair for the length of one sweep, where
+prefixes and suffixes repeat; nothing is cached across calls.
 """
 
 import itertools
@@ -26,7 +28,6 @@ from functools import lru_cache
 from .errors import DivergenceError
 
 
-@lru_cache(maxsize=None)
 def _residue_pair(ls, extra_mu_power):
     """Unreduced (numerator, denominator) of residue_A(ls, extra_mu_power).
 
@@ -73,13 +74,16 @@ def vanishing_D(ls):
     return Fraction(*_vanishing_pair(ls))
 
 
-def _vanishing_pair(ls):
-    """Unreduced (numerator, denominator) of vanishing_D for a tuple of ints."""
-    num, den = _residue_pair(ls, 1)
+def _vanishing_pair(ls, pair=_residue_pair):
+    """Unreduced (numerator, denominator) of vanishing_D for a tuple of ints.
+
+    pair computes _residue_pair; a sweep passes a memoised copy of it.
+    """
+    num, den = pair(ls, 1)
     num = -num
     for m in range(1, len(ls) + 1):
-        a, b = _residue_pair(ls[:m], 0)
-        c, e = _residue_pair(ls[m - 1:], 0)
+        a, b = pair(ls[:m], 0)
+        c, e = pair(ls[m - 1:], 0)
         num = num * b * e + a * c * den
         den *= b * e
     return num, den
@@ -144,6 +148,29 @@ def combi_check(p):
     return j_ad, k_ad, k_ad == j_ad + 1
 
 
+def _admissible_counts(d, J, q):
+    """(|J_ad|, |K_ad|) of combi_check in one pass over m = 1..d.
+
+    Q and j are the running sums of q and of J-membership over [1, m]; the
+    sums over [m, d] are the totals minus those over [1, m - 1].  J is a set
+    of indices and q the (k, q_k) pairs; nothing is validated, so a
+    corrupted instance is counted as it stands.
+    """
+    qv = [0] * (d + 1)
+    for k, v in q:
+        qv[k] = v
+    q_total, j_total = sum(qv), len(J)
+    Q = j = j_ad = k_ad = 0
+    for m in range(1, d + 1):
+        if m in J:
+            j += 1
+            j_ad += Q == j
+        else:
+            k_ad += Q <= j and q_total - Q - qv[m] <= j_total - j
+            Q += qv[m]
+    return j_ad, k_ad
+
+
 def compositions(total, parts):
     """All tuples of `parts` nonnegative integers summing to `total`."""
     if parts == 0:
@@ -173,7 +200,9 @@ def sweep_vanishing(max_d, l_bound, random_count=0, rng=None):
     Returns (counts per d, violations); violations lists offending tuples.
     Exhaustive part: every tuple with d <= max_d, |l_j| <= l_bound.
     Random part: random_count tuples with d <= 6, |l_j| <= 50 from rng.
+    The residues of shared prefixes and suffixes are cached for this call only.
     """
+    pair = lru_cache(maxsize=None)(_residue_pair)
     counts = {}
     violations = []
     values = range(-l_bound, l_bound + 1)
@@ -181,7 +210,7 @@ def sweep_vanishing(max_d, l_bound, random_count=0, rng=None):
         n = 0
         for ls in itertools.product(values, repeat=d):
             n += 1
-            if _vanishing_pair(ls)[0] != 0:
+            if _vanishing_pair(ls, pair)[0] != 0:
                 violations.append(ls)
         counts[d] = n
     random_checked = 0
@@ -192,7 +221,7 @@ def sweep_vanishing(max_d, l_bound, random_count=0, rng=None):
             d = int(rng.integers(1, 7))
             ls = tuple(int(v) for v in rng.integers(-50, 51, size=d))
             random_checked += 1
-            if _vanishing_pair(ls)[0] != 0:
+            if _vanishing_pair(ls, pair)[0] != 0:
                 violations.append(ls)
     return counts, random_checked, violations
 
@@ -200,8 +229,10 @@ def sweep_vanishing(max_d, l_bound, random_count=0, rng=None):
 def sweep_combi(max_d, workers=1):
     """Exhaustive check of the counting identity for all instances with d <= max_d.
 
-    workers is ignored: the sweep always runs in one process.  The parameter
-    stays only because existing callers pass it positionally.
+    Each instance is counted by the O(d) kernel _admissible_counts, which
+    agrees with combi_check.  workers is ignored: the sweep always runs in
+    one process.  The parameter stays only because existing callers pass it
+    positionally.
     """
     counts = {}
     violations = []
@@ -209,8 +240,8 @@ def sweep_combi(max_d, workers=1):
         n = 0
         for inst in iter_partition_instances(d):
             n += 1
-            j_ad, k_ad, ok = combi_check(inst)
-            if not ok:
+            j_ad, k_ad = _admissible_counts(d, inst.J, inst.q)
+            if k_ad != j_ad + 1:
                 violations.append((inst, j_ad, k_ad))
         counts[d] = n
     return counts, violations

@@ -188,7 +188,8 @@ def scaling_constants_loop(sd, tol=1e-12):
     factors k != n, mu_n multiplied up factor by factor in increasing k.
     Reads only sd.lambdas, sd.K_use and sd.hermitian.  A factor below tol
     raises ValueError with the message the package gives its
-    DegenerateProduct, at the same first (n, k).
+    DegenerateProduct, at the same first (n, k); a NaN factor counts as
+    below tol.
     """
     K = sd.K_use
     lam = sd.lambdas[:K + 1]
@@ -211,13 +212,13 @@ def scaling_constants_loop(sd, tol=1e-12):
             value = np.prod(factors) / (lam[n] - lam[0])
         if len(factors):
             small = float(np.min(np.abs(factors)))
-            if small < tol:
+            if not small >= tol:  # NaN fails
                 raise ValueError("kappa_%d product factor of size %.3e" % (n, small))
             kappa_tail = max(kappa_tail, float(abs(factors[-1] - 1.0)))
         kappa[n] = value
     for n in range(1, K + 1):
         lead = 1.0 - gam[n - 1] / (lam[n] - lam[0])
-        if abs(lead) < tol:
+        if not abs(lead) >= tol:
             raise ValueError("mu_%d leading factor of size %.3e" % (n, abs(lead)))
         value = lead
         last = None
@@ -225,7 +226,7 @@ def scaling_constants_loop(sd, tol=1e-12):
             if k == n:
                 continue
             f = 1.0 - gam[n - 1] * gam[k - 1] / ((lam[k - 1] - lam[n - 1]) * (lam[k] - lam[n]))
-            if abs(f) < tol:
+            if not abs(f) >= tol:
                 raise ValueError("mu_%d product factor of size %.3e at k=%d"
                                  % (n, abs(f), k))
             value *= f

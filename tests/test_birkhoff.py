@@ -139,3 +139,18 @@ def test_real_flag_requires_conjugate_symmetry():
         BirkhoffState(0.5, [0.1], [0.5], real_flag=True)
     st = BirkhoffState(0.5, [0.1 + 0.2j], [0.1 - 0.2j + 1e-10], real_flag=True)
     assert st.coord(-1) == np.conj(st.coord(1))
+
+
+def test_real_state_may_derive_its_minus_side():
+    plus = np.array([0.1 + 0.2j, -0.3j, 0.0, 2.5])
+    derived = BirkhoffState(0.5, plus, None, real_flag=True)
+    explicit = BirkhoffState(0.5, plus, np.conj(plus), real_flag=True)
+    assert np.array_equal(derived.plus, explicit.plus)
+    assert np.array_equal(derived.minus, explicit.minus)
+    assert derived.real_flag
+    with pytest.raises(ValueError, match="only a real state"):
+        BirkhoffState(0.5, plus, None, real_flag=False)
+    plus[1] = np.nan
+    for minus in (None, np.conj(plus)):
+        with pytest.raises(ValueError, match="non-finite"):
+            BirkhoffState(0.5, plus, minus, real_flag=True)

@@ -6,12 +6,14 @@ a DegenerateProduct names.  Every guard of the chain gets an input that
 trips it, and the message must name the first offending index.
 """
 
+import os
 import re
 import warnings
 
 import numpy as np
 import pytest
 
+from bonft import birkhoff, cli
 from bonft.birkhoff import birkhoff_forward, eigen_chain, scaling_constants
 from bonft.errors import (DegenerateProduct, DegenerateProjector, OutOfNeighborhood,
                           TruncationWarning)
@@ -79,11 +81,11 @@ def test_degenerate_kappa_factor():
                            "kappa_2 product factor of size 0.000e+00")
 
 
-def test_degenerate_mu_leading_factor():
-    # The leading factor of mu_n is also the n-th factor of kappa_0, so the
-    # kappa guard fires first unless a NaN hides kappa's row minima.
+def test_nan_eigenvalue_fails_the_first_guard():
+    # The leading factor of mu_2 is zero here, but it is also the 2nd factor
+    # of kappa_0, and the NaN factor of kappa_0 trips the kappa guard first.
     assert_same_degeneracy(hand_built([0.0, -1.0, 3.0, np.nan]),
-                           "mu_2 leading factor of size 0.000e+00")
+                           "kappa_0 product factor of size nan")
 
 
 def test_degenerate_mu_factor():
@@ -101,6 +103,40 @@ def test_degenerate_projector():
     sd = hand_built(np.arange(5.0), h=h)
     with pytest.raises(DegenerateProjector, match="zero mean component"):
         eigen_chain(Potential(0.5, 1, {}, real=True), sd)
+
+
+ZERO = Potential(0.5, 1, {}, real=True)
+
+
+def test_nan_eigenvalue_is_a_numerical_failure(monkeypatch, capsys):
+    # NaN compares false against every bound, so each guard is written to fail on it
+    sd = hand_built([0.0, 1.0, np.nan, 3.0])
+    with pytest.raises(DegenerateProduct, match="^kappa_0 product factor of size nan$"):
+        eigen_chain(ZERO, sd)
+    monkeypatch.setattr(birkhoff, "spectrum", lambda u, M, k_use=None: sd)
+    u_path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "u.json")
+    assert cli.main(["transform", "-i", u_path]) == 2
+    assert "numerical failure: kappa_0" in capsys.readouterr().err
+
+
+def test_nan_projector_data_fails_the_chain_guards():
+    h = np.eye(5, dtype=complex)
+    h[0, 0] = np.nan
+    with pytest.raises(DegenerateProjector, match="zero mean component"):
+        eigen_chain(ZERO, hand_built(np.arange(5.0), h=h))
+    h = np.eye(5, dtype=complex)
+    h[2, 2] = np.nan
+    with pytest.raises(OutOfNeighborhood, match=r"^\|alpha_2\| = nan < 0\.5$"):
+        eigen_chain(ZERO, hand_built(np.arange(5.0), h=h))
+
+
+def test_nan_mu_is_out_of_neighborhood(monkeypatch):
+    sd = hand_built(np.arange(4.0))
+    kappa, mu, tails = scaling_constants(sd)
+    mu[1] = np.nan
+    monkeypatch.setattr(birkhoff, "scaling_constants", lambda sd: (kappa, mu, tails))
+    with pytest.raises(OutOfNeighborhood, match=r"^\|mu_1 - 1\| = nan >= 0\.5$"):
+        eigen_chain(ZERO, sd)
 
 
 @pytest.mark.parametrize("eps, message", [

@@ -73,6 +73,18 @@ def test_evolve_is_a_group_action_on_moduli():
     assert ident.coord(1) == st.coord(1)
 
 
+def test_evolve_with_given_shifts_keeps_every_bit():
+    rng = np.random.default_rng(17)
+    plus = 0.1 * (rng.standard_normal(40) + 1j * rng.standard_normal(40))
+    minus = 0.1 * (rng.standard_normal(40) + 1j * rng.standard_normal(40))
+    for st in (BirkhoffState(0.5, plus, None, real_flag=True),
+               BirkhoffState(0.5, plus, minus)):
+        a = evolve(st, 0.7)
+        b = evolve(st, 0.7, frequency_shifts(st))
+        assert np.array_equal(a.plus, b.plus) and np.array_equal(a.minus, b.minus)
+        assert a.real_flag == st.real_flag
+
+
 def test_invert_zero_state():
     u = invert(BirkhoffState(0.5, [0.0], [0.0], real_flag=True))
     assert u.nonzero_coeffs() == {}

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bonft import residues
 from bonft.hardy import Potential
 from bonft.lax import spectrum
-from bonft.residues import (PartitionInstance, combi_check, delta_series,
-                            iter_partition_instances, psi_series, residue_A,
-                            sweep_combi, sweep_vanishing, vanishing_D)
+from bonft.residues import (PartitionInstance, _admissible_counts, combi_check,
+                            delta_series, iter_partition_instances, psi_series,
+                            residue_A, sweep_combi, sweep_vanishing, vanishing_D)
 from oracles import (contour_residue_quadrature, series_residue,
                      series_residue_pole_shift, vanishing_sum_quadrature)
 
@@ -118,6 +119,41 @@ def test_sweeps_are_clean():
     counts, violations = sweep_combi(4)
     assert counts == {1: 1, 2: 4, 3: 15, 4: 56}
     assert violations == []
+
+
+def test_combi_kernel_matches_combi_check():
+    for d in range(1, 7):
+        for p in iter_partition_instances(d):
+            assert _admissible_counts(d, p.J, p.q) == combi_check(p)[:2], p
+
+
+def test_sweep_combi_reports_a_corrupted_q_entry(monkeypatch):
+    real = residues.iter_partition_instances
+
+    def corrupted(d):
+        for i, p in enumerate(real(d)):
+            if (d, i) == (3, 0):  # J = {}, q = (0, 0, 1) becomes (1, 0, 1)
+                (k, v), *rest = p.q
+                object.__setattr__(p, "q", ((k, v + 1), *rest))
+            yield p
+
+    monkeypatch.setattr(residues, "iter_partition_instances", corrupted)
+    counts, violations = sweep_combi(4)
+    assert counts == {1: 1, 2: 4, 3: 15, 4: 56}
+    assert len(violations) == 1
+    inst, j_ad, k_ad = violations[0]
+    assert inst.q == ((1, 1), (2, 0), (3, 1))
+    assert (j_ad, k_ad) == combi_check(inst)[:2] == (0, 0)
+
+
+def test_vanishing_cache_lives_for_one_sweep():
+    def run():
+        return sweep_vanishing(3, 4, random_count=200, rng=np.random.default_rng(5))
+
+    assert run() == run()
+    memos = [name for name, v in vars(residues).items() if not name.startswith("__")
+             and (hasattr(v, "cache_info") or isinstance(v, (dict, list, set)))]
+    assert memos == []
 
 
 def test_delta_series_zero_potential():
