@@ -14,8 +14,8 @@ from .errors import (AliasingError, BranchCutError, DegenerateProduct,
                      NumericalFailure, OutOfNeighborhood, PropertyViolation,
                      TruncationWarning)
 from .flow import FlowConfig, evolve, frequencies, invert, solve_trajectory
-from .hardy import (HardyVector, Potential, SeqState, involute, pair,
-                    potential_from_json, potential_to_json, sobolev_norm)
+from .hardy import (Potential, involute, potential_from_json, potential_to_json,
+                    sobolev_norm)
 from .lax import SpectralData, assemble_lax, gaps, spectrum
 from .residues import (combi_check, delta_series, residue_A, sweep_combi,
                        sweep_vanishing, vanishing_D)
@@ -24,13 +24,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AliasingError", "BirkhoffState", "BranchCutError", "DegenerateProduct",
-    "DegenerateProjector", "DivergenceError", "FlowConfig", "HardyVector",
-    "InversionFailure", "NumericalFailure", "OutOfNeighborhood", "Potential",
-    "PropertyViolation", "SeqState", "SpectralData", "TruncationWarning",
-    "actions", "assemble_lax", "birkhoff_forward", "combi_check", "d0_phi",
-    "delta_series", "evolve", "frequencies", "gaps", "invert", "involute",
-    "observables", "pair", "potential_from_json", "potential_to_json",
-    "residue_A", "sobolev_norm", "solve_trajectory", "spectrum",
-    "state_from_json", "state_to_json", "sweep_combi", "sweep_vanishing",
-    "vanishing_D",
+    "DegenerateProjector", "DivergenceError", "FlowConfig", "InversionFailure",
+    "NumericalFailure", "OutOfNeighborhood", "Potential", "PropertyViolation",
+    "SpectralData", "TruncationWarning", "actions", "assemble_lax",
+    "birkhoff_forward", "combi_check", "d0_phi", "delta_series", "evolve",
+    "frequencies", "gaps", "invert", "involute", "observables",
+    "potential_from_json", "potential_to_json", "residue_A", "sobolev_norm",
+    "solve_trajectory", "spectrum", "state_from_json", "state_to_json",
+    "sweep_combi", "sweep_vanishing", "vanishing_D",
 ]

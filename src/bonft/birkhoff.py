@@ -20,13 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BranchCutError, DegenerateProduct, DegenerateProjector,
-                     DivergenceError, NumericalFailure, OutOfNeighborhood,
-                     TruncationWarning)
-from .hardy import SHIFT_DROP_THRESHOLD, Potential, SeqState, involute, synthesize
+                     NumericalFailure, OutOfNeighborhood, TruncationWarning)
+from .hardy import Potential, involute, synthesize
 from .lax import spectrum
-from .residues import psi_series
 
 DEGENERATE_TOL = 1e-12
+SHIFT_DROP_THRESHOLD = 1e-10  # relative size of a top mode that S may drop silently
 NEIGHBORHOOD_MU = 0.5
 NEIGHBORHOOD_ALPHA = 0.5
 CROSS_ASSERT_TOL = 1e-9
@@ -205,41 +204,6 @@ def eigen_chain(u, sd):
                           delta=beta - alpha, nu=nu, a=a,
                           kappa_tail=tails["kappa_tail"], mu_tail=tails["mu_tail"])
     return f.T, scaling
-
-
-def pre_birkhoff(u, sd):
-    """The sequence Psi_n = <1, h_n> (bilinear), n = 1..K_use.
-
-    Only the zero-mode coefficient of h_n survives the bilinear pairing
-    against the constant, so this reads row 0 of h.
-    """
-    entries = {n: complex(v) for n, v in enumerate(sd.h[0, 1:], start=1)}
-    return SeqState(1.0 + u.s, entries)
-
-
-def series_validate(u, d_max, M=None, k_use=None):
-    """Compare spectral Psi_n against its explicit Taylor multi-sums.
-
-    Recomputes every Psi_n, n = 1..K_use, as the finite sum of residue
-    terms up to total degree d_max and returns max_n of the absolute
-    difference from the spectral value.  Raises DivergenceError when the
-    per-degree magnitudes fail to decay, since then the truncation says
-    nothing.
-    """
-    if M is None:
-        M = default_lax_dim(u)
-    sd = spectrum(u, M, k_use=k_use)
-    psi = pre_birkhoff(u, sd)
-    worst = 0.0
-    for n in range(1, sd.K_use + 1):
-        value, per_degree = psi_series(u, n, d_max)
-        sizes = [m for m in per_degree if m > 0.0]
-        for lo, hi in zip(sizes, sizes[1:]):
-            if hi >= lo:
-                raise DivergenceError(
-                    "series terms for n=%d grew from %.3e to %.3e" % (n, lo, hi))
-        worst = max(worst, abs(value - psi.entries[n]))
-    return worst
 
 
 class BirkhoffState:
@@ -428,33 +392,6 @@ def _perturbed(u, k, step):
     coeffs = u.nonzero_coeffs()
     coeffs[k] = coeffs.get(k, 0.0) + step
     return Potential(u.s, max(u.N, abs(k)), coeffs, real=False)
-
-
-def gardner_bracket(F, G, u, h=1e-5, k_max=None):
-    """{F, G}(u) = sum_{k != 0} i k (dF/du_hat(-k)) (dG/du_hat(k)).
-
-    The partials are central differences of the functional along single
-    Fourier coefficient directions; this coefficient form of the bracket is
-    the derivative of the integral definition and is certified against an
-    analytic monomial value in the test suite.  k ranges over 1..k_max on
-    both signs, default the band of u.
-    """
-    if not u.real:
-        raise ValueError("bracket evaluation point must be a real potential")
-    if k_max is None:
-        k_max = max(u.N, 1)
-    h = float(h)
-    if h < 1e-8:
-        warnings.warn("step %.1e likely round-off dominated; expect error ~%.1e"
-                      % (h, 2.2e-16 / h), stacklevel=2)
-    total = 0.0 + 0.0j
-    for k in range(-k_max, k_max + 1):
-        if k == 0:
-            continue
-        dF = (F(_perturbed(u, -k, h)) - F(_perturbed(u, -k, -h))) / (2.0 * h)
-        dG = (G(_perturbed(u, k, h)) - G(_perturbed(u, k, -h))) / (2.0 * h)
-        total += 1j * k * dF * dG
-    return total
 
 
 def canonical_bracket_table(u, n_max, h=1e-5, k_max=None, M=None):

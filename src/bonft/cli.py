@@ -8,6 +8,7 @@ generator; with fixed flags and seed the output bytes are reproducible.
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -18,7 +19,7 @@ from .birkhoff import (birkhoff_forward, canonical_bracket_table, state_from_jso
 from .continuity import ContinuityConfig, ratio_slope, sweep
 from .errors import NumericalFailure, PropertyViolation
 from .flow import FlowConfig, evolve, invert, solve_trajectory
-from .hardy import Potential, potential_from_json, potential_to_json
+from .hardy import Potential, l2_distance, potential_from_json, potential_to_json
 from .lax import gaps, spectrum
 from .residues import sweep_combi, sweep_vanishing
 
@@ -137,7 +138,7 @@ def _cmd_compare(args):
     steps = [t / args.dt for t in ts]
     if any(abs(c - round(c)) > 1e-9 for c in steps):
         raise ValueError("every time must be a multiple of dt=%g" % args.dt)
-    stride = _gcd_all(int(round(c)) for c in steps)
+    stride = max(math.gcd(*(int(round(c)) for c in steps)), 1)
     icfg = pde.IntegratorConfig(grid_size=args.grid, dt=args.dt, T=ts[-1],
                                 store_every=stride)
     traj = pde.integrate(u0, icfg)
@@ -147,11 +148,7 @@ def _cmd_compare(args):
     rows = []
     for t, u_b in samples[1:]:
         u_d = traj.potential_at(index[round(t / args.dt)], N=band)
-        acc = 0.0
-        for n in range(1, band + 1):
-            b = u_b.coeff(n) if n <= u_b.N else 0.0
-            acc += 2.0 * abs(b - u_d.coeff(n)) ** 2
-        rows.append((t, float(np.sqrt(acc))))
+        rows.append((t, l2_distance(u_b, u_d, band)))
     if args.format == "csv":
         _emit_csv(("t", "l2_diff"), rows, args.output)
     else:
@@ -161,14 +158,6 @@ def _cmd_compare(args):
             "newton_residuals": diag["residuals"],
         }, args.output)
     return 0
-
-
-def _gcd_all(values):
-    import math
-    g = 0
-    for v in values:
-        g = math.gcd(g, v)
-    return max(g, 1)
 
 
 def _cmd_vanishing(args):

@@ -17,7 +17,8 @@ import numpy as np
 
 from .birkhoff import BirkhoffState
 from .errors import PropertyViolation
-from .flow import evolve, frequency_shifts
+from .flow import coordinate_weights, evolve, frequency_shifts
+from .hardy import weighted_norm
 
 CLOSED_FORM_RTOL = 1e-12
 
@@ -62,16 +63,6 @@ class ContinuityConfig:
         return math.sqrt(math.pi * self.k ** self.s / (2.0 * abs(self.t)))
 
 
-def _weights(m, s):
-    """n^{1+2s} for n = 1..m: the squared weights of the distance."""
-    return np.arange(1, m + 1, dtype=float) ** (1.0 + 2.0 * s)
-
-
-def _seq_norm(diff, w):
-    """(sum_n w_n |diff_n|^2)^{1/2}, with w from _weights."""
-    return float(np.sqrt(np.sum(w * np.abs(diff) ** 2)))
-
-
 def probe_indices(cfg):
     """Admissible probes: multiples of k with (k/m)^s within 1/2 of an odd integer.
 
@@ -109,7 +100,7 @@ def build_pair(cfg, m):
     certified against the measured norm to CLOSED_FORM_RTOL.
     """
     m = int(m)
-    zeta, xi, _ = _certified_pair(cfg, m, _weights(m, cfg.s))
+    zeta, xi, _ = _certified_pair(cfg, m, coordinate_weights(m, cfg.s))
     return zeta, xi
 
 
@@ -128,11 +119,11 @@ def _certified_pair(cfg, m, w):
     zeta = BirkhoffState(0.5 + cfg.s, plus_z, None, real_flag=True)
     xi = BirkhoffState(0.5 + cfg.s, plus_x, None, real_flag=True)
 
-    d0 = _seq_norm(plus_z - plus_x, w)
+    d0 = weighted_norm(plus_z - plus_x, w)
     checks = (
-        (_seq_norm(plus_z - plus0, w), delta),
+        (weighted_norm(plus_z - plus0, w), delta),
         (d0, delta * m ** (cfg.s / 2.0)),
-        (_seq_norm(plus_x - plus0, w), delta * math.sqrt(1.0 + m ** cfg.s)),
+        (weighted_norm(plus_x - plus0, w), delta * math.sqrt(1.0 + m ** cfg.s)),
     )
     for got, want in checks:
         if abs(got - want) > CLOSED_FORM_RTOL * want:
@@ -157,7 +148,7 @@ def sweep(cfg):
     resonant = cfg.delta is None
     rows = []
     for m in probes:
-        w = _weights(m, cfg.s)
+        w = coordinate_weights(m, cfg.s)
         zeta, xi, d0 = _certified_pair(cfg, m, w)
         shifts_z = frequency_shifts(zeta)
         shifts_x = frequency_shifts(xi)
@@ -169,7 +160,7 @@ def sweep(cfg):
             raise PropertyViolation("phase separation %.6f <= 1 at admissible m=%d" % (phase, m))
         zt = evolve(zeta, cfg.t, shifts_z)
         xt = evolve(xi, cfg.t, shifts_x)
-        dt = _seq_norm(zt.plus - xt.plus, w)
+        dt = weighted_norm(zt.plus - xt.plus, w)
         bound = (math.sqrt(1.0 + m ** cfg.s) - m ** (cfg.s / 2.0)) * delta
         if dt < bound * (1.0 - 1e-12):
             raise PropertyViolation("dt=%.17g below the bound %.17g at m=%d" % (dt, bound, m))

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InversionFailure, NumericalFailure
 from .birkhoff import BirkhoffState, birkhoff_forward, default_lax_dim
-from .hardy import Potential, sobolev_norm
+from .hardy import Potential, sobolev_norm, weighted_norm
 
 NEWTON_DEFAULTS = {"max_iter": 40, "tol": 1e-12}
 MAX_HALVINGS = 6  # step halvings allowed before a trial step counts as failed
@@ -54,8 +54,14 @@ def frequency_shifts(z):
     tails = np.concatenate((np.cumsum(prod[::-1])[::-1][1:], [0.0]))
     omega_plus = -2.0 * weighted - 2.0 * ks * tails
     if z.real_flag:
-        omega_plus = omega_plus.real
+        # an owned copy: the .real view would keep the complex array alive
+        omega_plus = omega_plus.real.copy()
     return omega_plus, -omega_plus
+
+
+def _side_frequencies(shift, sign):
+    """sign n^2 + shift_n for n = 1..len(shift): one side of the frequencies."""
+    return sign * np.arange(1, len(shift) + 1, dtype=float) ** 2 + shift
 
 
 def frequencies(z, shifts=None):
@@ -67,8 +73,7 @@ def frequencies(z, shifts=None):
     caller that already has it.
     """
     shift_plus, shift_minus = frequency_shifts(z) if shifts is None else shifts
-    ns = np.arange(1, z.n_modes + 1, dtype=float)
-    return ns ** 2 + shift_plus, -(ns ** 2) + shift_minus
+    return _side_frequencies(shift_plus, 1.0), _side_frequencies(shift_minus, -1.0)
 
 
 def evolve(z0, t, shifts=None):
@@ -76,19 +81,21 @@ def evolve(z0, t, shifts=None):
 
     shifts is frequency_shifts(z0), for a caller that already has it.
     """
-    om_plus, om_minus = frequencies(z0, shifts)
+    shift_plus, shift_minus = frequency_shifts(z0) if shifts is None else shifts
     t = float(t)
-    plus = z0.plus * np.exp(1j * t * om_plus)
-    # the flow keeps a real state real: its minus side is conj(plus)
-    minus = None if z0.real_flag else z0.minus * np.exp(1j * t * om_minus)
+    plus = z0.plus * np.exp(1j * t * _side_frequencies(shift_plus, 1.0))
+    # the flow keeps a real state real: its minus side is conj(plus), so the
+    # minus frequencies are never formed
+    minus = None if z0.real_flag else z0.minus * np.exp(
+        1j * t * _side_frequencies(shift_minus, -1.0))
     out = BirkhoffState(z0.s, plus, minus, real_flag=z0.real_flag)
     out.diagnostics = z0.diagnostics
     return out
 
 
-def _weighted_norm(diff, s):
-    """(sum_n n^{1+2s} |diff_n|^2)^{1/2} over n = 1..len(diff): the coordinate-space norm."""
-    return float(np.linalg.norm(np.arange(1, len(diff) + 1) ** (0.5 + s) * diff))
+def coordinate_weights(m, s):
+    """n^{1+2s} for n = 1..m: the squared weights of the coordinate-space norm."""
+    return np.arange(1, m + 1, dtype=float) ** (1.0 + 2.0 * s)
 
 
 def invert(target, cfg=None, initial=None):
@@ -118,12 +125,13 @@ def invert(target, cfg=None, initial=None):
         k = min(n_modes, initial.N)
         u_hat[:k] = initial.band()[initial.N + 1:initial.N + 1 + k]
     H = np.diag(-np.repeat(root_n, 2))
+    w = coordinate_weights(n_modes, s)
     history = []
 
     def trial(coeffs):
         u = Potential(s, n_modes, dict(enumerate(coeffs, 1)), real=True)
         diff = birkhoff_forward(u, M=M, k_use=n_modes).plus - target.plus
-        history.append(_weighted_norm(diff, s))
+        history.append(weighted_norm(diff, w))
         return u, diff.view(float)
 
     u, r = trial(u_hat)
@@ -181,6 +189,7 @@ def solve_trajectory(u0, cfg=None):
     residuals = []
     action_drift = 0.0
     I0 = 0.5 * np.abs(z0.plus) ** 2
+    w = coordinate_weights(z0.n_modes, u0.s)
     prev_u = None
     for t in cfg.t_grid:
         zt = evolve(z0, t)
@@ -188,7 +197,7 @@ def solve_trajectory(u0, cfg=None):
         z_back = birkhoff_forward(u_t, M=M, k_use=z0.n_modes)
         action_drift = max(action_drift, float(np.max(
             np.abs(0.5 * np.abs(z_back.plus) ** 2 - I0))))
-        residuals.append(_weighted_norm(z_back.plus - zt.plus, u0.s))
+        residuals.append(weighted_norm(z_back.plus - zt.plus, w))
         samples.append((t, u_t))
         prev_u = u_t
     increments = []
@@ -196,7 +205,7 @@ def solve_trajectory(u0, cfg=None):
         band = max(ua.N, ub.N)
         merged = {n: ub.coeff(n) - ua.coeff(n) for n in range(1, band + 1)}
         merged = {n: v for n, v in merged.items() if v != 0}
-        d =Potential(u0.s, band, merged, real=True)
+        d = Potential(u0.s, band, merged, real=True)
         increments.append(sobolev_norm(d, u0.s))
     diagnostics = {
         "residuals": residuals,

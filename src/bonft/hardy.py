@@ -14,13 +14,10 @@ dense anyway and predictable indexing beats sparse maps here.
 """
 
 import json
-import warnings
 
 import numpy as np
 
-from .errors import AliasingError, TruncationWarning
-
-SHIFT_DROP_THRESHOLD = 1e-10
+from .errors import AliasingError
 
 
 class Potential:
@@ -80,10 +77,6 @@ class Potential:
         """Dense coefficient array over n = -N..N (read-only view)."""
         return self._c
 
-    def support(self):
-        """Sorted indices n with u_hat(n) != 0."""
-        return [int(n) - self.N for n in np.flatnonzero(self._c)]
-
     def nonzero_coeffs(self):
         return {int(n) - self.N: complex(self._c[n]) for n in np.flatnonzero(self._c)}
 
@@ -102,136 +95,27 @@ class Potential:
             self.s, self.N, self.real, int(np.count_nonzero(self._c)))
 
 
-class HardyVector:
-    """Truncated nonnegative-frequency coefficient vector f_hat(0..M)."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        c = np.asarray(coeffs, dtype=complex)
-        if c.ndim != 1 or c.shape[0] < 1:
-            raise ValueError("need a one-dimensional coefficient vector of length >= 1")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("non-finite Hardy coefficients")
-        self.coeffs = c
-
-    @property
-    def dim(self):
-        return self.coeffs.shape[0]
-
-    @classmethod
-    def basis(cls, n, M):
-        """e_n = e^{inx} truncated at M."""
-        c = np.zeros(M + 1, dtype=complex)
-        c[n] = 1.0
-        return cls(c)
-
-    def coeff(self, n):
-        if 0 <= n < self.dim:
-            return complex(self.coeffs[n])
-        return 0.0 + 0.0j
-
-    def __repr__(self):
-        return "HardyVector(dim=%d)" % self.dim
+def weighted_norm(x, w):
+    """(sum_n w_n |x_n|^2)^{1/2}: the one weighted sequence norm."""
+    return float(np.sqrt(np.sum(w * np.abs(x) ** 2)))
 
 
-class SeqState:
-    """Finitely supported two-sided sequence (z_n), n != 0, with weight exponent beta."""
-
-    __slots__ = ("beta", "entries")
-
-    def __init__(self, beta, entries):
-        self.beta = float(beta)
-        self.entries = {}
-        for n, v in dict(entries).items():
-            n = int(n)
-            if n == 0:
-                raise ValueError("index 0 is excluded from sequence states")
-            v = complex(v)
-            if not np.isfinite(v.real) or not np.isfinite(v.imag):
-                raise ValueError("non-finite entry at n=%d" % n)
-            self.entries[n] = v
-
-    def __repr__(self):
-        return "SeqState(beta=%g, support=%d)" % (self.beta, len(self.entries))
+def sobolev_norm(u, beta):
+    """(sum <n>^{2 beta} |u_hat(n)|^2)^{1/2} over the band of a Potential."""
+    idx = np.arange(-u.N, u.N + 1, dtype=float)
+    return weighted_norm(u.band(), np.maximum(1.0, np.abs(idx)) ** (2.0 * float(beta)))
 
 
-def _weight(n):
-    return max(1.0, abs(float(n)))
+def l2_distance(u, v, band):
+    """L^2 distance of two real potentials over 0 < |n| <= band.
 
-
-def sobolev_norm(v, beta):
-    """(sum <n>^{2 beta} |coef|^2)^{1/2} over the stored support of v."""
-    beta = float(beta)
-    if isinstance(v, Potential):
-        N = v.N
-        idx = np.arange(-N, N + 1, dtype=float)
-        w = np.maximum(1.0, np.abs(idx)) ** (2.0 * beta)
-        return float(np.sqrt(np.sum(w * np.abs(v.band()) ** 2)))
-    if isinstance(v, HardyVector):
-        idx = np.arange(v.dim, dtype=float)
-        w = np.maximum(1.0, idx) ** (2.0 * beta)
-        return float(np.sqrt(np.sum(w * np.abs(v.coeffs) ** 2)))
-    if isinstance(v, SeqState):
-        acc = 0.0
-        for n, z in v.entries.items():
-            acc += _weight(n) ** (2.0 * beta) * abs(z) ** 2
-        return float(np.sqrt(acc))
-    raise TypeError("unsupported type for sobolev_norm: %r" % type(v).__name__)
-
-
-def pair(f, g, kind="sesquilinear"):
-    """Pairing of two Hardy vectors.
-
-    sesquilinear: sum f_hat(n) conj(g_hat(n)).
-    bilinear:     sum f_hat(n) g_hat(-n); for two Hardy vectors only the
-                  n = 0 term can survive.
+    Both sides of the band count, so each n >= 1 enters twice; the sum
+    runs in increasing n, which fixes the rounding.
     """
-    if kind == "sesquilinear":
-        m = min(f.dim, g.dim)
-        return complex(np.sum(f.coeffs[:m] * np.conj(g.coeffs[:m])))
-    if kind == "bilinear":
-        return complex(f.coeffs[0] * g.coeffs[0])
-    raise ValueError("kind must be 'sesquilinear' or 'bilinear', got %r" % kind)
-
-
-def shift(f, drop_threshold=SHIFT_DROP_THRESHOLD):
-    """Multiplication by e^{ix}: (Sf)_hat(n+1) = f_hat(n), the top mode dropped.
-
-    Dropping a relatively large top coefficient warns: truncation is an
-    artifact of the finite representation, not of the operator.
-    """
-    c = f.coeffs
-    top = abs(c[-1])
-    scale = float(np.max(np.abs(c))) if c.size else 0.0
-    if scale > 0.0 and top > drop_threshold * scale:
-        warnings.warn(
-            "shift dropped top coefficient of relative size %.3e" % (top / scale),
-            TruncationWarning, stacklevel=2)
-    out = np.zeros_like(c)
-    out[1:] = c[:-1]
-    return HardyVector(out)
-
-
-def project_hardy(u, sign, M):
-    """Szego-type projection of a potential onto M+1 one-sided modes.
-
-    sign '+' keeps u_hat(0..M); sign '-' keeps u_hat(0..-M), stored reflected
-    (index j holds u_hat(-j)).
-    """
-    M = int(M)
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    c = np.zeros(M + 1, dtype=complex)
-    if sign == "+":
-        for j in range(min(M, u.N) + 1):
-            c[j] = u.coeff(j)
-    elif sign == "-":
-        for j in range(min(M, u.N) + 1):
-            c[j] = u.coeff(-j)
-    else:
-        raise ValueError("sign must be '+' or '-', got %r" % sign)
-    return HardyVector(c)
+    acc = 0.0
+    for n in range(1, band + 1):
+        acc += 2.0 * abs(u.coeff(n) - v.coeff(n)) ** 2
+    return float(np.sqrt(acc))
 
 
 def involute(u, kind):
@@ -269,30 +153,6 @@ def synthesize(u, grid):
     if u.real:
         return samples.real
     return samples
-
-
-def analyze(samples, N, s, real=False, alias_tol=1e-10):
-    """Inverse of synthesize: recover a Potential with cutoff N from grid samples.
-
-    Rejects grids that cannot hold the band, and reports aliasing when
-    energy is found beyond the cutoff (relative to the in-band energy).
-    """
-    samples = np.asarray(samples)
-    grid = samples.shape[0]
-    if grid < 2 * N + 1:
-        raise AliasingError("grid %d too small to resolve modes up to %d" % (grid, N))
-    spec = np.fft.fft(samples.astype(complex)) / grid
-    inband_sq = sum(abs(spec[n % grid]) ** 2 for n in range(-N, N + 1))
-    inband = np.sqrt(inband_sq)
-    beyond = np.sqrt(max(0.0, float(np.sum(np.abs(spec) ** 2)) - inband_sq))
-    if inband > 0 and beyond > alias_tol * inband:
-        warnings.warn("energy beyond cutoff N=%d: relative %.3e" % (N, beyond / inband),
-                      TruncationWarning, stacklevel=2)
-    if real:
-        coeffs = {n: spec[n % grid] for n in range(1, N + 1)}
-    else:
-        coeffs = {n: spec[n % grid] for n in range(-N, N + 1) if n != 0}
-    return Potential(s, N, coeffs, real=real)
 
 
 def potential_to_json(u):

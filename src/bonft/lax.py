@@ -7,8 +7,7 @@ mode index minus a Toeplitz part built from the potential:
 
 Everything downstream (gaps, norming constants, the coordinate map) reads
 off this one matrix, so this module owns assembly, the eigensolve with its
-simplicity guard, the rank-one spectral projectors, a Neumann-series
-resolvent used as an independent validator, and the symmetry audit.
+simplicity guard, the rank-one spectral projectors, and the symmetry audit.
 """
 
 import warnings
@@ -16,14 +15,11 @@ import warnings
 import numpy as np
 import scipy.linalg
 
-from .errors import (DivergenceError, NumericalFailure, PropertyViolation,
-                     TruncationWarning)
-from .hardy import HardyVector, involute
+from .errors import NumericalFailure, PropertyViolation, TruncationWarning
+from .hardy import involute
 
 SIMPLICITY_TOL = 1e-8
 GAP_TOL = 1e-10
-CONTOUR_RADIUS = 1.0 / 3.0
-CONTOUR_NODES = 64
 
 
 class LaxMatrix:
@@ -151,45 +147,6 @@ def gaps(sd):
     return g
 
 
-def neumann_resolvent(u, lam, rhs, m_max, safety_dist=CONTOUR_RADIUS):
-    """Resolvent applied to rhs through the truncated Neumann series.
-
-    Returns (result, certificate): the vector
-
-        (D - lam)^{-1} sum_{m=0..m_max} [T_u (D - lam)^{-1}]^m rhs
-
-    together with the norm of the last added increment.  Serves as a
-    validator for the dense solve; it only converges when the Toeplitz part
-    contracts against the free resolvent.
-    """
-    x = np.asarray(rhs.coeffs, dtype=complex)
-    M = len(x) - 1
-    dist = np.min(np.abs(lam - np.arange(M + 1)))
-    if dist < safety_dist:
-        raise ValueError("lambda within %.3f of the free spectrum (dist %.3e)"
-                         % (safety_dist, dist))
-    lax = assemble_lax(u, M)
-    T = lax.toeplitz_part()
-    free = 1.0 / (np.arange(M + 1) - lam)
-    term = x.copy()
-    acc = free * term
-    prev_inc = None
-    last_inc = 0.0
-    for _ in range(int(m_max)):
-        term = T @ (free * term)
-        inc = free * term
-        last_inc = float(np.linalg.norm(inc))
-        if last_inc == 0.0:
-            break
-        if prev_inc is not None and last_inc >= prev_inc:
-            raise DivergenceError(
-                "Neumann increment grew from %.3e to %.3e; no contraction"
-                % (prev_inc, last_inc))
-        acc += inc
-        prev_inc = last_inc
-    return HardyVector(acc), last_inc
-
-
 def _sorted_eigvals(entries, hermitian):
     if hermitian:
         return np.sort(np.linalg.eigvalsh(entries)).astype(complex)
@@ -227,21 +184,3 @@ def symmetry_audit(u, M):
     }
     return report
 
-
-def riesz_validator(u, M, n, radius=CONTOUR_RADIUS, nodes=CONTOUR_NODES):
-    """h_n recomputed as -(1/2pi i) oint (L - lambda)^{-1} e_n d lambda.
-
-    Trapezoid rule on the circle |lambda - n| = radius.  Exact-projector
-    arithmetic never touches this; it exists to cross-check the eigenvector
-    route.
-    """
-    lax = assemble_lax(u, M)
-    e_n = np.zeros(M + 1, dtype=complex)
-    e_n[n] = 1.0
-    acc = np.zeros(M + 1, dtype=complex)
-    eye = np.eye(M + 1)
-    for theta in 2.0 * np.pi * np.arange(nodes) / nodes:
-        lam = n + radius * np.exp(1j * theta)
-        x = np.linalg.solve(lax.entries - lam * eye, e_n)
-        acc += x * (lam - n)
-    return HardyVector(-acc / nodes)

@@ -26,6 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DivergenceError
+from .hardy import sobolev_norm
 
 
 def _residue_pair(ls, extra_mu_power):
@@ -267,8 +268,6 @@ def delta_series(u, n, d_max, tol=None):
     (5 ||u||_s)^(d_max+1).  With tol given, a tail estimate at or above tol
     raises DivergenceError (reported as unconverged).
     """
-    from .hardy import sobolev_norm
-
     if d_max < 2:
         raise ValueError("d_max must be >= 2")
     n = int(n)
@@ -324,47 +323,3 @@ def _remainder_block(coef, supp, n, d, m, k):
     extend(1, 0, 1.0 + 0.0j, ())
     return acc
 
-
-def psi_series(u, n, d_max):
-    """Taylor sum of the zero-mode component of the projected basis vector.
-
-    First-order term -u_hat(-n)/n, plus for each m >= 1 (degree m+1 <= d_max)
-    the finite sum over tuples (l_1..l_m), l_j >= -n, of
-
-        - (1/2pi i) oint (1/(n+mu)) (1/mu)
-              u_hat(-n-l_m)/(l_m-mu) ... u_hat(l_2-l_1)/(l_1-mu) u_hat(l_1) dmu.
-
-    Returns (value, per-degree magnitudes); the magnitudes let the caller
-    verify contraction.
-    """
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    coef = u.nonzero_coeffs()
-    supp = sorted(coef)
-    value = -coef.get(-n, 0.0) / n
-    per_degree = [abs(value)]
-    for m in range(1, d_max):
-        term = 0.0 + 0.0j
-
-        def extend(pos, prev, weight, prefix):
-            nonlocal term
-            if pos > m:
-                w = weight * coef.get(-n - prev, 0.0)
-                if w == 0.0:
-                    return
-                # 1/(n+mu) = -(-n-mu)^-1: one more factor (l-mu)^-1, l = -n
-                term += float(residue_A(prefix + (-n,))) * w
-                return
-            if pos == 1:
-                choices = [l for l in supp if l >= -n]
-            else:
-                choices = [prev + s for s in supp if prev + s >= -n]
-            for l in choices:
-                step = coef.get(l - prev, 0.0) if pos > 1 else coef.get(l, 0.0)
-                extend(pos + 1, l, weight * step, prefix + (l,))
-
-        extend(1, 0, 1.0 + 0.0j, ())
-        value += term
-        per_degree.append(abs(term))
-    return value, per_degree

@@ -1,10 +1,9 @@
 """Independent oracles used to pin expected values in the test suite.
 
 Everything here is deliberately primitive: plain quadrature, truncated
-Fraction Taylor series, dense linear solves, perturbation formulas,
-finite differences, the scaling products one factor at a time, the RK4
-loop with its products spelled out, and the time-discrete equation
-residual.  Nothing imports the package under test, so agreement between a
+Fraction Taylor series, dense linear solves, perturbation formulas, the
+scaling products one factor at a time, the RK4 loop with its products
+spelled out, and the time-discrete equation residual.  Nothing imports the package under test, so agreement between a
 package routine and its oracle is evidence, not circularity.
 """
 
@@ -93,6 +92,42 @@ def series_residue_pole_shift(ls, n):
     return -value if zeros % 2 else value
 
 
+def psi_series(coeffs, n, d_max):
+    """Taylor sum of the zero-mode coefficient of the projected basis vector h_n.
+
+    coeffs maps n -> u_hat(n) over both signs.  The first-order term is
+    -u_hat(-n)/n; each degree m+1 <= d_max adds the finite sum over tuples
+    (l_1..l_m), l_j >= -n, of
+
+        - (1/2pi i) oint (1/(n+mu)) (1/mu)
+              u_hat(-n-l_m)/(l_m-mu) ... u_hat(l_2-l_1)/(l_1-mu) u_hat(l_1) dmu.
+
+    Returns (value, per-degree magnitudes), so a caller can check that the
+    terms contract.
+    """
+    supp = sorted(coeffs)
+    value = -coeffs.get(-n, 0.0) / n
+    per_degree = [abs(value)]
+    for m in range(1, d_max):
+        term = 0.0 + 0.0j
+
+        def extend(pos, prev, weight, prefix):
+            nonlocal term
+            if pos > m:
+                w = weight * coeffs.get(-n - prev, 0.0)
+                if w != 0.0:
+                    term -= float(series_residue_pole_shift(prefix, n)) * w
+                return
+            for k in supp:
+                if prev + k >= -n:
+                    extend(pos + 1, prev + k, weight * coeffs[k], prefix + (prev + k,))
+
+        extend(1, 0, 1.0 + 0.0j, ())
+        value += term
+        per_degree.append(abs(term))
+    return value, per_degree
+
+
 def lax_matrix(coeffs, M):
     """Dense (M+1)x(M+1) matrix j*delta_jk - u_hat(j-k) from a dict n -> u_hat(n)."""
     L = np.zeros((M + 1, M + 1), dtype=complex)
@@ -130,36 +165,6 @@ def perturbative_gamma1(eps):
     return eps ** 2
 
 
-def fd_derivative(f, x0, h):
-    """Central difference (f(x0+h) - f(x0-h)) / 2h for scalar or vector f."""
-    return (f(x0 + h) - f(x0 - h)) / (2.0 * h)
-
-
-def fit_loglog_slope(xs, ys):
-    """Least-squares slope of log(ys) against log(xs)."""
-    lx = np.log(np.asarray(xs, dtype=float))
-    ly = np.log(np.asarray(ys, dtype=float))
-    A = np.vstack([lx, np.ones_like(lx)]).T
-    slope, _ = np.linalg.lstsq(A, ly, rcond=None)[0]
-    return slope
-
-
-def fit_line_slope(xs, ys):
-    """Least-squares slope of ys against xs (no logs)."""
-    A = np.vstack([np.asarray(xs, float), np.ones(len(xs))]).T
-    slope, _ = np.linalg.lstsq(A, np.asarray(ys, float), rcond=None)[0]
-    return slope
-
-
-def gardner_monomial_bracket():
-    """{F,G} for F = u_hat(1), G = u_hat(-1) from the integral definition.
-
-    grad F = e^{-ix}, grad G = e^{ix}; (1/2pi) int (d_x e^{-ix}) e^{ix} dx = -i.
-    Frozen analytic value.
-    """
-    return -1j
-
-
 def direct_bo_rhs(u_hat_full, n_index):
     """Modewise right side i n |n| u_hat(n) - i n (u^2)_hat(n) on a full FFT grid.
 
@@ -171,14 +176,6 @@ def direct_bo_rhs(u_hat_full, n_index):
     u = np.fft.ifft(u_hat_full * G)
     sq = np.fft.fft(u * u) / G
     return 1j * n_index * np.abs(n_index) * u_hat_full - 1j * n_index * sq
-
-
-def rk4_step(rhs, y, dt):
-    k1 = rhs(y)
-    k2 = rhs(y + 0.5 * dt * k1)
-    k3 = rhs(y + 0.5 * dt * k2)
-    k4 = rhs(y + dt * k3)
-    return y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def scaling_constants_loop(sd, tol=1e-12):

@@ -14,7 +14,7 @@ from bonft.birkhoff import (birkhoff_forward, canonical_bracket_table, d0_phi,
                             eigen_chain, observables, scaling_constants)
 from bonft.continuity import ContinuityConfig, ratio_slope, sweep
 from bonft.flow import FlowConfig, frequencies, invert, solve_trajectory
-from bonft.hardy import Potential, sobolev_norm
+from bonft.hardy import Potential, l2_distance, sobolev_norm
 from bonft.lax import spectrum, symmetry_audit
 from bonft.pde import IntegratorConfig, integrate, isospectral_audit
 from bonft.residues import delta_series, sweep_combi, sweep_vanishing
@@ -135,12 +135,7 @@ def test_criterion_06_flow_routes_agree(flow_bundle):
         i = int(round(t / 0.025))
         assert abs(traj.times[i] - t) < 1e-12
         u_d = traj.potential_at(i)
-        band = max(u_b.N, u_d.N)
-        total = 0.0
-        for n in range(1, band + 1):
-            b = u_b.coeff(n) if n <= u_b.N else 0.0
-            total += abs(b - u_d.coeff(n)) ** 2
-        assert math.sqrt(2.0 * total) < FLOW_L2_TOL, t
+        assert l2_distance(u_b, u_d, max(u_b.N, u_d.N)) < FLOW_L2_TOL, t
 
 
 def test_criterion_07_direct_run_is_isospectral(flow_bundle):

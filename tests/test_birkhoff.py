@@ -3,12 +3,12 @@ import pytest
 
 from bonft.birkhoff import (BirkhoffState, birkhoff_forward,
                             canonical_bracket_table, d0_phi, eigen_chain,
-                            gardner_bracket, observables, series_validate,
-                            sqrt_plus, state_from_json, state_to_json)
+                            observables, sqrt_plus, state_from_json,
+                            state_to_json)
 from bonft.errors import BranchCutError
 from bonft.hardy import Potential
 from bonft.lax import spectrum
-from oracles import gardner_monomial_bracket
+from oracles import psi_series
 
 
 def small_real(scale=0.05):
@@ -97,18 +97,6 @@ def test_observables_potential_energy():
         observables([1.0])
 
 
-def test_gardner_monomial_value():
-    u = Potential(0.5, 1, {1: 0.1}, real=True)
-    got = gardner_bracket(lambda v: v.coeff(1), lambda v: v.coeff(-1), u)
-    assert got == pytest.approx(gardner_monomial_bracket(), abs=1e-10)
-
-
-def test_gardner_self_bracket_vanishes():
-    u = small_real()
-    F = lambda v: v.coeff(1) * v.coeff(-1) + 0.3 * v.coeff(2)
-    assert abs(gardner_bracket(F, F, u)) < 1e-9
-
-
 def test_canonical_bracket_table_small():
     u = Potential(0.5, 1, {1: 0.02}, real=True)
     pm, pp = canonical_bracket_table(u, 2, M=48)
@@ -118,9 +106,14 @@ def test_canonical_bracket_table_small():
 
 
 def test_series_validate_contracts():
+    """Row 0 of h (Psi_n = <1, h_n>) against its Taylor multi-sums, which must contract."""
     u = small_real(0.02)
-    worst = series_validate(u, 3, M=64, k_use=6)
-    assert worst < 1e-5
+    sd = spectrum(u, 64, k_use=6)
+    for n in range(1, 7):
+        value, per_degree = psi_series(u.nonzero_coeffs(), n, 3)
+        sizes = [m for m in per_degree if m > 0.0]
+        assert all(hi < lo for lo, hi in zip(sizes, sizes[1:])), (n, sizes)
+        assert abs(value - sd.h[0, n]) < 1e-5, n
 
 
 def test_state_json_round_trip():

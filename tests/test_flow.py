@@ -57,6 +57,14 @@ def test_shift_antisymmetry():
     assert not np.iscomplexobj(rp)
 
 
+def test_real_shifts_own_their_memory():
+    """A real state's shifts are owned float arrays, not views into a complex temporary."""
+    plus = 0.1 * (np.arange(1, 9) + 1j)
+    sp, sm = frequency_shifts(BirkhoffState(0.5, plus, None, real_flag=True))
+    assert sp.dtype == float and sm.dtype == float
+    assert sp.base is None and sm.base is None
+
+
 def test_evolve_spec_point():
     st = evolve(single_mode_state(0.5), np.pi)
     assert st.coord(1) == pytest.approx(0.5j)

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bonft.errors import AliasingError, TruncationWarning
-from bonft.hardy import (HardyVector, Potential, SeqState, analyze, involute,
-                         pair, potential_from_json, potential_to_json,
-                         project_hardy, shift, sobolev_norm, synthesize)
+from bonft.errors import AliasingError
+from bonft.hardy import (Potential, involute, potential_from_json,
+                         potential_to_json, sobolev_norm, synthesize)
 
 
 def small_coeff():
@@ -27,7 +26,7 @@ def test_real_potential_reflects_conjugate():
 
 def test_support_and_nonzero_coeffs_are_python_ints():
     u = Potential(0.5, 2, {1: 0.5, -2: 0.25j})
-    assert u.support() == [-2, 1]
+    assert sorted(u.nonzero_coeffs()) == [-2, 1]
     for n in u.nonzero_coeffs():
         assert type(n) is int
 
@@ -37,33 +36,6 @@ def test_sobolev_norm_manual():
     # two-sided sum, weight <n>^0 = 1
     assert sobolev_norm(u, 0.0) == pytest.approx(np.sqrt(2 * (9 + 16)))
     assert sobolev_norm(u, 0.5) == pytest.approx(np.sqrt(2 * (9 + 2 * 16)))
-
-
-def test_seq_state_norm_weights():
-    z = SeqState(1.0, {2: 1.0})
-    assert sobolev_norm(z, 1.0) == pytest.approx(2.0)
-
-
-def test_pair_conventions():
-    f = HardyVector([1.0, 2.0j])
-    g = HardyVector([1.0j, 1.0])
-    assert pair(f, g, kind="sesquilinear") == pytest.approx(1.0 * np.conj(1j) + 2j * np.conj(1.0))
-    # Hardy vectors overlap only in the zero mode under the bilinear pairing
-    assert pair(f, g, kind="bilinear") == pytest.approx(1.0 * 1j)
-
-
-def test_shift_moves_modes_up():
-    f = HardyVector([1.0, 2.0, 0.0])
-    g = shift(f)
-    assert g.coeffs[0] == 0
-    assert g.coeffs[1] == 1.0
-    assert g.coeffs[2] == 2.0
-
-
-def test_shift_warns_on_dropped_mass():
-    f = HardyVector([0.0, 0.0, 1.0])
-    with pytest.warns(TruncationWarning):
-        shift(f)
 
 
 @given(st.dictionaries(st.integers(min_value=1, max_value=4), small_coeff(),
@@ -100,21 +72,15 @@ def test_synthesize_analyze_round_trip():
     u = Potential(0.5, 3, {1: 0.2 - 0.1j, 3: 0.05}, real=True)
     samples = synthesize(u, 16)
     assert np.max(np.abs(samples.imag)) < 1e-14
-    v = analyze(samples, 3, 0.5, real=True)
-    for n in range(1, 4):
-        assert v.coeff(n) == pytest.approx(u.coeff(n), abs=1e-14)
+    spec = np.fft.fft(samples) / 16
+    for n in range(-3, 4):
+        assert spec[n % 16] == pytest.approx(u.coeff(n), abs=1e-14)
 
 
 def test_synthesize_needs_enough_grid():
     u = Potential(0.5, 4, {4: 1.0}, real=True)
     with pytest.raises(AliasingError):
         synthesize(u, 8)
-
-
-def test_project_hardy_splits_band():
-    u = Potential(0.5, 2, {1: 1.0, -2: 2.0})
-    plus = project_hardy(u, "+", 4)
-    assert plus.coeffs[1] == 1.0 and plus.coeffs[2] == 0.0
 
 
 def test_potential_json_round_trip():

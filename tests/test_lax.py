@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from bonft.errors import DivergenceError, NumericalFailure
-from bonft.hardy import HardyVector, Potential, involute
-from bonft.lax import (assemble_lax, gaps, neumann_resolvent, riesz_validator,
-                       spectrum, symmetry_audit)
-from oracles import lax_matrix, perturbative_gamma1, perturbative_lambda0
+from bonft.errors import NumericalFailure
+from bonft.hardy import Potential, involute
+from bonft.lax import assemble_lax, gaps, spectrum, symmetry_audit
+from oracles import (lax_matrix, perturbative_gamma1, perturbative_lambda0,
+                     riesz_column_quadrature)
 
 PERTURB_TOL = 2e-4
 
@@ -71,12 +71,14 @@ def test_hermitian_and_general_paths_agree():
 def test_projected_columns_match_contour_quadrature():
     u = Potential(0.5, 2, {1: 0.03, 2: 0.01j}, real=True)
     sd = spectrum(u, 24, k_use=4)
+    L = lax_matrix(u.nonzero_coeffs(), 24)
     for n in range(3):
-        ref = riesz_validator(u, 24, n)
-        got = sd.project(n, np.eye(25)[n])
-        scale = got[np.argmax(np.abs(ref.coeffs))] / ref.coeffs[np.argmax(np.abs(ref.coeffs))]
+        e_n = np.eye(25)[n]
+        ref = riesz_column_quadrature(L, n, e_n)
+        got = sd.project(n, e_n)
+        scale = got[np.argmax(np.abs(ref))] / ref[np.argmax(np.abs(ref))]
         assert abs(abs(scale) - 1) < 1e-8
-        assert np.max(np.abs(got - scale * ref.coeffs)) < 1e-10
+        assert np.max(np.abs(got - scale * ref)) < 1e-10
 
 
 def test_simplicity_guard_fires():
@@ -92,34 +94,6 @@ def test_h_normalization():
     for n in range(6):
         proj = sd.project(n, np.eye(33)[n])
         assert proj[n] == pytest.approx(sd.h[n, n], abs=1e-12)
-
-
-def test_neumann_resolvent_matches_dense_solve():
-    u = Potential(0.5, 2, {1: 0.05, 2: 0.02j}, real=True)
-    lam = 0.5 + 0.4j
-    rhs = np.zeros(17, dtype=complex)
-    rhs[0] = 1.0
-    vec, last = neumann_resolvent(u, lam, HardyVector(rhs), 200)
-    L = assemble_lax(u, 16).entries
-    ref = np.linalg.solve(L - lam * np.eye(17), rhs)
-    assert np.max(np.abs(vec.coeffs - ref)) < 1e-12
-    assert last < 1e-14
-
-
-def test_neumann_rejects_lattice_adjacent_point():
-    u = Potential(0.5, 1, {1: 0.05}, real=True)
-    rhs = np.zeros(9, dtype=complex)
-    rhs[0] = 1.0
-    with pytest.raises(ValueError):
-        neumann_resolvent(u, 1.0 + 1e-6j, HardyVector(rhs), 50)
-
-
-def test_neumann_diverges_outside_contraction():
-    u = Potential(0.5, 1, {1: 3.0}, real=True)
-    rhs = np.zeros(9, dtype=complex)
-    rhs[0] = 1.0
-    with pytest.raises(DivergenceError):
-        neumann_resolvent(u, 0.5 + 0.4j, HardyVector(rhs), 400)
 
 
 def test_symmetry_audit_small_for_complex_potential():

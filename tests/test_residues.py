@@ -9,9 +9,9 @@ from bonft import residues
 from bonft.hardy import Potential
 from bonft.lax import spectrum
 from bonft.residues import (PartitionInstance, _admissible_counts, combi_check,
-                            delta_series, iter_partition_instances, psi_series,
-                            residue_A, sweep_combi, sweep_vanishing, vanishing_D)
-from oracles import (contour_residue_quadrature, series_residue,
+                            delta_series, iter_partition_instances, residue_A,
+                            sweep_combi, sweep_vanishing, vanishing_D)
+from oracles import (contour_residue_quadrature, psi_series, series_residue,
                      series_residue_pole_shift, vanishing_sum_quadrature)
 
 QUAD_TOL = 1e-10
@@ -186,6 +186,6 @@ def test_delta_series_matches_spectral_delta():
 
 def test_psi_series_decays_by_degree():
     u = Potential(0.5, 1, {1: 0.01}, real=True)
-    value, per_degree = psi_series(u, 2, 5)
+    value, per_degree = psi_series(u.nonzero_coeffs(), 2, 5)
     mags = [m for m in per_degree if m > 0]
     assert all(b < a for a, b in zip(mags, mags[1:]))
