@@ -7,9 +7,11 @@ The coordinates are assembled from truncated spectral data in three layers:
      f_n = P_n(S f_{n-1}) / sqrt(mu_n) from f_0 = a_0 h_0, together with the
      projector couplings alpha_n, beta_n and the derived delta_n, nu_n, a_n;
   3. birkhoff_forward: the coordinate of index n is <1|f_n> / sqrt(kappa_n)
-     on real potentials, with a complex extension obtained by running the
-     same pipeline on the conjugated potential where conjugation-symmetry
-     no longer supplies the second half of the data.
+     on real potentials.  On complex potentials conjugation symmetry no
+     longer supplies the second half of the data, and the analytic
+     extension reads it from the chain of conj(u): its spectrum is derived
+     from L_u^H = L_{conj u} (lax.conjugate_spectrum) without a second
+     eigensolve, and only its chain runs.
 
 Principal square roots throughout, with the branch cut treated as an error.
 """
@@ -21,8 +23,8 @@ import numpy as np
 
 from .errors import (BranchCutError, DegenerateProduct, DegenerateProjector,
                      NumericalFailure, OutOfNeighborhood, TruncationWarning)
-from .hardy import Potential, involute, synthesize
-from .lax import spectrum
+from .hardy import Potential, synthesize
+from .lax import conjugate_spectrum, spectrum
 
 DEGENERATE_TOL = 1e-12
 SHIFT_DROP_THRESHOLD = 1e-10  # relative size of a top mode that S may drop silently
@@ -139,7 +141,7 @@ def scaling_constants(sd):
                        "mu_tail": float(max([0.0, *map(abs, last_mu - 1.0)]))}
 
 
-def eigen_chain(u, sd):
+def eigen_chain(sd):
     """The normalized chain f_0..f_K with all its scaling constants.
 
     f_0 = a_0 h_0 with a_0 = sqrt(kappa_0) / <h_0, 1> (bilinear pairing),
@@ -309,7 +311,9 @@ def birkhoff_forward(u, M=None, k_use=None):
     chain and the two are cross-checked, which exercises every constant the
     complex extension relies on.
 
-    Complex u: the pipeline runs on both u and conj(u); index n > 0 takes
+    Complex u: chains run on both u and conj(u), with the spectrum of
+    conj(u) derived from that of u (L_{conj u} = L_u^H, so one eigensolve
+    serves both); index n > 0 takes
     sqrt(n) conj(a_n(u-) Psi_n(u-)) / sqrt(n kappa_n(u)) with u- = conj(u),
     index -n takes sqrt(n) a_n(u) Psi_n(u) / sqrt(n conj(kappa_n(u-))).
 
@@ -318,7 +322,7 @@ def birkhoff_forward(u, M=None, k_use=None):
     if M is None:
         M = default_lax_dim(u)
     sd = spectrum(u, M, k_use=k_use)
-    f, scaling = eigen_chain(u, sd)
+    f, scaling = eigen_chain(sd)
     # one norm per column: np.linalg.norm of a whole matrix rounds differently
     norm_drift = max(abs(float(np.linalg.norm(fv)) - 1.0) for fv in f.T)
     if u.real:
@@ -330,9 +334,8 @@ def birkhoff_forward(u, M=None, k_use=None):
                 "shortcut and product coordinates disagree by %.3e" % dev)
         state = BirkhoffState(u.s, plus, None, real_flag=True)
     else:
-        uc = involute(u, "conj")
-        sd_c = spectrum(uc, M, k_use=k_use)
-        _, scaling_c = eigen_chain(uc, sd_c)
+        sd_c = conjugate_spectrum(sd)
+        _, scaling_c = eigen_chain(sd_c)
         plus = _assemble_plus(scaling.kappa, scaling_c.a, sd_c.h[0])
         minus = _assemble_minus(scaling_c.kappa, scaling.a, sd.h[0])
         state = BirkhoffState(u.s, plus, minus, real_flag=False)

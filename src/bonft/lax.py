@@ -7,7 +7,8 @@ mode index minus a Toeplitz part built from the potential:
 
 Everything downstream (gaps, norming constants, the coordinate map) reads
 off this one matrix, so this module owns assembly, the eigensolve with its
-simplicity guard, the rank-one spectral projectors, and the symmetry audit.
+simplicity guard, the rank-one spectral projectors, the spectral data of
+the conjugated potential derived from them, and the symmetry audit.
 """
 
 import warnings
@@ -121,6 +122,12 @@ def spectrum(u, M, k_use=None, tol_simple=SIMPLICITY_TOL):
     K_use = M // 2 if k_use is None else int(k_use)
     if not 0 <= K_use <= M:
         raise ValueError("k_use must lie in 0..M")
+    denoms, h = _projector_data(V, W, K_use)
+    return SpectralData(lam, V, W, denoms, h, K_use, M, lax.hermitian, min_separation)
+
+
+def _projector_data(V, W, K_use):
+    """The pairings w_n^H v_n and the projected basis P_n e_n for n <= K_use."""
     n_use = K_use + 1
     denoms = np.array([np.vdot(W[:, n], V[:, n]) for n in range(n_use)], dtype=complex)
     small = np.flatnonzero(np.abs(denoms) < 1e-12)
@@ -128,7 +135,27 @@ def spectrum(u, M, k_use=None, tol_simple=SIMPLICITY_TOL):
         raise NumericalFailure("left/right eigenvectors nearly orthogonal at n=%d"
                                % small[0])
     h = V[:, :n_use] * (np.conj(np.diagonal(W)[:n_use]) / denoms)
-    return SpectralData(lam, V, W, denoms, h, K_use, M, lax.hermitian, min_separation)
+    return denoms, h
+
+
+def conjugate_spectrum(sd):
+    """The spectral data of conj(u), read off the spectral data of u.
+
+    The truncation satisfies L_{conj u} = L_u^H entry for entry, so no
+    second eigensolve is needed: the eigenvalues are conj(lambda_n), the
+    right eigenvectors are u's left ones and the left eigenvectors u's
+    right ones.  The eigenvalues are sorted again as in spectrum(), since
+    conjugation reverses the imaginary order of a tie in the real part,
+    and the vectors follow them.  The separation, truncation and K_use
+    carry over; denoms and h are recomputed from the swapped vectors.
+    """
+    lam = np.conj(sd.lambdas)
+    order = np.lexsort((lam.imag, lam.real))
+    V = sd.left_vecs[:, order]
+    W = sd.right_vecs[:, order]
+    denoms, h = _projector_data(V, W, sd.K_use)
+    return SpectralData(lam[order], V, W, denoms, h, sd.K_use, sd.M, sd.hermitian,
+                        sd.min_separation)
 
 
 def gaps(sd):

@@ -85,7 +85,7 @@ def test_criterion_03_zero_potential_fixed_points():
     assert abs(kappa[0] - 1.0) < FIXED_POINT_TOL
     assert np.max(np.abs(ns[1:] * kappa[1:] - 1.0)) < FIXED_POINT_TOL
     assert np.max(np.abs(mu[1:] - 1.0)) < FIXED_POINT_TOL
-    _, scal = eigen_chain(u, sd)
+    _, scal = eigen_chain(sd)
     assert np.max(np.abs(scal.delta[1:])) < FIXED_POINT_TOL
     z = birkhoff_forward(u, M=32, k_use=8)
     assert np.max(np.abs(z.plus)) < FIXED_POINT_TOL
@@ -175,7 +175,7 @@ def test_criterion_11_defect_series_and_summability():
            for n in range(1, 5)}
     u = scaled_potential(raw, 4, 0.01)
     sd = spectrum(u, 128, k_use=56)
-    _, scal = eigen_chain(u, sd)
+    _, scal = eigen_chain(sd)
     for n in range(1, 9):
         series, _ = delta_series(u, n, 3)
         assert abs(series - scal.delta[n]) < DELTA_SERIES_TOL, n

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from bonft.birkhoff import (BirkhoffState, birkhoff_forward,
+from bonft.birkhoff import (BirkhoffState, _assemble_minus, _assemble_plus,
+                            _perturbed, birkhoff_forward,
                             canonical_bracket_table, d0_phi, eigen_chain,
                             observables, sqrt_plus, state_from_json,
                             state_to_json)
 from bonft.errors import BranchCutError
-from bonft.hardy import Potential
+from bonft.hardy import Potential, involute, sobolev_norm
 from bonft.lax import spectrum
 from oracles import psi_series
 
@@ -35,7 +37,7 @@ def test_sqrt_plus_branch_cut():
 def test_chain_is_normalized_with_positive_vacuum_mean():
     u = small_real()
     sd = spectrum(u, 64, k_use=10)
-    f, scal = eigen_chain(u, sd)
+    f, scal = eigen_chain(sd)
     assert f.shape == (65, 11)
     for v in f.T:
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
@@ -64,6 +66,63 @@ def test_complex_storage_agrees_with_real_path():
     assert np.max(np.abs(a.plus - b.plus)) < 1e-10
     assert np.max(np.abs(a.minus - b.minus)) < 1e-10
     assert a.real_flag and not b.real_flag
+
+
+def two_solve_forward(u, M, k_use):
+    """The complex route with its own eigensolve on conj(u): (plus, minus)."""
+    sd = spectrum(u, M, k_use=k_use)
+    _, scaling = eigen_chain(sd)
+    sd_c = spectrum(involute(u, "conj"), M, k_use=k_use)
+    _, scaling_c = eigen_chain(sd_c)
+    return (_assemble_plus(scaling.kappa, scaling_c.a, sd_c.h[0]),
+            _assemble_minus(scaling_c.kappa, scaling.a, sd.h[0]))
+
+
+def assert_matches_two_solve_route(u, M, k_use):
+    st = birkhoff_forward(u, M=M, k_use=k_use)
+    plus, minus = two_solve_forward(u, M, k_use)
+    got = np.concatenate((st.plus, st.minus))
+    ref = np.concatenate((plus, minus))
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_derived_conjugate_spectrum_keeps_the_coordinates():
+    # transform_complex's inputs: N in 2..4, ||u||_{1/2} in [0.01, 0.02], M = 64, K = 16
+    rng = np.random.default_rng(9)
+    for _ in range(12):
+        N = int(rng.integers(2, 5))
+        raw = {n: complex(rng.standard_normal(), rng.standard_normal()) / abs(n)
+               for n in range(-N, N + 1) if n}
+        norm = (0.01 + 0.01 * rng.random()) / sobolev_norm(Potential(0.5, N, raw), 0.5)
+        assert_matches_two_solve_route(
+            Potential(0.5, N, {n: norm * v for n, v in raw.items()}), 64, 16)
+    # one of the perturbed inputs of `bonft bracket`: its seed-0 base point,
+    # M and chain depth as canonical_bracket_table picks them for 3 modes
+    base = np.random.default_rng(0)
+    u = Potential(0.5, 4, {n: 0.01 * (base.standard_normal() + 1j * base.standard_normal())
+                           for n in range(1, 5)}, real=True)
+    assert_matches_two_solve_route(_perturbed(u, -7, 1e-5), 52, 19)
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_one_eigensolve_per_forward_map(monkeypatch):
+    eig = count_calls(monkeypatch, scipy.linalg, "eig")
+    eigh = count_calls(monkeypatch, np.linalg, "eigh")
+    coeffs = {1: 0.02 - 0.01j, -1: 0.01j, 2: 0.005}
+    birkhoff_forward(Potential(0.5, 2, coeffs), M=32, k_use=8)
+    assert (len(eig), len(eigh)) == (1, 0)
+    birkhoff_forward(small_real(), M=32, k_use=8)
+    assert (len(eig), len(eigh)) == (1, 1)
 
 
 def test_d0_phi_matches_finite_difference():

@@ -102,17 +102,14 @@ def test_degenerate_projector():
     h[0, 0] = 0.0
     sd = hand_built(np.arange(5.0), h=h)
     with pytest.raises(DegenerateProjector, match="zero mean component"):
-        eigen_chain(Potential(0.5, 1, {}, real=True), sd)
-
-
-ZERO = Potential(0.5, 1, {}, real=True)
+        eigen_chain(sd)
 
 
 def test_nan_eigenvalue_is_a_numerical_failure(monkeypatch, capsys):
     # NaN compares false against every bound, so each guard is written to fail on it
     sd = hand_built([0.0, 1.0, np.nan, 3.0])
     with pytest.raises(DegenerateProduct, match="^kappa_0 product factor of size nan$"):
-        eigen_chain(ZERO, sd)
+        eigen_chain(sd)
     monkeypatch.setattr(birkhoff, "spectrum", lambda u, M, k_use=None: sd)
     u_path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "u.json")
     assert cli.main(["transform", "-i", u_path]) == 2
@@ -123,11 +120,11 @@ def test_nan_projector_data_fails_the_chain_guards():
     h = np.eye(5, dtype=complex)
     h[0, 0] = np.nan
     with pytest.raises(DegenerateProjector, match="zero mean component"):
-        eigen_chain(ZERO, hand_built(np.arange(5.0), h=h))
+        eigen_chain(hand_built(np.arange(5.0), h=h))
     h = np.eye(5, dtype=complex)
     h[2, 2] = np.nan
     with pytest.raises(OutOfNeighborhood, match=r"^\|alpha_2\| = nan < 0\.5$"):
-        eigen_chain(ZERO, hand_built(np.arange(5.0), h=h))
+        eigen_chain(hand_built(np.arange(5.0), h=h))
 
 
 def test_nan_mu_is_out_of_neighborhood(monkeypatch):
@@ -136,7 +133,7 @@ def test_nan_mu_is_out_of_neighborhood(monkeypatch):
     mu[1] = np.nan
     monkeypatch.setattr(birkhoff, "scaling_constants", lambda sd: (kappa, mu, tails))
     with pytest.raises(OutOfNeighborhood, match=r"^\|mu_1 - 1\| = nan >= 0\.5$"):
-        eigen_chain(ZERO, sd)
+        eigen_chain(sd)
 
 
 @pytest.mark.parametrize("eps, message", [

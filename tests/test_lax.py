@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from bonft.errors import NumericalFailure
 from bonft.hardy import Potential, involute
-from bonft.lax import assemble_lax, gaps, spectrum, symmetry_audit
+from bonft.lax import (SpectralData, assemble_lax, conjugate_spectrum, gaps,
+                       spectrum, symmetry_audit)
 from oracles import (lax_matrix, perturbative_gamma1, perturbative_lambda0,
                      riesz_column_quadrature)
 
@@ -109,3 +111,59 @@ def test_star_spectrum_equals_transpose_spectrum():
     a = spectrum(u, 20)
     b = spectrum(involute(u, "star"), 20)
     assert np.max(np.abs(a.lambdas - b.lambdas)) < 1e-11
+
+
+def projectors(V, W, K):
+    """The phase-free rank-one projectors v w^H / (w^H v) for n <= K."""
+    return [np.outer(V[:, n], W[:, n].conj()) / np.vdot(W[:, n], V[:, n])
+            for n in range(K + 1)]
+
+
+def test_conjugate_spectrum_matches_independent_eigensolve():
+    rng = np.random.default_rng(11)
+    for M, k_use, scale in ((16, 8, 0.05), (32, None, 0.02), (48, 20, 0.1), (64, 16, 0.01)):
+        N = int(rng.integers(1, 5))
+        coeffs = {n: scale * complex(rng.standard_normal(), rng.standard_normal()) / abs(n)
+                  for n in range(-N, N + 1) if n}
+        u = Potential(0.5, N, coeffs)
+        L = assemble_lax(u, M).entries
+        # the premise: the truncation of conj(u) is exactly the adjoint
+        assert np.array_equal(assemble_lax(involute(u, "conj"), M).entries, L.conj().T)
+        got = conjugate_spectrum(spectrum(u, M, k_use=k_use))
+        lam, WL, V = scipy.linalg.eig(L.conj().T, left=True, right=True)
+        order = np.lexsort((lam.imag, lam.real))
+        lam, V, W = lam[order], V[:, order], WL[:, order]
+        K = got.K_use
+        assert K == (M // 2 if k_use is None else k_use) and got.M == M
+        assert not got.hermitian
+        assert np.max(np.abs(got.lambdas - lam)) < 1e-12
+        for p_got, p_ref in zip(projectors(got.right_vecs, got.left_vecs, K),
+                                projectors(V, W, K)):
+            assert np.max(np.abs(p_got - p_ref)) < 1e-10
+        h_ref = np.stack([p[:, n] for n, p in enumerate(projectors(V, W, K))], axis=1)
+        assert np.max(np.abs(got.h - h_ref)) < 1e-10
+
+
+def test_conjugate_spectrum_resorts_ties_with_their_vectors():
+    """1 - 1j and 1 + 1j tie in the real part; conjugation swaps their order."""
+    lam = np.array([0.0, 1.0 - 1.0j, 1.0 + 1.0j, 3.0])
+    rng = np.random.default_rng(4)
+    V = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    V /= np.linalg.norm(V, axis=0)
+    W = np.linalg.inv(V).conj().T  # w_n^H v_m = delta_nm
+    W /= np.linalg.norm(W, axis=0)
+    L = V @ np.diag(lam) @ np.linalg.inv(V)
+    denoms = np.array([np.vdot(W[:, n], V[:, n]) for n in range(4)])
+    h = V * (np.conj(np.diagonal(W)) / denoms)
+    sep = abs(lam[1])  # the closest pair is 0 and 1 -+ 1j
+    sd = SpectralData(lam, V, W, denoms, h, 3, 3, False, sep)
+    got = conjugate_spectrum(sd)
+    assert np.array_equal(got.lambdas, lam)
+    assert got.min_separation == sep and got.K_use == 3 and got.M == 3
+    A = L.conj().T
+    for n in range(4):
+        v, w = got.right_vecs[:, n], got.left_vecs[:, n]
+        assert np.max(np.abs(A @ v - got.lambdas[n] * v)) < 1e-12
+        assert np.max(np.abs(w.conj() @ A - got.lambdas[n] * w.conj())) < 1e-12
+        assert got.denoms[n] == np.vdot(w, v)
+        assert np.array_equal(got.h[:, n], v * (np.conj(w[n]) / got.denoms[n]))
