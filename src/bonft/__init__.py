@@ -13,7 +13,7 @@ from .errors import (AliasingError, BranchCutError, DegenerateProduct,
                      DegenerateProjector, DivergenceError, InversionFailure,
                      NumericalFailure, OutOfNeighborhood, PropertyViolation,
                      TruncationWarning)
-from .flow import FlowConfig, evolve, frequencies, invert, solve_trajectory
+from .flow import evolve, frequencies, invert, solve_trajectory
 from .hardy import (Potential, involute, potential_from_json, potential_to_json,
                     sobolev_norm)
 from .lax import SpectralData, assemble_lax, gaps, spectrum
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AliasingError", "BirkhoffState", "BranchCutError", "DegenerateProduct",
-    "DegenerateProjector", "DivergenceError", "FlowConfig", "InversionFailure",
+    "DegenerateProjector", "DivergenceError", "InversionFailure",
     "NumericalFailure", "OutOfNeighborhood", "Potential", "PropertyViolation",
     "SpectralData", "TruncationWarning", "actions", "assemble_lax",
     "birkhoff_forward", "combi_check", "d0_phi", "delta_series", "evolve",

@@ -397,7 +397,7 @@ def _perturbed(u, k, step):
     return Potential(u.s, max(u.N, abs(k)), coeffs, real=False)
 
 
-def canonical_bracket_table(u, n_max, h=1e-5, k_max=None, M=None):
+def canonical_bracket_table(u, n_max, h=1e-5, M=None):
     """Brackets among the coordinate functionals, sharing the transforms.
 
     Returns (plus_minus, plus_plus) where plus_minus[i, j] approximates
@@ -409,16 +409,15 @@ def canonical_bracket_table(u, n_max, h=1e-5, k_max=None, M=None):
     """
     if not u.real:
         raise ValueError("bracket evaluation point must be a real potential")
-    if k_max is None:
-        k_max = u.N + n_max + 2
+    reach = u.N + n_max + 2
     if M is None:
-        M = max(4 * (u.N + k_max), 32)
+        M = max(4 * (u.N + reach), 32)
     # the scaling products at index n carry factors from every open gap, so
     # the chain must run well past n_max or the partials inherit O(u^2) bias
     depth = min(M // 2, n_max + 2 * u.N + 8)
     dplus = {}
     dminus = {}
-    for k in [k for k in range(-k_max, k_max + 1) if k != 0]:
+    for k in [k for k in range(-reach, reach + 1) if k != 0]:
         hi = birkhoff_forward(_perturbed(u, k, h), M=M, k_use=depth)
         lo = birkhoff_forward(_perturbed(u, k, -h), M=M, k_use=depth)
         dplus[k] = (hi.plus[:n_max] - lo.plus[:n_max]) / (2.0 * h)

@@ -18,7 +18,7 @@ from .birkhoff import (birkhoff_forward, canonical_bracket_table, state_from_jso
                        state_to_json)
 from .continuity import ContinuityConfig, ratio_slope, sweep
 from .errors import NumericalFailure, PropertyViolation
-from .flow import FlowConfig, evolve, invert, solve_trajectory
+from .flow import evolve, invert, solve_trajectory
 from .hardy import Potential, l2_distance, potential_from_json, potential_to_json
 from .lax import gaps, spectrum
 from .residues import sweep_combi, sweep_vanishing
@@ -103,9 +103,7 @@ def _cmd_transform(args):
 
 def _cmd_inverse(args):
     z = state_from_json(_read_json(args.input))
-    cfg = FlowConfig(newton={"tol": args.tol_newton},
-                     lax={} if args.lax_dim is None else {"M": args.lax_dim})
-    u = invert(z, cfg)
+    u = invert(z, M=args.lax_dim, tol=args.tol_newton)
     _emit_json(potential_to_json(u), args.output)
     return 0
 
@@ -129,11 +127,9 @@ def _parse_times(spec_str):
 def _cmd_compare(args):
     u0 = potential_from_json(_read_json(args.input))
     ts = _parse_times(args.t)
-    cfg = FlowConfig(t_grid=tuple([0.0] + ts),
-                     lax={"M": args.lax_dim, "K_use": args.modes} if args.modes
-                     else {"M": args.lax_dim},
-                     warm_start=True)
-    samples, diag = solve_trajectory(u0, cfg)
+    if args.modes is not None and args.modes < 1:
+        raise ValueError("--modes must be at least 1, got %d" % args.modes)
+    samples, diag = solve_trajectory(u0, [0.0] + ts, M=args.lax_dim, k_use=args.modes)
 
     steps = [t / args.dt for t in ts]
     if any(abs(c - round(c)) > 1e-9 for c in steps):

@@ -21,6 +21,7 @@ from .flow import coordinate_weights, evolve, frequency_shifts
 from .hardy import weighted_norm
 
 CLOSED_FORM_RTOL = 1e-12
+DELTA_CAP = 10.0  # largest perturbation size a config accepts
 
 
 @dataclass
@@ -30,9 +31,7 @@ class ContinuityConfig:
     base: tuple = ()           # zeta^0_1 .. zeta^0_N (real state, holomorphic side)
     k: int = 2
     max_m: int = 10 ** 6
-    m_list: tuple = ()         # explicit probes; empty means search multiples of k
     delta: float = None        # None selects the resonant size for this t
-    delta_cap: float = 10.0
     max_probes: int = 12
 
     def __post_init__(self):
@@ -46,11 +45,8 @@ class ContinuityConfig:
         if any(not (math.isfinite(v.real) and math.isfinite(v.imag)) for v in base):
             raise ValueError("non-finite base coordinate")
         object.__setattr__(self, "base", base)
-        if self.delta is not None and not 0 < self.delta <= self.delta_cap:
-            raise ValueError("delta must lie in (0, delta_cap]")
-        for m in self.m_list:
-            if int(m) <= len(base):
-                raise ValueError("probe index %d does not exceed the base support" % m)
+        if self.delta is not None and not 0 < self.delta <= DELTA_CAP:
+            raise ValueError("delta must lie in (0, %g]" % DELTA_CAP)
 
     @property
     def n_base(self):
@@ -70,8 +66,6 @@ def probe_indices(cfg):
     distance is kept, so the evolved phase sits as close to pi mod 2pi as
     the lattice allows.  Returns at most max_probes indices, ascending.
     """
-    if cfg.m_list:
-        return [int(m) for m in cfg.m_list]
     out = []
     a = -cfg.s
     q = 1

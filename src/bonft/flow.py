@@ -8,35 +8,14 @@ quasi-Newton iteration seeded by the closed-form differential at zero, of
 which the coordinate map is a near-identity perturbation.
 """
 
-from dataclasses import dataclass, field, replace
-
 import numpy as np
 
 from .errors import InversionFailure, NumericalFailure
 from .birkhoff import BirkhoffState, birkhoff_forward, default_lax_dim
 from .hardy import Potential, sobolev_norm, weighted_norm
 
-NEWTON_DEFAULTS = {"max_iter": 40, "tol": 1e-12}
+MAX_ITER = 40  # Broyden iterations before an inversion counts as failed
 MAX_HALVINGS = 6  # step halvings allowed before a trial step counts as failed
-
-
-@dataclass
-class FlowConfig:
-    t_grid: tuple = (0.0, 0.5, 1.0)
-    newton: dict = field(default_factory=dict)  # overrides of NEWTON_DEFAULTS
-    lax: dict = field(default_factory=dict)  # {"M": ..., "K_use": ...}
-    warm_start: bool = False
-
-    def __post_init__(self):
-        self.t_grid = tuple(float(t) for t in self.t_grid)
-        if not all(np.isfinite(self.t_grid)):
-            raise ValueError("non-finite sample times")
-        unknown = sorted(set(self.newton) - set(NEWTON_DEFAULTS))
-        if unknown:
-            raise ValueError("unknown newton settings: %s" % ", ".join(unknown))
-        self.newton = {**NEWTON_DEFAULTS, **self.newton}
-        if not self.newton["tol"] > 0:
-            raise ValueError("Newton tolerance must be positive")
 
 
 def frequency_shifts(z):
@@ -64,15 +43,14 @@ def _side_frequencies(shift, sign):
     return sign * np.arange(1, len(shift) + 1, dtype=float) ** 2 + shift
 
 
-def frequencies(z, shifts=None):
+def frequencies(z):
     """Two-sided frequencies omega_n = sign(n) n^2 + Omega_n(z).
 
     Returns (omega at indices 1..n_modes, omega at indices -1..-n_modes).
     Real states give real arrays; the modulus-preserving rotation of the
-    flow needs exactly these numbers.  shifts is frequency_shifts(z), for a
-    caller that already has it.
+    flow needs exactly these numbers.
     """
-    shift_plus, shift_minus = frequency_shifts(z) if shifts is None else shifts
+    shift_plus, shift_minus = frequency_shifts(z)
     return _side_frequencies(shift_plus, 1.0), _side_frequencies(shift_minus, -1.0)
 
 
@@ -98,25 +76,25 @@ def coordinate_weights(m, s):
     return np.arange(1, m + 1, dtype=float) ** (1.0 + 2.0 * s)
 
 
-def invert(target, cfg=None, initial=None):
+def invert(target, M=None, tol=1e-12, initial=None):
     """Recover the real potential mapping to the target coordinates.
 
-    Good-Broyden iteration on the real view of u_hat(1..N_b).  The inverse
-    Jacobian starts as the exact inverse of the differential at zero
-    (d0_phi: u_hat(n) -> -u_hat(n)/sqrt(n)), so the first step is the chord
-    step from u_hat(n) = -sqrt(n) zeta_n (or from `initial`); every accepted
-    step makes a Sherman-Morrison rank-one update.  A trial step that does
-    not lower the weighted residual, or leaves the forward map's trusted
-    regime, is halved, at most MAX_HALVINGS times; each trial costs one
-    forward map.  Failure raises InversionFailure with every trial residual.
+    Good-Broyden iteration on the real view of u_hat(1..N_b), with every
+    forward map at truncation M, until the weighted residual is below tol.
+    The inverse Jacobian starts as the exact inverse of the differential at
+    zero (d0_phi: u_hat(n) -> -u_hat(n)/sqrt(n)), so the first step is the
+    chord step from u_hat(n) = -sqrt(n) zeta_n (or from `initial`); every
+    accepted step makes a Sherman-Morrison rank-one update.  A trial step
+    that does not lower the weighted residual, or leaves the forward map's
+    trusted regime, is halved, at most MAX_HALVINGS times; each trial costs
+    one forward map.  Failure, at the start point too, raises
+    InversionFailure with every trial residual.
     """
-    if cfg is None:
-        cfg = FlowConfig()
+    if not tol > 0:
+        raise ValueError("Newton tolerance must be positive")
     if not target.real_flag:
         raise ValueError("inversion is defined for real-flagged targets")
     n_modes, s = target.n_modes, target.s
-    M = cfg.lax.get("M")
-    max_iter, tol = cfg.newton["max_iter"], cfg.newton["tol"]
     root_n = np.sqrt(np.arange(1, n_modes + 1))
     if initial is None:
         u_hat = -root_n * target.plus
@@ -134,8 +112,12 @@ def invert(target, cfg=None, initial=None):
         history.append(weighted_norm(diff, w))
         return u, diff.view(float)
 
-    u, r = trial(u_hat)
-    for _ in range(max_iter):
+    try:
+        u, r = trial(u_hat)
+    except NumericalFailure as exc:
+        raise InversionFailure("start point outside the trusted regime: %s" % exc,
+                               [np.inf]) from exc
+    for _ in range(MAX_ITER):
         res = history[-1]
         if res < tol:
             break
@@ -161,45 +143,43 @@ def invert(target, cfg=None, initial=None):
         u, r = u_new, r_new
     if not history[-1] < tol:
         raise InversionFailure("no convergence in %d iterations (residual %.3e)"
-                               % (max_iter, history[-1]), history)
+                               % (MAX_ITER, history[-1]), history)
     return u
 
 
-def solve_trajectory(u0, cfg=None):
+def solve_trajectory(u0, t_grid=(0.0, 0.5, 1.0), M=None, k_use=None):
     """The composed solution map: transform once, rotate and invert per sample.
 
-    Returns (samples, diagnostics): samples is a list of (t, Potential);
-    diagnostics holds per-sample inversion residuals, the largest action
-    drift of the re-transformed samples against the initial state, and the
-    adjacent-sample increments of t -> u(t) in the H^s norm as a continuity
-    monitor.  Every forward map runs at the one truncation M (cfg.lax, or
-    the default for u0) and K_use.  With cfg.warm_start the previous sample
-    seeds the next inversion; by default every sample starts from the
-    linearized guess.
+    Returns (samples, diagnostics): samples is a list of (t, Potential), one
+    per entry of t_grid; diagnostics holds per-sample inversion residuals,
+    the largest action drift of the re-transformed samples against the
+    initial state, and the adjacent-sample increments of t -> u(t) in the
+    H^s norm as a continuity monitor.  Every forward map runs at the one
+    truncation M (default: the heuristic for u0) and K_use = k_use (default
+    M/2).  Each inversion starts from the previous sample; the first from
+    the linearized guess.
     """
-    if cfg is None:
-        cfg = FlowConfig()
+    t_grid = tuple(float(t) for t in t_grid)
+    if not all(np.isfinite(t_grid)):
+        raise ValueError("non-finite sample times")
     if not u0.real:
         raise ValueError("trajectory evolution needs a real potential")
-    if cfg.lax.get("M") is None:
-        cfg = replace(cfg, lax={**cfg.lax, "M": default_lax_dim(u0)})
-    M = cfg.lax["M"]
-    z0 = birkhoff_forward(u0, M=M, k_use=cfg.lax.get("K_use"))
+    if M is None:
+        M = default_lax_dim(u0)
+    z0 = birkhoff_forward(u0, M=M, k_use=k_use)
     samples = []
     residuals = []
     action_drift = 0.0
     I0 = 0.5 * np.abs(z0.plus) ** 2
     w = coordinate_weights(z0.n_modes, u0.s)
-    prev_u = None
-    for t in cfg.t_grid:
+    for t in t_grid:
         zt = evolve(z0, t)
-        u_t = invert(zt, cfg, initial=prev_u if cfg.warm_start else None)
+        u_t = invert(zt, M, initial=samples[-1][1] if samples else None)
         z_back = birkhoff_forward(u_t, M=M, k_use=z0.n_modes)
         action_drift = max(action_drift, float(np.max(
             np.abs(0.5 * np.abs(z_back.plus) ** 2 - I0))))
         residuals.append(weighted_norm(z_back.plus - zt.plus, w))
         samples.append((t, u_t))
-        prev_u = u_t
     increments = []
     for (t0, ua), (t1, ub) in zip(samples, samples[1:]):
         band = max(ua.N, ub.N)

@@ -7,8 +7,8 @@ mode index minus a Toeplitz part built from the potential:
 
 Everything downstream (gaps, norming constants, the coordinate map) reads
 off this one matrix, so this module owns assembly, the eigensolve with its
-simplicity guard, the rank-one spectral projectors, the spectral data of
-the conjugated potential derived from them, and the symmetry audit.
+simplicity guard, the rank-one spectral projectors, and the spectral data
+of the conjugated potential derived from them.
 """
 
 import warnings
@@ -17,27 +17,13 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalFailure, PropertyViolation, TruncationWarning
-from .hardy import involute
 
 SIMPLICITY_TOL = 1e-8
 GAP_TOL = 1e-10
 
 
-class LaxMatrix:
-    """Dense truncation of the Lax operator to modes 0..M."""
-
-    def __init__(self, entries, M, hermitian):
-        self.entries = entries
-        self.M = M
-        self.hermitian = hermitian
-
-    def toeplitz_part(self):
-        """The matrix j*delta_{jk} - (L)_{jk}, i.e. the coefficient table u_hat(j-k)."""
-        return np.diag(np.arange(self.M + 1.0)) - self.entries
-
-
 def assemble_lax(u, M):
-    """Build the (M+1) x (M+1) truncation of D - T_u.
+    """The (M+1) x (M+1) truncation of D - T_u as a dense complex array.
 
     M must at least cover the band of u (M >= N); truncations below 2N are
     accepted with a warning since the top rows then clip the Toeplitz band.
@@ -54,9 +40,7 @@ def assemble_lax(u, M):
     for n, v in u.nonzero_coeffs().items():
         if abs(n) <= M:
             coeffs[n + M] = v
-    entries = np.diag(j.astype(complex)) - coeffs[diff + M]
-    hermitian = bool(u.real)
-    return LaxMatrix(entries, M, hermitian)
+    return np.diag(j.astype(complex)) - coeffs[diff + M]
 
 
 class SpectralData:
@@ -88,25 +72,26 @@ class SpectralData:
                                         / self.denoms[n])
 
 
-def spectrum(u, M, k_use=None, tol_simple=SIMPLICITY_TOL):
+def spectrum(u, M, k_use=None):
     """Eigendecomposition of the truncated Lax matrix with projector data.
 
     Labels follow increasing real part.  A pair of eigenvalues closer than
-    tol_simple leaves the labeling (and every rank-one projector) undefined,
+    SIMPLICITY_TOL leaves the labeling (and every rank-one projector) undefined,
     so that raises NumericalFailure rather than picking an order.  K_use
     defaults to M/2: the upper half of a truncated spectrum is polluted by
     the cut.
     """
-    lax = assemble_lax(u, M)
-    if lax.hermitian:
-        lam, V = np.linalg.eigh(lax.entries)
+    L = assemble_lax(u, M)
+    hermitian = bool(u.real)
+    if hermitian:
+        lam, V = np.linalg.eigh(L)
         # eigh sorts ascending and rounding is monotone, so the closest pair
         # is adjacent: the same float as the all-pairs minimum
         min_separation = float(np.diff(lam).min(initial=np.inf))
         lam = lam.astype(complex)
         W = V
     else:
-        lam, WL, V = scipy.linalg.eig(lax.entries, left=True, right=True)
+        lam, WL, V = scipy.linalg.eig(L, left=True, right=True)
         order = np.lexsort((lam.imag, lam.real))
         lam = lam[order]
         V = V[:, order]
@@ -114,16 +99,16 @@ def spectrum(u, M, k_use=None, tol_simple=SIMPLICITY_TOL):
         sep = np.abs(lam[:, None] - lam[None, :])
         np.fill_diagonal(sep, np.inf)
         min_separation = float(sep.min())
-    if min_separation <= tol_simple:
+    if min_separation <= SIMPLICITY_TOL:
         raise NumericalFailure(
             "eigenvalue cluster: min separation %.3e <= %.1e; potential outside "
             "the simple-spectrum regime or truncation too small"
-            % (min_separation, tol_simple))
+            % (min_separation, SIMPLICITY_TOL))
     K_use = M // 2 if k_use is None else int(k_use)
     if not 0 <= K_use <= M:
         raise ValueError("k_use must lie in 0..M")
     denoms, h = _projector_data(V, W, K_use)
-    return SpectralData(lam, V, W, denoms, h, K_use, M, lax.hermitian, min_separation)
+    return SpectralData(lam, V, W, denoms, h, K_use, M, hermitian, min_separation)
 
 
 def _projector_data(V, W, K_use):
@@ -172,42 +157,3 @@ def gaps(sd):
         if worst < -GAP_TOL:
             raise PropertyViolation("negative spectral gap %.3e for a real potential" % worst)
     return g
-
-
-def _sorted_eigvals(entries, hermitian):
-    if hermitian:
-        return np.sort(np.linalg.eigvalsh(entries)).astype(complex)
-    lam = np.linalg.eigvals(entries)
-    return lam[np.lexsort((lam.imag, lam.real))]
-
-
-def symmetry_audit(u, M):
-    """Deviations from the reflection and conjugation symmetries of the spectrum.
-
-    Checks, each as a max absolute difference of sorted spectra:
-      minus_vs_star:  the reflected-space operator (entries j delta - u_hat(k-j))
-                      against the operator of u_*(x) = u(-x);
-      conj_equivariance:  conj(lambda_n(conj u)) against lambda_n(u);
-      imag_real_u:  max |Im lambda_n(u)| for a real potential, else None.
-    Report-only: nothing here raises.
-    """
-    base = assemble_lax(u, M)
-    lam_u = _sorted_eigvals(base.entries, base.hermitian)
-
-    minus_entries = np.diag(np.arange(M + 1.0)) - base.toeplitz_part().T
-    lam_minus = _sorted_eigvals(minus_entries, base.hermitian)
-    star = involute(u, "star")
-    lam_star = _sorted_eigvals(assemble_lax(star, M).entries, star.real)
-
-    uc = involute(u, "conj")
-    lam_conj = _sorted_eigvals(assemble_lax(uc, M).entries, uc.real)
-    lam_conj = np.conj(lam_conj)
-    lam_conj = lam_conj[np.lexsort((lam_conj.imag, lam_conj.real))]
-
-    report = {
-        "minus_vs_star": float(np.max(np.abs(lam_minus - lam_star))),
-        "conj_equivariance": float(np.max(np.abs(lam_conj - lam_u))),
-        "imag_real_u": float(np.max(np.abs(lam_u.imag))) if u.real else None,
-    }
-    return report
-

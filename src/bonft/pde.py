@@ -17,9 +17,10 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .hardy import Potential
-from .lax import spectrum
 
 PHASE_BUDGET = 50.0
+DEALIAS_FRACTION = 2.0 / 3.0  # the 2/3 rule: keep |n| <= DEALIAS_FRACTION * grid/2
+DROP_TOL = 1e-13  # potential_at drops coefficients of at most this modulus
 
 
 @dataclass
@@ -27,15 +28,12 @@ class IntegratorConfig:
     grid_size: int = 256
     dt: float = 1e-3
     T: float = 1.0
-    dealias_fraction: float = 2.0 / 3.0
     store_every: int = 1
 
     def __post_init__(self):
         g = int(self.grid_size)
         if g < 4 or g & (g - 1):
             raise ValueError("grid_size must be a power of two >= 4")
-        if not 0 < self.dealias_fraction <= 1:
-            raise ValueError("dealias_fraction must lie in (0, 1]")
         if self.dt <= 0 or self.T < 0:
             raise ValueError("need dt > 0 and T >= 0")
         if int(self.store_every) < 1:
@@ -54,7 +52,7 @@ class Trajectory:
     def __len__(self):
         return len(self.times)
 
-    def potential_at(self, i, N=None, drop_tol=1e-13):
+    def potential_at(self, i, N=None):
         """The i-th sample as a real potential on the band |n| <= N.
 
         With N omitted the dealias band is scanned and the declared width
@@ -68,7 +66,7 @@ class Trajectory:
         coeffs = {}
         for n in range(1, N + 1):
             v = complex(c[n % grid])
-            if abs(v) > drop_tol:
+            if abs(v) > DROP_TOL:
                 coeffs[n] = v
         if trim:
             N = max(coeffs) if coeffs else 1
@@ -92,7 +90,7 @@ def integrate(u0, cfg=None):
     if grid < 4 * u0.N:
         raise ValueError("grid %d cannot dealias band N=%d (need >= 4N)" % (grid, u0.N))
     n = np.fft.fftfreq(grid, d=1.0 / grid).astype(int)
-    keep = int(np.floor((grid // 2) * cfg.dealias_fraction))
+    keep = int(np.floor((grid // 2) * DEALIAS_FRACTION))
     if cfg.dt * (grid // 2) ** 2 > PHASE_BUDGET:
         warnings.warn("dt=%g spins the top mode %.0f radians per step"
                       % (cfg.dt, cfg.dt * (grid // 2) ** 2), stacklevel=2)
@@ -153,22 +151,3 @@ def integrate(u0, cfg=None):
             times.append((step + 1) * dt)
             stored.append(c)
     return Trajectory(times, stored, u0.s, keep)
-
-
-def isospectral_audit(traj, M, k_max=None):
-    """Largest eigenvalue drift along the trajectory.
-
-    Returns max over stored samples and n <= k_max (default K_use) of
-    |lambda_n(u(t)) - lambda_n(u(0))|.  Conservation of the whole spectrum
-    is the structural identity the integrator never imposes, which makes
-    this the strongest independent check available.
-    """
-    sd0 = spectrum(traj.potential_at(0), M, k_use=k_max)
-    k_top = sd0.K_use
-    lam0 = sd0.lambdas[:k_top + 1]
-    drift = 0.0
-    for i in range(1, len(traj)):
-        sd = spectrum(traj.potential_at(i), M, k_use=k_top)
-        drift = max(drift, float(np.max(np.abs(sd.lambdas[:k_top + 1] - lam0))))
-    return drift
-

@@ -1,10 +1,11 @@
 """Independent oracles used to pin expected values in the test suite.
 
 Everything here is deliberately primitive: plain quadrature, truncated
-Fraction Taylor series, dense linear solves, perturbation formulas, the
-scaling products one factor at a time, the RK4 loop with its products
-spelled out, and the time-discrete equation residual.  Nothing imports the package under test, so agreement between a
-package routine and its oracle is evidence, not circularity.
+Fraction Taylor series, dense linear solves and eigenvalues, perturbation
+formulas, the scaling products one factor at a time, the RK4 loop with its
+products spelled out, and the time-discrete equation residual.  Nothing
+imports the package under test, so agreement between a package routine
+and its oracle is evidence, not circularity.
 """
 
 from fractions import Fraction
@@ -138,6 +139,54 @@ def lax_matrix(coeffs, M):
     return L
 
 
+def sorted_eigenvalues(L):
+    """Eigenvalues of a dense matrix, sorted by real part, then imaginary part.
+
+    An exactly Hermitian matrix goes through eigvalsh, so its eigenvalues
+    come out real.
+    """
+    if np.array_equal(L, L.conj().T):
+        return np.linalg.eigvalsh(L).astype(complex)
+    lam = np.linalg.eigvals(L)
+    return lam[np.lexsort((lam.imag, lam.real))]
+
+
+def symmetry_audit(coeffs, M):
+    """Deviations from the reflection and conjugation symmetries of the Lax spectrum.
+
+    coeffs maps n -> u_hat(n) over both signs.  Each entry is a max
+    absolute difference of sorted spectra:
+      minus_vs_star: the reflected-space operator j delta_jk - u_hat(k-j),
+          the transpose of lax_matrix, against the operator of
+          u_*(x) = u(-x), whose coefficients are u_hat(-n);
+      conj_equivariance: conj(lambda_n(conj u)) against lambda_n(u), where
+          conj u has the coefficients conj(u_hat(-n)).
+    """
+    L = lax_matrix(coeffs, M)
+    lam_u = sorted_eigenvalues(L)
+    lam_minus = sorted_eigenvalues(L.T)
+    lam_star = sorted_eigenvalues(lax_matrix({-n: v for n, v in coeffs.items()}, M))
+    lam_conj = np.conj(sorted_eigenvalues(
+        lax_matrix({-n: np.conj(v) for n, v in coeffs.items()}, M)))
+    lam_conj = lam_conj[np.lexsort((lam_conj.imag, lam_conj.real))]
+    return {
+        "minus_vs_star": float(np.max(np.abs(lam_minus - lam_star))),
+        "conj_equivariance": float(np.max(np.abs(lam_conj - lam_u))),
+    }
+
+
+def isospectral_audit(samples, M, k_top):
+    """Largest eigenvalue drift along a run, from a list of coefficient dicts.
+
+    The max over samples i >= 1 and n <= k_top of
+    |lambda_n(u_i) - lambda_n(u_0)| for the truncation to modes 0..M.
+    Conservation of the whole spectrum is the structural identity a direct
+    integrator never imposes, which makes this a strong independent check.
+    """
+    lam = [sorted_eigenvalues(lax_matrix(c, M))[:k_top + 1] for c in samples]
+    return max((float(np.max(np.abs(x - lam[0]))) for x in lam[1:]), default=0.0)
+
+
 def riesz_column_quadrature(L, n, rhs, radius=1.0 / 3.0, nodes=256):
     """-(1/2pi i) oint (L - lambda)^-1 rhs dlambda on the circle about n.
 
@@ -234,18 +283,19 @@ def scaling_constants_loop(sd, tol=1e-12):
     return kappa, mu, {"kappa_tail": kappa_tail, "mu_tail": mu_tail}
 
 
-def integrate_loop(u0, cfg):
+def integrate_loop(u0, cfg, dealias_fraction=2.0 / 3.0):
     """The integrating-factor RK4 loop with every product spelled out per step.
 
     The reference form of the pseudospectral integrator: the nonlinear term
     scales by the grid around each FFT, and each step recomputes its
-    constants.  Reads u0.nonzero_coeffs() and cfg's grid_size, dt, T,
-    dealias_fraction and store_every; returns (times, coeffs) as float and
-    complex arrays, coeffs in np.fft layout.
+    constants; the square's spectrum is cut above dealias_fraction of the
+    grid's band.  Reads u0.nonzero_coeffs() and cfg's grid_size, dt, T and
+    store_every; returns (times, coeffs) as float and complex arrays, coeffs
+    in np.fft layout.
     """
     grid = int(cfg.grid_size)
     n = np.fft.fftfreq(grid, d=1.0 / grid).astype(int)
-    keep = int(np.floor((grid // 2) * cfg.dealias_fraction))
+    keep = int(np.floor((grid // 2) * dealias_fraction))
     mask = np.abs(n) <= keep
 
     c = np.zeros(grid, dtype=complex)

@@ -132,3 +132,14 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     path.write_text(json.dumps(state))
     assert cli.main(["inverse", "-i", str(path), "--lax-dim", "16"]) == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("modes", ["0", "-1"])
+def test_compare_rejects_nonpositive_modes(potential_file, capsys, modes):
+    # --modes 0 used to fall back to K_use = M/2 without a word
+    argv = ["compare", "-i", potential_file, "--lax-dim", "32", "--grid", "32",
+            "--t", "0.05", "--modes", modes]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--modes" in captured.err

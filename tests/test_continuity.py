@@ -10,8 +10,7 @@ from bonft.continuity import (ContinuityConfig, build_pair, probe_indices,
 def test_config_validation():
     for bad in ({"s": 0.0}, {"s": -0.5}, {"s": 0.25}, {"t": 0.0},
                 {"t": float("inf")}, {"k": 0}, {"delta": 0.0},
-                {"delta": 11.0}, {"base": (float("nan"),)},
-                {"base": (0.1, 0.2), "m_list": (2,)}):
+                {"delta": 11.0}, {"base": (float("nan"),)}):
         with pytest.raises(ValueError):
             ContinuityConfig(**bad)
 
@@ -35,9 +34,7 @@ def test_probe_indices_hit_odd_windows():
     assert probes[0] == 8
 
 
-def test_probe_override_and_exhaustion():
-    cfg = ContinuityConfig(m_list=(10, 20))
-    assert probe_indices(cfg) == [10, 20]
+def test_probe_exhaustion():
     none = ContinuityConfig(s=-0.45, k=8, max_m=7)
     assert probe_indices(none) == []
 

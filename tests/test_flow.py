@@ -4,8 +4,7 @@ import pytest
 import bonft.flow
 from bonft.birkhoff import BirkhoffState, birkhoff_forward
 from bonft.errors import InversionFailure, NumericalFailure
-from bonft.flow import (FlowConfig, evolve, frequencies, frequency_shifts,
-                        invert, solve_trajectory)
+from bonft.flow import evolve, frequencies, frequency_shifts, invert, solve_trajectory
 from bonft.hardy import Potential, sobolev_norm
 
 
@@ -101,15 +100,18 @@ def test_invert_zero_state():
 def test_invert_round_trip():
     u = Potential(0.5, 3, {1: 0.02 + 0.01j, 2: -0.015j, 3: 0.008}, real=True)
     z = birkhoff_forward(u, M=48, k_use=3)
-    back = invert(z, FlowConfig(lax={"M": 48}))
+    back = invert(z, M=48)
     for n in range(1, 4):
         assert back.coeff(n) == pytest.approx(u.coeff(n), abs=1e-10)
 
 
 def test_invert_unreachable_target_raises():
+    # the chord start u_hat(1) = -5 already leaves the trusted regime
     bad = BirkhoffState(0.5, [5.0], [5.0], real_flag=True)
-    with pytest.raises(NumericalFailure):
-        invert(bad, FlowConfig(newton={"max_iter": 6, "tol": 1e-12}))
+    with pytest.raises(InversionFailure) as info:
+        invert(bad)
+    assert info.value.history == [np.inf]
+    assert isinstance(info.value.__cause__, NumericalFailure)
 
 
 # at norm 1.0 the first full steps overshoot: only step halving reaches it
@@ -119,7 +121,7 @@ def test_invert_reaches_the_seeded_ball_cheaply(forward_calls, norm, max_calls):
         u = seeded_ball_potential(seed, norm)
         z = birkhoff_forward(u, M=64, k_use=8)
         del forward_calls[:]
-        back = invert(z, FlowConfig(lax={"M": 64}))
+        back = invert(z, M=64)
         diff = Potential(0.5, 8, {n: back.coeff(n) - u.coeff(n)
                                   for n in range(1, 9)}, real=True)
         assert sobolev_norm(diff, 0.5) / sobolev_norm(u, 0.5) < 1e-8, seed
@@ -140,10 +142,9 @@ def test_invert_overshooting_target_reports_history():
 def test_invert_warm_start_from_the_answer_is_one_forward_map(forward_calls):
     u = Potential(0.5, 3, {1: 0.02 + 0.01j, 2: -0.015j, 3: 0.008}, real=True)
     z = birkhoff_forward(u, M=48, k_use=3)
-    cfg = FlowConfig(lax={"M": 48})
-    back = invert(z, cfg)
+    back = invert(z, M=48)
     del forward_calls[:]
-    again = invert(z, cfg, initial=back)
+    again = invert(z, M=48, initial=back)
     assert len(forward_calls) == 1
     assert again.band().tolist() == back.band().tolist()
 
@@ -151,8 +152,7 @@ def test_invert_warm_start_from_the_answer_is_one_forward_map(forward_calls):
 @pytest.mark.filterwarnings("ignore::bonft.errors.TruncationWarning")
 def test_solve_trajectory_conserves_actions():
     u0 = Potential(0.5, 2, {1: 0.03, 2: 0.01j}, real=True)
-    cfg = FlowConfig(t_grid=(0.0, 0.4, 0.8), lax={"M": 48})
-    samples, diag = solve_trajectory(u0, cfg)
+    samples, diag = solve_trajectory(u0, (0.0, 0.4, 0.8), M=48)
     assert [t for t, _ in samples] == [0.0, 0.4, 0.8]
     assert diag["action_drift"] < 1e-10
     assert max(diag["residuals"]) < 1e-10
@@ -164,13 +164,13 @@ def test_solve_trajectory_conserves_actions():
 
 @pytest.mark.filterwarnings("ignore::bonft.errors.TruncationWarning")
 def test_solve_trajectory_warm_start_matches_cold():
+    """Each sample seeded by the previous one lands where a cold inversion does."""
     u0 = Potential(0.5, 1, {1: 0.05}, real=True)
-    cold = solve_trajectory(u0, FlowConfig(t_grid=(0.0, 0.5), lax={"M": 32}))
-    warm = solve_trajectory(u0, FlowConfig(t_grid=(0.0, 0.5), lax={"M": 32},
-                                           warm_start=True))
-    for (ta, ua), (tb, ub) in zip(cold[0], warm[0]):
-        assert ta == tb
-        assert ua.coeff(1) == pytest.approx(ub.coeff(1), abs=1e-11)
+    samples, _ = solve_trajectory(u0, (0.0, 0.5), M=32)
+    z0 = birkhoff_forward(u0, M=32)
+    for t, u_t in samples:
+        cold = invert(evolve(z0, t), M=32)
+        assert u_t.coeff(1) == pytest.approx(cold.coeff(1), abs=1e-11)
 
 
 @pytest.mark.filterwarnings("ignore::bonft.errors.TruncationWarning")
@@ -180,12 +180,12 @@ def test_solve_trajectory_uses_one_truncation(forward_calls):
     assert len(set(forward_calls)) == 1, sorted(set(forward_calls))
 
 
-def test_flow_config_validation():
+def test_flow_input_validation():
+    u0 = Potential(0.5, 1, {1: 0.05}, real=True)
     with pytest.raises(ValueError):
-        FlowConfig(t_grid=(0.0, float("nan")))
+        solve_trajectory(u0, (0.0, float("nan")))
     with pytest.raises(ValueError):
-        FlowConfig(newton={"tol": 0.0})
-    with pytest.raises(ValueError):
-        FlowConfig(newton={"fd_step": 1e-6})
-    cfg = FlowConfig(t_grid=[0, 1])
-    assert cfg.t_grid == (0.0, 1.0)
+        invert(single_mode_state(0.1), tol=0.0)
+    samples, _ = solve_trajectory(u0, [0, 1], M=32)
+    assert [t for t, _ in samples] == [0.0, 1.0]
+    assert all(type(t) is float for t, _ in samples)
