@@ -272,20 +272,25 @@ def state_to_json(state, diagnostics=None):
 
 
 def state_from_json(obj):
-    n_modes = int(obj["N_b"])
-    plus = np.zeros(n_modes, dtype=complex)
-    minus = np.zeros(n_modes, dtype=complex)
-    for item in obj["plus"]:
-        n = int(item["n"])
-        if not 1 <= n <= n_modes:
-            raise ValueError("plus index %d outside 1..%d" % (n, n_modes))
-        plus[n - 1] = float(item["re"]) + 1j * float(item["im"])
-    for item in obj["minus"]:
-        n = int(item["n"])
-        if not 1 <= -n <= n_modes:
-            raise ValueError("minus index %d outside -1..-%d" % (n, n_modes))
-        minus[-n - 1] = float(item["re"]) + 1j * float(item["im"])
-    return BirkhoffState(float(obj["s"]), plus, minus, bool(obj.get("real", False)))
+    try:
+        n_modes = int(obj["N_b"])
+        plus = np.zeros(n_modes, dtype=complex)
+        minus = np.zeros(n_modes, dtype=complex)
+        for item in obj["plus"]:
+            n = int(item["n"])
+            if not 1 <= n <= n_modes:
+                raise ValueError("plus index %d outside 1..%d" % (n, n_modes))
+            plus[n - 1] = float(item["re"]) + 1j * float(item["im"])
+        for item in obj["minus"]:
+            n = int(item["n"])
+            if not 1 <= -n <= n_modes:
+                raise ValueError("minus index %d outside -1..-%d" % (n, n_modes))
+            minus[-n - 1] = float(item["re"]) + 1j * float(item["im"])
+        s = float(obj["s"])
+        real = bool(obj.get("real", False))
+    except (KeyError, TypeError) as exc:
+        raise ValueError("malformed state object: %s" % exc) from exc
+    return BirkhoffState(s, plus, minus, real)
 
 
 def _assemble_plus(kappa_u, a_conj, psi_conj):
@@ -397,7 +402,7 @@ def _perturbed(u, k, step):
     return Potential(u.s, max(u.N, abs(k)), coeffs, real=False)
 
 
-def canonical_bracket_table(u, n_max, h=1e-5, M=None):
+def canonical_bracket_table(u, n_max, h=1e-5):
     """Brackets among the coordinate functionals, sharing the transforms.
 
     Returns (plus_minus, plus_plus) where plus_minus[i, j] approximates
@@ -410,8 +415,7 @@ def canonical_bracket_table(u, n_max, h=1e-5, M=None):
     if not u.real:
         raise ValueError("bracket evaluation point must be a real potential")
     reach = u.N + n_max + 2
-    if M is None:
-        M = max(4 * (u.N + reach), 32)
+    M = max(4 * (u.N + reach), 32)
     # the scaling products at index n carry factors from every open gap, so
     # the chain must run well past n_max or the partials inherit O(u^2) bias
     depth = min(M // 2, n_max + 2 * u.N + 8)

@@ -7,6 +7,7 @@ generator; with fixed flags and seed the output bytes are reproducible.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -121,6 +122,8 @@ def _parse_times(spec_str):
         raise ValueError("bad time grid %r; want comma-separated floats" % spec_str)
     if not ts or ts[0] <= 0:
         raise ValueError("time grid must be positive")
+    if not all(math.isfinite(t) for t in ts):
+        raise ValueError("time grid must be finite")
     return ts
 
 
@@ -129,14 +132,14 @@ def _cmd_compare(args):
     ts = _parse_times(args.t)
     if args.modes is not None and args.modes < 1:
         raise ValueError("--modes must be at least 1, got %d" % args.modes)
-    samples, diag = solve_trajectory(u0, [0.0] + ts, M=args.lax_dim, k_use=args.modes)
-
+    icfg = pde.IntegratorConfig(grid_size=args.grid, dt=args.dt, T=ts[-1])
+    pde.check_band(icfg.grid_size, u0.N)
     steps = [t / args.dt for t in ts]
     if any(abs(c - round(c)) > 1e-9 for c in steps):
         raise ValueError("every time must be a multiple of dt=%g" % args.dt)
-    stride = max(math.gcd(*(int(round(c)) for c in steps)), 1)
-    icfg = pde.IntegratorConfig(grid_size=args.grid, dt=args.dt, T=ts[-1],
-                                store_every=stride)
+    icfg.store_every = max(math.gcd(*(int(round(c)) for c in steps)), 1)
+
+    samples, diag = solve_trajectory(u0, [0.0] + ts, M=args.lax_dim, k_use=args.modes)
     traj = pde.integrate(u0, icfg)
     index = {round(t / args.dt): i for i, t in enumerate(traj.times)}
 
@@ -231,6 +234,7 @@ def _add_io(sp, output_only=False, formats=("json", "csv"), default_format="json
     sp.add_argument("--format", choices=formats, default=default_format)
 
 
+@functools.cache
 def build_parser():
     p = _Parser(prog="bonft", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="cmd", metavar="subcommand")

@@ -174,13 +174,12 @@ def potential_from_json(obj):
         s = obj["s"]
         N = obj["N"]
         real = bool(obj.get("real", False))
-        raw = obj["coeffs"]
+        coeffs = {}
+        for item in obj["coeffs"]:
+            n = int(item["n"])
+            if n == 0:
+                raise ValueError("n=0 entries are rejected (mean is fixed at zero)")
+            coeffs[n] = complex(float(item["re"]), float(item.get("im", 0.0)))
     except (KeyError, TypeError) as exc:
         raise ValueError("malformed potential object: %s" % exc) from exc
-    coeffs = {}
-    for item in raw:
-        n = int(item["n"])
-        if n == 0:
-            raise ValueError("n=0 entries are rejected (mean is fixed at zero)")
-        coeffs[n] = complex(float(item["re"]), float(item.get("im", 0.0)))
     return Potential(s, N, coeffs, real=real)

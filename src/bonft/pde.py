@@ -10,6 +10,7 @@ the dealiasing cut.  This module never touches the coordinate pipeline;
 it exists to cross-validate it.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -34,8 +35,8 @@ class IntegratorConfig:
         g = int(self.grid_size)
         if g < 4 or g & (g - 1):
             raise ValueError("grid_size must be a power of two >= 4")
-        if self.dt <= 0 or self.T < 0:
-            raise ValueError("need dt > 0 and T >= 0")
+        if not (0 < self.dt < math.inf and 0 <= self.T < math.inf):
+            raise ValueError("need finite dt > 0 and T >= 0")
         if int(self.store_every) < 1:
             raise ValueError("store_every must be >= 1")
 
@@ -73,6 +74,12 @@ class Trajectory:
         return Potential(self.s, max(N, 1), coeffs, real=True)
 
 
+def check_band(grid_size, N):
+    """Raise ValueError unless a grid of grid_size points can dealias band N."""
+    if grid_size < 4 * N:
+        raise ValueError("grid %d cannot dealias band N=%d (need >= 4N)" % (grid_size, N))
+
+
 def integrate(u0, cfg=None):
     """Integrating-factor RK4 trajectory from a real mean-zero potential.
 
@@ -87,8 +94,7 @@ def integrate(u0, cfg=None):
     if not u0.real:
         raise ValueError("direct integration needs a real potential")
     grid = int(cfg.grid_size)
-    if grid < 4 * u0.N:
-        raise ValueError("grid %d cannot dealias band N=%d (need >= 4N)" % (grid, u0.N))
+    check_band(grid, u0.N)
     n = np.fft.fftfreq(grid, d=1.0 / grid).astype(int)
     keep = int(np.floor((grid // 2) * DEALIAS_FRACTION))
     if cfg.dt * (grid // 2) ** 2 > PHASE_BUDGET:

@@ -14,8 +14,8 @@ from bonft.birkhoff import (birkhoff_forward, canonical_bracket_table, d0_phi,
                             eigen_chain, observables, scaling_constants)
 from bonft.continuity import ContinuityConfig, ratio_slope, sweep
 from bonft.flow import frequencies, invert, solve_trajectory
-from bonft.hardy import Potential, l2_distance, sobolev_norm
-from bonft.lax import spectrum
+from bonft.hardy import Potential, involute, l2_distance, sobolev_norm
+from bonft.lax import conjugate_spectrum, spectrum
 from bonft.pde import IntegratorConfig, integrate
 from bonft.residues import delta_series, sweep_combi, sweep_vanishing
 from oracles import isospectral_audit, symmetry_audit
@@ -210,3 +210,13 @@ def test_criterion_13_spectral_symmetries():
     report_c = symmetry_audit(uc.nonzero_coeffs(), 48)
     assert report_c["minus_vs_star"] < SYMMETRY_TOL
     assert report_c["conj_equivariance"] < SYMMETRY_TOL
+    # the oracle only checks numpy on matrix pairs it builds; the library's
+    # own involutions, eigensolve and conj(u) shortcut are read here.  One
+    # mode's phase is a translation, so u2 gives the modes a relative phase.
+    u2 = Potential(0.5, 2, {1: 0.04 + 0.01j, -1: 0.02, 2: -0.03j})
+    for p, M in ((u, 64), (uc, 48), (u2, 48)):
+        sd = spectrum(p, M)
+        star = spectrum(involute(p, "star"), M)
+        assert np.max(np.abs(star.lambdas - sd.lambdas)) < SYMMETRY_TOL
+        conj = spectrum(involute(p, "conj"), M)
+        assert np.max(np.abs(conjugate_spectrum(sd).lambdas - conj.lambdas)) < SYMMETRY_TOL

@@ -1,10 +1,12 @@
 import json
+import os
 
 import pytest
 
-from bonft import cli
+from bonft import cli, flow
 from bonft.birkhoff import state_from_json
 from bonft.hardy import potential_from_json, potential_to_json
+from test_golden import CASES, GOLDEN, STATE, U
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::bonft.errors.TruncationWarning")
@@ -143,3 +145,82 @@ def test_compare_rejects_nonpositive_modes(potential_file, capsys, modes):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--modes" in captured.err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--t", "0.25", "--dt", "0.3"], "every time must be a multiple of dt=0.3"),
+    (["--dt", "0"], "need finite dt > 0 and T >= 0"),
+    (["--dt", "nan"], "need finite dt > 0 and T >= 0"),
+    (["--t", "inf"], "time grid must be finite"),
+    (["--t", "nan,0.5"], "time grid must be finite"),
+    (["--grid", "4"], "grid 4 cannot dealias band N=2 (need >= 4N)"),
+], ids=["off-grid", "dt-0", "dt-nan", "t-inf", "t-nan", "grid-below-4N"])
+def test_compare_checks_time_grid_before_the_solve(potential_file, monkeypatch, capsys,
+                                                   flags, message):
+    calls = []
+    monkeypatch.setattr(cli, "solve_trajectory", lambda *a, **k: calls.append(a))
+    assert cli.main(["compare", "-i", potential_file] + flags) == 1
+    assert calls == []
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
+def test_compare_rejects_complex_potential_before_any_forward_map(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(flow, "birkhoff_forward", lambda *a, **k: calls.append(a))
+    assert cli.main(["compare", "-i", os.path.join(GOLDEN, "uc.json")]) == 1
+    assert calls == []
+    assert capsys.readouterr().err == "error: trajectory evolution needs a real potential\n"
+
+
+@pytest.mark.parametrize("doc", [
+    {"s": 0.5},
+    {"s": 0.5, "N_b": 1, "plus": [{"n": 1, "re": 0.1}], "minus": []},
+    [1, 2],
+], ids=["no-N_b", "no-im", "list"])
+def test_malformed_state_exits_1(tmp_path, capsys, doc):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["evolve", "-i", str(path), "--t", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed state object: ")
+
+
+def test_malformed_potential_coefficient_exits_1(tmp_path, capsys):
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps({"s": 0.5, "N": 1, "coeffs": [{"n": 1, "im": 0.1}]}))
+    assert cli.main(["transform", "-i", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: malformed potential object: 're'\n"
+
+
+def test_repeated_calls_share_one_parser(capsys):
+    # the parser is built once per process; bad flags must not leave state
+    # behind that changes a later call's bytes or exit code
+    good = {name: argv for argv, name in CASES}
+    calls = [
+        (good["transform.json"], "transform.json"),
+        (["nonsense"], None),
+        (good["evolve.json"], "evolve.json"),
+        (["transform", "-i", U, "--lax-dim", "x"], None),
+        (good["vanishing.csv"], "vanishing.csv"),
+        (["evolve", "-i", STATE], None),
+        (good["continuity.csv"], "continuity.csv"),
+    ]
+    passes = []
+    for _ in range(2):
+        results = []
+        for argv, _name in calls:
+            rc = cli.main(argv)
+            captured = capsys.readouterr()
+            results.append((rc, captured.out, captured.err))
+        passes.append(results)
+    assert passes[0] == passes[1]
+    for (argv, name), (rc, out, err) in zip(calls, passes[0]):
+        if name is None:
+            assert (rc, out) == (1, "") and err.startswith("error: "), argv
+        else:
+            with open(os.path.join(GOLDEN, name), "rb") as fh:
+                assert (rc, out.encode(), err) == (0, fh.read(), ""), argv
+    assert cli.build_parser() is cli.build_parser()
