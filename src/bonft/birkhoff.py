@@ -16,6 +16,7 @@ The coordinates are assembled from truncated spectral data in three layers:
 Principal square roots throughout, with the branch cut treated as an error.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -414,6 +415,10 @@ def canonical_bracket_table(u, n_max, h=1e-5):
     """
     if not u.real:
         raise ValueError("bracket evaluation point must be a real potential")
+    if n_max < 1:
+        raise ValueError("need n_max >= 1, got %d" % n_max)
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError("need a finite step h > 0, got %r" % h)
     reach = u.N + n_max + 2
     M = max(4 * (u.N + reach), 32)
     # the scaling products at index n carry factors from every open gap, so

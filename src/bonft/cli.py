@@ -194,6 +194,8 @@ def _cmd_combi(args):
 
 
 def _cmd_continuity(args):
+    if args.n_base < 0:
+        raise ValueError("need n_base >= 0, got %d" % args.n_base)
     rng = np.random.default_rng(args.seed)
     base = tuple(0.01 * (rng.standard_normal() + 1j * rng.standard_normal())
                  for _ in range(args.n_base))

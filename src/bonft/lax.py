@@ -8,13 +8,14 @@ mode index minus a Toeplitz part built from the potential:
 Everything downstream (gaps, norming constants, the coordinate map) reads
 off this one matrix, so this module owns assembly, the eigensolve with its
 simplicity guard, the rank-one spectral projectors, and the spectral data
-of the conjugated potential derived from them.
+of the conjugated potential derived from them.  A real potential gives a
+Hermitian matrix and numpy's eigh; a complex one gives numpy's eig for the
+right eigenvectors, with the left ones read off the inverse of their matrix.
 """
 
 import warnings
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalFailure, PropertyViolation, TruncationWarning
 
@@ -48,9 +49,11 @@ class SpectralData:
 
     lambdas are sorted by increasing real part; right_vecs and left_vecs
     store eigenvectors columnwise (left vectors w satisfy w^H L = lambda w^H,
-    so for a Hermitian matrix they coincide with the right ones); denoms[n]
+    so for a Hermitian matrix they coincide with the right ones; otherwise
+    w_n is the conjugate of row n of V^{-1}, scaled to unit length); denoms[n]
     is the pairing w_n^H v_n and column n of the (M+1) x (K_use+1) array h
-    is the projected basis vector P_n e_n, for n <= K_use.
+    is the projected basis vector P_n e_n, for n <= K_use.  With unit vectors
+    1/|denoms[n]| is the condition number of lambda_n.
     """
 
     def __init__(self, lambdas, right_vecs, left_vecs, denoms, h, K_use, M,
@@ -89,13 +92,11 @@ def spectrum(u, M, k_use=None):
         # is adjacent: the same float as the all-pairs minimum
         min_separation = float(np.diff(lam).min(initial=np.inf))
         lam = lam.astype(complex)
-        W = V
     else:
-        lam, WL, V = scipy.linalg.eig(L, left=True, right=True)
+        lam, V = np.linalg.eig(L)
         order = np.lexsort((lam.imag, lam.real))
         lam = lam[order]
         V = V[:, order]
-        W = WL[:, order]
         sep = np.abs(lam[:, None] - lam[None, :])
         np.fill_diagonal(sep, np.inf)
         min_separation = float(sep.min())
@@ -104,6 +105,13 @@ def spectrum(u, M, k_use=None):
             "eigenvalue cluster: min separation %.3e <= %.1e; potential outside "
             "the simple-spectrum regime or truncation too small"
             % (min_separation, SIMPLICITY_TOL))
+    if hermitian:
+        W = V
+    else:
+        # rows of V^{-1} are the left vectors; unscaled, every w^H v would be
+        # 1 and the near-orthogonality guard in _projector_data could not fire
+        W = np.linalg.inv(V).conj().T
+        W /= np.linalg.norm(W, axis=0)
     K_use = M // 2 if k_use is None else int(k_use)
     if not 0 <= K_use <= M:
         raise ValueError("k_use must lie in 0..M")

@@ -203,6 +203,12 @@ def sweep_vanishing(max_d, l_bound, random_count=0, rng=None):
     Random part: random_count tuples with d <= 6, |l_j| <= 50 from rng.
     The residues of shared prefixes and suffixes are cached for this call only.
     """
+    if max_d < 1:
+        raise ValueError("need max_d >= 1, got %d" % max_d)
+    if l_bound < 0:
+        raise ValueError("need l_bound >= 0, got %d" % l_bound)
+    if random_count < 0:
+        raise ValueError("need random_count >= 0, got %d" % random_count)
     pair = lru_cache(maxsize=None)(_residue_pair)
     counts = {}
     violations = []
@@ -235,6 +241,8 @@ def sweep_combi(max_d, workers=1):
     one process.  The parameter stays only because existing callers pass it
     positionally.
     """
+    if max_d < 1:
+        raise ValueError("need max_d >= 1, got %d" % max_d)
     counts = {}
     violations = []
     for d in range(1, max_d + 1):

@@ -106,6 +106,25 @@ def test_bracket_small(tmp_path):
     assert payload["max_dev_holomorphic"] < 1e-5
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["bracket", "--fd-step", "0"], "need a finite step h > 0, got 0.0"),
+    (["bracket", "--fd-step=-1e-5"], "need a finite step h > 0, got -1e-05"),
+    (["bracket", "--fd-step", "nan"], "need a finite step h > 0, got nan"),
+    (["bracket", "--modes", "0"], "need n_max >= 1, got 0"),
+    (["vanishing", "--max-d", "0"], "need max_d >= 1, got 0"),
+    (["vanishing", "--l-bound", "-1"], "need l_bound >= 0, got -1"),
+    (["vanishing", "--random-count", "-5"], "need random_count >= 0, got -5"),
+    (["combi", "--max-d", "-2"], "need max_d >= 1, got -2"),
+    (["continuity", "--n-base", "-1"], "need n_base >= 0, got -1"),
+], ids=["fd-step-0", "fd-step-negative", "fd-step-nan", "bracket-modes-0",
+        "max-d-0", "l-bound-negative", "random-count-negative", "combi-max-d-negative",
+        "n-base-negative"])
+def test_vacuous_or_ill_posed_runs_exit_1(capsys, argv, message):
+    # each of these used to exit 0 after checking nothing, or print NaN
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+
+
 def test_error_exit_codes(tmp_path, potential_file, monkeypatch, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

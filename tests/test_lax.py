@@ -164,3 +164,27 @@ def test_conjugate_spectrum_resorts_ties_with_their_vectors():
         assert np.max(np.abs(w.conj() @ A - got.lambdas[n] * w.conj())) < 1e-12
         assert got.denoms[n] == np.vdot(w, v)
         assert np.array_equal(got.h[:, n], v * (np.conj(w[n]) / got.denoms[n]))
+
+
+@pytest.mark.parametrize("M", [16, 32, 64, 96, 128])
+def test_left_vectors_from_the_inverse_match_an_independent_eigensolve(M):
+    rng = np.random.default_rng(M)
+    N = int(rng.integers(1, 5))
+    coeffs = {n: 0.05 * complex(rng.standard_normal(), rng.standard_normal()) / abs(n)
+              for n in range(-N, N + 1) if n}
+    u = Potential(0.5, N, coeffs)
+    sd = spectrum(u, M)
+    L = assemble_lax(u, M)
+    W = sd.left_vecs
+    assert np.max(np.abs(np.linalg.norm(W, axis=0) - 1.0)) < 1e-14
+    residual = W.conj().T @ L - sd.lambdas[:, None] * W.conj().T
+    assert np.max(np.linalg.norm(residual, axis=1)) <= 1e-12 * np.linalg.norm(L, 2)
+    lam, WL, V = scipy.linalg.eig(L, left=True, right=True)
+    order = np.lexsort((lam.imag, lam.real))
+    V, WL = V[:, order], WL[:, order]
+    K = sd.K_use
+    # |w^H v| is the reciprocal condition number the near-orthogonality guard reads
+    ref = np.abs([np.vdot(WL[:, n], V[:, n]) for n in range(K + 1)])
+    assert np.max(np.abs(np.abs(sd.denoms) - ref)) < 1e-10
+    for p_got, p_ref in zip(projectors(sd.right_vecs, W, K), projectors(V, WL, K)):
+        assert np.max(np.abs(p_got - p_ref)) < 1e-10

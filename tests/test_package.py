@@ -1,25 +1,35 @@
-"""Package-level rules: the public names resolve, and the cross-checks stay independent."""
+"""Package-level rules: the public names resolve, the cross-checks stay
+independent, and the package runs on its declared dependencies alone."""
 
 import ast
+import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import bonft
+from test_golden import CASES
 
 ORACLES = Path(__file__).with_name("oracles.py")
 PDE = Path(bonft.__file__).with_name("pde.py")
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
-def imported_modules(path):
-    """Every module name a file imports, relative ones with their leading dots."""
+def imported_modules(*paths):
+    """Every module name the files import, relative ones with their leading dots."""
     imported = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in (n for path in paths for n in ast.walk(ast.parse(path.read_text()))):
         if isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module:
             imported.add("." * node.level + node.module)
         elif isinstance(node, ast.ImportFrom):  # from . import name
             imported.update("." * node.level + alias.name for alias in node.names)
-    assert imported, "found no imports at all in %s" % path
+    assert imported, "found no imports at all in %s" % (paths,)
     return imported
 
 
@@ -42,3 +52,36 @@ def test_every_exported_name_resolves():
     missing = [name for name in bonft.__all__ if not hasattr(bonft, name)]
     assert not missing, missing
     assert len(set(bonft.__all__)) == len(bonft.__all__)
+
+
+def test_package_imports_only_its_declared_dependencies():
+    """Every third-party module imported anywhere in the package is in
+    [project].dependencies, and every dependency listed there is used."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(PYPROJECT, "rb") as fh:
+        declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group()
+                    for dep in tomllib.load(fh)["project"]["dependencies"]}
+    sources = Path(bonft.__file__).parent.glob("*.py")
+    imported = {m.split(".")[0] for m in imported_modules(*sources) if not m.startswith(".")}
+    third_party = imported - set(sys.stdlib_module_names) - {"bonft"}
+    assert third_party == declared == {"numpy"}
+
+
+def test_cli_runs_without_loading_scipy():
+    """scipy is a test dependency only: a complex transform (the non-Hermitian
+    eigensolve) and a compare (inversion plus the direct integrator) in a
+    fresh interpreter leave no scipy module behind."""
+    argvs = [argv for argv, name in CASES
+             if name in ("transform_complex.json", "compare.json")]
+    script = (
+        "import json, os, sys\n"
+        "import bonft.cli\n"
+        "codes = [bonft.cli.main(argv + ['-o', os.devnull])\n"
+        "         for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules\n"
+        "                                if m.startswith('scipy'))]))\n")
+    src = str(Path(bonft.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                         capture_output=True, text=True, check=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert json.loads(out.stdout) == [[0, 0], []]
