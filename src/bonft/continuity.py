@@ -3,21 +3,22 @@
 For -1/2 < s < 0 the flow map fails to be locally uniformly continuous on
 the coordinate side: two states agreeing except in a single high mode m can
 be made arbitrarily close while their time-t images stay order-delta apart.
-Everything here lives in sequence space and is evaluated in closed form,
-so the sweep doubles as a high-precision test of the flow's phase formula.
+A probe pair is supported on the base modes and m, so each probe is built
+and evolved on those n_base + 1 indices alone with the flow's own formulas.
+The initial distances are certified in closed form and dt against its lower
+bound; the phase at mode m, and so dt, carries an error of about t m^2 eps.
 
 Conventions: states are real-flagged, distances are the one-sided weighted
 norm with weight n^{1/2+s} on the holomorphic modes.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .birkhoff import BirkhoffState
 from .errors import PropertyViolation
-from .flow import coordinate_weights, evolve, frequency_shifts
+from .flow import rotate, shift_sums
 from .hardy import weighted_norm
 
 CLOSED_FORM_RTOL = 1e-12
@@ -41,6 +42,9 @@ class ContinuityConfig:
             raise ValueError("t must be nonzero and finite")
         if int(self.k) < 1:
             raise ValueError("k must be a positive integer")
+        for name in ("max_m", "max_probes"):
+            if getattr(self, name) < 1:
+                raise ValueError("need %s >= 1, got %d" % (name, getattr(self, name)))
         base = tuple(complex(v) for v in self.base)
         if any(not (math.isfinite(v.real) and math.isfinite(v.imag)) for v in base):
             raise ValueError("non-finite base coordinate")
@@ -85,34 +89,21 @@ def probe_indices(cfg):
     return out
 
 
-def build_pair(cfg, m):
-    """The two states differing only in mode m, plus their closed-form distances.
+def _certified_pair(cfg, m, delta):
+    """The two states differing only in mode m, on their support ks = [1..n_base, m].
 
     zeta adds delta/m^{1/2+s} to the base at mode m; xi adds the same with
     the extra transverse component i m^{s/2}.  The three pairwise distances
     have closed forms (delta, delta m^{s/2}, delta sqrt(1+m^s)) and each is
-    certified against the measured norm to CLOSED_FORM_RTOL.
+    certified against the measured norm to CLOSED_FORM_RTOL.  Returns
+    (ks, weights at ks, plus side of zeta, plus side of xi, measured d0).
     """
-    m = int(m)
-    zeta, xi, _ = _certified_pair(cfg, m, coordinate_weights(m, cfg.s))
-    return zeta, xi
-
-
-def _certified_pair(cfg, m, w):
-    """build_pair with the weights of mode m given; also returns the measured d0."""
-    if m <= cfg.n_base:
-        raise ValueError("probe index %d must exceed the base support %d" % (m, cfg.n_base))
-    delta = cfg.delta_value()
-    plus0 = np.zeros(m, dtype=complex)
-    plus0[:cfg.n_base] = cfg.base
+    ks = np.append(np.arange(1.0, cfg.n_base + 1), m)
+    w = ks ** (1.0 + 2.0 * cfg.s)  # flow.coordinate_weights at ks
+    plus0 = np.array(cfg.base + (0j,), dtype=complex)
     amp = delta / m ** (0.5 + cfg.s)
-    plus_z = plus0.copy()
-    plus_z[m - 1] = amp
-    plus_x = plus0.copy()
-    plus_x[m - 1] = amp * (1.0 + 1j * m ** (cfg.s / 2.0))
-    zeta = BirkhoffState(0.5 + cfg.s, plus_z, None, real_flag=True)
-    xi = BirkhoffState(0.5 + cfg.s, plus_x, None, real_flag=True)
-
+    plus_z, plus_x = plus0.copy(), plus0.copy()
+    plus_z[-1], plus_x[-1] = amp, amp * (1.0 + 1j * m ** (cfg.s / 2.0))
     d0 = weighted_norm(plus_z - plus_x, w)
     checks = (
         (weighted_norm(plus_z - plus0, w), delta),
@@ -122,7 +113,7 @@ def _certified_pair(cfg, m, w):
     for got, want in checks:
         if abs(got - want) > CLOSED_FORM_RTOL * want:
             raise PropertyViolation("closed-form distance off: %.17g vs %.17g" % (got, want))
-    return zeta, xi, d0
+    return ks, w, plus_z, plus_x, d0
 
 
 def sweep(cfg):
@@ -142,19 +133,18 @@ def sweep(cfg):
     resonant = cfg.delta is None
     rows = []
     for m in probes:
-        w = coordinate_weights(m, cfg.s)
-        zeta, xi, d0 = _certified_pair(cfg, m, w)
-        shifts_z = frequency_shifts(zeta)
-        shifts_x = frequency_shifts(xi)
-        gap = float(abs(shifts_z[0][m - 1] - shifts_x[0][m - 1]))
+        ks, w, plus_z, plus_x, d0 = _certified_pair(cfg, m, delta)
+        # real states: zeta_{-k} = conj(zeta_k), so the shifts are real
+        shift_z = shift_sums(ks, plus_z.conj() * plus_z).real
+        shift_x = shift_sums(ks, plus_x.conj() * plus_x).real
+        gap = float(abs(shift_z[-1] - shift_x[-1]))
         gap_pred = 2.0 * delta ** 2 * m ** (-cfg.s)
         phase = abs(math.sin(0.5 * cfg.t * gap)) * 2.0
         phase_ok = phase > 1.0
         if resonant and not phase_ok:
             raise PropertyViolation("phase separation %.6f <= 1 at admissible m=%d" % (phase, m))
-        zt = evolve(zeta, cfg.t, shifts_z)
-        xt = evolve(xi, cfg.t, shifts_x)
-        dt = weighted_norm(zt.plus - xt.plus, w)
+        dt = weighted_norm(rotate(plus_z, ks, shift_z, cfg.t)
+                           - rotate(plus_x, ks, shift_x, cfg.t), w)
         bound = (math.sqrt(1.0 + m ** cfg.s) - m ** (cfg.s / 2.0)) * delta
         if dt < bound * (1.0 - 1e-12):
             raise PropertyViolation("dt=%.17g below the bound %.17g at m=%d" % (dt, bound, m))

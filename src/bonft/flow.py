@@ -18,29 +18,35 @@ MAX_ITER = 40  # Broyden iterations before an inversion counts as failed
 MAX_HALVINGS = 6  # step halvings allowed before a trial step counts as failed
 
 
+def shift_sums(ks, prod):
+    """Omega_n at ascending indices ks, given zeta_{-k} zeta_k at the same ks.
+
+    Omega_n = -2 sum_{k<=n} k zeta_{-k} zeta_k - 2n sum_{k>n} zeta_{-k} zeta_k.
+    An index left out of ks must carry a zero product; the cumulative sums
+    then only skip zeros, so a sparse support gives the dense bits.
+    """
+    weighted = np.cumsum(ks * prod)
+    tails = np.concatenate((np.cumsum(prod[::-1])[::-1][1:], [0.0]))
+    return -2.0 * weighted - 2.0 * ks * tails
+
+
 def frequency_shifts(z):
     """The affine parts (Omega_n)_{n>=1} and (Omega_{-n})_{n>=1} of the frequencies.
 
-    Omega_n = -2 sum_{k<=n} k zeta_{-k} zeta_k - 2n sum_{k>n} zeta_{-k} zeta_k
-    and Omega_{-n} = -Omega_n.  Kept separate from the n^2 parts so that
-    frequency differences of nearby states can be formed without cancelling
-    large integers against each other.
+    Omega_{-n} = -Omega_n (see shift_sums).  Kept separate from the n^2
+    parts so that frequency differences of nearby states can be formed
+    without cancelling large integers against each other.
     """
-    prod = z.minus * z.plus  # zeta_{-k} zeta_k, k = 1..n_modes
-    n_modes = z.n_modes
-    ks = np.arange(1, n_modes + 1, dtype=float)
-    weighted = np.cumsum(ks * prod)
-    tails = np.concatenate((np.cumsum(prod[::-1])[::-1][1:], [0.0]))
-    omega_plus = -2.0 * weighted - 2.0 * ks * tails
+    omega_plus = shift_sums(np.arange(1, z.n_modes + 1, dtype=float), z.minus * z.plus)
     if z.real_flag:
         # an owned copy: the .real view would keep the complex array alive
         omega_plus = omega_plus.real.copy()
     return omega_plus, -omega_plus
 
 
-def _side_frequencies(shift, sign):
-    """sign n^2 + shift_n for n = 1..len(shift): one side of the frequencies."""
-    return sign * np.arange(1, len(shift) + 1, dtype=float) ** 2 + shift
+def _side_frequencies(ks, shift, sign):
+    """sign k^2 + shift_k at the indices ks: one side of the frequencies."""
+    return sign * ks ** 2 + shift
 
 
 def frequencies(z):
@@ -51,7 +57,13 @@ def frequencies(z):
     flow needs exactly these numbers.
     """
     shift_plus, shift_minus = frequency_shifts(z)
-    return _side_frequencies(shift_plus, 1.0), _side_frequencies(shift_minus, -1.0)
+    ks = np.arange(1, z.n_modes + 1, dtype=float)
+    return _side_frequencies(ks, shift_plus, 1.0), _side_frequencies(ks, shift_minus, -1.0)
+
+
+def rotate(values, ks, shift, t, sign=1.0):
+    """The flow's phase step values_k exp(i t (sign k^2 + shift_k)) at the indices ks."""
+    return values * np.exp(1j * float(t) * _side_frequencies(ks, shift, sign))
 
 
 def evolve(z0, t, shifts=None):
@@ -60,12 +72,11 @@ def evolve(z0, t, shifts=None):
     shifts is frequency_shifts(z0), for a caller that already has it.
     """
     shift_plus, shift_minus = frequency_shifts(z0) if shifts is None else shifts
-    t = float(t)
-    plus = z0.plus * np.exp(1j * t * _side_frequencies(shift_plus, 1.0))
+    ks = np.arange(1, z0.n_modes + 1, dtype=float)
+    plus = rotate(z0.plus, ks, shift_plus, t)
     # the flow keeps a real state real: its minus side is conj(plus), so the
     # minus frequencies are never formed
-    minus = None if z0.real_flag else z0.minus * np.exp(
-        1j * t * _side_frequencies(shift_minus, -1.0))
+    minus = None if z0.real_flag else rotate(z0.minus, ks, shift_minus, t, -1.0)
     out = BirkhoffState(z0.s, plus, minus, real_flag=z0.real_flag)
     out.diagnostics = z0.diagnostics
     return out

@@ -113,8 +113,8 @@ def spectrum(u, M, k_use=None):
         W = np.linalg.inv(V).conj().T
         W /= np.linalg.norm(W, axis=0)
     K_use = M // 2 if k_use is None else int(k_use)
-    if not 0 <= K_use <= M:
-        raise ValueError("k_use must lie in 0..M")
+    if not 1 <= K_use <= M:
+        raise ValueError("k_use must lie in 1..M")
     denoms, h = _projector_data(V, W, K_use)
     return SpectralData(lam, V, W, denoms, h, K_use, M, hermitian, min_separation)
 

@@ -3,11 +3,13 @@
 Everything here is deliberately primitive: plain quadrature, truncated
 Fraction Taylor series, dense linear solves and eigenvalues, perturbation
 formulas, the scaling products one factor at a time, the RK4 loop with its
-products spelled out, and the time-discrete equation residual.  Nothing
+products spelled out, the time-discrete equation residual, and a continuity
+probe on the full index range with its own copy of the flow.  Nothing
 imports the package under test, so agreement between a package routine
 and its oracle is evidence, not circularity.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -361,3 +363,50 @@ def equation_residual(traj):
         defect = (du - field) * band_mask
         worst = max(worst, float(np.sqrt(np.sum(weight ** 2 * np.abs(defect) ** 2))))
     return worst
+
+
+def dense_probe(s, t, base, delta, m):
+    """One continuity probe on the full index range 1..m, all arrays of length m.
+
+    zeta adds delta/m^{1/2+s} to the real state with holomorphic side `base`
+    at mode m; xi adds the same times 1 + i m^{s/2}.  Each evolves by
+    zeta_n exp(i t (n^2 + Omega_n)), with Omega_n formed by cumulative sums
+    over all m modes; norms carry the weights n^{1+2s}.  Returns
+    (zeta, xi, row): the two plus sides at t = 0 and a row with the fields
+    of bonft's continuity sweep.
+    """
+    if m <= len(base):
+        raise ValueError("probe index %d must exceed the base support %d" % (m, len(base)))
+    ns = np.arange(1, m + 1, dtype=float)
+    w = ns ** (1.0 + 2.0 * s)
+    zeta = np.zeros(m, dtype=complex)
+    zeta[:len(base)] = base
+    xi = zeta.copy()
+    amp = delta / m ** (0.5 + s)
+    zeta[m - 1] = amp
+    xi[m - 1] = amp * (1.0 + 1j * m ** (s / 2.0))
+
+    def shifts(plus):
+        prod = np.conj(plus) * plus
+        weighted = np.cumsum(ns * prod)
+        tails = np.concatenate((np.cumsum(prod[::-1])[::-1][1:], [0.0]))
+        return (-2.0 * weighted - 2.0 * ns * tails).real
+
+    def norm(x):
+        return float(np.sqrt(np.sum(w * np.abs(x) ** 2)))
+
+    shift_z, shift_x = shifts(zeta), shifts(xi)
+    zeta_t = zeta * np.exp(1j * float(t) * (ns ** 2 + shift_z))
+    xi_t = xi * np.exp(1j * float(t) * (ns ** 2 + shift_x))
+    d0, dt = norm(zeta - xi), norm(zeta_t - xi_t)
+    gap = float(abs(shift_z[m - 1] - shift_x[m - 1]))
+    return zeta, xi, {
+        "m": m,
+        "delta": delta,
+        "d0": d0,
+        "dt": dt,
+        "ratio": dt / d0,
+        "omega_gap_pred": 2.0 * delta ** 2 * m ** (-s),
+        "omega_gap_meas": gap,
+        "phase_bound_ok": abs(math.sin(0.5 * t * gap)) * 2.0 > 1.0,
+    }

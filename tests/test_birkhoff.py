@@ -25,6 +25,13 @@ def test_zero_potential_maps_to_zero():
     assert np.all(obs["actions"] == 0.0)
 
 
+def test_forward_needs_at_least_one_mode():
+    # k_use = 0 used to give an empty state
+    for k_use in (0, 33):
+        with pytest.raises(ValueError, match=r"^k_use must lie in 1\.\.M$"):
+            birkhoff_forward(small_real(), M=32, k_use=k_use)
+
+
 def test_sqrt_plus_branch_cut():
     assert sqrt_plus(4.0) == 2.0
     assert sqrt_plus(2j) == pytest.approx(1 + 1j)

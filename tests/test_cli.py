@@ -116,13 +116,21 @@ def test_bracket_small(tmp_path):
     (["vanishing", "--random-count", "-5"], "need random_count >= 0, got -5"),
     (["combi", "--max-d", "-2"], "need max_d >= 1, got -2"),
     (["continuity", "--n-base", "-1"], "need n_base >= 0, got -1"),
+    (["continuity", "--max-probes", "0"], "need max_probes >= 1, got 0"),
+    (["continuity", "--max-m", "0"], "need max_m >= 1, got 0"),
 ], ids=["fd-step-0", "fd-step-negative", "fd-step-nan", "bracket-modes-0",
         "max-d-0", "l-bound-negative", "random-count-negative", "combi-max-d-negative",
-        "n-base-negative"])
+        "n-base-negative", "max-probes-0", "max-m-0"])
 def test_vacuous_or_ill_posed_runs_exit_1(capsys, argv, message):
     # each of these used to exit 0 after checking nothing, or print NaN
     assert cli.main(argv) == 1
     assert capsys.readouterr() == ("", "error: %s\n" % message)
+
+
+def test_transform_without_modes_exits_1(potential_file, capsys):
+    # used to exit 0 with an empty state
+    assert cli.main(["transform", "-i", potential_file, "--modes", "0"]) == 1
+    assert capsys.readouterr() == ("", "error: k_use must lie in 1..M\n")
 
 
 def test_error_exit_codes(tmp_path, potential_file, monkeypatch, capsys):

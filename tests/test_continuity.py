@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from bonft.continuity import (ContinuityConfig, build_pair, probe_indices,
-                              ratio_slope, sweep)
+from bonft.continuity import ContinuityConfig, probe_indices, ratio_slope, sweep
+from oracles import dense_probe
 
 
 def test_config_validation():
@@ -41,16 +42,59 @@ def test_probe_exhaustion():
 
 def test_build_pair_distances_and_flags():
     cfg = ContinuityConfig(s=-0.3, base=(0.05, 0.02))
-    zeta, xi = build_pair(cfg, 40)
-    assert zeta.real_flag and xi.real_flag
-    assert zeta.n_modes == xi.n_modes == 40
-    assert zeta.coord(3) == 0
     delta = cfg.delta_value()
+    zeta, xi, row = dense_probe(cfg.s, cfg.t, cfg.base, delta, 40)
+    assert len(zeta) == len(xi) == 40
+    assert zeta[2] == 0 and np.array_equal(zeta[:39], xi[:39])
     amp = delta / 40 ** (0.5 + cfg.s)
-    assert zeta.coord(40) == pytest.approx(amp)
-    assert xi.coord(40) == pytest.approx(amp * (1 + 1j * 40 ** (cfg.s / 2)))
+    assert zeta[39] == pytest.approx(amp)
+    assert xi[39] == pytest.approx(amp * (1 + 1j * 40 ** (cfg.s / 2)))
+    assert row["d0"] == pytest.approx(delta * 40 ** (cfg.s / 2), rel=1e-12)
     with pytest.raises(ValueError):
-        build_pair(cfg, 2)
+        dense_probe(cfg.s, cfg.t, cfg.base, delta, 2)
+    # the sweep never places a probe on the base support
+    based = ContinuityConfig(s=-0.45, k=1, base=(0.01,) * 5, max_m=4000)
+    assert min(probe_indices(based)) > 5
+
+
+@pytest.mark.parametrize("s, k, max_m", [(-0.45, 8, 20000), (-0.25, 2, 20000),
+                                         (-0.1, 2, 120000)])
+def test_sparse_probes_equal_the_dense_oracle(s, k, max_m):
+    # with no base, each norm sums a single nonzero term, so every bit agrees
+    cfg = ContinuityConfig(s=s, k=k, max_m=max_m, max_probes=40)
+    rows = sweep(cfg)
+    assert len(rows) >= 2
+    for row in rows:
+        assert row == dense_probe(s, cfg.t, (), cfg.delta_value(), row["m"])[2]
+
+
+@pytest.mark.parametrize("n_base", range(1, 9))
+def test_sparse_probes_with_a_base_match_the_dense_oracle(n_base):
+    # np.sum groups the base terms differently on the two supports: 1 ulp
+    rng = np.random.default_rng(n_base)
+    base = 0.01 * (rng.standard_normal(n_base) + 1j * rng.standard_normal(n_base))
+    cfg = ContinuityConfig(s=-0.35, k=2, base=tuple(base), max_m=20000, max_probes=40)
+    rows = sweep(cfg)
+    assert len(rows) >= 2
+    for row in rows:
+        want = dense_probe(cfg.s, cfg.t, cfg.base, cfg.delta_value(), row["m"])[2]
+        assert row.keys() == want.keys()
+        for key, value in want.items():
+            assert row[key] == pytest.approx(value, rel=1e-15, abs=0), key
+
+
+def test_sweep_memory_stays_on_the_probe_support():
+    # verify's setting: probes reach m = 131,840; dense arrays of that length
+    # take tens of MB
+    cfg = ContinuityConfig(s=-0.45, k=8, max_m=600000, max_probes=40)
+    tracemalloc.start()
+    try:
+        rows = sweep(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 40 and rows[-1]["m"] > 10 ** 5
+    assert peak < 10 ** 6
 
 
 def test_sweep_rows_and_bound():
