@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (BranchCutError, DegenerateProduct, DegenerateProjector,
                      NumericalFailure, OutOfNeighborhood, TruncationWarning)
-from .hardy import Potential, synthesize
+from .hardy import Potential, sobolev_exponent
 from .lax import conjugate_spectrum, spectrum
 
 DEGENERATE_TOL = 1e-12
@@ -215,7 +215,8 @@ class BirkhoffState:
     plus[j] holds zeta_{j+1}, minus[j] holds zeta_{-(j+1)}.  real_flag
     asserts the conjugation symmetry zeta_{-n} = conj(zeta_n), the image of
     a real potential.  A real state may pass minus=None: the minus side is
-    then conj(plus) by construction, and only plus is checked.
+    then conj(plus) by construction, and only plus is checked.  s must be a
+    finite number > -1/2, as for a Potential.
     """
 
     __slots__ = ("s", "plus", "minus", "real_flag", "diagnostics")
@@ -236,7 +237,7 @@ class BirkhoffState:
             if dev > 1e-8:
                 raise ValueError("real_flag set but conjugation symmetry off by %.3e" % dev)
             minus = np.conj(plus)
-        self.s = float(s)
+        self.s = sobolev_exponent(s)
         self.plus = plus
         self.minus = minus
         self.real_flag = bool(real_flag)
@@ -272,21 +273,26 @@ def state_to_json(state, diagnostics=None):
     return obj
 
 
+def _side_from_json(items, n_modes, sign):
+    """One side of a state: entry n goes to slot sign n - 1, each n at most once."""
+    side = np.zeros(n_modes, dtype=complex)
+    seen = set()
+    for item in items:
+        n = int(item["n"])
+        if not 1 <= sign * n <= n_modes:
+            raise ValueError("index %d outside %d..%d" % (n, sign, sign * n_modes))
+        if n in seen:
+            raise ValueError("duplicate index n=%d" % n)
+        seen.add(n)
+        side[sign * n - 1] = float(item["re"]) + 1j * float(item["im"])
+    return side
+
+
 def state_from_json(obj):
     try:
         n_modes = int(obj["N_b"])
-        plus = np.zeros(n_modes, dtype=complex)
-        minus = np.zeros(n_modes, dtype=complex)
-        for item in obj["plus"]:
-            n = int(item["n"])
-            if not 1 <= n <= n_modes:
-                raise ValueError("plus index %d outside 1..%d" % (n, n_modes))
-            plus[n - 1] = float(item["re"]) + 1j * float(item["im"])
-        for item in obj["minus"]:
-            n = int(item["n"])
-            if not 1 <= -n <= n_modes:
-                raise ValueError("minus index %d outside -1..-%d" % (n, n_modes))
-            minus[-n - 1] = float(item["re"]) + 1j * float(item["im"])
+        plus = _side_from_json(obj["plus"], n_modes, 1)
+        minus = _side_from_json(obj["minus"], n_modes, -1)
         s = float(obj["s"])
         real = bool(obj.get("real", False))
     except (KeyError, TypeError) as exc:
@@ -351,50 +357,6 @@ def birkhoff_forward(u, M=None, k_use=None):
         "norm_drift": float(norm_drift),
     }
     return state
-
-
-def d0_phi(u):
-    """Differential of the coordinate map at zero: n -> -u_hat(n)/sqrt(|n|)."""
-    ns = np.arange(1, u.N + 1)
-    plus = np.array([-u.coeff(n) / np.sqrt(n) for n in ns], dtype=complex)
-    minus = np.array([-u.coeff(-n) / np.sqrt(n) for n in ns], dtype=complex)
-    return BirkhoffState(u.s, plus, minus, real_flag=False)
-
-
-def actions(state):
-    """I_n = |zeta_n|^2 / 2 from the plus side."""
-    return 0.5 * np.abs(state.plus) ** 2
-
-
-def observables(x):
-    """Actions and Hamiltonians readable from the given object.
-
-    BirkhoffState: {"actions", "H_B"} with
-
-        H_B = sum n^2 |zeta_n|^2 - sum_n (sum_{k>=n} |zeta_k|^2)^2,
-
-    the normalization whose derivative in |zeta_n|^2 reproduces the flow
-    frequencies and whose quadratic part matches the physical energy of
-    the linearized coordinates.
-    Real Potential: {"H_phys"} computed spectrally,
-        H_phys = (1/2) sum_{n != 0} |n| |u_hat(n)|^2 - (1/3) (u^3)_hat(0).
-    """
-    if isinstance(x, BirkhoffState):
-        q = np.abs(x.plus) ** 2
-        ns = np.arange(1, len(q) + 1, dtype=float)
-        tail_sums = np.cumsum(q[::-1])[::-1]
-        return {"actions": 0.5 * q, "H_B": float(np.sum(ns ** 2 * q) - np.sum(tail_sums ** 2))}
-    if isinstance(x, Potential):
-        if not x.is_real_valued(1e-12):
-            raise ValueError("physical energy needs a real potential")
-        quad = 0.0
-        for n, v in x.nonzero_coeffs().items():
-            quad += abs(n) * abs(v) ** 2
-        grid = max(3 * x.N + 1, 8)
-        samples = synthesize(x, grid)
-        cubic_zero = float(np.mean(np.real(samples) ** 3))
-        return {"H_phys": 0.5 * quad - cubic_zero / 3.0}
-    raise TypeError("unsupported type for observables: %r" % type(x).__name__)
 
 
 def _perturbed(u, k, step):

@@ -25,10 +25,6 @@ class BranchCutError(NumericalFailure):
     """A principal square root was requested on the cut (-infinity, 0]."""
 
 
-class DivergenceError(NumericalFailure):
-    """A series whose partial sums must contract failed to do so."""
-
-
 class InversionFailure(NumericalFailure):
     """Broyden inversion found no descent or did not converge; carries the residual history."""
 
@@ -39,10 +35,6 @@ class InversionFailure(NumericalFailure):
 
 class PropertyViolation(RuntimeError):
     """A verifier sweep found a counterexample to a property that must hold."""
-
-
-class AliasingError(ValueError):
-    """A grid is too small to hold the requested band without aliasing."""
 
 
 class TruncationWarning(UserWarning):

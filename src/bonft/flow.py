@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import InversionFailure, NumericalFailure
 from .birkhoff import BirkhoffState, birkhoff_forward, default_lax_dim
-from .hardy import Potential, sobolev_norm, weighted_norm
+from .hardy import Potential, weighted_norm
 
 MAX_ITER = 40  # Broyden iterations before an inversion counts as failed
 MAX_HALVINGS = 6  # step halvings allowed before a trial step counts as failed
@@ -31,52 +31,33 @@ def shift_sums(ks, prod):
 
 
 def frequency_shifts(z):
-    """The affine parts (Omega_n)_{n>=1} and (Omega_{-n})_{n>=1} of the frequencies.
+    """The affine parts (Omega_n)_{n>=1} of the frequencies, from shift_sums.
 
-    Omega_{-n} = -Omega_n (see shift_sums).  Kept separate from the n^2
-    parts so that frequency differences of nearby states can be formed
-    without cancelling large integers against each other.
+    The frequency at index n is n^2 + Omega_n and at index -n it is
+    -(n^2 + Omega_n).  The affine parts are kept apart from the n^2 so
+    that frequency differences of nearby states can be formed without
+    cancelling large integers against each other.
     """
-    omega_plus = shift_sums(np.arange(1, z.n_modes + 1, dtype=float), z.minus * z.plus)
+    omega = shift_sums(np.arange(1, z.n_modes + 1, dtype=float), z.minus * z.plus)
     if z.real_flag:
         # an owned copy: the .real view would keep the complex array alive
-        omega_plus = omega_plus.real.copy()
-    return omega_plus, -omega_plus
-
-
-def _side_frequencies(ks, shift, sign):
-    """sign k^2 + shift_k at the indices ks: one side of the frequencies."""
-    return sign * ks ** 2 + shift
-
-
-def frequencies(z):
-    """Two-sided frequencies omega_n = sign(n) n^2 + Omega_n(z).
-
-    Returns (omega at indices 1..n_modes, omega at indices -1..-n_modes).
-    Real states give real arrays; the modulus-preserving rotation of the
-    flow needs exactly these numbers.
-    """
-    shift_plus, shift_minus = frequency_shifts(z)
-    ks = np.arange(1, z.n_modes + 1, dtype=float)
-    return _side_frequencies(ks, shift_plus, 1.0), _side_frequencies(ks, shift_minus, -1.0)
+        omega = omega.real.copy()
+    return omega
 
 
 def rotate(values, ks, shift, t, sign=1.0):
     """The flow's phase step values_k exp(i t (sign k^2 + shift_k)) at the indices ks."""
-    return values * np.exp(1j * float(t) * _side_frequencies(ks, shift, sign))
+    return values * np.exp(1j * float(t) * (sign * ks ** 2 + shift))
 
 
-def evolve(z0, t, shifts=None):
-    """Flow for time t: zeta_n(t) = zeta_n(0) exp(i t omega_n(z0)), both sides.
-
-    shifts is frequency_shifts(z0), for a caller that already has it.
-    """
-    shift_plus, shift_minus = frequency_shifts(z0) if shifts is None else shifts
+def evolve(z0, t):
+    """Flow for time t: zeta_n(t) = zeta_n(0) exp(i t omega_n(z0)), both sides."""
+    shift = frequency_shifts(z0)
     ks = np.arange(1, z0.n_modes + 1, dtype=float)
-    plus = rotate(z0.plus, ks, shift_plus, t)
+    plus = rotate(z0.plus, ks, shift, t)
     # the flow keeps a real state real: its minus side is conj(plus), so the
     # minus frequencies are never formed
-    minus = None if z0.real_flag else rotate(z0.minus, ks, shift_minus, t, -1.0)
+    minus = None if z0.real_flag else rotate(z0.minus, ks, -shift, t, -1.0)
     out = BirkhoffState(z0.s, plus, minus, real_flag=z0.real_flag)
     out.diagnostics = z0.diagnostics
     return out
@@ -93,7 +74,7 @@ def invert(target, M=None, tol=1e-12, initial=None):
     Good-Broyden iteration on the real view of u_hat(1..N_b), with every
     forward map at truncation M, until the weighted residual is below tol.
     The inverse Jacobian starts as the exact inverse of the differential at
-    zero (d0_phi: u_hat(n) -> -u_hat(n)/sqrt(n)), so the first step is the
+    zero (u_hat(n) -> -u_hat(n)/sqrt(n)), so the first step is the
     chord step from u_hat(n) = -sqrt(n) zeta_n (or from `initial`); every
     accepted step makes a Sherman-Morrison rank-one update.  A trial step
     that does not lower the weighted residual, or leaves the forward map's
@@ -162,13 +143,12 @@ def solve_trajectory(u0, t_grid=(0.0, 0.5, 1.0), M=None, k_use=None):
     """The composed solution map: transform once, rotate and invert per sample.
 
     Returns (samples, diagnostics): samples is a list of (t, Potential), one
-    per entry of t_grid; diagnostics holds per-sample inversion residuals,
-    the largest action drift of the re-transformed samples against the
-    initial state, and the adjacent-sample increments of t -> u(t) in the
-    H^s norm as a continuity monitor.  Every forward map runs at the one
-    truncation M (default: the heuristic for u0) and K_use = k_use (default
-    M/2).  Each inversion starts from the previous sample; the first from
-    the linearized guess.
+    per entry of t_grid; diagnostics holds per-sample inversion residuals
+    and the largest action drift of the re-transformed samples against the
+    initial state.  Every forward map runs at the one truncation M
+    (default: the heuristic for u0) and K_use = k_use (default M/2).  Each
+    inversion starts from the previous sample; the first from the
+    linearized guess.
     """
     t_grid = tuple(float(t) for t in t_grid)
     if not all(np.isfinite(t_grid)):
@@ -191,16 +171,4 @@ def solve_trajectory(u0, t_grid=(0.0, 0.5, 1.0), M=None, k_use=None):
             np.abs(0.5 * np.abs(z_back.plus) ** 2 - I0))))
         residuals.append(weighted_norm(z_back.plus - zt.plus, w))
         samples.append((t, u_t))
-    increments = []
-    for (t0, ua), (t1, ub) in zip(samples, samples[1:]):
-        band = max(ua.N, ub.N)
-        merged = {n: ub.coeff(n) - ua.coeff(n) for n in range(1, band + 1)}
-        merged = {n: v for n, v in merged.items() if v != 0}
-        d = Potential(u0.s, band, merged, real=True)
-        increments.append(sobolev_norm(d, u0.s))
-    diagnostics = {
-        "residuals": residuals,
-        "action_drift": action_drift,
-        "increments": increments,
-    }
-    return samples, diagnostics
+    return samples, {"residuals": residuals, "action_drift": action_drift}

@@ -6,18 +6,24 @@ Conventions, used everywhere downstream:
   0 < |n| <= N, with u_hat(0) identically zero (mean-free normalization);
 * the sesquilinear pairing is <f|g> = sum f_hat(n) conj(g_hat(n)) and the
   bilinear pairing is <f,g> = sum f_hat(n) g_hat(-n), matching the
-  normalized integrals (1/2pi) int f conj(g) dx and (1/2pi) int f g dx;
-* weights <n> = max(1, |n|), so beta-norms are defined at n = 0 too.
+  normalized integrals (1/2pi) int f conj(g) dx and (1/2pi) int f g dx.
 
 Storage is dense over the declared cutoff: downstream linear algebra is
 dense anyway and predictable indexing beats sparse maps here.
 """
 
 import json
+import math
 
 import numpy as np
 
-from .errors import AliasingError
+
+def sobolev_exponent(s):
+    """s as a float, checked to be a finite number > -1/2."""
+    s = float(s)
+    if not -0.5 < s < math.inf:  # NaN fails too
+        raise ValueError("Sobolev exponent must be finite and > -1/2, got %r" % s)
+    return s
 
 
 class Potential:
@@ -26,7 +32,7 @@ class Potential:
     Parameters
     ----------
     s : float
-        Sobolev exponent, must be > -1/2.
+        Sobolev exponent, a finite number > -1/2.
     N : int
         Mode cutoff, >= 1; coefficients live on 0 < |n| <= N.
     coeffs : mapping int -> complex
@@ -39,9 +45,7 @@ class Potential:
     __slots__ = ("s", "N", "real", "_c")
 
     def __init__(self, s, N, coeffs=None, real=False):
-        s = float(s)
-        if not s > -0.5:
-            raise ValueError("Sobolev exponent must be > -1/2, got %r" % s)
+        s = sobolev_exponent(s)
         N = int(N)
         if N < 1:
             raise ValueError("mode cutoff must be >= 1, got %r" % N)
@@ -80,12 +84,6 @@ class Potential:
     def nonzero_coeffs(self):
         return {int(n) - self.N: complex(self._c[n]) for n in np.flatnonzero(self._c)}
 
-    def is_real_valued(self, tol=0.0):
-        if self.real:
-            return True
-        diff = self._c - np.conj(self._c[::-1])
-        return float(np.max(np.abs(diff))) <= tol
-
     def __eq__(self, other):
         return (isinstance(other, Potential) and self.s == other.s and self.N == other.N
                 and self.real == other.real and bool(np.array_equal(self._c, other._c)))
@@ -100,12 +98,6 @@ def weighted_norm(x, w):
     return float(np.sqrt(np.sum(w * np.abs(x) ** 2)))
 
 
-def sobolev_norm(u, beta):
-    """(sum <n>^{2 beta} |u_hat(n)|^2)^{1/2} over the band of a Potential."""
-    idx = np.arange(-u.N, u.N + 1, dtype=float)
-    return weighted_norm(u.band(), np.maximum(1.0, np.abs(idx)) ** (2.0 * float(beta)))
-
-
 def l2_distance(u, v, band):
     """L^2 distance of two real potentials over 0 < |n| <= band.
 
@@ -116,43 +108,6 @@ def l2_distance(u, v, band):
     for n in range(1, band + 1):
         acc += 2.0 * abs(u.coeff(n) - v.coeff(n)) ** 2
     return float(np.sqrt(acc))
-
-
-def involute(u, kind):
-    """The two involutions on potentials.
-
-    star: u_*(x) = u(-x), so u_hat(k) -> u_hat(-k).
-    conj: u(x) -> conj(u(x)), so u_hat(k) -> conj(u_hat(-k)).
-    """
-    if kind not in ("star", "conj"):
-        raise ValueError("kind must be 'star' or 'conj', got %r" % kind)
-    if u.real:
-        # Both involutions preserve the real subspace: conj fixes u, star
-        # reflects it, and u(-x) is again real valued.
-        if kind == "conj":
-            keep = {n: v for n, v in u.nonzero_coeffs().items() if n >= 1}
-            return Potential(u.s, u.N, keep, real=True)
-        refl = {n: np.conj(v) for n, v in u.nonzero_coeffs().items() if n >= 1}
-        return Potential(u.s, u.N, refl, real=True)
-    out = {}
-    for n, v in u.nonzero_coeffs().items():
-        out[-n] = v if kind == "star" else np.conj(v)
-    return Potential(u.s, u.N, out, real=False)
-
-
-def synthesize(u, grid):
-    """Sample u on a uniform grid of the given size (real array for real u)."""
-    grid = int(grid)
-    if grid < 2 * u.N + 1:
-        raise AliasingError("grid %d too small for degree-%d data (need >= %d)"
-                            % (grid, u.N, 2 * u.N + 1))
-    spec = np.zeros(grid, dtype=complex)
-    for n, v in u.nonzero_coeffs().items():
-        spec[n % grid] = v
-    samples = np.fft.ifft(spec) * grid
-    if u.real:
-        return samples.real
-    return samples
 
 
 def potential_to_json(u):
@@ -167,7 +122,7 @@ def potential_to_json(u):
 
 
 def potential_from_json(obj):
-    """Read the documented schema; n = 0 entries are rejected."""
+    """Read the documented schema; n = 0 entries and repeated n are rejected."""
     if isinstance(obj, str):
         obj = json.loads(obj)
     try:
@@ -179,6 +134,8 @@ def potential_from_json(obj):
             n = int(item["n"])
             if n == 0:
                 raise ValueError("n=0 entries are rejected (mean is fixed at zero)")
+            if n in coeffs:
+                raise ValueError("duplicate index n=%d" % n)
             coeffs[n] = complex(float(item["re"]), float(item.get("im", 0.0)))
     except (KeyError, TypeError) as exc:
         raise ValueError("malformed potential object: %s" % exc) from exc

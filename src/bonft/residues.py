@@ -10,7 +10,8 @@ nonzero factors:
     (1/2pi i) oint mu^-(1+extra) prod_j (l_j - mu)^-1 dmu
         = (-1)^z [mu^k] prod_{l_j != 0} (l_j - mu)^-1,   k = extra + z,
 
-with z the number of zero entries.  That coefficient has the closed form
+with z the number of zero entries; A(l_1..l_d) denotes it at extra = 0 and
+A_2(l_1..l_d) at extra = 1.  That coefficient has the closed form
 h_k(1/l_1, ..., 1/l_n) / prod l_j, where h_k is the complete homogeneous
 symmetric polynomial in the nonzero entries; repeated factors need no
 special case.  It is evaluated on plain Python integers (see _residue_pair),
@@ -21,20 +22,16 @@ prefixes and suffixes repeat; nothing is cached across calls.
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
-
-from .errors import DivergenceError
-from .hardy import sobolev_norm
 
 
 def _residue_pair(ls, extra_mu_power):
-    """Unreduced (numerator, denominator) of residue_A(ls, extra_mu_power).
+    """Unreduced (numerator, denominator) of the residue A(ls) or A_2(ls).
 
-    With P the product of the nonzero l_j and y_j = P / l_j, the closed form
-    becomes h_k(y) / P^(k+1), and h_k(y) follows from the recurrence
-    h_i += y_j h_(i-1) (i ascending) over the nonzero entries.
+    ls is a nonempty tuple of integers; extra_mu_power 0 gives A, 1 gives
+    A_2.  With P the product of the nonzero l_j and y_j = P / l_j, the
+    closed form becomes h_k(y) / P^(k+1), and h_k(y) follows from the
+    recurrence h_i += y_j h_(i-1) (i ascending) over the nonzero entries.
     """
     nonzero = [l for l in ls if l]
     zeros = len(ls) - len(nonzero)
@@ -48,35 +45,10 @@ def _residue_pair(ls, extra_mu_power):
     return (-h[k] if zeros % 2 else h[k]), P ** (k + 1)
 
 
-def residue_A(ls, extra_mu_power=0):
-    """Exact value of (1/2pi i) oint mu^-(1+extra) prod (l_j - mu)^-1 dmu.
-
-    ls is a nonempty sequence of integers; extra_mu_power 0 gives the plain
-    quantity, 1 the mu^-2 variant.
-    """
-    ls = tuple(int(l) for l in ls)
-    if len(ls) == 0:
-        raise ValueError("need a nonempty tuple")
-    if extra_mu_power not in (0, 1):
-        raise ValueError("extra_mu_power must be 0 or 1")
-    return Fraction(*_residue_pair(ls, extra_mu_power))
-
-
-def vanishing_D(ls):
-    """The residue combination that the exact sweep certifies to vanish.
-
-    D(l_1..l_d) = sum_{m=1..d} A(l_1..l_m) A(l_m..l_d)
-                  - (1/2pi i) oint mu^-2 prod (l_j - mu)^-1 dmu,
-    evaluated exactly.
-    """
-    ls = tuple(int(l) for l in ls)
-    if len(ls) == 0:
-        raise ValueError("need a nonempty tuple")
-    return Fraction(*_vanishing_pair(ls))
-
-
 def _vanishing_pair(ls, pair=_residue_pair):
-    """Unreduced (numerator, denominator) of vanishing_D for a tuple of ints.
+    """Unreduced (numerator, denominator) of the residue combination
+    D(l_1..l_d) = sum_{m=1..d} A(l_1..l_m) A(l_m..l_d) - A_2(l_1..l_d),
+    which the exact sweep certifies to vanish.
 
     pair computes _residue_pair; a sweep passes a memoised copy of it.
     """
@@ -90,72 +62,18 @@ def _vanishing_pair(ls, pair=_residue_pair):
     return num, den
 
 
-@dataclass(frozen=True)
-class PartitionInstance:
-    """An instance (J, K, q) of the counting identity at size d.
-
-    J and K partition {1..d} with K nonempty, and q maps K to nonnegative
-    integers summing to |J| + 1.
-    """
-
-    d: int
-    J: frozenset = field()
-    K: frozenset = field()
-    q: tuple = field()  # pairs (k, q_k), sorted by k
-
-    def __post_init__(self):
-        full = frozenset(range(1, self.d + 1))
-        if self.J | self.K != full or self.J & self.K:
-            raise ValueError("J and K must partition {1..d}")
-        if not self.K:
-            raise ValueError("K must be nonempty")
-        qmap = dict(self.q)
-        if set(qmap) != set(self.K):
-            raise ValueError("q must be indexed exactly by K")
-        if any(v < 0 for v in qmap.values()):
-            raise ValueError("q entries must be >= 0")
-        if sum(qmap.values()) != len(self.J) + 1:
-            raise ValueError("q must sum to |J| + 1")
-
-
-def combi_check(p):
-    """Count the two admissible sets of a PartitionInstance.
-
-    J_ad(q) = { m in J : S(K_m) = |J_m| } and
-    K_ad(q) = { m in K : S(K_m \\ {m}) <= |J_m| and S(K'_m \\ {m}) <= |J'_m| },
-    with J_m = J cap [1, m], J'_m = J cap [m, d], likewise for K, and
-    S(E) = sum of q over E.  Returns (|J_ad|, |K_ad|, ok) with
-    ok <=> |K_ad| = |J_ad| + 1.
-    """
-    qmap = dict(p.q)
-
-    def S(E):
-        return sum(qmap[k] for k in E)
-
-    j_ad = 0
-    for m in p.J:
-        K_m = {k for k in p.K if k <= m}
-        J_m = {j for j in p.J if j <= m}
-        if S(K_m) == len(J_m):
-            j_ad += 1
-    k_ad = 0
-    for m in p.K:
-        K_m = {k for k in p.K if k <= m}
-        J_m = {j for j in p.J if j <= m}
-        K_pm = {k for k in p.K if k >= m}
-        J_pm = {j for j in p.J if j >= m}
-        if S(K_m - {m}) <= len(J_m) and S(K_pm - {m}) <= len(J_pm):
-            k_ad += 1
-    return j_ad, k_ad, k_ad == j_ad + 1
-
-
 def _admissible_counts(d, J, q):
-    """(|J_ad|, |K_ad|) of combi_check in one pass over m = 1..d.
+    """(|J_ad|, |K_ad|) of the instance (J, q) at size d, in one pass over m = 1..d.
 
-    Q and j are the running sums of q and of J-membership over [1, m]; the
-    sums over [m, d] are the totals minus those over [1, m - 1].  J is a set
-    of indices and q the (k, q_k) pairs; nothing is validated, so a
-    corrupted instance is counted as it stands.
+    With K = {1..d} minus J, J_m = J cap [1, m], J'_m = J cap [m, d],
+    likewise for K, and S(E) the sum of q over E:
+    J_ad = { m in J : S(K_m) = |J_m| } and
+    K_ad = { m in K : S(K_m \\ {m}) <= |J_m| and S(K'_m \\ {m}) <= |J'_m| };
+    the identity says |K_ad| = |J_ad| + 1.  Q and j are the running sums
+    of q and of J-membership over [1, m]; the sums over [m, d] are the
+    totals minus those over [1, m - 1].  J is a set of indices and q the
+    (k, q_k) pairs; nothing is validated, so a corrupted instance is
+    counted as it stands.
     """
     qv = [0] * (d + 1)
     for k, v in q:
@@ -184,21 +102,25 @@ def compositions(total, parts):
 
 
 def iter_partition_instances(d):
-    """All PartitionInstance values at size d."""
-    indices = list(range(1, d + 1))
-    for j_size in range(0, d):
+    """Every instance (J, q) of the counting identity at size d.
+
+    J is a subset of {1..d} whose complement K is nonempty; q holds the
+    pairs (k, q_k) over K in increasing k, with q_k >= 0 summing to |J| + 1.
+    """
+    indices = range(1, d + 1)
+    for j_size in range(d):
         for J in itertools.combinations(indices, j_size):
-            Jset = frozenset(J)
-            K = sorted(set(indices) - Jset)
+            J = frozenset(J)
+            K = [k for k in indices if k not in J]
             for q in compositions(j_size + 1, len(K)):
-                yield PartitionInstance(d=d, J=Jset, K=frozenset(K),
-                                        q=tuple(zip(K, q)))
+                yield J, tuple(zip(K, q))
 
 
 def sweep_vanishing(max_d, l_bound, random_count=0, rng=None):
-    """Exhaustive + random exact sweep of vanishing_D.
+    """Exhaustive + random exact sweep of the vanishing combination D.
 
-    Returns (counts per d, violations); violations lists offending tuples.
+    Returns (counts per d, random tuples checked, violations); violations
+    lists the offending tuples.
     Exhaustive part: every tuple with d <= max_d, |l_j| <= l_bound.
     Random part: random_count tuples with d <= 6, |l_j| <= 50 from rng.
     The residues of shared prefixes and suffixes are cached for this call only.
@@ -236,10 +158,10 @@ def sweep_vanishing(max_d, l_bound, random_count=0, rng=None):
 def sweep_combi(max_d, workers=1):
     """Exhaustive check of the counting identity for all instances with d <= max_d.
 
-    Each instance is counted by the O(d) kernel _admissible_counts, which
-    agrees with combi_check.  workers is ignored: the sweep always runs in
-    one process.  The parameter stays only because existing callers pass it
-    positionally.
+    Each instance is counted by the O(d) kernel _admissible_counts.
+    Returns (counts per d, violations); a violation is (d, J, q, |J_ad|,
+    |K_ad|).  workers is ignored: the sweep always runs in one process.  The
+    parameter stays only because existing callers pass it positionally.
     """
     if max_d < 1:
         raise ValueError("need max_d >= 1, got %d" % max_d)
@@ -247,87 +169,10 @@ def sweep_combi(max_d, workers=1):
     violations = []
     for d in range(1, max_d + 1):
         n = 0
-        for inst in iter_partition_instances(d):
+        for J, q in iter_partition_instances(d):
             n += 1
-            j_ad, k_ad = _admissible_counts(d, inst.J, inst.q)
+            j_ad, k_ad = _admissible_counts(d, J, q)
             if k_ad != j_ad + 1:
-                violations.append((inst, j_ad, k_ad))
+                violations.append((d, J, q, j_ad, k_ad))
         counts[d] = n
     return counts, violations
-
-
-def delta_series(u, n, d_max, tol=None):
-    """Truncated series for the chain defect delta_n of a trig-polynomial potential.
-
-    Evaluates, literally, the remainder sum
-
-        sum_{d >= 2} sum_{1 <= m <= d-1} sum_{k = m+1..d}
-        sum over integer tuples (l_1..l_d) with
-            l_j >= -n+1 for 1 <= j <= m and for m+1 <= j < k,
-            l_k  = -n,
-            l_j >= -n   for k < j <= d,
-        of A(l_1..l_m) A(l_m..l_d) E_u(l_1..l_d),
-
-    truncated at d <= d_max.  The l-sums are finite because
-    E_u(l) = u_hat(l_1) u_hat(l_2-l_1) ... u_hat(l_d-l_{d-1}) u_hat(-l_d)
-    vanishes unless consecutive differences lie in the support of u_hat.
-
-    Returns (value, tail_estimate); the estimate is the geometric bound
-    (5 ||u||_s)^(d_max+1).  With tol given, a tail estimate at or above tol
-    raises DivergenceError (reported as unconverged).
-    """
-    if d_max < 2:
-        raise ValueError("d_max must be >= 2")
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    coef = u.nonzero_coeffs()
-    if not coef:
-        return 0.0 + 0.0j, 0.0
-    supp = sorted(coef)
-    total = 0.0 + 0.0j
-    for d in range(2, d_max + 1):
-        for m in range(1, d):
-            for k in range(m + 1, d + 1):
-                total += _remainder_block(coef, supp, n, d, m, k)
-    tail = (5.0 * sobolev_norm(u, u.s)) ** (d_max + 1)
-    if tol is not None and tail >= tol:
-        raise DivergenceError("tail estimate %.3e not below tolerance %.3e" % (tail, tol))
-    return total, tail
-
-
-def _remainder_block(coef, supp, n, d, m, k):
-    """Sum over tuples for fixed (d, m, k) with l_k = -n pinned."""
-    lower_strict = -n + 1  # positions 1..m and m+1..k-1
-    lower_loose = -n       # positions k+1..d
-    acc = 0.0 + 0.0j
-
-    def extend(pos, prev, weight, prefix):
-        nonlocal acc
-        if pos > d:
-            # close the chain: E_u carries a final factor u_hat(-l_d)
-            w = weight * coef.get(-prev, 0.0)
-            if w == 0.0:
-                return
-            a1 = float(residue_A(prefix[:m]))
-            a2 = float(residue_A(prefix[m - 1:]))
-            acc += a1 * a2 * w
-            return
-        if pos == k:
-            l = -n
-            step = coef.get(l - prev, 0.0) if pos > 1 else coef.get(l, 0.0)
-            if step != 0.0:
-                extend(pos + 1, l, weight * step, prefix + (l,))
-            return
-        lo = lower_strict if pos < k else lower_loose
-        if pos == 1:
-            choices = [l for l in supp if l >= lo]
-        else:
-            choices = [prev + s for s in supp if prev + s >= lo]
-        for l in choices:
-            step = coef.get(l - prev, 0.0) if pos > 1 else coef.get(l, 0.0)
-            extend(pos + 1, l, weight * step, prefix + (l,))
-
-    extend(1, 0, 1.0 + 0.0j, ())
-    return acc
-

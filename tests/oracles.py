@@ -1,7 +1,9 @@
 """Independent oracles used to pin expected values in the test suite.
 
 Everything here is deliberately primitive: plain quadrature, truncated
-Fraction Taylor series, dense linear solves and eigenvalues, perturbation
+Fraction Taylor series and the multi-sums built on them, the partition
+counts from explicit sets, dense linear solves and eigenvalues, the
+involutions, norms and energies on coefficient dicts, perturbation
 formulas, the scaling products one factor at a time, the RK4 loop with its
 products spelled out, the time-discrete equation residual, and a continuity
 probe on the full index range with its own copy of the flow.  Nothing
@@ -95,6 +97,77 @@ def series_residue_pole_shift(ls, n):
     return -value if zeros % 2 else value
 
 
+def delta_series(coeffs, n, d_max):
+    """Truncated series for the chain defect delta_n, from a dict n -> u_hat(n).
+
+    The literal remainder sum, truncated at d <= d_max,
+
+        sum_{d >= 2} sum_{1 <= m < k <= d} sum over integer tuples (l_1..l_d)
+        with l_j >= -n+1 for j < k, l_k = -n and l_j >= -n for j > k,
+        of A(l_1..l_m) A(l_m..l_d) E_u(l_1..l_d),
+
+    with A the exact residue (series_residue) and E_u(l) = u_hat(l_1)
+    u_hat(l_2-l_1) ... u_hat(l_d-l_{d-1}) u_hat(-l_d), which vanishes unless
+    consecutive differences lie in the support, so the l-sums are finite.
+    The bounds on l do not depend on m, so each tuple is built once per
+    (d, k) and carries the sum over m < k.
+    """
+    supp = sorted(coeffs)
+
+    def chains(prefix, weight, d, k):
+        pos, prev = len(prefix) + 1, (prefix[-1] if prefix else 0)
+        if pos > d:
+            w = weight * coeffs.get(-prev, 0.0)
+            if w != 0.0:
+                yield prefix, w
+            return
+        lo = -n + 1 if pos < k else -n
+        for l in ([-n] if pos == k else [prev + s for s in supp if prev + s >= lo]):
+            step = coeffs.get(l - prev, 0.0)
+            if step != 0.0:
+                yield from chains(prefix + (l,), weight * step, d, k)
+
+    total = 0.0 + 0.0j
+    for d in range(2, d_max + 1):
+        for k in range(2, d + 1):
+            for ls, w in chains((), 1.0 + 0.0j, d, k):
+                total += w * sum(float(series_residue(ls[:m]) * series_residue(ls[m - 1:]))
+                                 for m in range(1, k))
+    return total
+
+
+def combi_check(d, J, q):
+    """Count the two admissible sets of the instance (J, q) at size d from explicit sets.
+
+    K = {1..d} minus J and q holds the pairs (k, q_k) over K.  With J_m =
+    J cap [1, m], J'_m = J cap [m, d], likewise for K, and S(E) the sum of q
+    over E: J_ad = { m in J : S(K_m) = |J_m| } and
+    K_ad = { m in K : S(K_m \\ {m}) <= |J_m| and S(K'_m \\ {m}) <= |J'_m| }.
+    Returns (|J_ad|, |K_ad|, ok) with ok <=> |K_ad| = |J_ad| + 1.
+    """
+    qmap = dict(q)
+    K = set(range(1, d + 1)) - set(J)
+
+    def S(E):
+        return sum(qmap[k] for k in E)
+
+    j_ad = 0
+    for m in J:
+        K_m = {k for k in K if k <= m}
+        J_m = {j for j in J if j <= m}
+        if S(K_m) == len(J_m):
+            j_ad += 1
+    k_ad = 0
+    for m in K:
+        K_m = {k for k in K if k <= m}
+        J_m = {j for j in J if j <= m}
+        K_pm = {k for k in K if k >= m}
+        J_pm = {j for j in J if j >= m}
+        if S(K_m - {m}) <= len(J_m) and S(K_pm - {m}) <= len(J_pm):
+            k_ad += 1
+    return j_ad, k_ad, k_ad == j_ad + 1
+
+
 def psi_series(coeffs, n, d_max):
     """Taylor sum of the zero-mode coefficient of the projected basis vector h_n.
 
@@ -129,6 +202,48 @@ def psi_series(coeffs, n, d_max):
         value += term
         per_degree.append(abs(term))
     return value, per_degree
+
+
+def involute(coeffs, kind):
+    """The two involutions on a dict n -> u_hat(n) over both signs.
+
+    star: u_*(x) = u(-x), so u_hat(n) -> u_hat(-n).
+    conj: u(x) -> conj(u(x)), so u_hat(n) -> conj(u_hat(-n)).
+    """
+    if kind not in ("star", "conj"):
+        raise ValueError("kind must be 'star' or 'conj', got %r" % kind)
+    return {-n: (v if kind == "star" else complex(v).conjugate()) for n, v in coeffs.items()}
+
+
+def sobolev_norm(coeffs, beta):
+    """(sum <n>^{2 beta} |u_hat(n)|^2)^{1/2}, <n> = max(1, |n|), over a dict n -> u_hat(n)."""
+    return math.sqrt(sum(max(1, abs(n)) ** (2.0 * beta) * abs(v) ** 2
+                         for n, v in coeffs.items()))
+
+
+def hamiltonian_b(plus):
+    """H_B = sum n^2 |zeta_n|^2 - sum_n (sum_{k>=n} |zeta_k|^2)^2 from the plus side.
+
+    The normalization whose derivative in |zeta_n|^2 gives the flow
+    frequencies n^2 + Omega_n and whose quadratic part matches the physical
+    energy of the linearized coordinates.
+    """
+    q = np.abs(np.asarray(plus)) ** 2
+    ns = np.arange(1, len(q) + 1, dtype=float)
+    tails = np.cumsum(q[::-1])[::-1]
+    return float(np.sum(ns ** 2 * q) - np.sum(tails ** 2))
+
+
+def hamiltonian_phys(coeffs):
+    """H_phys = (1/2) sum |n| |u_hat(n)|^2 - (1/3) (u^3)_hat(0) of a real potential.
+
+    coeffs maps n -> u_hat(n) over both signs; (u^3)_hat(0) is the direct
+    convolution sum of u_hat(a) u_hat(b) u_hat(-a-b) over the support.
+    """
+    quad = sum(abs(n) * abs(v) ** 2 for n, v in coeffs.items())
+    cubic = sum(va * vb * coeffs.get(-a - b, 0.0)
+                for a, va in coeffs.items() for b, vb in coeffs.items())
+    return 0.5 * quad - cubic.real / 3.0
 
 
 def lax_matrix(coeffs, M):
@@ -166,12 +281,11 @@ def symmetry_audit(coeffs, M):
     L_{u_*} is L_u^T and L_{conj u} is L_u^H entry for entry, so both
     entries are linear-algebra identities on matrices built here: they
     check the eigensolver on each pair and certify nothing about the
-    package, whose side criterion 13 reads through involute and spectrum.
+    package, whose spectrum and conjugate_spectrum criterion 13 reads.
     """
     lam_u = sorted_eigenvalues(lax_matrix(coeffs, M))
-    lam_star = sorted_eigenvalues(lax_matrix({-n: v for n, v in coeffs.items()}, M))
-    lam_conj = np.conj(sorted_eigenvalues(
-        lax_matrix({-n: np.conj(v) for n, v in coeffs.items()}, M)))
+    lam_star = sorted_eigenvalues(lax_matrix(involute(coeffs, "star"), M))
+    lam_conj = np.conj(sorted_eigenvalues(lax_matrix(involute(coeffs, "conj"), M)))
     lam_conj = lam_conj[np.lexsort((lam_conj.imag, lam_conj.real))]
     return {
         "minus_vs_star": float(np.max(np.abs(lam_star - lam_u))),

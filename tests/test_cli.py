@@ -1,5 +1,7 @@
+import io
 import json
 import os
+import sys
 
 import pytest
 
@@ -106,23 +108,46 @@ def test_bracket_small(tmp_path):
     assert payload["max_dev_holomorphic"] < 1e-5
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["bracket", "--fd-step", "0"], "need a finite step h > 0, got 0.0"),
-    (["bracket", "--fd-step=-1e-5"], "need a finite step h > 0, got -1e-05"),
-    (["bracket", "--fd-step", "nan"], "need a finite step h > 0, got nan"),
-    (["bracket", "--modes", "0"], "need n_max >= 1, got 0"),
-    (["vanishing", "--max-d", "0"], "need max_d >= 1, got 0"),
-    (["vanishing", "--l-bound", "-1"], "need l_bound >= 0, got -1"),
-    (["vanishing", "--random-count", "-5"], "need random_count >= 0, got -5"),
-    (["combi", "--max-d", "-2"], "need max_d >= 1, got -2"),
-    (["continuity", "--n-base", "-1"], "need n_base >= 0, got -1"),
-    (["continuity", "--max-probes", "0"], "need max_probes >= 1, got 0"),
-    (["continuity", "--max-m", "0"], "need max_m >= 1, got 0"),
+def _state_doc(s=0.5, plus=(1,), minus=(-1,)):
+    """A one-mode real state document; plus and minus list its entries' indices."""
+    return json.dumps({"s": s, "N_b": 1, "real": True,
+                       "plus": [{"n": n, "re": 0.1, "im": 0.0} for n in plus],
+                       "minus": [{"n": n, "re": 0.1, "im": 0.0} for n in minus]})
+
+
+def _potential_doc(s=0.5, coeffs=((1, 0.01),)):
+    """A one-mode potential document with (n, re) entries."""
+    return json.dumps({"s": s, "N": 1, "coeffs": [{"n": n, "re": re} for n, re in coeffs]})
+
+
+@pytest.mark.parametrize("argv, stdin, message", [
+    (["bracket", "--fd-step", "0"], None, "need a finite step h > 0, got 0.0"),
+    (["bracket", "--fd-step=-1e-5"], None, "need a finite step h > 0, got -1e-05"),
+    (["bracket", "--fd-step", "nan"], None, "need a finite step h > 0, got nan"),
+    (["bracket", "--modes", "0"], None, "need n_max >= 1, got 0"),
+    (["vanishing", "--max-d", "0"], None, "need max_d >= 1, got 0"),
+    (["vanishing", "--l-bound", "-1"], None, "need l_bound >= 0, got -1"),
+    (["vanishing", "--random-count", "-5"], None, "need random_count >= 0, got -5"),
+    (["combi", "--max-d", "-2"], None, "need max_d >= 1, got -2"),
+    (["continuity", "--n-base", "-1"], None, "need n_base >= 0, got -1"),
+    (["continuity", "--max-probes", "0"], None, "need max_probes >= 1, got 0"),
+    (["continuity", "--max-m", "0"], None, "need max_m >= 1, got 0"),
+    (["transform"], _potential_doc(s=float("inf")),
+     "Sobolev exponent must be finite and > -1/2, got inf"),
+    (["evolve", "--t", "1"], _state_doc(s=float("nan")),
+     "Sobolev exponent must be finite and > -1/2, got nan"),
+    (["transform"], _potential_doc(coeffs=((1, 0.01), (1, 0.5))), "duplicate index n=1"),
+    (["evolve", "--t", "1"], _state_doc(plus=(1, 1)), "duplicate index n=1"),
+    (["evolve", "--t", "1"], _state_doc(minus=(-1, -1)), "duplicate index n=-1"),
 ], ids=["fd-step-0", "fd-step-negative", "fd-step-nan", "bracket-modes-0",
         "max-d-0", "l-bound-negative", "random-count-negative", "combi-max-d-negative",
-        "n-base-negative", "max-probes-0", "max-m-0"])
-def test_vacuous_or_ill_posed_runs_exit_1(capsys, argv, message):
-    # each of these used to exit 0 after checking nothing, or print NaN
+        "n-base-negative", "max-probes-0", "max-m-0", "potential-s-inf", "state-s-nan",
+        "potential-duplicate-n", "state-duplicate-plus-n", "state-duplicate-minus-n"])
+def test_vacuous_or_ill_posed_runs_exit_1(capsys, monkeypatch, argv, stdin, message):
+    # each of these used to exit 0 after checking nothing, print NaN or
+    # Infinity (not JSON), or keep only the last of a repeated index
+    if stdin is not None:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     assert cli.main(argv) == 1
     assert capsys.readouterr() == ("", "error: %s\n" % message)
 

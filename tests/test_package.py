@@ -54,6 +54,21 @@ def test_every_exported_name_resolves():
     assert len(set(bonft.__all__)) == len(bonft.__all__)
 
 
+def test_every_exported_name_is_used_by_the_package():
+    """Library code exists for the CLI: each public name is referenced in
+    some module of src/bonft other than __init__, outside its own definition."""
+    used = set()
+    for path in Path(bonft.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text()).body:
+            own = getattr(stmt, "name", None)
+            names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(stmt)}
+            used |= names - {own}
+    unused = sorted(set(bonft.__all__) - used)
+    assert not unused, unused
+
+
 def test_package_imports_only_its_declared_dependencies():
     """Every third-party module imported anywhere in the package is in
     [project].dependencies, and every dependency listed there is used."""

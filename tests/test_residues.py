@@ -8,13 +8,20 @@ from hypothesis import strategies as st
 from bonft import residues
 from bonft.hardy import Potential
 from bonft.lax import spectrum
-from bonft.residues import (PartitionInstance, _admissible_counts, combi_check,
-                            delta_series, iter_partition_instances, residue_A,
-                            sweep_combi, sweep_vanishing, vanishing_D)
-from oracles import (contour_residue_quadrature, psi_series, series_residue,
-                     series_residue_pole_shift, vanishing_sum_quadrature)
+from bonft.residues import (_admissible_counts, _residue_pair, _vanishing_pair,
+                            iter_partition_instances, sweep_combi, sweep_vanishing)
+from oracles import (combi_check, contour_residue_quadrature, delta_series, psi_series,
+                     series_residue, series_residue_pole_shift, vanishing_sum_quadrature)
 
 QUAD_TOL = 1e-10
+
+
+def residue_A(ls, extra_mu_power=0):
+    return Fraction(*_residue_pair(tuple(ls), extra_mu_power))
+
+
+def vanishing_D(ls):
+    return Fraction(*_vanishing_pair(tuple(ls)))
 
 
 def test_residue_examples():
@@ -85,22 +92,24 @@ def test_vanishing_holds_everywhere(ls):
 
 
 def test_partition_instance_validation():
-    with pytest.raises(ValueError):
-        PartitionInstance(2, frozenset({1}), frozenset({1, 2}), (1, 1))
-    with pytest.raises(ValueError):
-        PartitionInstance(2, frozenset({1, 2}), frozenset(), ())
+    """Every instance the sweep counts is valid: J and K partition {1..d},
+    K is nonempty, and q over K is nonnegative and sums to |J| + 1."""
+    for d in range(1, 7):
+        for J, q in iter_partition_instances(d):
+            K = [k for k, _ in q]
+            assert K and K == sorted(set(range(1, d + 1)) - J), (d, J, q)
+            assert min(v for _, v in q) >= 0 and sum(v for _, v in q) == len(J) + 1
 
 
 def test_combi_forced_single_element():
-    p = PartitionInstance(1, frozenset(), frozenset({1}), ((1, 1),))
-    j_ad, k_ad, ok = combi_check(p)
-    assert (j_ad, k_ad, ok) == (0, 1, True)
+    assert combi_check(1, set(), ((1, 1),)) == (0, 1, True)
+    assert _admissible_counts(1, set(), ((1, 1),)) == (0, 1)
 
 
 def test_combi_d2_example():
-    p = PartitionInstance(2, frozenset({2}), frozenset({1}), ((1, 2),))
-    j_ad, k_ad, ok = combi_check(p)
+    j_ad, k_ad, ok = combi_check(2, {2}, ((1, 2),))
     assert ok and k_ad == j_ad + 1
+    assert _admissible_counts(2, {2}, ((1, 2),)) == (j_ad, k_ad)
 
 
 def test_instance_counts_are_central_binomials():
@@ -123,27 +132,27 @@ def test_sweeps_are_clean():
 
 def test_combi_kernel_matches_combi_check():
     for d in range(1, 7):
-        for p in iter_partition_instances(d):
-            assert _admissible_counts(d, p.J, p.q) == combi_check(p)[:2], p
+        for J, q in iter_partition_instances(d):
+            assert _admissible_counts(d, J, q) == combi_check(d, J, q)[:2], (d, J, q)
 
 
 def test_sweep_combi_reports_a_corrupted_q_entry(monkeypatch):
     real = residues.iter_partition_instances
 
     def corrupted(d):
-        for i, p in enumerate(real(d)):
+        for i, (J, q) in enumerate(real(d)):
             if (d, i) == (3, 0):  # J = {}, q = (0, 0, 1) becomes (1, 0, 1)
-                (k, v), *rest = p.q
-                object.__setattr__(p, "q", ((k, v + 1), *rest))
-            yield p
+                (k, v), *rest = q
+                q = ((k, v + 1), *rest)
+            yield J, q
 
     monkeypatch.setattr(residues, "iter_partition_instances", corrupted)
     counts, violations = sweep_combi(4)
     assert counts == {1: 1, 2: 4, 3: 15, 4: 56}
     assert len(violations) == 1
-    inst, j_ad, k_ad = violations[0]
-    assert inst.q == ((1, 1), (2, 0), (3, 1))
-    assert (j_ad, k_ad) == combi_check(inst)[:2] == (0, 0)
+    d, J, q, j_ad, k_ad = violations[0]
+    assert (d, J, q) == (3, frozenset(), ((1, 1), (2, 0), (3, 1)))
+    assert (j_ad, k_ad) == combi_check(d, J, q)[:2] == (0, 0)
 
 
 def test_vanishing_cache_lives_for_one_sweep():
@@ -157,18 +166,15 @@ def test_vanishing_cache_lives_for_one_sweep():
 
 
 def test_delta_series_zero_potential():
-    u = Potential(0.5, 1, {}, real=True)
-    value, tail = delta_series(u, 3, 4)
-    assert value == 0
-    assert tail == 0
+    assert delta_series({}, 3, 4) == 0
 
 
 def test_delta_series_leading_order_single_mode():
     """With one positive mode the n=1 defect starts at degree four."""
     eps = 0.01
     u = Potential(0.5, 1, {1: eps}, real=True)
-    v2, _ = delta_series(u, 1, 2)
-    v4, _ = delta_series(u, 1, 4)
+    v2 = delta_series(u.nonzero_coeffs(), 1, 2)
+    v4 = delta_series(u.nonzero_coeffs(), 1, 4)
     assert v2 == 0
     assert v4 == pytest.approx(eps ** 4, rel=1e-12)
 
@@ -180,7 +186,7 @@ def test_delta_series_matches_spectral_delta():
     from bonft.birkhoff import eigen_chain
     _, scal = eigen_chain(sd)
     for n in range(1, 8):
-        series, tail = delta_series(u, n, 4)
+        series = delta_series(u.nonzero_coeffs(), n, 4)
         assert abs(series - scal.delta[n]) < 1e-9, n
 
 
