@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (BranchCutError, DegenerateProduct, DegenerateProjector,
                      NumericalFailure, OutOfNeighborhood, TruncationWarning)
-from .hardy import Potential, sobolev_exponent
+from .hardy import Potential, json_flag, json_int, sobolev_exponent
 from .lax import conjugate_spectrum, spectrum
 
 DEGENERATE_TOL = 1e-12
@@ -278,7 +278,7 @@ def _side_from_json(items, n_modes, sign):
     side = np.zeros(n_modes, dtype=complex)
     seen = set()
     for item in items:
-        n = int(item["n"])
+        n = json_int(item, "n")
         if not 1 <= sign * n <= n_modes:
             raise ValueError("index %d outside %d..%d" % (n, sign, sign * n_modes))
         if n in seen:
@@ -290,11 +290,11 @@ def _side_from_json(items, n_modes, sign):
 
 def state_from_json(obj):
     try:
-        n_modes = int(obj["N_b"])
+        n_modes = json_int(obj, "N_b")
         plus = _side_from_json(obj["plus"], n_modes, 1)
         minus = _side_from_json(obj["minus"], n_modes, -1)
         s = float(obj["s"])
-        real = bool(obj.get("real", False))
+        real = json_flag(obj, "real")
     except (KeyError, TypeError) as exc:
         raise ValueError("malformed state object: %s" % exc) from exc
     return BirkhoffState(s, plus, minus, real)

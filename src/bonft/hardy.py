@@ -26,6 +26,22 @@ def sobolev_exponent(s):
     return s
 
 
+def json_int(obj, key):
+    """obj[key], which must be a JSON integer; a float or a bool is rejected."""
+    v = obj[key]
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ValueError("%s must be a JSON integer, got %r" % (key, v))
+    return v
+
+
+def json_flag(obj, key):
+    """obj[key], which must be a JSON boolean; an absent key reads as false."""
+    v = obj.get(key, False)
+    if not isinstance(v, bool):
+        raise ValueError("%s must be a JSON boolean, got %r" % (key, v))
+    return v
+
+
 class Potential:
     """Truncated mean-zero Fourier data of a potential, with Sobolev exponent s.
 
@@ -127,11 +143,11 @@ def potential_from_json(obj):
         obj = json.loads(obj)
     try:
         s = obj["s"]
-        N = obj["N"]
-        real = bool(obj.get("real", False))
+        N = json_int(obj, "N")
+        real = json_flag(obj, "real")
         coeffs = {}
         for item in obj["coeffs"]:
-            n = int(item["n"])
+            n = json_int(item, "n")
             if n == 0:
                 raise ValueError("n=0 entries are rejected (mean is fixed at zero)")
             if n in coeffs:

@@ -14,52 +14,71 @@ with z the number of zero entries; A(l_1..l_d) denotes it at extra = 0 and
 A_2(l_1..l_d) at extra = 1.  That coefficient has the closed form
 h_k(1/l_1, ..., 1/l_n) / prod l_j, where h_k is the complete homogeneous
 symmetric polynomial in the nonzero entries; repeated factors need no
-special case.  It is evaluated on plain Python integers (see _residue_pair),
-so every value is exact and the vanishing test compares an integer with 0.
-sweep_vanishing memoises _residue_pair for the length of one sweep, where
-prefixes and suffixes repeat; nothing is cached across calls.
+special case.
+
+The sweep checks that the combination
+
+    D(l_1..l_d) = sum_m A(l_1..l_m) A(l_m..l_d) - A_2(l_1..l_d)
+
+vanishes.  With P the product of all nonzero entries, Z the number of
+zeros and y_j = P / l_j, every term of D shares the denominator P^(Z+2),
+and D P^(Z+2) (-1)^Z = S - A2 with A2 = h_(Z+1)(y) and S = sum_m w_m
+h(prefix) h(suffix) (see _vanishing_terms).  One left pass gives the
+prefix values and A2, one right pass the suffix values and S, in
+O(d (Z + 2)) operations on plain Python integers, so every value is exact
+and the test compares two integers.  Nothing is cached, within a sweep or
+across sweeps, and the random tuples are drawn in fixed-size blocks, so a
+sweep's memory does not grow with its length.
 """
 
 import itertools
-import math
-from functools import lru_cache
+
+# the random part of sweep_vanishing draws its tuples this many at a time, so
+# its memory does not grow with random_count
+RANDOM_BLOCK = 4096
 
 
-def _residue_pair(ls, extra_mu_power):
-    """Unreduced (numerator, denominator) of the residue A(ls) or A_2(ls).
+def _vanishing_terms(ls):
+    """The two sides (S, A2) of D(ls) P^(Z+2) (-1)^Z = S - A2, as integers.
 
-    ls is a nonempty tuple of integers; extra_mu_power 0 gives A, 1 gives
-    A_2.  With P the product of the nonzero l_j and y_j = P / l_j, the
-    closed form becomes h_k(y) / P^(k+1), and h_k(y) follows from the
-    recurrence h_i += y_j h_(i-1) (i ascending) over the nonzero entries.
+    ls is a nonempty tuple of integers, P the product of its nonzero
+    entries, Z the number of zeros and y_j = P / l_j (y_j = 0 marks a zero
+    entry).  A2 = h_(Z+1)(y) and S = sum_m w_m h_(z(1..m))(y_1..y_m)
+    h_(z(m..d))(y_m..y_d), with w_m = y_m, or -1 where l_m = 0.  The left
+    pass builds the prefix values by the recurrence h_i += y_j h_(i-1)
+    (i ascending) and ends with A2; the right pass builds the suffix values
+    the same way and accumulates S.  D vanishes iff S == A2.
     """
-    nonzero = [l for l in ls if l]
-    zeros = len(ls) - len(nonzero)
-    k = extra_mu_power + zeros
-    P = math.prod(nonzero)
-    h = [1] + [0] * k
-    for l in nonzero:
-        y = P // l
-        for i in range(1, k + 1):
-            h[i] += y * h[i - 1]
-    return (-h[k] if zeros % 2 else h[k]), P ** (k + 1)
-
-
-def _vanishing_pair(ls, pair=_residue_pair):
-    """Unreduced (numerator, denominator) of the residue combination
-    D(l_1..l_d) = sum_{m=1..d} A(l_1..l_m) A(l_m..l_d) - A_2(l_1..l_d),
-    which the exact sweep certifies to vanish.
-
-    pair computes _residue_pair; a sweep passes a memoised copy of it.
-    """
-    num, den = pair(ls, 1)
-    num = -num
-    for m in range(1, len(ls) + 1):
-        a, b = pair(ls[:m], 0)
-        c, e = pair(ls[m - 1:], 0)
-        num = num * b * e + a * c * den
-        den *= b * e
-    return num, den
+    P = 1
+    for l in ls:
+        if l:
+            P *= l
+    ys = [P // l if l else 0 for l in ls]
+    Z = ys.count(0)
+    top = range(1, Z + 2)
+    h = [1] + [0] * (Z + 1)
+    left = []
+    z = 0
+    for y in ys:
+        if y:
+            for i in top:
+                h[i] += y * h[i - 1]
+        else:
+            z += 1
+        left.append(h[z])
+    top = range(1, Z + 1)
+    g = [1] + [0] * Z
+    S = z = 0
+    for m in range(len(ys) - 1, -1, -1):
+        y = ys[m]
+        if y:
+            for i in top:
+                g[i] += y * g[i - 1]
+            S += y * left[m] * g[z]
+        else:
+            z += 1
+            S -= left[m] * g[z]
+    return S, h[Z + 1]
 
 
 def _admissible_counts(d, J, q):
@@ -122,8 +141,8 @@ def sweep_vanishing(max_d, l_bound, random_count=0, rng=None):
     Returns (counts per d, random tuples checked, violations); violations
     lists the offending tuples.
     Exhaustive part: every tuple with d <= max_d, |l_j| <= l_bound.
-    Random part: random_count tuples with d <= 6, |l_j| <= 50 from rng.
-    The residues of shared prefixes and suffixes are cached for this call only.
+    Random part: random_count tuples with d uniform on 1..6 and entries iid
+    uniform on [-50, 50], drawn from rng in blocks of at most RANDOM_BLOCK.
     """
     if max_d < 1:
         raise ValueError("need max_d >= 1, got %d" % max_d)
@@ -131,7 +150,8 @@ def sweep_vanishing(max_d, l_bound, random_count=0, rng=None):
         raise ValueError("need l_bound >= 0, got %d" % l_bound)
     if random_count < 0:
         raise ValueError("need random_count >= 0, got %d" % random_count)
-    pair = lru_cache(maxsize=None)(_residue_pair)
+    if random_count and rng is None:
+        raise ValueError("random sweep needs an rng")
     counts = {}
     violations = []
     values = range(-l_bound, l_bound + 1)
@@ -139,19 +159,21 @@ def sweep_vanishing(max_d, l_bound, random_count=0, rng=None):
         n = 0
         for ls in itertools.product(values, repeat=d):
             n += 1
-            if _vanishing_pair(ls, pair)[0] != 0:
+            S, A2 = _vanishing_terms(ls)
+            if S != A2:
                 violations.append(ls)
         counts[d] = n
     random_checked = 0
-    if random_count:
-        if rng is None:
-            raise ValueError("random sweep needs an rng")
-        for _ in range(random_count):
-            d = int(rng.integers(1, 7))
-            ls = tuple(int(v) for v in rng.integers(-50, 51, size=d))
-            random_checked += 1
-            if _vanishing_pair(ls, pair)[0] != 0:
+    while random_checked < random_count:
+        b = min(RANDOM_BLOCK, random_count - random_checked)
+        lengths = rng.integers(1, 7, size=b).tolist()
+        rows = rng.integers(-50, 51, size=(b, 6)).tolist()
+        for d, row in zip(lengths, rows):
+            ls = tuple(row[:d])
+            S, A2 = _vanishing_terms(ls)
+            if S != A2:
                 violations.append(ls)
+        random_checked += b
     return counts, random_checked, violations
 
 

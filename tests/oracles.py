@@ -1,14 +1,14 @@
 """Independent oracles used to pin expected values in the test suite.
 
 Everything here is deliberately primitive: plain quadrature, truncated
-Fraction Taylor series and the multi-sums built on them, the partition
-counts from explicit sets, dense linear solves and eigenvalues, the
-involutions, norms and energies on coefficient dicts, perturbation
-formulas, the scaling products one factor at a time, the RK4 loop with its
-products spelled out, the time-discrete equation residual, and a continuity
-probe on the full index range with its own copy of the flow.  Nothing
-imports the package under test, so agreement between a package routine
-and its oracle is evidence, not circularity.
+Fraction Taylor series, the closed-form residue and the multi-sums built
+on them, the partition counts from explicit sets, dense linear solves and
+eigenvalues, the involutions, norms and energies on coefficient dicts,
+perturbation formulas, the scaling products one factor at a time, the RK4
+loop with its products spelled out, the time-discrete equation residual,
+and a continuity probe on the full index range with its own copy of the
+flow.  Nothing imports the package under test, so agreement between a
+package routine and its oracle is evidence, not circularity.
 """
 
 import math
@@ -82,6 +82,27 @@ def series_residue(ls, extra_mu_power=0):
     order = extra_mu_power + zeros
     value = _product_series([l for l in ls if l != 0], order)[order]
     return -value if zeros % 2 else value
+
+
+def residue_pair(ls, extra_mu_power=0):
+    """Unreduced (numerator, denominator) of the residue A(ls) or A_2(ls), in closed form.
+
+    ls is a nonempty tuple of integers; extra_mu_power 0 gives A, 1 gives
+    A_2.  The residue is (-1)^z h_k(1/l_j) / prod l_j over the nonzero
+    entries, k = extra + z with z the number of zeros.  With P the product
+    of the nonzero l_j and y_j = P / l_j it becomes h_k(y) / P^(k+1), and
+    h_k(y) follows from the recurrence h_i += y_j h_(i-1) (i ascending).
+    """
+    nonzero = [l for l in ls if l]
+    zeros = len(ls) - len(nonzero)
+    k = extra_mu_power + zeros
+    P = math.prod(nonzero)
+    h = [1] + [0] * k
+    for l in nonzero:
+        y = P // l
+        for i in range(1, k + 1):
+            h[i] += y * h[i - 1]
+    return (-h[k] if zeros % 2 else h[k]), P ** (k + 1)
 
 
 def series_residue_pole_shift(ls, n):

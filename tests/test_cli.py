@@ -108,16 +108,20 @@ def test_bracket_small(tmp_path):
     assert payload["max_dev_holomorphic"] < 1e-5
 
 
-def _state_doc(s=0.5, plus=(1,), minus=(-1,)):
-    """A one-mode real state document; plus and minus list its entries' indices."""
-    return json.dumps({"s": s, "N_b": 1, "real": True,
-                       "plus": [{"n": n, "re": 0.1, "im": 0.0} for n in plus],
-                       "minus": [{"n": n, "re": 0.1, "im": 0.0} for n in minus]})
+def _state_doc(s=0.5, plus=(1,), minus=(-1,), **fields):
+    """A one-mode real state document; plus and minus list its entries' indices,
+    and fields replace or add top-level keys."""
+    doc = {"s": s, "N_b": 1, "real": True,
+           "plus": [{"n": n, "re": 0.1, "im": 0.0} for n in plus],
+           "minus": [{"n": n, "re": 0.1, "im": 0.0} for n in minus]}
+    return json.dumps({**doc, **fields})
 
 
-def _potential_doc(s=0.5, coeffs=((1, 0.01),)):
-    """A one-mode potential document with (n, re) entries."""
-    return json.dumps({"s": s, "N": 1, "coeffs": [{"n": n, "re": re} for n, re in coeffs]})
+def _potential_doc(s=0.5, coeffs=((1, 0.01),), **fields):
+    """A one-mode potential document with (n, re) entries; fields replace or
+    add top-level keys."""
+    doc = {"s": s, "N": 1, "coeffs": [{"n": n, "re": re} for n, re in coeffs]}
+    return json.dumps({**doc, **fields})
 
 
 @pytest.mark.parametrize("argv, stdin, message", [
@@ -139,13 +143,25 @@ def _potential_doc(s=0.5, coeffs=((1, 0.01),)):
     (["transform"], _potential_doc(coeffs=((1, 0.01), (1, 0.5))), "duplicate index n=1"),
     (["evolve", "--t", "1"], _state_doc(plus=(1, 1)), "duplicate index n=1"),
     (["evolve", "--t", "1"], _state_doc(minus=(-1, -1)), "duplicate index n=-1"),
+    (["transform"], _potential_doc(N=1.9), "N must be a JSON integer, got 1.9"),
+    (["transform"], _potential_doc(coeffs=((1.7, 0.01),)), "n must be a JSON integer, got 1.7"),
+    (["transform"], _potential_doc(coeffs=((True, 0.01),)), "n must be a JSON integer, got True"),
+    (["evolve", "--t", "1"], _state_doc(N_b=1.0), "N_b must be a JSON integer, got 1.0"),
+    (["evolve", "--t", "1"], _state_doc(plus=(1.5,)), "n must be a JSON integer, got 1.5"),
+    (["transform"], _potential_doc(real="false"), "real must be a JSON boolean, got 'false'"),
+    (["evolve", "--t", "1"], _state_doc(real="false"), "real must be a JSON boolean, got 'false'"),
+    (["evolve", "--t", "1"], _state_doc(real=1), "real must be a JSON boolean, got 1"),
 ], ids=["fd-step-0", "fd-step-negative", "fd-step-nan", "bracket-modes-0",
         "max-d-0", "l-bound-negative", "random-count-negative", "combi-max-d-negative",
         "n-base-negative", "max-probes-0", "max-m-0", "potential-s-inf", "state-s-nan",
-        "potential-duplicate-n", "state-duplicate-plus-n", "state-duplicate-minus-n"])
+        "potential-duplicate-n", "state-duplicate-plus-n", "state-duplicate-minus-n",
+        "potential-fractional-N", "potential-fractional-n", "potential-bool-n",
+        "state-fractional-N_b", "state-fractional-n", "potential-string-real",
+        "state-string-real", "state-integer-real"])
 def test_vacuous_or_ill_posed_runs_exit_1(capsys, monkeypatch, argv, stdin, message):
     # each of these used to exit 0 after checking nothing, print NaN or
-    # Infinity (not JSON), or keep only the last of a repeated index
+    # Infinity (not JSON), keep only the last of a repeated index, truncate
+    # a fractional index or cutoff, or read the string "false" as true
     if stdin is not None:
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     assert cli.main(argv) == 1

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -5,23 +6,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bonft import residues
+from bonft import cli, residues
 from bonft.hardy import Potential
 from bonft.lax import spectrum
-from bonft.residues import (_admissible_counts, _residue_pair, _vanishing_pair,
+from bonft.residues import (RANDOM_BLOCK, _admissible_counts, _vanishing_terms,
                             iter_partition_instances, sweep_combi, sweep_vanishing)
 from oracles import (combi_check, contour_residue_quadrature, delta_series, psi_series,
-                     series_residue, series_residue_pole_shift, vanishing_sum_quadrature)
+                     residue_pair, series_residue, series_residue_pole_shift,
+                     vanishing_sum_quadrature)
 
 QUAD_TOL = 1e-10
 
 
 def residue_A(ls, extra_mu_power=0):
-    return Fraction(*_residue_pair(tuple(ls), extra_mu_power))
+    return Fraction(*residue_pair(tuple(ls), extra_mu_power))
 
 
 def vanishing_D(ls):
-    return Fraction(*_vanishing_pair(tuple(ls)))
+    """D(ls) (-1)^Z P^(Z+2) as the kernel's S - A2; zero iff S == A2."""
+    S, A2 = _vanishing_terms(tuple(ls))
+    return S - A2
 
 
 def test_residue_examples():
@@ -89,6 +93,61 @@ def test_vanishing_matches_quadrature_structure():
 @settings(max_examples=150, deadline=None)
 def test_vanishing_holds_everywhere(ls):
     assert vanishing_D(tuple(ls)) == 0
+
+
+def test_vanishing_terms_match_series_oracle():
+    """Each side of the kernel is its exact residue sum times (-1)^Z P^(Z+2),
+    so a kernel that returns equal but wrong sides fails here."""
+    cases = [(0,), (0, 0, 0), (3, 3, 3), (-2, 0, -2, 0), (5, -5, 0, 1), (40, -40, 0, 0, 7, 40)]
+    cases += list(_seeded_tuples(34, 300, 6, 3))
+    cases += list(_seeded_tuples(35, 150, 6, 40))
+    assert any(ls.count(0) >= 2 for ls in cases)
+    assert any(len(set(ls)) < len(ls) for ls in cases if 0 not in ls)
+    assert max(len(ls) for ls in cases) == 6 and max(max(map(abs, ls)) for ls in cases) == 40
+    for ls in cases:
+        Z = ls.count(0)
+        scale = (-1) ** Z * math.prod(l for l in ls if l) ** (Z + 2)
+        S, A2 = _vanishing_terms(ls)
+        assert A2 == scale * series_residue(ls, 1), ls
+        assert S == scale * sum(series_residue(ls[:m]) * series_residue(ls[m - 1:])
+                                for m in range(1, len(ls) + 1)), ls
+
+
+def test_sweep_vanishing_reports_a_corrupted_tuple(monkeypatch, capsys):
+    real = residues._vanishing_terms
+    bad = (1, -2, 0)
+
+    def corrupted(ls):
+        S, A2 = real(ls)
+        return (S + 1, A2) if ls == bad else (S, A2)
+
+    monkeypatch.setattr(residues, "_vanishing_terms", corrupted)
+    counts, rc, violations = sweep_vanishing(3, 2, random_count=50, rng=np.random.default_rng(1))
+    assert counts == {1: 5, 2: 25, 3: 125} and rc == 50
+    assert violations == [bad]
+    assert cli.main(["vanishing", "--max-d", "3", "--l-bound", "2"]) == 3
+    assert "first: (1, -2, 0)" in capsys.readouterr().err
+
+
+def test_random_tuples_are_drawn_in_blocks(monkeypatch):
+    real = residues._vanishing_terms
+    seen = []
+
+    def recording(ls):
+        seen.append(ls)
+        return real(ls)
+
+    monkeypatch.setattr(residues, "_vanishing_terms", recording)
+    count = RANDOM_BLOCK + 3
+    counts, rc, violations = sweep_vanishing(1, 0, random_count=count,
+                                             rng=np.random.default_rng(3))
+    assert (counts, rc, violations) == ({1: 1}, count, [])
+    drawn = seen[1:]
+    assert len(drawn) == count
+    assert {len(ls) for ls in drawn} == set(range(1, 7))
+    entries = [v for ls in drawn for v in ls]
+    assert all(type(v) is int for v in entries)
+    assert min(entries) == -50 and max(entries) == 50
 
 
 def test_partition_instance_validation():
