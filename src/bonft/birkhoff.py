@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import (BranchCutError, DegenerateProduct, DegenerateProjector,
                      NumericalFailure, OutOfNeighborhood, TruncationWarning)
-from .hardy import Potential, json_flag, json_int, sobolev_exponent
+from .hardy import (Potential, coeffs_from_json, coeffs_to_json, json_value,
+                    sobolev_exponent)
 from .lax import conjugate_spectrum, spectrum
 
 DEGENERATE_TOL = 1e-12
@@ -262,10 +263,8 @@ def state_to_json(state, diagnostics=None):
     obj = {
         "s": state.s,
         "N_b": state.n_modes,
-        "plus": [{"n": j + 1, "re": float(z.real), "im": float(z.imag)}
-                 for j, z in enumerate(state.plus)],
-        "minus": [{"n": -(j + 1), "re": float(z.real), "im": float(z.imag)}
-                  for j, z in enumerate(state.minus)],
+        "plus": coeffs_to_json(enumerate(state.plus, 1)),
+        "minus": coeffs_to_json((-n, z) for n, z in enumerate(state.minus, 1)),
         "real": state.real_flag,
     }
     if diagnostics is not None:
@@ -274,27 +273,25 @@ def state_to_json(state, diagnostics=None):
 
 
 def _side_from_json(items, n_modes, sign):
-    """One side of a state: entry n goes to slot sign n - 1, each n at most once."""
+    """One side of a state: entry n goes to slot sign n - 1."""
     side = np.zeros(n_modes, dtype=complex)
-    seen = set()
-    for item in items:
-        n = json_int(item, "n")
+    for n, v in coeffs_from_json(items, None).items():
         if not 1 <= sign * n <= n_modes:
             raise ValueError("index %d outside %d..%d" % (n, sign, sign * n_modes))
-        if n in seen:
-            raise ValueError("duplicate index n=%d" % n)
-        seen.add(n)
-        side[sign * n - 1] = float(item["re"]) + 1j * float(item["im"])
+        side[sign * n - 1] = v
     return side
 
 
 def state_from_json(obj):
+    """Read the documented schema; every item must carry n, re and im."""
     try:
-        n_modes = json_int(obj, "N_b")
+        n_modes = json_value(obj, "N_b", "integer")
+        if n_modes < 1:  # an empty state would evolve and print nothing
+            raise ValueError("need N_b >= 1, got %d" % n_modes)
         plus = _side_from_json(obj["plus"], n_modes, 1)
         minus = _side_from_json(obj["minus"], n_modes, -1)
-        s = float(obj["s"])
-        real = json_flag(obj, "real")
+        s = json_value(obj, "s", "number")
+        real = json_value(obj, "real", "boolean", False)
     except (KeyError, TypeError) as exc:
         raise ValueError("malformed state object: %s" % exc) from exc
     return BirkhoffState(s, plus, minus, real)

@@ -66,11 +66,10 @@ def _emit_csv(header, rows, path):
     _emit("\n".join(lines) + "\n", path)
 
 
-def _seeded_potential(rng, s, n_band, scale):
-    coeffs = {}
-    for n in range(1, n_band + 1):
-        coeffs[n] = scale * (rng.standard_normal() + 1j * rng.standard_normal())
-    return Potential(s, n_band, coeffs, real=True)
+def _seeded_draws(rng, count, scale):
+    """count values scale (x + iy), each x and then its y a standard normal draw."""
+    return [scale * (rng.standard_normal() + 1j * rng.standard_normal())
+            for _ in range(count)]
 
 
 def _cmd_spectrum(args):
@@ -111,7 +110,7 @@ def _cmd_inverse(args):
 
 def _cmd_evolve(args):
     z = state_from_json(_read_json(args.input))
-    _emit_json(state_to_json(evolve(z, args.t), diagnostics=z.diagnostics), args.output)
+    _emit_json(state_to_json(evolve(z, args.t)), args.output)
     return 0
 
 
@@ -146,7 +145,7 @@ def _cmd_compare(args):
     band = min(u0.N * 2, traj.band)
     rows = []
     for t, u_b in samples[1:]:
-        u_d = traj.potential_at(index[round(t / args.dt)], N=band)
+        u_d = traj.potential_at(index[round(t / args.dt)])
         rows.append((t, l2_distance(u_b, u_d, band)))
     if args.format == "csv":
         _emit_csv(("t", "l2_diff"), rows, args.output)
@@ -196,9 +195,7 @@ def _cmd_combi(args):
 def _cmd_continuity(args):
     if args.n_base < 0:
         raise ValueError("need n_base >= 0, got %d" % args.n_base)
-    rng = np.random.default_rng(args.seed)
-    base = tuple(0.01 * (rng.standard_normal() + 1j * rng.standard_normal())
-                 for _ in range(args.n_base))
+    base = _seeded_draws(np.random.default_rng(args.seed), args.n_base, 0.01)
     cfg = ContinuityConfig(s=args.s, t=args.t, base=base, k=args.k,
                            max_m=args.max_m, delta=args.delta,
                            max_probes=args.max_probes)
@@ -215,7 +212,8 @@ def _cmd_continuity(args):
 
 def _cmd_bracket(args):
     rng = np.random.default_rng(args.seed)
-    u = _seeded_potential(rng, args.s, 4, args.scale)
+    # the brackets do not depend on the Sobolev exponent, so it is fixed at 1/2
+    u = Potential(0.5, 4, dict(enumerate(_seeded_draws(rng, 4, args.scale), 1)), real=True)
     pm, pp = canonical_bracket_table(u, args.modes, h=args.fd_step)
     target = -1j * np.eye(args.modes)
     _emit_json({
@@ -228,12 +226,13 @@ def _cmd_bracket(args):
     return 0
 
 
-def _add_io(sp, output_only=False, formats=("json", "csv"), default_format="json"):
+def _add_io(sp, output_only=False, default_format=None):
     if not output_only:
         sp.add_argument("-i", "--input", default="-", help="input JSON path, - for stdin")
     sp.add_argument("-o", "--out", "--output", dest="output", default="-",
                     help="output path, - for stdout")
-    sp.add_argument("--format", choices=formats, default=default_format)
+    if default_format is not None:
+        sp.add_argument("--format", choices=("json", "csv"), default=default_format)
 
 
 @functools.cache
@@ -243,7 +242,7 @@ def build_parser():
     sub.required = True
 
     sp = sub.add_parser("spectrum", help="truncated Lax eigenvalues and gaps")
-    _add_io(sp)
+    _add_io(sp, default_format="json")
     sp.add_argument("--lax-dim", type=int, default=64)
     sp.add_argument("--modes", type=int, default=None)
 
@@ -262,7 +261,7 @@ def build_parser():
     sp.add_argument("--t", type=float, required=True)
 
     sp = sub.add_parser("compare", help="coordinate flow vs direct integration")
-    _add_io(sp)
+    _add_io(sp, default_format="json")
     sp.add_argument("--t", default="0.25,0.5,1.0", help="comma-separated times")
     sp.add_argument("--lax-dim", type=int, default=96)
     sp.add_argument("--modes", type=int, default=None)
@@ -292,9 +291,8 @@ def build_parser():
     sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("bracket", help="canonical relations at a seeded potential")
-    _add_io(sp, output_only=True, formats=("json",))
+    _add_io(sp, output_only=True)
     sp.add_argument("--modes", type=int, default=3)
-    sp.add_argument("--s", type=float, default=0.5)
     sp.add_argument("--scale", type=float, default=0.01)
     sp.add_argument("--fd-step", type=float, default=1e-5)
     sp.add_argument("--seed", type=int, default=0)

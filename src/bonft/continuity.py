@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PropertyViolation
-from .flow import rotate, shift_sums
+from .flow import coordinate_weights, rotate, shift_sums
 from .hardy import weighted_norm
 
 CLOSED_FORM_RTOL = 1e-12
@@ -99,7 +99,7 @@ def _certified_pair(cfg, m, delta):
     (ks, weights at ks, plus side of zeta, plus side of xi, measured d0).
     """
     ks = np.append(np.arange(1.0, cfg.n_base + 1), m)
-    w = ks ** (1.0 + 2.0 * cfg.s)  # flow.coordinate_weights at ks
+    w = coordinate_weights(ks, cfg.s)
     plus0 = np.array(cfg.base + (0j,), dtype=complex)
     amp = delta / m ** (0.5 + cfg.s)
     plus_z, plus_x = plus0.copy(), plus0.copy()

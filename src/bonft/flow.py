@@ -58,14 +58,12 @@ def evolve(z0, t):
     # the flow keeps a real state real: its minus side is conj(plus), so the
     # minus frequencies are never formed
     minus = None if z0.real_flag else rotate(z0.minus, ks, -shift, t, -1.0)
-    out = BirkhoffState(z0.s, plus, minus, real_flag=z0.real_flag)
-    out.diagnostics = z0.diagnostics
-    return out
+    return BirkhoffState(z0.s, plus, minus, real_flag=z0.real_flag)
 
 
-def coordinate_weights(m, s):
-    """n^{1+2s} for n = 1..m: the squared weights of the coordinate-space norm."""
-    return np.arange(1, m + 1, dtype=float) ** (1.0 + 2.0 * s)
+def coordinate_weights(ks, s):
+    """n^{1+2s} at the indices ks: the squared weights of the coordinate-space norm."""
+    return ks ** (1.0 + 2.0 * s)
 
 
 def invert(target, M=None, tol=1e-12, initial=None):
@@ -82,8 +80,8 @@ def invert(target, M=None, tol=1e-12, initial=None):
     one forward map.  Failure, at the start point too, raises
     InversionFailure with every trial residual.
     """
-    if not tol > 0:
-        raise ValueError("Newton tolerance must be positive")
+    if not 0 < tol < np.inf:  # NaN fails too; an infinite tol checks nothing
+        raise ValueError("Newton tolerance must be finite and > 0, got %r" % tol)
     if not target.real_flag:
         raise ValueError("inversion is defined for real-flagged targets")
     n_modes, s = target.n_modes, target.s
@@ -95,7 +93,7 @@ def invert(target, M=None, tol=1e-12, initial=None):
         k = min(n_modes, initial.N)
         u_hat[:k] = initial.band()[initial.N + 1:initial.N + 1 + k]
     H = np.diag(-np.repeat(root_n, 2))
-    w = coordinate_weights(n_modes, s)
+    w = coordinate_weights(np.arange(1, n_modes + 1, dtype=float), s)
     history = []
 
     def trial(coeffs):
@@ -162,7 +160,7 @@ def solve_trajectory(u0, t_grid=(0.0, 0.5, 1.0), M=None, k_use=None):
     residuals = []
     action_drift = 0.0
     I0 = 0.5 * np.abs(z0.plus) ** 2
-    w = coordinate_weights(z0.n_modes, u0.s)
+    w = coordinate_weights(np.arange(1, z0.n_modes + 1, dtype=float), u0.s)
     for t in t_grid:
         zt = evolve(z0, t)
         u_t = invert(zt, M, initial=samples[-1][1] if samples else None)

@@ -12,7 +12,6 @@ Storage is dense over the declared cutoff: downstream linear algebra is
 dense anyway and predictable indexing beats sparse maps here.
 """
 
-import json
 import math
 
 import numpy as np
@@ -26,20 +25,36 @@ def sobolev_exponent(s):
     return s
 
 
-def json_int(obj, key):
-    """obj[key], which must be a JSON integer; a float or a bool is rejected."""
-    v = obj[key]
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise ValueError("%s must be a JSON integer, got %r" % (key, v))
+_JSON_TYPES = {"integer": int, "number": (int, float), "boolean": bool}
+
+
+def json_value(obj, key, kind, default=None):
+    """obj[key] as a JSON integer, number or boolean (kind); a bool is neither
+    of the first two.  An absent key reads as default, or is a KeyError when
+    default is None."""
+    v = obj[key] if default is None or key in obj else default
+    if isinstance(v, bool) != (kind == "boolean") or not isinstance(v, _JSON_TYPES[kind]):
+        raise ValueError("%s must be a JSON %s, got %r" % (key, kind, v))
     return v
 
 
-def json_flag(obj, key):
-    """obj[key], which must be a JSON boolean; an absent key reads as false."""
-    v = obj.get(key, False)
-    if not isinstance(v, bool):
-        raise ValueError("%s must be a JSON boolean, got %r" % (key, v))
-    return v
+def coeffs_from_json(items, im_default):
+    """{n: re + i im} from {"n", "re", "im"} items, each n at most once; n is a
+    JSON integer, re and im JSON numbers, and an absent im reads as im_default
+    (a KeyError when that is None)."""
+    coeffs = {}
+    for item in items:
+        n = json_value(item, "n", "integer")
+        if n in coeffs:
+            raise ValueError("duplicate index n=%d" % n)
+        coeffs[n] = complex(json_value(item, "re", "number"),
+                            json_value(item, "im", "number", im_default))
+    return coeffs
+
+
+def coeffs_to_json(pairs):
+    """{"n", "re", "im"} items from (n, value) pairs, in their order."""
+    return [{"n": n, "re": float(v.real), "im": float(v.imag)} for n, v in pairs]
 
 
 class Potential:
@@ -128,31 +143,18 @@ def l2_distance(u, v, band):
 
 def potential_to_json(u):
     """Serialize to the documented schema (real potentials store n >= 1 only)."""
-    items = []
-    for n in sorted(u.nonzero_coeffs()):
-        if u.real and n < 0:
-            continue
-        v = u.coeff(n)
-        items.append({"n": n, "re": v.real, "im": v.imag})
-    return {"s": u.s, "N": u.N, "real": u.real, "coeffs": items}
+    c = u.nonzero_coeffs()
+    return {"s": u.s, "N": u.N, "real": u.real,
+            "coeffs": coeffs_to_json((n, c[n]) for n in sorted(c) if n > 0 or not u.real)}
 
 
 def potential_from_json(obj):
-    """Read the documented schema; n = 0 entries and repeated n are rejected."""
-    if isinstance(obj, str):
-        obj = json.loads(obj)
+    """Read the documented schema; an item without im is real."""
     try:
-        s = obj["s"]
-        N = json_int(obj, "N")
-        real = json_flag(obj, "real")
-        coeffs = {}
-        for item in obj["coeffs"]:
-            n = json_int(item, "n")
-            if n == 0:
-                raise ValueError("n=0 entries are rejected (mean is fixed at zero)")
-            if n in coeffs:
-                raise ValueError("duplicate index n=%d" % n)
-            coeffs[n] = complex(float(item["re"]), float(item.get("im", 0.0)))
+        s = json_value(obj, "s", "number")
+        N = json_value(obj, "N", "integer")
+        real = json_value(obj, "real", "boolean", False)
+        coeffs = coeffs_from_json(obj["coeffs"], 0.0)
     except (KeyError, TypeError) as exc:
         raise ValueError("malformed potential object: %s" % exc) from exc
     return Potential(s, N, coeffs, real=real)

@@ -75,6 +75,14 @@ class SpectralData:
                                         / self.denoms[n])
 
 
+def _by_real_part(lam, *vecs):
+    """lam by increasing real part, then imaginary part; the columns of each
+    of vecs follow it.  eigh's ascending order of a real spectrum already
+    satisfies this rule, so the Hermitian branch keeps it as it is."""
+    order = np.lexsort((lam.imag, lam.real))
+    return (lam[order],) + tuple(V[:, order] for V in vecs)
+
+
 def spectrum(u, M, k_use=None):
     """Eigendecomposition of the truncated Lax matrix with projector data.
 
@@ -93,10 +101,7 @@ def spectrum(u, M, k_use=None):
         min_separation = float(np.diff(lam).min(initial=np.inf))
         lam = lam.astype(complex)
     else:
-        lam, V = np.linalg.eig(L)
-        order = np.lexsort((lam.imag, lam.real))
-        lam = lam[order]
-        V = V[:, order]
+        lam, V = _by_real_part(*np.linalg.eig(L))
         sep = np.abs(lam[:, None] - lam[None, :])
         np.fill_diagonal(sep, np.inf)
         min_separation = float(sep.min())
@@ -142,12 +147,9 @@ def conjugate_spectrum(sd):
     and the vectors follow them.  The separation, truncation and K_use
     carry over; denoms and h are recomputed from the swapped vectors.
     """
-    lam = np.conj(sd.lambdas)
-    order = np.lexsort((lam.imag, lam.real))
-    V = sd.left_vecs[:, order]
-    W = sd.right_vecs[:, order]
+    lam, V, W = _by_real_part(np.conj(sd.lambdas), sd.left_vecs, sd.right_vecs)
     denoms, h = _projector_data(V, W, sd.K_use)
-    return SpectralData(lam[order], V, W, denoms, h, sd.K_use, sd.M, sd.hermitian,
+    return SpectralData(lam, V, W, denoms, h, sd.K_use, sd.M, sd.hermitian,
                         sd.min_separation)
 
 

@@ -53,25 +53,16 @@ class Trajectory:
     def __len__(self):
         return len(self.times)
 
-    def potential_at(self, i, N=None):
-        """The i-th sample as a real potential on the band |n| <= N.
+    def potential_at(self, i):
+        """The i-th sample as a real potential on its retained support.
 
-        With N omitted the dealias band is scanned and the declared width
-        shrinks to the retained support, so downstream truncation checks
-        see the actual content rather than the grid.
+        The dealias band is scanned and the declared width shrinks to the
+        retained support, so downstream truncation checks see the actual
+        content rather than the grid.
         """
-        trim = N is None
-        N = self.band if trim else int(N)
-        c = self.coeffs[i]
-        grid = len(c)
-        coeffs = {}
-        for n in range(1, N + 1):
-            v = complex(c[n % grid])
-            if abs(v) > DROP_TOL:
-                coeffs[n] = v
-        if trim:
-            N = max(coeffs) if coeffs else 1
-        return Potential(self.s, max(N, 1), coeffs, real=True)
+        c = self.coeffs[i][:self.band + 1]
+        coeffs = {int(n): complex(c[n]) for n in np.flatnonzero(np.abs(c[1:]) > DROP_TOL) + 1}
+        return Potential(self.s, max(coeffs, default=1), coeffs, real=True)
 
 
 def check_band(grid_size, N):

@@ -118,9 +118,9 @@ def _state_doc(s=0.5, plus=(1,), minus=(-1,), **fields):
 
 
 def _potential_doc(s=0.5, coeffs=((1, 0.01),), **fields):
-    """A one-mode potential document with (n, re) entries; fields replace or
-    add top-level keys."""
-    doc = {"s": s, "N": 1, "coeffs": [{"n": n, "re": re} for n, re in coeffs]}
+    """A one-mode potential document with (n, re) entries and im = 0; fields
+    replace or add top-level keys."""
+    doc = {"s": s, "N": 1, "coeffs": [{"n": n, "re": re, "im": 0.0} for n, re in coeffs]}
     return json.dumps({**doc, **fields})
 
 
@@ -141,6 +141,8 @@ def _potential_doc(s=0.5, coeffs=((1, 0.01),), **fields):
     (["evolve", "--t", "1"], _state_doc(s=float("nan")),
      "Sobolev exponent must be finite and > -1/2, got nan"),
     (["transform"], _potential_doc(coeffs=((1, 0.01), (1, 0.5))), "duplicate index n=1"),
+    (["transform"], _potential_doc(coeffs=((0, 0.01),)),
+     "the mean coefficient n=0 is fixed at zero"),
     (["evolve", "--t", "1"], _state_doc(plus=(1, 1)), "duplicate index n=1"),
     (["evolve", "--t", "1"], _state_doc(minus=(-1, -1)), "duplicate index n=-1"),
     (["transform"], _potential_doc(N=1.9), "N must be a JSON integer, got 1.9"),
@@ -151,21 +153,62 @@ def _potential_doc(s=0.5, coeffs=((1, 0.01),), **fields):
     (["transform"], _potential_doc(real="false"), "real must be a JSON boolean, got 'false'"),
     (["evolve", "--t", "1"], _state_doc(real="false"), "real must be a JSON boolean, got 'false'"),
     (["evolve", "--t", "1"], _state_doc(real=1), "real must be a JSON boolean, got 1"),
-], ids=["fd-step-0", "fd-step-negative", "fd-step-nan", "bracket-modes-0",
-        "max-d-0", "l-bound-negative", "random-count-negative", "combi-max-d-negative",
+    (["transform"], '{"s": "0.5", "N": 1, "coeffs": [{"n": 1, "re": "0.01", "im": true}]}',
+     "s must be a JSON number, got '0.5'"),
+    (["evolve", "--t", "1"], _state_doc().replace(', "im": 0.0}', "}"),
+     "malformed state object: 'im'"),
+    (["evolve", "--t", "1"], _state_doc(N_b=0, plus=(), minus=()), "need N_b >= 1, got 0"),
+    (["evolve", "--t", "1"], _state_doc(N_b=-1, plus=(), minus=()), "need N_b >= 1, got -1"),
+    (["inverse", "--tol-newton", "inf"], _state_doc(),
+     "Newton tolerance must be finite and > 0, got inf"),
+    (["inverse", "--tol-newton", "0"], _state_doc(),
+     "Newton tolerance must be finite and > 0, got 0.0"),
+    (["bracket", "--s", "0.5"], None, "ambiguous option: --s could match --scale, --seed"),
+    (["bracket", "--format", "json"], None, "unrecognized arguments: --format json"),
+    (["transform", "--format", "csv"], None, "unrecognized arguments: --format csv"),
+], ids=["fd-step-0", "fd-step-negative", "fd-step-nan", "bracket-modes-0", "max-d-0",
+        "l-bound-negative", "random-count-negative", "combi-max-d-negative",
         "n-base-negative", "max-probes-0", "max-m-0", "potential-s-inf", "state-s-nan",
-        "potential-duplicate-n", "state-duplicate-plus-n", "state-duplicate-minus-n",
-        "potential-fractional-N", "potential-fractional-n", "potential-bool-n",
-        "state-fractional-N_b", "state-fractional-n", "potential-string-real",
-        "state-string-real", "state-integer-real"])
+        "potential-duplicate-n", "potential-mean-mode", "state-duplicate-plus-n",
+        "state-duplicate-minus-n", "potential-fractional-N", "potential-fractional-n",
+        "potential-bool-n", "state-fractional-N_b", "state-fractional-n",
+        "potential-string-real", "state-string-real", "state-integer-real",
+        "potential-string-numbers", "state-item-without-im", "state-N_b-0",
+        "state-N_b-negative", "tol-newton-inf", "tol-newton-0", "bracket-s-removed",
+        "bracket-format-removed", "transform-format-removed"])
 def test_vacuous_or_ill_posed_runs_exit_1(capsys, monkeypatch, argv, stdin, message):
     # each of these used to exit 0 after checking nothing, print NaN or
     # Infinity (not JSON), keep only the last of a repeated index, truncate
-    # a fractional index or cutoff, or read the string "false" as true
+    # a fractional index or cutoff, read a string or a bool as a number, or
+    # accept a flag that changed nothing; the mean mode pins the message
+    # Potential gives it
     if stdin is not None:
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     assert cli.main(argv) == 1
     assert capsys.readouterr() == ("", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("value", ["0.5", True, None], ids=["string", "bool", "null"])
+@pytest.mark.parametrize("verb, key, kind", [
+    ("transform", "s", "number"), ("transform", "N", "integer"),
+    ("transform", "n", "integer"), ("transform", "re", "number"),
+    ("transform", "im", "number"), ("evolve", "s", "number"),
+    ("evolve", "N_b", "integer"), ("evolve", "n", "integer"),
+    ("evolve", "re", "number"), ("evolve", "im", "number"),
+])
+def test_document_numbers_are_typed(capsys, monkeypatch, verb, key, kind, value):
+    # the readers used to pass a string, a bool or null through float() or
+    # complex(), so "0.01" read as 0.01 and true as 1
+    doc = json.loads(_potential_doc() if verb == "transform" else _state_doc())
+    items = doc["coeffs"] if verb == "transform" else doc["plus"] + doc["minus"]
+    for obj in [doc] + items:
+        if key in obj:
+            obj[key] = value
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    argv = [verb] if verb == "transform" else [verb, "--t", "1"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", "error: %s must be a JSON %s, got %r\n"
+                                   % (key, kind, value))
 
 
 def test_transform_without_modes_exits_1(potential_file, capsys):

@@ -60,6 +60,12 @@ def test_conj_reflects_with_conjugation():
     assert involute(w, "conj") == w
 
 
+def test_potential_item_without_im_is_real():
+    u = potential_from_json({"s": 0.5, "N": 2, "coeffs": [{"n": 2, "re": 0.25}]})
+    assert u.coeff(2) == complex(0.25, 0.0)
+    assert u.coeff(-2) == 0
+
+
 def test_potential_json_round_trip():
     u = Potential(0.25, 3, {1: 0.1 + 0.2j, -2: -0.3j})
     v = potential_from_json(potential_to_json(u))

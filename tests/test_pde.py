@@ -133,8 +133,6 @@ def test_potential_at_trims_declared_band():
     u = traj.potential_at(0)
     assert u.N <= 10  # content, not the 42-mode dealias band
     assert u.coeff(1) == pytest.approx(0.1)
-    wide = traj.potential_at(0, N=20)
-    assert wide.N == 20
 
 
 def test_zero_time_returns_initial_sample():
