@@ -57,16 +57,13 @@ def sqrt_plus(z):
 class ScalingData:
     """Chain constants, index-aligned: slot n holds the n-th value.
 
-    kappa[0..K] and a[0..K] are fully populated; mu, alpha, beta, delta and
-    nu start at n = 1, their slot 0 is NaN by convention.
+    kappa[0..K] and a[0..K] are fully populated; mu and delta start at
+    n = 1, their slot 0 is NaN by convention.
     """
 
     kappa: np.ndarray
     mu: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
     delta: np.ndarray
-    nu: np.ndarray
     a: np.ndarray
     kappa_tail: float
     mu_tail: float
@@ -181,7 +178,6 @@ def eigen_chain(sd):
                                 % (n, abs(alpha[n]), NEIGHBORHOOD_ALPHA))
     roots = np.concatenate(([np.nan], sqrt_plus(mu[1:])))
     beta = np.full(K + 1, np.nan, dtype=complex)
-    nu = np.full(K + 1, np.nan, dtype=complex)
     a = np.empty(K + 1, dtype=complex)
     a[0] = a0
     f = np.empty((K + 1, sd.M + 1), dtype=complex)  # row n is f_n
@@ -190,8 +186,7 @@ def eigen_chain(sd):
     for n in range(1, K + 1):
         up[1:] = h[:-1, n - 1]
         beta[n] = sd.project(n, up)[n]
-        nu[n] = beta[n] / alpha[n]
-        a[n] = a[n - 1] * nu[n] / roots[n]
+        a[n] = a[n - 1] * (beta[n] / alpha[n]) / roots[n]
         up[1:] = f[n - 1, :-1]
         f[n] = sd.project(n, up) / roots[n]
     if not np.isfinite(f).all():
@@ -204,8 +199,7 @@ def eigen_chain(sd):
         warnings.warn("chain shift dropped top coefficient of relative size %.3e"
                       % np.max(size[-1, drop] / scale[drop]), TruncationWarning,
                       stacklevel=2)
-    scaling = ScalingData(kappa=kappa, mu=mu, alpha=alpha, beta=beta,
-                          delta=beta - alpha, nu=nu, a=a,
+    scaling = ScalingData(kappa=kappa, mu=mu, delta=beta - alpha, a=a,
                           kappa_tail=tails["kappa_tail"], mu_tail=tails["mu_tail"])
     return f.T, scaling
 
@@ -246,13 +240,6 @@ class BirkhoffState:
     @property
     def n_modes(self):
         return len(self.plus)
-
-    def coord(self, n):
-        """zeta_n for a signed nonzero index n."""
-        n = int(n)
-        if n == 0 or abs(n) > self.n_modes:
-            raise IndexError("index %d outside 1..%d in absolute value" % (n, self.n_modes))
-        return complex(self.plus[n - 1]) if n > 0 else complex(self.minus[-n - 1])
 
     def __repr__(self):
         return "BirkhoffState(s=%g, n_modes=%d, real=%s)" % (

@@ -26,6 +26,10 @@ from .residues import sweep_combi, sweep_vanishing
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        # a unique prefix of a flag would otherwise stand for the whole flag
+        super().__init__(allow_abbrev=False, **kwargs)
+
     # argparse exits with its own code 2 on bad flags, which collides with
     # the numerical-failure code; route everything through ValueError -> 1
     def error(self, message):
@@ -103,7 +107,7 @@ def _cmd_transform(args):
 
 def _cmd_inverse(args):
     z = state_from_json(_read_json(args.input))
-    u = invert(z, M=args.lax_dim, tol=args.tol_newton)
+    u, _, _ = invert(z, M=args.lax_dim, tol=args.tol_newton)
     _emit_json(potential_to_json(u), args.output)
     return 0
 

@@ -63,6 +63,14 @@ class ContinuityConfig:
         return math.sqrt(math.pi * self.k ** self.s / (2.0 * abs(self.t)))
 
 
+def _window_end(x, a, cap):
+    """x^(1/a), capped at cap; a power that overflows a float lies past it."""
+    try:
+        return min(x ** (1.0 / a), cap)
+    except OverflowError:
+        return cap
+
+
 def probe_indices(cfg):
     """Admissible probes: multiples of k with (k/m)^s within 1/2 of an odd integer.
 
@@ -72,10 +80,10 @@ def probe_indices(cfg):
     """
     out = []
     a = -cfg.s
+    cap = cfg.max_m // cfg.k + 1  # at small |s| the windows run past 1e300
     q = 1
     while len(out) < cfg.max_probes:
-        lo = (q - 0.5) ** (1.0 / a)
-        hi = (q + 0.5) ** (1.0 / a)
+        lo, hi = (_window_end(x, a, cap) for x in (q - 0.5, q + 0.5))
         j_lo = max(1, math.ceil(lo + 1e-12))
         j_hi = math.floor(hi - 1e-12)
         if j_lo * cfg.k > cfg.max_m:

@@ -66,44 +66,47 @@ def coordinate_weights(ks, s):
     return ks ** (1.0 + 2.0 * s)
 
 
-def invert(target, M=None, tol=1e-12, initial=None):
+def invert(target, M=None, tol=1e-12, start=None):
     """Recover the real potential mapping to the target coordinates.
 
     Good-Broyden iteration on the real view of u_hat(1..N_b), with every
     forward map at truncation M, until the weighted residual is below tol.
     The inverse Jacobian starts as the exact inverse of the differential at
-    zero (u_hat(n) -> -u_hat(n)/sqrt(n)), so the first step is the
-    chord step from u_hat(n) = -sqrt(n) zeta_n (or from `initial`); every
-    accepted step makes a Sherman-Morrison rank-one update.  A trial step
-    that does not lower the weighted residual, or leaves the forward map's
-    trusted regime, is halved, at most MAX_HALVINGS times; each trial costs
-    one forward map.  Failure, at the start point too, raises
-    InversionFailure with every trial residual.
+    zero (u_hat(n) -> -u_hat(n)/sqrt(n)), so the first step is the chord
+    step from u_hat(n) = -sqrt(n) zeta_n, or from start, an earlier result
+    at the same N_b whose image costs no forward map; every accepted step
+    makes a Sherman-Morrison rank-one update.  A trial step that does not
+    lower the weighted residual, or leaves the forward map's trusted regime,
+    is halved, at most MAX_HALVINGS times; each trial costs one forward map.
+    Returns (u, image, history): the potential, its image
+    birkhoff_forward(u, M=M, k_use=N_b) and every trial residual, the last
+    one the image's.  Failure, at the start point too, raises
+    InversionFailure with the history so far.
     """
     if not 0 < tol < np.inf:  # NaN fails too; an infinite tol checks nothing
         raise ValueError("Newton tolerance must be finite and > 0, got %r" % tol)
     if not target.real_flag:
         raise ValueError("inversion is defined for real-flagged targets")
     n_modes, s = target.n_modes, target.s
+    if start is not None and start[1].n_modes != n_modes:
+        raise ValueError("start has N_b=%d, the target N_b=%d" % (start[1].n_modes, n_modes))
     root_n = np.sqrt(np.arange(1, n_modes + 1))
-    if initial is None:
-        u_hat = -root_n * target.plus
-    else:
-        u_hat = np.zeros(n_modes, dtype=complex)
-        k = min(n_modes, initial.N)
-        u_hat[:k] = initial.band()[initial.N + 1:initial.N + 1 + k]
     H = np.diag(-np.repeat(root_n, 2))
     w = coordinate_weights(np.arange(1, n_modes + 1, dtype=float), s)
     history = []
 
+    def measured(u, image):
+        diff = image.plus - target.plus
+        history.append(weighted_norm(diff, w))
+        return u, image, diff.view(float)
+
     def trial(coeffs):
         u = Potential(s, n_modes, dict(enumerate(coeffs, 1)), real=True)
-        diff = birkhoff_forward(u, M=M, k_use=n_modes).plus - target.plus
-        history.append(weighted_norm(diff, w))
-        return u, diff.view(float)
+        return measured(u, birkhoff_forward(u, M=M, k_use=n_modes))
 
+    u_hat = -root_n * target.plus if start is None else start[0].band()[n_modes + 1:]
     try:
-        u, r = trial(u_hat)
+        u, image, r = trial(u_hat) if start is None else measured(*start[:2])
     except NumericalFailure as exc:
         raise InversionFailure("start point outside the trusted regime: %s" % exc,
                                [np.inf]) from exc
@@ -114,7 +117,7 @@ def invert(target, M=None, tol=1e-12, initial=None):
         step = -(H @ r)
         for _ in range(MAX_HALVINGS + 1):
             try:
-                u_new, r_new = trial(u_hat + step.view(complex))
+                u_new, image_new, r_new = trial(u_hat + step.view(complex))
             except NumericalFailure:  # the step left the trusted regime
                 history.append(np.inf)
             if history[-1] < res:
@@ -130,11 +133,11 @@ def invert(target, M=None, tol=1e-12, initial=None):
             raise InversionFailure("singular Broyden update", history)
         H += np.outer(step - Hy, step @ H) / denom
         u_hat = u_hat + step.view(complex)
-        u, r = u_new, r_new
+        u, image, r = u_new, image_new, r_new
     if not history[-1] < tol:
         raise InversionFailure("no convergence in %d iterations (residual %.3e)"
                                % (MAX_ITER, history[-1]), history)
-    return u
+    return u, image, history
 
 
 def solve_trajectory(u0, t_grid=(0.0, 0.5, 1.0), M=None, k_use=None):
@@ -142,11 +145,11 @@ def solve_trajectory(u0, t_grid=(0.0, 0.5, 1.0), M=None, k_use=None):
 
     Returns (samples, diagnostics): samples is a list of (t, Potential), one
     per entry of t_grid; diagnostics holds per-sample inversion residuals
-    and the largest action drift of the re-transformed samples against the
+    and the largest action drift of the samples' images against the
     initial state.  Every forward map runs at the one truncation M
     (default: the heuristic for u0) and K_use = k_use (default M/2).  Each
-    inversion starts from the previous sample; the first from the
-    linearized guess.
+    inversion starts from the previous sample's result, whose image it
+    reuses; the first from the linearized guess.
     """
     t_grid = tuple(float(t) for t in t_grid)
     if not all(np.isfinite(t_grid)):
@@ -160,13 +163,12 @@ def solve_trajectory(u0, t_grid=(0.0, 0.5, 1.0), M=None, k_use=None):
     residuals = []
     action_drift = 0.0
     I0 = 0.5 * np.abs(z0.plus) ** 2
-    w = coordinate_weights(np.arange(1, z0.n_modes + 1, dtype=float), u0.s)
+    result = None
     for t in t_grid:
-        zt = evolve(z0, t)
-        u_t = invert(zt, M, initial=samples[-1][1] if samples else None)
-        z_back = birkhoff_forward(u_t, M=M, k_use=z0.n_modes)
+        result = invert(evolve(z0, t), M, start=result)
+        u_t, image, history = result
         action_drift = max(action_drift, float(np.max(
-            np.abs(0.5 * np.abs(z_back.plus) ** 2 - I0))))
-        residuals.append(weighted_norm(z_back.plus - zt.plus, w))
+            np.abs(0.5 * np.abs(image.plus) ** 2 - I0))))
+        residuals.append(history[-1])
         samples.append((t, u_t))
     return samples, {"residuals": residuals, "action_drift": action_drift}

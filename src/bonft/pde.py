@@ -50,9 +50,6 @@ class Trajectory:
         self.s = float(s)
         self.band = int(band)
 
-    def __len__(self):
-        return len(self.times)
-
     def potential_at(self, i):
         """The i-th sample as a real potential on its retained support.
 

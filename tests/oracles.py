@@ -478,14 +478,14 @@ def equation_residual(traj):
     the trajectory's own dealiased band.  Returns the max over interior
     samples; at least 3 samples are required.
     """
-    if len(traj) < 3:
+    if len(traj.times) < 3:
         raise ValueError("need at least 3 samples for a central difference")
     grid = traj.coeffs.shape[1]
     n = np.fft.fftfreq(grid, d=1.0 / grid).astype(int)
     band_mask = np.abs(n) <= traj.band
     weight = np.maximum(1.0, np.abs(n)) ** (traj.s - 2.0)
     worst = 0.0
-    for i in range(1, len(traj) - 1):
+    for i in range(1, len(traj.times) - 1):
         dt_back = traj.times[i] - traj.times[i - 1]
         dt_fwd = traj.times[i + 1] - traj.times[i]
         if abs(dt_fwd - dt_back) > 1e-12 * max(dt_fwd, dt_back):

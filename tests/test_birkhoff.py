@@ -53,8 +53,8 @@ def test_single_mode_cubic_expansion():
     for eps in (0.01, 0.005):
         u = Potential(0.5, 1, {1: eps}, real=True)
         st = birkhoff_forward(u, M=64, k_use=16)
-        assert st.coord(1) == pytest.approx(-eps + 0.5 * eps ** 3, rel=1e-6)
-        assert st.coord(-1) == pytest.approx(np.conj(st.coord(1)))
+        assert st.plus[0] == pytest.approx(-eps + 0.5 * eps ** 3, rel=1e-6)
+        assert st.minus[0] == pytest.approx(np.conj(st.plus[0]))
 
 
 def test_complex_storage_agrees_with_real_path():
@@ -136,9 +136,9 @@ def test_d0_phi_matches_finite_difference():
     lo = birkhoff_forward(Potential(0.5, 3, {k: -eps * v for k, v in base.items()},
                                     real=True), M=48, k_use=12)
     for n in range(1, 4):
-        for idx, want in ((n, base[n]), (-n, np.conj(base[n]))):
-            fd = (hi.coord(idx) - lo.coord(idx)) / (2 * eps)
-            assert abs(fd + want / np.sqrt(n)) < 1e-8, idx
+        for side, want in (("plus", base[n]), ("minus", np.conj(base[n]))):
+            fd = (getattr(hi, side)[n - 1] - getattr(lo, side)[n - 1]) / (2 * eps)
+            assert abs(fd + want / np.sqrt(n)) < 1e-8, (side, n)
 
 
 def test_observables_state_example():
@@ -187,7 +187,7 @@ def test_real_flag_requires_conjugate_symmetry():
     with pytest.raises(ValueError):
         BirkhoffState(0.5, [0.1], [0.5], real_flag=True)
     st = BirkhoffState(0.5, [0.1 + 0.2j], [0.1 - 0.2j + 1e-10], real_flag=True)
-    assert st.coord(-1) == np.conj(st.coord(1))
+    assert st.minus[0] == np.conj(st.plus[0])
 
 
 def test_real_state_may_derive_its_minus_side():

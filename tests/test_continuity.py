@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bonft
 from bonft.continuity import ContinuityConfig, probe_indices, ratio_slope, sweep
 from oracles import dense_probe
 
@@ -38,6 +43,22 @@ def test_probe_indices_hit_odd_windows():
 def test_probe_exhaustion():
     none = ContinuityConfig(s=-0.45, k=8, max_m=7)
     assert probe_indices(none) == []
+
+
+@pytest.mark.parametrize("s", ["-0.01", "-1e-300"])
+def test_small_s_searches_only_up_to_max_m(s):
+    """The window around the target 1 runs to 1.5^(1/|s|): about 4e17 at
+    s = -0.01, and past every float at -1e-300.  Only the multiples of k up
+    to max_m are searched, so each run ends at once with the one probe m = k,
+    which is too few for a slope.  A subprocess, so an unbounded search
+    fails by its timeout."""
+    src = str(Path(bonft.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-m", "bonft.cli", "continuity", "--s=" + s,
+                          "--format", "json"], capture_output=True, text=True,
+                         timeout=20, env=dict(os.environ, PYTHONPATH=src))
+    assert (out.returncode, out.stdout, out.stderr) == (
+        1, "", "error: need at least two rows to fit a slope\n")
+    assert probe_indices(ContinuityConfig(s=float(s))) == [2]
 
 
 def test_build_pair_distances_and_flags():

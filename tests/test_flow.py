@@ -15,13 +15,14 @@ def single_mode_state(z1):
 
 @pytest.fixture
 def forward_calls(monkeypatch):
-    """Every birkhoff_forward call made through bonft.flow, as (M asked for, K_use of the result)."""
+    """Every birkhoff_forward call made through bonft.flow, as (M asked for,
+    K_use of the result, the potential's coefficient bytes)."""
     calls = []
     real = bonft.flow.birkhoff_forward
 
     def counting(u, M=None, k_use=None):
         z = real(u, M=M, k_use=k_use)
-        calls.append((M, z.n_modes))
+        calls.append((M, z.n_modes, u.band().tobytes()))
         return z
 
     monkeypatch.setattr(bonft.flow, "birkhoff_forward", counting)
@@ -68,29 +69,29 @@ def test_real_shifts_own_their_memory():
 
 def test_evolve_spec_point():
     st = evolve(single_mode_state(0.5), np.pi)
-    assert st.coord(1) == pytest.approx(0.5j)
-    assert st.coord(-1) == pytest.approx(-0.5j)
+    assert st.plus[0] == pytest.approx(0.5j)
+    assert st.minus[0] == pytest.approx(-0.5j)
 
 
 def test_evolve_is_a_group_action_on_moduli():
     st = single_mode_state(0.31)
     a = evolve(evolve(st, 0.3), 0.7)
     b = evolve(st, 1.0)
-    assert a.coord(1) == pytest.approx(b.coord(1), rel=1e-13)
-    assert abs(a.coord(1)) == pytest.approx(0.31)
+    assert a.plus[0] == pytest.approx(b.plus[0], rel=1e-13)
+    assert abs(a.plus[0]) == pytest.approx(0.31)
     ident = evolve(st, 0.0)
-    assert ident.coord(1) == st.coord(1)
+    assert ident.plus[0] == st.plus[0]
 
 
 def test_invert_zero_state():
-    u = invert(BirkhoffState(0.5, [0.0], [0.0], real_flag=True))
+    u, _, _ = invert(BirkhoffState(0.5, [0.0], [0.0], real_flag=True))
     assert u.nonzero_coeffs() == {}
 
 
 def test_invert_round_trip():
     u = Potential(0.5, 3, {1: 0.02 + 0.01j, 2: -0.015j, 3: 0.008}, real=True)
     z = birkhoff_forward(u, M=48, k_use=3)
-    back = invert(z, M=48)
+    back, _, _ = invert(z, M=48)
     for n in range(1, 4):
         assert back.coeff(n) == pytest.approx(u.coeff(n), abs=1e-10)
 
@@ -111,7 +112,7 @@ def test_invert_reaches_the_seeded_ball_cheaply(forward_calls, norm, max_calls):
         u = seeded_ball_potential(seed, norm)
         z = birkhoff_forward(u, M=64, k_use=8)
         del forward_calls[:]
-        back = invert(z, M=64)
+        back, _, _ = invert(z, M=64)
         diff = Potential(0.5, 8, {n: back.coeff(n) - u.coeff(n)
                                   for n in range(1, 9)}, real=True)
         rel = sobolev_norm(diff.nonzero_coeffs(), 0.5) / sobolev_norm(u.nonzero_coeffs(), 0.5)
@@ -130,14 +131,33 @@ def test_invert_overshooting_target_reports_history():
     assert np.isfinite(history[0]) and np.isinf(history).any()
 
 
-def test_invert_warm_start_from_the_answer_is_one_forward_map(forward_calls):
+def test_invert_returns_its_image_and_residuals():
     u = Potential(0.5, 3, {1: 0.02 + 0.01j, 2: -0.015j, 3: 0.008}, real=True)
     z = birkhoff_forward(u, M=48, k_use=3)
-    back = invert(z, M=48)
+    back, image, history = invert(z, M=48)
+    again = birkhoff_forward(back, M=48, k_use=3)
+    assert np.array_equal(image.plus, again.plus) and image.real_flag
+    assert history[-1] == float(np.sqrt(np.sum(np.arange(1.0, 4.0) ** 2.0
+                                               * np.abs(again.plus - z.plus) ** 2)))
+    assert history[-1] < 1e-12 < min(history[:-1])
+
+
+def test_invert_started_at_the_answer_makes_no_forward_map(forward_calls):
+    u = Potential(0.5, 3, {1: 0.02 + 0.01j, 2: -0.015j, 3: 0.008}, real=True)
+    z = birkhoff_forward(u, M=48, k_use=3)
+    result = invert(z, M=48)
     del forward_calls[:]
-    again = invert(z, M=48, initial=back)
-    assert len(forward_calls) == 1
-    assert again.band().tolist() == back.band().tolist()
+    again, image, history = invert(z, M=48, start=result)
+    assert forward_calls == []
+    assert again is result[0] and image is result[1]
+    assert history == result[2][-1:]
+
+
+def test_invert_start_needs_the_target_band():
+    result = invert(single_mode_state(0.1))
+    wider = BirkhoffState(0.5, [0.1, 0.0], None, real_flag=True)
+    with pytest.raises(ValueError, match="start has N_b=1, the target N_b=2"):
+        invert(wider, start=result)
 
 
 @pytest.mark.filterwarnings("ignore::bonft.errors.TruncationWarning")
@@ -159,7 +179,7 @@ def test_solve_trajectory_warm_start_matches_cold():
     samples, _ = solve_trajectory(u0, (0.0, 0.5), M=32)
     z0 = birkhoff_forward(u0, M=32)
     for t, u_t in samples:
-        cold = invert(evolve(z0, t), M=32)
+        cold, _, _ = invert(evolve(z0, t), M=32)
         assert u_t.coeff(1) == pytest.approx(cold.coeff(1), abs=1e-11)
 
 
@@ -167,7 +187,19 @@ def test_solve_trajectory_warm_start_matches_cold():
 def test_solve_trajectory_uses_one_truncation(forward_calls):
     u0 = Potential(0.5, 2, {1: 0.03, 2: 0.01j}, real=True)
     solve_trajectory(u0)
-    assert len(set(forward_calls)) == 1, sorted(set(forward_calls))
+    truncations = {call[:2] for call in forward_calls}
+    assert len(truncations) == 1, sorted(truncations)
+
+
+@pytest.mark.filterwarnings("ignore::bonft.errors.TruncationWarning")
+def test_solve_trajectory_transforms_each_potential_once(forward_calls):
+    """Each inversion reuses the last image of the one before, and the
+    residuals and drift are read off the images, not re-transformed."""
+    u0 = Potential(0.5, 2, {1: 0.03, 2: 0.01j}, real=True)
+    samples, diag = solve_trajectory(u0, (0.0, 0.4, 0.8), M=48)
+    potentials = [call[2] for call in forward_calls]
+    assert len(set(potentials)) == len(potentials)
+    assert len(diag["residuals"]) == 3 and max(diag["residuals"]) < 1e-12
 
 
 def test_flow_input_validation():

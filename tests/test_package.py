@@ -2,11 +2,13 @@
 independent, and the package runs on its declared dependencies alone."""
 
 import ast
+import importlib
 import json
 import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -67,6 +69,29 @@ def test_every_exported_name_is_used_by_the_package():
             used |= names - {own}
     unused = sorted(set(bonft.__all__) - used)
     assert not unused, unused
+
+
+def test_every_method_is_read_by_the_package():
+    """Each non-dunder method or property of a src/bonft class is read, by
+    name, somewhere in src/bonft outside its own definition.  An override of
+    a base-class method (_Parser.error) is called by the base class."""
+    package = Path(bonft.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    reads = Counter(node.attr for tree in trees.values() for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute))
+    unread = []
+    for stem, tree in trees.items():
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            bases = getattr(importlib.import_module("bonft." + stem), cls.name).__mro__[1:]
+            for fn in cls.body:
+                if (not isinstance(fn, ast.FunctionDef) or fn.name.startswith("__")
+                        or any(hasattr(base, fn.name) for base in bases)):
+                    continue
+                own = sum(isinstance(n, ast.Attribute) and n.attr == fn.name
+                          for n in ast.walk(fn))
+                if reads[fn.name] == own:
+                    unread.append("%s.%s" % (cls.name, fn.name))
+    assert not unread, unread
 
 
 def test_package_imports_only_its_declared_dependencies():

@@ -67,7 +67,7 @@ def test_mean_pinned_and_real():
     traj = integrate(smooth_potential(), IntegratorConfig(
         grid_size=64, dt=1e-3, T=0.05, store_every=10))
     assert np.all(traj.coeffs[:, 0] == 0)
-    for i in range(len(traj)):
+    for i in range(len(traj.times)):
         c = traj.coeffs[i]
         # reality: c(-n) = conj(c(n)) on the grid
         assert np.max(np.abs(c[1:] - np.conj(c[1:][::-1]))) < 1e-13
@@ -78,7 +78,7 @@ def test_energy_conserved():
     traj = integrate(u0, IntegratorConfig(grid_size=64, dt=5e-4, T=0.2,
                                           store_every=100))
     h0 = hamiltonian_phys(u0.nonzero_coeffs())
-    for i in range(len(traj)):
+    for i in range(len(traj.times)):
         hi = hamiltonian_phys(traj.potential_at(i).nonzero_coeffs())
         assert abs(hi - h0) < 1e-10
 
@@ -113,7 +113,7 @@ def test_initial_slope_matches_modewise_equation():
 def test_isospectral_audit_small():
     traj = integrate(smooth_potential(0.15), IntegratorConfig(
         grid_size=64, dt=5e-4, T=0.1, store_every=50))
-    samples = [traj.potential_at(i).nonzero_coeffs() for i in range(len(traj))]
+    samples = [traj.potential_at(i).nonzero_coeffs() for i in range(len(traj.times))]
     assert isospectral_audit(samples, 64, 32) < 1e-10
 
 
@@ -138,5 +138,5 @@ def test_potential_at_trims_declared_band():
 def test_zero_time_returns_initial_sample():
     u0 = smooth_potential()
     traj = integrate(u0, IntegratorConfig(grid_size=64, dt=1e-3, T=0.0))
-    assert len(traj) == 1
+    assert len(traj.times) == 1
     assert traj.potential_at(0).coeff(2) == pytest.approx(u0.coeff(2))
