@@ -65,8 +65,7 @@ class ScalingData:
     mu: np.ndarray
     delta: np.ndarray
     a: np.ndarray
-    kappa_tail: float
-    mu_tail: float
+    tails: dict  # scaling_constants' product tails, keyed kappa_tail and mu_tail
 
 
 def _mul(a, b):
@@ -199,8 +198,7 @@ def eigen_chain(sd):
         warnings.warn("chain shift dropped top coefficient of relative size %.3e"
                       % np.max(size[-1, drop] / scale[drop]), TruncationWarning,
                       stacklevel=2)
-    scaling = ScalingData(kappa=kappa, mu=mu, delta=beta - alpha, a=a,
-                          kappa_tail=tails["kappa_tail"], mu_tail=tails["mu_tail"])
+    scaling = ScalingData(kappa=kappa, mu=mu, delta=beta - alpha, a=a, tails=tails)
     return f.T, scaling
 
 
@@ -335,11 +333,7 @@ def birkhoff_forward(u, M=None, k_use=None):
         plus = _assemble_plus(scaling.kappa, scaling_c.a, sd_c.h[0])
         minus = _assemble_minus(scaling_c.kappa, scaling.a, sd.h[0])
         state = BirkhoffState(u.s, plus, minus, real_flag=False)
-    state.diagnostics = {
-        "kappa_tail": scaling.kappa_tail,
-        "mu_tail": scaling.mu_tail,
-        "norm_drift": float(norm_drift),
-    }
+    state.diagnostics = dict(scaling.tails, norm_drift=float(norm_drift))
     return state
 
 

@@ -246,25 +246,30 @@ def build_parser():
     sub.required = True
 
     sp = sub.add_parser("spectrum", help="truncated Lax eigenvalues and gaps")
+    sp.set_defaults(run=_cmd_spectrum)
     _add_io(sp, default_format="json")
     sp.add_argument("--lax-dim", type=int, default=64)
     sp.add_argument("--modes", type=int, default=None)
 
     sp = sub.add_parser("transform", help="potential to coordinate state")
+    sp.set_defaults(run=_cmd_transform)
     _add_io(sp)
     sp.add_argument("--lax-dim", type=int, default=None)
     sp.add_argument("--modes", type=int, default=None)
 
     sp = sub.add_parser("inverse", help="coordinate state to potential")
+    sp.set_defaults(run=_cmd_inverse)
     _add_io(sp)
     sp.add_argument("--lax-dim", type=int, default=None)
     sp.add_argument("--tol-newton", type=float, default=1e-12)
 
     sp = sub.add_parser("evolve", help="advance a coordinate state by t")
+    sp.set_defaults(run=_cmd_evolve)
     _add_io(sp)
     sp.add_argument("--t", type=float, required=True)
 
     sp = sub.add_parser("compare", help="coordinate flow vs direct integration")
+    sp.set_defaults(run=_cmd_compare)
     _add_io(sp, default_format="json")
     sp.add_argument("--t", default="0.25,0.5,1.0", help="comma-separated times")
     sp.add_argument("--lax-dim", type=int, default=96)
@@ -273,6 +278,7 @@ def build_parser():
     sp.add_argument("--dt", type=float, default=2.5e-4)
 
     sp = sub.add_parser("vanishing", help="exact residue identity sweep")
+    sp.set_defaults(run=_cmd_vanishing)
     _add_io(sp, output_only=True, default_format="csv")
     sp.add_argument("--max-d", type=int, default=4)
     sp.add_argument("--l-bound", type=int, default=6)
@@ -280,10 +286,12 @@ def build_parser():
     sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("combi", help="partition-count identity sweep")
+    sp.set_defaults(run=_cmd_combi)
     _add_io(sp, output_only=True, default_format="csv")
     sp.add_argument("--max-d", type=int, default=6)
 
     sp = sub.add_parser("continuity", help="modulus-of-continuity probe sweep")
+    sp.set_defaults(run=_cmd_continuity)
     _add_io(sp, output_only=True, default_format="csv")
     sp.add_argument("--s", type=float, default=-0.25)
     sp.add_argument("--t", type=float, default=1.0)
@@ -295,6 +303,7 @@ def build_parser():
     sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("bracket", help="canonical relations at a seeded potential")
+    sp.set_defaults(run=_cmd_bracket)
     _add_io(sp, output_only=True)
     sp.add_argument("--modes", type=int, default=3)
     sp.add_argument("--scale", type=float, default=0.01)
@@ -304,27 +313,10 @@ def build_parser():
     return p
 
 
-_DISPATCH = {
-    "spectrum": _cmd_spectrum,
-    "transform": _cmd_transform,
-    "inverse": _cmd_inverse,
-    "evolve": _cmd_evolve,
-    "compare": _cmd_compare,
-    "vanishing": _cmd_vanishing,
-    "combi": _cmd_combi,
-    "continuity": _cmd_continuity,
-    "bracket": _cmd_bracket,
-}
-
-
-def run(args):
-    return _DISPATCH[args.cmd](args)
-
-
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        return run(args)
+        return args.run(args)
     except PropertyViolation as exc:
         print("property violation: %s" % exc, file=sys.stderr)
         return 3

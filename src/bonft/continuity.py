@@ -74,24 +74,23 @@ def _window_end(x, a, cap):
 def probe_indices(cfg):
     """Admissible probes: multiples of k with (k/m)^s within 1/2 of an odd integer.
 
-    Within each window around an odd target the multiple minimizing the
-    distance is kept, so the evolved phase sits as close to pi mod 2pi as
-    the lattice allows.  Returns at most max_probes indices, ascending.
+    Each odd target q keeps the multiple jk in its window with j^{-s} nearest q, so
+    the evolved phase sits as close to pi mod 2pi as the lattice allows.  j^{-s} is
+    monotone, so only the two j next to q^{-1/s} compete.  Ascending, <= max_probes.
     """
     out = []
     a = -cfg.s
-    cap = cfg.max_m // cfg.k + 1  # at small |s| the windows run past 1e300
+    top = cfg.max_m // cfg.k  # windows are capped at top + 1: at small |s| they pass 1e300
     q = 1
     while len(out) < cfg.max_probes:
-        lo, hi = (_window_end(x, a, cap) for x in (q - 0.5, q + 0.5))
-        j_lo = max(1, math.ceil(lo + 1e-12))
-        j_hi = math.floor(hi - 1e-12)
-        if j_lo * cfg.k > cfg.max_m:
+        lo, hi, target = (_window_end(x, a, top + 1) for x in (q - 0.5, q + 0.5, q))
+        j_lo = max(math.ceil(lo + 1e-12), cfg.n_base // cfg.k + 1)  # above the base support
+        if j_lo > top:
             break
-        cands = [j for j in range(j_lo, j_hi + 1)
-                 if cfg.n_base < j * cfg.k <= cfg.max_m]
-        if cands:
-            best = min(cands, key=lambda j: abs(j ** a - q))
+        j_hi = min(math.floor(hi - 1e-12), top)
+        if j_lo <= j_hi:
+            j = min(max(math.floor(target), j_lo), j_hi)
+            best = min(range(j, min(j + 1, j_hi) + 1), key=lambda i: abs(i ** a - q))
             out.append(best * cfg.k)
         q += 2
     return out
@@ -132,11 +131,12 @@ def sweep(cfg):
     affine frequency parts so the m^2 term cancels before any rounding.
     The separation bound dt >= (sqrt(1+m^s) - m^{s/2}) delta is enforced
     always; the phase bound |e^{i t gap} - 1| > 1 is enforced only for the
-    resonant delta, where admissibility guarantees it.
+    resonant delta, where admissibility guarantees it.  One probe shows no
+    growth rate, so fewer than two raise ValueError.
     """
     probes = probe_indices(cfg)
-    if not probes:
-        raise ValueError("no admissible probe below max_m=%d" % cfg.max_m)
+    if len(probes) < 2:
+        raise ValueError("need at least two probes for a growth rate, found %d" % len(probes))
     delta = cfg.delta_value()
     resonant = cfg.delta is None
     rows = []

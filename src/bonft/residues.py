@@ -110,14 +110,12 @@ def _admissible_counts(d, J, q):
 
 
 def compositions(total, parts):
-    """All tuples of `parts` nonnegative integers summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """All tuples of parts >= 1 nonnegative integers summing to total, in
+    lexicographic order: the cuts between parts - 1 bars among total + parts - 1 slots."""
+    slots = total + parts - 1
+    for bars in itertools.combinations(range(slots), parts - 1):
+        edges = (-1,) + bars + (slots,)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 
 def iter_partition_instances(d):

@@ -6,9 +6,10 @@ on them, the partition counts from explicit sets, dense linear solves and
 eigenvalues, the involutions, norms and energies on coefficient dicts,
 perturbation formulas, the scaling products one factor at a time, the RK4
 loop with its products spelled out, the time-discrete equation residual,
-and a continuity probe on the full index range with its own copy of the
-flow.  Nothing imports the package under test, so agreement between a
-package routine and its oracle is evidence, not circularity.
+a continuity probe on the full index range with its own copy of the
+flow, and the probe search that scores every multiple in each window.
+Nothing imports the package under test, so agreement between a package
+routine and its oracle is evidence, not circularity.
 """
 
 import math
@@ -545,3 +546,34 @@ def dense_probe(s, t, base, delta, m):
         "omega_gap_meas": gap,
         "phase_bound_ok": abs(math.sin(0.5 * t * gap)) * 2.0 > 1.0,
     }
+
+
+def probe_indices_scan(s, k, max_m, n_base, max_probes):
+    """Continuity probes by scoring every multiple of k in each odd window.
+
+    The window around an odd q holds the j with j^{-s} within 1/2 of q,
+    clipped to n_base < jk <= max_m; the j with |j^{-s} - q| least is kept,
+    the first (smallest) on a tie.  A window end that overflows a float,
+    or passes max_m // k + 1, is taken as max_m // k + 1.
+    """
+    a = -s
+    cap = max_m // k + 1
+
+    def end(x):
+        try:
+            return min(x ** (1.0 / a), cap)
+        except OverflowError:
+            return cap
+
+    out = []
+    q = 1
+    while len(out) < max_probes:
+        j_lo = max(1, math.ceil(end(q - 0.5) + 1e-12))
+        j_hi = math.floor(end(q + 0.5) - 1e-12)
+        if j_lo * k > max_m:
+            break
+        cands = [j for j in range(j_lo, j_hi + 1) if n_base < j * k <= max_m]
+        if cands:
+            out.append(min(cands, key=lambda j: abs(j ** a - q)) * k)
+        q += 2
+    return out

@@ -137,6 +137,10 @@ def _potential_doc(s=0.5, coeffs=((1, 0.01),), **fields):
     (["continuity", "--n-base", "-1"], None, "need n_base >= 0, got -1"),
     (["continuity", "--max-probes", "0"], None, "need max_probes >= 1, got 0"),
     (["continuity", "--max-m", "0"], None, "need max_m >= 1, got 0"),
+    (["continuity", "--s=-0.01"], None, "need at least two probes for a growth rate, found 1"),
+    (["continuity", "--max-probes", "1"], None,
+     "need at least two probes for a growth rate, found 1"),
+    (["continuity", "--max-m", "3"], None, "need at least two probes for a growth rate, found 1"),
     (["transform"], _potential_doc(s=float("inf")),
      "Sobolev exponent must be finite and > -1/2, got inf"),
     (["evolve", "--t", "1"], _state_doc(s=float("nan")),
@@ -171,7 +175,9 @@ def _potential_doc(s=0.5, coeffs=((1, 0.01),), **fields):
     (["transform", "--format", "csv"], None, "unrecognized arguments: --format csv"),
 ], ids=["fd-step-0", "fd-step-negative", "fd-step-nan", "bracket-modes-0", "max-d-0",
         "l-bound-negative", "random-count-negative", "combi-max-d-negative",
-        "n-base-negative", "max-probes-0", "max-m-0", "potential-s-inf", "state-s-nan",
+        "n-base-negative", "max-probes-0", "max-m-0", "continuity-small-s-one-probe",
+        "continuity-max-probes-1", "continuity-max-m-one-probe", "potential-s-inf",
+        "state-s-nan",
         "potential-duplicate-n", "potential-mean-mode", "state-duplicate-plus-n",
         "state-duplicate-minus-n", "potential-fractional-N", "potential-fractional-n",
         "potential-bool-n", "state-fractional-N_b", "state-fractional-n",
@@ -184,8 +190,9 @@ def test_vacuous_or_ill_posed_runs_exit_1(capsys, monkeypatch, argv, stdin, mess
     # each of these used to exit 0 after checking nothing, print NaN or
     # Infinity (not JSON), keep only the last of a repeated index, truncate
     # a fractional index or cutoff, read a string or a bool as a number, or
-    # accept a flag that changed nothing or a prefix of another flag; the
-    # mean mode pins the message Potential gives it
+    # accept a flag that changed nothing or a prefix of another flag, or
+    # print a continuity sweep of one probe; the mean mode pins the message
+    # Potential gives it
     if stdin is not None:
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     assert cli.main(argv) == 1

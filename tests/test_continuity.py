@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 
 import bonft
 from bonft.continuity import ContinuityConfig, probe_indices, ratio_slope, sweep
-from oracles import dense_probe
+from oracles import dense_probe, probe_indices_scan
 
 
 def test_config_validation():
@@ -28,16 +29,46 @@ def test_resonant_delta_closed_form():
     assert ContinuityConfig(delta=0.7).delta_value() == 0.7
 
 
-def test_probe_indices_hit_odd_windows():
-    cfg = ContinuityConfig(s=-0.45, k=8, max_m=4000)
-    probes = probe_indices(cfg)
+def _assert_in_odd_windows(probes, s, k):
     assert probes == sorted(probes)
-    assert all(m % 8 == 0 for m in probes)
+    assert all(m % k == 0 for m in probes)
     for m in probes:
-        frac = (8.0 / m) ** -0.45  # (k/m)^s = (m/k)^{-s}
+        frac = (k / m) ** s  # (k/m)^s = (m/k)^{-s}
         assert abs(frac - round(frac)) <= 0.5
         assert round(frac) % 2 == 1
+
+
+def test_probe_indices_hit_odd_windows():
+    probes = probe_indices(ContinuityConfig(s=-0.45, k=8, max_m=4000))
+    _assert_in_odd_windows(probes, -0.45, 8)
     assert probes[0] == 8
+
+
+def test_probe_indices_reach_max_m_1e12():
+    # a scan of every multiple in each window would score about 2.3e11 of them
+    probes = probe_indices(ContinuityConfig(s=-0.1, k=2, max_m=10 ** 12, max_probes=40))
+    _assert_in_odd_windows(probes, -0.1, 2)
+    assert len(probes) >= 2 and probes[-1] <= 10 ** 12
+
+
+@pytest.mark.parametrize("s", [-1e-300, -0.01, -0.05, -0.1, -0.25, -1 / 3, -0.45, -0.499])
+def test_probe_indices_equal_the_window_scan(s):
+    # the closed form scores at most two multiples per window; the scan all
+    for k, max_m, n_base, max_probes in itertools.product(
+            (1, 2, 3, 8, 13), (7, 200, 20000), (0, 5, 40), (1, 12, 400)):
+        cfg = ContinuityConfig(s=s, k=k, max_m=max_m, base=(0.0,) * n_base,
+                               max_probes=max_probes)
+        assert probe_indices(cfg) == probe_indices_scan(s, k, max_m, n_base, max_probes), cfg
+
+
+def test_probe_indices_window_clipped_by_the_base():
+    # at s = -0.45, k = 1 the window around q = 3 is j = 8..16 with its target
+    # 3^(1/0.45) = 11.5 inside; a base of 12 modes clips it to 13..16, so the
+    # target lies below the clipped window and its lower end wins
+    cfg = ContinuityConfig(s=-0.45, k=1, base=(0.0,) * 12, max_m=20000, max_probes=3)
+    probes = probe_indices(cfg)
+    assert probes[0] == 13
+    assert probes == probe_indices_scan(-0.45, 1, 20000, 12, 3)
 
 
 def test_probe_exhaustion():
@@ -50,14 +81,14 @@ def test_small_s_searches_only_up_to_max_m(s):
     """The window around the target 1 runs to 1.5^(1/|s|): about 4e17 at
     s = -0.01, and past every float at -1e-300.  Only the multiples of k up
     to max_m are searched, so each run ends at once with the one probe m = k,
-    which is too few for a slope.  A subprocess, so an unbounded search
-    fails by its timeout."""
+    which sweep rejects: one probe shows no growth rate.  A subprocess, so an
+    unbounded search fails by its timeout."""
     src = str(Path(bonft.__file__).parents[1])
     out = subprocess.run([sys.executable, "-m", "bonft.cli", "continuity", "--s=" + s,
                           "--format", "json"], capture_output=True, text=True,
                          timeout=20, env=dict(os.environ, PYTHONPATH=src))
     assert (out.returncode, out.stdout, out.stderr) == (
-        1, "", "error: need at least two rows to fit a slope\n")
+        1, "", "error: need at least two probes for a growth rate, found 1\n")
     assert probe_indices(ContinuityConfig(s=float(s))) == [2]
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -10,7 +11,8 @@ from bonft import cli, residues
 from bonft.hardy import Potential
 from bonft.lax import spectrum
 from bonft.residues import (RANDOM_BLOCK, _admissible_counts, _vanishing_terms,
-                            iter_partition_instances, sweep_combi, sweep_vanishing)
+                            compositions, iter_partition_instances, sweep_combi,
+                            sweep_vanishing)
 from oracles import (combi_check, contour_residue_quadrature, delta_series, psi_series,
                      residue_pair, series_residue, series_residue_pole_shift,
                      vanishing_sum_quadrature)
@@ -176,6 +178,15 @@ def test_instance_counts_are_central_binomials():
     for d in range(1, 6):
         count = sum(1 for _ in iter_partition_instances(d))
         assert count == math.comb(2 * d, d - 1)
+
+
+def test_compositions_come_in_lexicographic_order():
+    # combi reports its first violation, so the order is part of the output
+    for total in range(7):
+        for parts in range(1, 6):
+            want = [q for q in itertools.product(range(total + 1), repeat=parts)
+                    if sum(q) == total]
+            assert list(compositions(total, parts)) == want, (total, parts)
 
 
 def test_sweeps_are_clean():
