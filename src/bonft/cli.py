@@ -43,31 +43,29 @@ def _read_json(path):
         return json.load(fh)
 
 
-def _emit(text, path):
-    if path == "-":
+def _write(args, doc, header=None, rows=None):
+    """Write doc as JSON, or header and rows as CSV under --format csv, to stdout
+    when args.output is "-" and to that path otherwise."""
+    if args.format == "csv":
+        lines = [",".join(header)]
+        for row in rows:
+            cells = []
+            for v in row:
+                if isinstance(v, bool):
+                    cells.append("1" if v else "0")
+                elif isinstance(v, float):
+                    cells.append("%.17g" % v)
+                else:
+                    cells.append(str(v))
+            lines.append(",".join(cells))
+        text = "\n".join(lines) + "\n"
+    else:
+        text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    if args.output == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
+        with open(args.output, "w") as fh:
             fh.write(text)
-
-
-def _emit_json(obj, path):
-    _emit(json.dumps(obj, sort_keys=True, indent=1) + "\n", path)
-
-
-def _emit_csv(header, rows, path):
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, bool):
-                cells.append("1" if v else "0")
-            elif isinstance(v, float):
-                cells.append("%.17g" % v)
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
-    _emit("\n".join(lines) + "\n", path)
 
 
 def _seeded_draws(rng, count, scale):
@@ -81,41 +79,34 @@ def _cmd_spectrum(args):
     sd = spectrum(u, args.lax_dim, k_use=args.modes)
     gam = gaps(sd)
     lam = sd.lambdas[:sd.K_use + 1]
-    if args.format == "csv":
-        rows = [(n, lam[n].real, lam[n].imag,
-                 gam[n - 1].real if n else 0.0, gam[n - 1].imag if n else 0.0)
-                for n in range(sd.K_use + 1)]
-        _emit_csv(("n", "lambda_re", "lambda_im", "gap_re", "gap_im"), rows, args.output)
-    else:
-        _emit_json({
-            "M": sd.M,
-            "K_use": sd.K_use,
-            "hermitian": sd.hermitian,
-            "min_separation": sd.min_separation,
-            "lambdas": [[v.real, v.imag] for v in lam],
-            "gaps": [[v.real, v.imag] for v in gam],
-        }, args.output)
-    return 0
+    rows = [(n, lam[n].real, lam[n].imag,
+             gam[n - 1].real if n else 0.0, gam[n - 1].imag if n else 0.0)
+            for n in range(sd.K_use + 1)]
+    _write(args, {
+        "M": sd.M,
+        "K_use": sd.K_use,
+        "hermitian": sd.hermitian,
+        "min_separation": sd.min_separation,
+        "lambdas": [[v.real, v.imag] for v in lam],
+        "gaps": [[v.real, v.imag] for v in gam],
+    }, ("n", "lambda_re", "lambda_im", "gap_re", "gap_im"), rows)
 
 
 def _cmd_transform(args):
     u = potential_from_json(_read_json(args.input))
     z = birkhoff_forward(u, M=args.lax_dim, k_use=args.modes)
-    _emit_json(state_to_json(z, diagnostics=z.diagnostics), args.output)
-    return 0
+    _write(args, state_to_json(z, diagnostics=z.diagnostics))
 
 
 def _cmd_inverse(args):
     z = state_from_json(_read_json(args.input))
     u, _, _ = invert(z, M=args.lax_dim, tol=args.tol_newton)
-    _emit_json(potential_to_json(u), args.output)
-    return 0
+    _write(args, potential_to_json(u))
 
 
 def _cmd_evolve(args):
     z = state_from_json(_read_json(args.input))
-    _emit_json(state_to_json(evolve(z, args.t)), args.output)
-    return 0
+    _write(args, state_to_json(evolve(z, args.t)))
 
 
 def _parse_times(spec_str):
@@ -151,49 +142,37 @@ def _cmd_compare(args):
     for t, u_b in samples[1:]:
         u_d = traj.potential_at(index[round(t / args.dt)])
         rows.append((t, l2_distance(u_b, u_d, band)))
-    if args.format == "csv":
-        _emit_csv(("t", "l2_diff"), rows, args.output)
-    else:
-        _emit_json({
-            "rows": [{"t": t, "l2_diff": d} for t, d in rows],
-            "action_drift": diag["action_drift"],
-            "newton_residuals": diag["residuals"],
-        }, args.output)
-    return 0
+    _write(args, {
+        "rows": [{"t": t, "l2_diff": d} for t, d in rows],
+        "action_drift": diag["action_drift"],
+        "newton_residuals": diag["residuals"],
+    }, ("t", "l2_diff"), rows)
 
 
 def _cmd_vanishing(args):
     rng = np.random.default_rng(args.seed)
     counts, random_checked, violations = sweep_vanishing(
         args.max_d, args.l_bound, random_count=args.random_count, rng=rng)
-    if args.format == "json":
-        _emit_json({"exhaustive": {str(d): counts[d] for d in sorted(counts)},
-                    "random": random_checked,
-                    "violations": len(violations)}, args.output)
-    else:
-        rows = [("exhaustive_d%d" % d, counts[d]) for d in sorted(counts)]
-        rows.append(("random", random_checked))
-        rows.append(("violations", len(violations)))
-        _emit_csv(("check", "count"), rows, args.output)
+    rows = [("exhaustive_d%d" % d, counts[d]) for d in sorted(counts)]
+    rows.append(("random", random_checked))
+    rows.append(("violations", len(violations)))
+    _write(args, {"exhaustive": {str(d): counts[d] for d in sorted(counts)},
+                  "random": random_checked,
+                  "violations": len(violations)}, ("check", "count"), rows)
     if violations:
         raise PropertyViolation("%d tuples violate the vanishing identity, first: %r"
                                 % (len(violations), violations[0]))
-    return 0
 
 
 def _cmd_combi(args):
     counts, violations = sweep_combi(args.max_d)
-    if args.format == "json":
-        _emit_json({"instances": {str(d): counts[d] for d in sorted(counts)},
-                    "violations": len(violations)}, args.output)
-    else:
-        rows = [("d%d" % d, counts[d]) for d in sorted(counts)]
-        rows.append(("violations", len(violations)))
-        _emit_csv(("check", "count"), rows, args.output)
+    rows = [("d%d" % d, counts[d]) for d in sorted(counts)]
+    rows.append(("violations", len(violations)))
+    _write(args, {"instances": {str(d): counts[d] for d in sorted(counts)},
+                  "violations": len(violations)}, ("check", "count"), rows)
     if violations:
         raise PropertyViolation("%d instances break |K_ad| = |J_ad| + 1, first: %r"
                                 % (len(violations), violations[0]))
-    return 0
 
 
 def _cmd_continuity(args):
@@ -206,12 +185,8 @@ def _cmd_continuity(args):
     rows = sweep(cfg)
     header = ("m", "delta", "d0", "dt", "ratio",
               "omega_gap_pred", "omega_gap_meas", "phase_bound_ok")
-    if args.format == "csv":
-        _emit_csv(header, [tuple(r[k] for k in header) for r in rows], args.output)
-    else:
-        _emit_json({"rows": rows, "slope": ratio_slope(rows),
-                    "slope_predicted": -cfg.s / 2.0}, args.output)
-    return 0
+    _write(args, {"rows": rows, "slope": ratio_slope(rows), "slope_predicted": -cfg.s / 2.0},
+           header, [tuple(r[k] for k in header) for r in rows])
 
 
 def _cmd_bracket(args):
@@ -220,23 +195,26 @@ def _cmd_bracket(args):
     u = Potential(0.5, 4, dict(enumerate(_seeded_draws(rng, 4, args.scale), 1)), real=True)
     pm, pp = canonical_bracket_table(u, args.modes, h=args.fd_step)
     target = -1j * np.eye(args.modes)
-    _emit_json({
+    _write(args, {
         "n_max": args.modes,
         "max_dev_canonical": float(np.max(np.abs(pm - target))),
         "max_dev_holomorphic": float(np.max(np.abs(pp))),
         "bracket_plus_minus": [[[v.real, v.imag] for v in row] for row in pm],
         "bracket_plus_plus": [[[v.real, v.imag] for v in row] for row in pp],
-    }, args.output)
-    return 0
+    })
 
 
-def _add_io(sp, output_only=False, default_format=None):
-    if not output_only:
+def _verb(sub, name, run, help, reads=True, fmt=None):
+    """Add subcommand name running run(args); -i if it reads, --format=fmt if given."""
+    sp = sub.add_parser(name, help=help)
+    sp.set_defaults(run=run, format="json")
+    if reads:
         sp.add_argument("-i", "--input", default="-", help="input JSON path, - for stdin")
     sp.add_argument("-o", "--out", "--output", dest="output", default="-",
                     help="output path, - for stdout")
-    if default_format is not None:
-        sp.add_argument("--format", choices=("json", "csv"), default=default_format)
+    if fmt is not None:
+        sp.add_argument("--format", choices=("json", "csv"), default=fmt)
+    return sp
 
 
 @functools.cache
@@ -245,54 +223,40 @@ def build_parser():
     sub = p.add_subparsers(dest="cmd", metavar="subcommand")
     sub.required = True
 
-    sp = sub.add_parser("spectrum", help="truncated Lax eigenvalues and gaps")
-    sp.set_defaults(run=_cmd_spectrum)
-    _add_io(sp, default_format="json")
+    sp = _verb(sub, "spectrum", _cmd_spectrum, "truncated Lax eigenvalues and gaps", fmt="json")
     sp.add_argument("--lax-dim", type=int, default=64)
     sp.add_argument("--modes", type=int, default=None)
 
-    sp = sub.add_parser("transform", help="potential to coordinate state")
-    sp.set_defaults(run=_cmd_transform)
-    _add_io(sp)
+    sp = _verb(sub, "transform", _cmd_transform, "potential to coordinate state")
     sp.add_argument("--lax-dim", type=int, default=None)
     sp.add_argument("--modes", type=int, default=None)
 
-    sp = sub.add_parser("inverse", help="coordinate state to potential")
-    sp.set_defaults(run=_cmd_inverse)
-    _add_io(sp)
+    sp = _verb(sub, "inverse", _cmd_inverse, "coordinate state to potential")
     sp.add_argument("--lax-dim", type=int, default=None)
     sp.add_argument("--tol-newton", type=float, default=1e-12)
 
-    sp = sub.add_parser("evolve", help="advance a coordinate state by t")
-    sp.set_defaults(run=_cmd_evolve)
-    _add_io(sp)
+    sp = _verb(sub, "evolve", _cmd_evolve, "advance a coordinate state by t")
     sp.add_argument("--t", type=float, required=True)
 
-    sp = sub.add_parser("compare", help="coordinate flow vs direct integration")
-    sp.set_defaults(run=_cmd_compare)
-    _add_io(sp, default_format="json")
+    sp = _verb(sub, "compare", _cmd_compare, "coordinate flow vs direct integration", fmt="json")
     sp.add_argument("--t", default="0.25,0.5,1.0", help="comma-separated times")
     sp.add_argument("--lax-dim", type=int, default=96)
     sp.add_argument("--modes", type=int, default=None)
     sp.add_argument("--grid", type=int, default=256)
     sp.add_argument("--dt", type=float, default=2.5e-4)
 
-    sp = sub.add_parser("vanishing", help="exact residue identity sweep")
-    sp.set_defaults(run=_cmd_vanishing)
-    _add_io(sp, output_only=True, default_format="csv")
+    sp = _verb(sub, "vanishing", _cmd_vanishing, "exact residue identity sweep",
+               reads=False, fmt="csv")
     sp.add_argument("--max-d", type=int, default=4)
     sp.add_argument("--l-bound", type=int, default=6)
     sp.add_argument("--random-count", type=int, default=0)
     sp.add_argument("--seed", type=int, default=0)
 
-    sp = sub.add_parser("combi", help="partition-count identity sweep")
-    sp.set_defaults(run=_cmd_combi)
-    _add_io(sp, output_only=True, default_format="csv")
+    sp = _verb(sub, "combi", _cmd_combi, "partition-count identity sweep", reads=False, fmt="csv")
     sp.add_argument("--max-d", type=int, default=6)
 
-    sp = sub.add_parser("continuity", help="modulus-of-continuity probe sweep")
-    sp.set_defaults(run=_cmd_continuity)
-    _add_io(sp, output_only=True, default_format="csv")
+    sp = _verb(sub, "continuity", _cmd_continuity, "modulus-of-continuity probe sweep",
+               reads=False, fmt="csv")
     sp.add_argument("--s", type=float, default=-0.25)
     sp.add_argument("--t", type=float, default=1.0)
     sp.add_argument("--k", type=int, default=2)
@@ -302,9 +266,8 @@ def build_parser():
     sp.add_argument("--delta", type=float, default=None)
     sp.add_argument("--seed", type=int, default=0)
 
-    sp = sub.add_parser("bracket", help="canonical relations at a seeded potential")
-    sp.set_defaults(run=_cmd_bracket)
-    _add_io(sp, output_only=True)
+    sp = _verb(sub, "bracket", _cmd_bracket, "canonical relations at a seeded potential",
+               reads=False)
     sp.add_argument("--modes", type=int, default=3)
     sp.add_argument("--scale", type=float, default=0.01)
     sp.add_argument("--fd-step", type=float, default=1e-5)
@@ -316,7 +279,8 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        return args.run(args)
+        args.run(args)
+        return 0
     except PropertyViolation as exc:
         print("property violation: %s" % exc, file=sys.stderr)
         return 3

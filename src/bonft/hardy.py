@@ -115,10 +115,6 @@ class Potential:
     def nonzero_coeffs(self):
         return {int(n) - self.N: complex(self._c[n]) for n in np.flatnonzero(self._c)}
 
-    def __eq__(self, other):
-        return (isinstance(other, Potential) and self.s == other.s and self.N == other.N
-                and self.real == other.real and bool(np.array_equal(self._c, other._c)))
-
     def __repr__(self):
         return "Potential(s=%g, N=%d, real=%s, %d nonzero modes)" % (
             self.s, self.N, self.real, int(np.count_nonzero(self._c)))

@@ -100,6 +100,15 @@ def test_continuity_csv_columns(tmp_path):
     assert all(line.split(",")[-1] == "1" for line in lines[1:])
 
 
+def test_continuity_given_delta_exits_0(tmp_path):
+    # rows at m=288 and beyond miss the phase bound; they used to exit 3
+    path = str(tmp_path / "cont.csv")
+    assert cli.main(["continuity", "--s", "-0.45", "--k", "8", "--max-m", "4000",
+                     "--delta", "0.7", "-o", path]) == 0
+    lines = open(path).read().strip().splitlines()
+    assert any(line.split(",")[-1] == "0" for line in lines[1:])
+
+
 def test_bracket_small(tmp_path):
     path = str(tmp_path / "b.json")
     assert cli.main(["bracket", "--modes", "1", "--scale", "0.005",

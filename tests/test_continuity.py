@@ -120,6 +120,17 @@ def test_sparse_probes_equal_the_dense_oracle(s, k, max_m):
         assert row == dense_probe(s, cfg.t, (), cfg.delta_value(), row["m"])[2]
 
 
+def test_given_delta_keeps_rows_that_miss_the_phase_bound():
+    # the separation bound needs the phase bound; a given delta need not meet
+    # it, so those rows are reported with phase_bound_ok False, not raised on
+    cfg = ContinuityConfig(s=-0.45, k=8, max_m=4000, delta=0.7)
+    rows = sweep(cfg)
+    assert len(rows) >= 2
+    assert any(not row["phase_bound_ok"] for row in rows)
+    for row in rows:
+        assert row == dense_probe(cfg.s, cfg.t, (), 0.7, row["m"])[2]
+
+
 @pytest.mark.parametrize("n_base", range(1, 9))
 def test_sparse_probes_with_a_base_match_the_dense_oracle(n_base):
     # np.sum groups the base terms differently on the two supports: 1 ulp

@@ -1,7 +1,8 @@
 """Byte-for-byte CLI output against files recorded from an earlier build.
 
-The files under tests/golden/ pin the stdout of every verb, so a change to
-how they compute must reproduce the same bytes.  inverse and evolve read
+The files under tests/golden/ pin the output of every verb, on stdout and
+through -o FILE, so a change to how they compute or write must reproduce
+the same bytes.  inverse and evolve read
 the pinned transform output as their input state.
 """
 
@@ -23,6 +24,7 @@ CASES = [
     (SWEEP + ["--format", "json"], "vanishing.json"),
     (SWEEP, "vanishing.csv"),
     (["combi", "--max-d", "5"], "combi.csv"),
+    (["combi", "--max-d", "5", "--format", "json"], "combi.json"),
     (SPECTRUM, "spectrum.json"),
     (SPECTRUM + ["--format", "csv"], "spectrum.csv"),
     (["transform", "-i", U] + SMALL, "transform.json"),
@@ -32,6 +34,8 @@ CASES = [
     (["inverse", "-i", STATE, "--lax-dim", "32"], "inverse.json"),
     (["evolve", "-i", STATE, "--t", "0.05"], "evolve.json"),
     (["compare", "-i", U] + SMALL + ["--grid", "32", "--t", "0.05"], "compare.json"),
+    (["compare", "-i", U] + SMALL + ["--grid", "32", "--t", "0.05", "--format", "csv"],
+     "compare.csv"),
     (["compare", "-i", U] + SMALL + ["--t", "0.05"], "compare_default.json"),
     (["continuity", "--max-m", "2000"], "continuity.csv"),
     (["continuity", "--s", "-0.45", "--k", "8", "--max-m", "600000",
@@ -45,3 +49,12 @@ def test_stdout_matches_golden(argv, name, capsys):
     assert cli.main(argv) == 0
     with open(os.path.join(GOLDEN, name), "rb") as fh:
         assert capsys.readouterr().out.encode() == fh.read()
+
+
+@pytest.mark.parametrize("argv, name", CASES, ids=[name for _, name in CASES])
+def test_output_file_matches_golden(argv, name, tmp_path, capsys):
+    path = tmp_path / name
+    assert cli.main(argv + ["-o", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    with open(os.path.join(GOLDEN, name), "rb") as fh:
+        assert path.read_bytes() == fh.read()
