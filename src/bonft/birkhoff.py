@@ -3,15 +3,17 @@
 The coordinates are assembled from truncated spectral data in three layers:
 
   1. scaling_constants: products over the gaps give kappa_n and mu_n;
-  2. eigen_chain: the normalized eigenvectors f_n, built inductively as
-     f_n = P_n(S f_{n-1}) / sqrt(mu_n) from f_0 = a_0 h_0, together with the
-     projector couplings alpha_n, beta_n and the derived delta_n, nu_n, a_n;
-  3. birkhoff_forward: the coordinate of index n is <1|f_n> / sqrt(kappa_n)
-     on real potentials.  On complex potentials conjugation symmetry no
-     longer supplies the second half of the data, and the analytic
-     extension reads it from the chain of conj(u): its spectrum is derived
-     from L_u^H = L_{conj u} (lax.conjugate_spectrum) without a second
-     eigensolve, and only its chain runs.
+  2. eigen_chain: the normalized eigenvectors f_n = P_n(S f_{n-1}) / sqrt(mu_n)
+     lie in the range of the rank-one projector P_n, so f_n = a_n h_n with
+     h_n = P_n e_n; the chain computes the projector couplings alpha_n,
+     beta_n, the derived delta_n, nu_n and the scalars a_n, never a vector;
+  3. birkhoff_forward: the coordinate of index n is <1|f_n> / sqrt(kappa_n),
+     one product form for real and complex potentials alike.  On complex
+     potentials conjugation symmetry no longer supplies the second half of
+     the data, and the analytic extension reads it from the chain of
+     conj(u): its spectrum is derived from L_u^H = L_{conj u}
+     (lax.conjugate_spectrum) without a second eigensolve, and only its
+     chain runs.
 
 Principal square roots throughout, with the branch cut treated as an error.
 """
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BranchCutError, DegenerateProduct, DegenerateProjector,
-                     NumericalFailure, OutOfNeighborhood, TruncationWarning)
+                     OutOfNeighborhood, TruncationWarning)
 from .hardy import (Potential, coeffs_from_json, coeffs_to_json, json_value,
                     sobolev_exponent)
 from .lax import conjugate_spectrum, spectrum
@@ -32,7 +34,6 @@ DEGENERATE_TOL = 1e-12
 SHIFT_DROP_THRESHOLD = 1e-10  # relative size of a top mode that S may drop silently
 NEIGHBORHOOD_MU = 0.5
 NEIGHBORHOOD_ALPHA = 0.5
-CROSS_ASSERT_TOL = 1e-9
 
 
 def default_lax_dim(u):
@@ -140,11 +141,12 @@ def scaling_constants(sd):
 
 
 def eigen_chain(sd):
-    """The normalized chain f_0..f_K with all its scaling constants.
+    """The scaling constants of the normalized chain f_0..f_K.
 
-    f_0 = a_0 h_0 with a_0 = sqrt(kappa_0) / <h_0, 1> (bilinear pairing),
-    then f_n = P_n(S f_{n-1}) / sqrt(mu_n).  Along the way the projector
-    couplings
+    The chain starts at f_0 = a_0 h_0 with a_0 = sqrt(kappa_0) / <h_0, 1>
+    (bilinear pairing) and runs f_n = P_n(S f_{n-1}) / sqrt(mu_n).  P_n has
+    rank one, so f_n = a_n h_n with h_n = P_n e_n, and only the scalars a_n
+    are computed.  The projector couplings
 
         alpha_n = <P_n e_n | e_n>,
         beta_n  = <P_n S P_{n-1} e_{n-1} | e_n>,
@@ -153,8 +155,7 @@ def eigen_chain(sd):
     cumulative a_n = a_0 prod_{k<=n} nu_k / sqrt(mu_k).  The admissibility
     guards |mu_n - 1| < 1/2 and |alpha_n| >= 1/2 delimit the neighborhood
     where the construction is trusted; leaving it raises OutOfNeighborhood
-    at the first offending n (mu before alpha).  Returns (f, scaling) with
-    f the (M+1) x (K+1) array whose column n is f_n.
+    at the first offending n (mu before alpha).  Returns the ScalingData.
     """
     K = sd.K_use
     h = sd.h
@@ -162,7 +163,6 @@ def eigen_chain(sd):
     h0_zero = complex(h[0, 0])  # bilinear <h_0, 1>
     if not abs(h0_zero) >= DEGENERATE_TOL:
         raise DegenerateProjector("projected vacuum has zero mean component")
-    a0 = sqrt_plus(kappa[0]) / h0_zero
     alpha = np.diagonal(h).copy()
     alpha[0] = np.nan
     far_mu = ~(np.abs(mu[1:] - 1.0) < NEIGHBORHOOD_MU)  # NaN is far
@@ -178,28 +178,24 @@ def eigen_chain(sd):
     roots = np.concatenate(([np.nan], sqrt_plus(mu[1:])))
     beta = np.full(K + 1, np.nan, dtype=complex)
     a = np.empty(K + 1, dtype=complex)
-    a[0] = a0
-    f = np.empty((K + 1, sd.M + 1), dtype=complex)  # row n is f_n
-    f[0] = a0 * h[:, 0]
+    a[0] = sqrt_plus(kappa[0]) / h0_zero
     up = np.zeros(sd.M + 1, dtype=complex)  # S x, the top mode dropped
     for n in range(1, K + 1):
         up[1:] = h[:-1, n - 1]
         beta[n] = sd.project(n, up)[n]
         a[n] = a[n - 1] * (beta[n] / alpha[n]) / roots[n]
-        up[1:] = f[n - 1, :-1]
-        f[n] = sd.project(n, up) / roots[n]
-    if not np.isfinite(f).all():
+    if not (np.isfinite(a).all() and np.isfinite(h).all()):
         raise ValueError("non-finite Hardy coefficients")
-    # S drops the top mode of every vector it shifts: h_0..h_{K-1}, f_0..f_{K-1}
-    size = np.abs(np.concatenate((h[:, :K], f[:K].T), axis=1))
+    # S drops the top mode of every vector it shifts, h_0..h_{K-1}, and of
+    # f_n = a_n h_n, whose top-mode ratio is h_n's
+    size = np.abs(h[:, :K])
     scale = size.max(axis=0, initial=0.0)
     drop = (scale > 0.0) & (size[-1] > SHIFT_DROP_THRESHOLD * scale)
     if drop.any():
         warnings.warn("chain shift dropped top coefficient of relative size %.3e"
                       % np.max(size[-1, drop] / scale[drop]), TruncationWarning,
                       stacklevel=2)
-    scaling = ScalingData(kappa=kappa, mu=mu, delta=beta - alpha, a=a, tails=tails)
-    return f.T, scaling
+    return ScalingData(kappa=kappa, mu=mu, delta=beta - alpha, a=a, tails=tails)
 
 
 class BirkhoffState:
@@ -299,40 +295,34 @@ def _assemble_minus(kappa_conj, a_u, psi_u):
 def birkhoff_forward(u, M=None, k_use=None):
     """The coordinate map on a trig-polynomial potential.
 
-    Real u: one chain gives zeta_n = <1|f_n> / sqrt(kappa_n) and the minus
-    side by conjugation; the equivalent product form
-    sqrt(n) conj(a_n Psi_n) / sqrt(n kappa_n) is evaluated from the same
-    chain and the two are cross-checked, which exercises every constant the
-    complex extension relies on.
+    With f_n = a_n h_n, zeta_n = <1|f_n> / sqrt(kappa_n) takes the product
+    form below, one assembly path for real and complex u alike.  Index n > 0
+    takes sqrt(n) conj(a_n(u-) Psi_n(u-)) / sqrt(n kappa_n(u)) with
+    u- = conj(u) and Psi_n = <1|h_n>; index -n takes
+    sqrt(n) a_n(u) Psi_n(u) / sqrt(n conj(kappa_n(u-))).  For real u the
+    chain of u- is the chain of u and the minus side is conj(plus).  For
+    complex u the spectrum of u- is derived from that of u
+    (L_{conj u} = L_u^H, so one eigensolve serves both) and only its chain
+    runs again.
 
-    Complex u: chains run on both u and conj(u), with the spectrum of
-    conj(u) derived from that of u (L_{conj u} = L_u^H, so one eigensolve
-    serves both); index n > 0 takes
-    sqrt(n) conj(a_n(u-) Psi_n(u-)) / sqrt(n kappa_n(u)) with u- = conj(u),
-    index -n takes sqrt(n) a_n(u) Psi_n(u) / sqrt(n conj(kappa_n(u-))).
-
-    Attaches .diagnostics with the product tails and the chain norm drift.
+    Attaches .diagnostics with the product tails and the chain norm drift
+    max_n | |a_n| ||h_n|| - 1 |.
     """
     if M is None:
         M = default_lax_dim(u)
     sd = spectrum(u, M, k_use=k_use)
-    f, scaling = eigen_chain(sd)
+    scaling = eigen_chain(sd)
     # one norm per column: np.linalg.norm of a whole matrix rounds differently
-    norm_drift = max(abs(float(np.linalg.norm(fv)) - 1.0) for fv in f.T)
+    norm_drift = max(abs(abs(an) * float(np.linalg.norm(hn)) - 1.0)
+                     for an, hn in zip(scaling.a, sd.h.T))
     if u.real:
-        plus = np.conj(f[0, 1:]) / sqrt_plus(scaling.kappa[1:])
-        check = _assemble_plus(scaling.kappa, scaling.a, sd.h[0])
-        dev = float(np.max(np.abs(plus - check), initial=0.0))
-        if dev > CROSS_ASSERT_TOL:
-            raise NumericalFailure(
-                "shortcut and product coordinates disagree by %.3e" % dev)
-        state = BirkhoffState(u.s, plus, None, real_flag=True)
+        sd_c, scaling_c = sd, scaling
     else:
         sd_c = conjugate_spectrum(sd)
-        _, scaling_c = eigen_chain(sd_c)
-        plus = _assemble_plus(scaling.kappa, scaling_c.a, sd_c.h[0])
-        minus = _assemble_minus(scaling_c.kappa, scaling.a, sd.h[0])
-        state = BirkhoffState(u.s, plus, minus, real_flag=False)
+        scaling_c = eigen_chain(sd_c)
+    plus = _assemble_plus(scaling.kappa, scaling_c.a, sd_c.h[0])
+    minus = None if u.real else _assemble_minus(scaling_c.kappa, scaling.a, sd.h[0])
+    state = BirkhoffState(u.s, plus, minus, real_flag=u.real)
     state.diagnostics = dict(scaling.tails, norm_drift=float(norm_drift))
     return state
 

@@ -38,9 +38,7 @@ def assemble_lax(u, M):
     j = np.arange(M + 1)
     diff = j[:, None] - j[None, :]
     coeffs = np.zeros(2 * M + 1, dtype=complex)
-    for n, v in u.nonzero_coeffs().items():
-        if abs(n) <= M:
-            coeffs[n + M] = v
+    coeffs[M - u.N:M + u.N + 1] = u.band()
     return np.diag(j.astype(complex)) - coeffs[diff + M]
 
 

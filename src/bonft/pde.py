@@ -90,8 +90,7 @@ def integrate(u0, cfg=None):
                       % (cfg.dt, cfg.dt * (grid // 2) ** 2), stacklevel=2)
 
     c = np.zeros(grid, dtype=complex)
-    for m, v in u0.nonzero_coeffs().items():
-        c[m % grid] = v
+    c[np.arange(-u0.N, u0.N + 1) % grid] = u0.band()
 
     # The inverse FFT runs unscaled and the forward FFT's 1/grid sits in coef
     # with the factor -i n and the dealias mask: all exact (powers of two,

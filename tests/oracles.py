@@ -4,7 +4,8 @@ Everything here is deliberately primitive: plain quadrature, truncated
 Fraction Taylor series, the closed-form residue and the multi-sums built
 on them, the partition counts from explicit sets, dense linear solves and
 eigenvalues, the involutions, norms and energies on coefficient dicts,
-perturbation formulas, the scaling products one factor at a time, the RK4
+perturbation formulas, the scaling products one factor at a time, the
+eigenfunction chain one shifted projection at a time, the RK4
 loop with its products spelled out, the time-discrete equation residual,
 a continuity probe on the full index range with its own copy of the
 flow, and the probe search that scores every multiple in each window.
@@ -421,6 +422,30 @@ def scaling_constants_loop(sd, tol=1e-12):
             mu_tail = max(mu_tail, float(abs(last - 1.0)))
         mu[n] = value
     return kappa, mu, {"kappa_tail": kappa_tail, "mu_tail": mu_tail}
+
+
+def chain_loop(sd):
+    """The normalized chain f_0..f_K as vectors, one shifted projection at a time.
+
+    f_0 = a_0 h_0 with a_0 = sqrt(kappa_0) / h_0[0], then
+    f_n = P_n(S f_{n-1}) / sqrt(mu_n), where S shifts every mode up by one
+    and drops the top one, and P_n x = v_n (w_n^H x) / (w_n^H v_n).
+    kappa and mu come from scaling_constants_loop; square roots are
+    principal.  Reads sd.right_vecs, sd.left_vecs, sd.denoms, sd.h, sd.M
+    besides what scaling_constants_loop reads, and runs no guard.  Returns
+    the (M+1) x (K+1) array whose column n is f_n.
+    """
+    kappa, mu, _ = scaling_constants_loop(sd)
+    K = sd.K_use
+    f = np.empty((sd.M + 1, K + 1), dtype=complex)
+    f[:, 0] = np.sqrt(kappa[0]) / sd.h[0, 0] * sd.h[:, 0]
+    for n in range(1, K + 1):
+        shifted = np.zeros(sd.M + 1, dtype=complex)
+        shifted[1:] = f[:-1, n - 1]
+        v = sd.right_vecs[:, n]
+        w = sd.left_vecs[:, n]
+        f[:, n] = v * (np.vdot(w, shifted) / sd.denoms[n]) / np.sqrt(mu[n])
+    return f
 
 
 def integrate_loop(u0, cfg, dealias_fraction=2.0 / 3.0):

@@ -1,9 +1,12 @@
-"""The scaling products and the eigenvector chain: reference oracle and guards.
+"""The scaling products and the eigenvector chain: reference oracles and guards.
 
 scaling_constants works on factor matrices; tests/oracles.py keeps the
 loop it replaced, and the two must agree bit for bit, down to which factor
-a DegenerateProduct names.  Every guard of the chain gets an input that
-trips it, and the message must name the first offending index.
+a DegenerateProduct names.  eigen_chain computes only the scalars a_n of
+f_n = a_n h_n; tests/oracles.py keeps the vector recursion for f_n, and
+the coordinates must match the ones read off it.  Every guard of the chain
+gets an input that trips it, and the message must name the first offending
+index.
 """
 
 import os
@@ -18,8 +21,8 @@ from bonft.birkhoff import birkhoff_forward, eigen_chain, scaling_constants
 from bonft.errors import (DegenerateProduct, DegenerateProjector, OutOfNeighborhood,
                           TruncationWarning)
 from bonft.hardy import Potential
-from bonft.lax import SpectralData, spectrum
-from oracles import scaling_constants_loop
+from bonft.lax import SpectralData, conjugate_spectrum, spectrum
+from oracles import chain_loop, scaling_constants_loop
 
 
 def hand_built(lambdas, h=None):
@@ -66,6 +69,51 @@ def test_scaling_constants_match_loop_oracle_off_lattice():
         sd = hand_built(lam)
         sd.hermitian = False
         assert_same_constants(sd)
+
+
+def assert_chain_matches_oracle(u, M, k_use):
+    """f_n = a_n h_n on the oracle's chain, and the coordinates read off it.
+
+    Returns False, checking nothing, when u lies outside the neighborhood.
+    """
+    try:
+        st = birkhoff_forward(u, M=M, k_use=k_use)
+    except OutOfNeighborhood:
+        return False
+    sd = spectrum(u, M, k_use=k_use)
+    scal = eigen_chain(sd)
+    f = chain_loop(sd)
+    assert np.max(np.abs(f - sd.h * scal.a)) <= 1e-13 * np.max(np.abs(f))
+    if u.real:
+        # <1|f_n> / sqrt(kappa_n), the coordinate as the paper defines it
+        shortcut = np.conj(f[0, 1:]) / np.sqrt(scal.kappa[1:])
+        assert np.max(np.abs(st.plus - shortcut)) <= 1e-13
+        return True
+    drift = max(abs(np.linalg.norm(fn) - 1.0) for fn in f.T)
+    assert abs(st.diagnostics["norm_drift"] - drift) <= 1e-13
+    sd_c = conjugate_spectrum(sd)
+    scal_c = eigen_chain(sd_c)
+    f_c = chain_loop(sd_c)
+    assert np.max(np.abs(f_c - sd_c.h * scal_c.a)) <= 1e-13 * np.max(np.abs(f_c))
+    assert np.max(np.abs(st.plus - np.conj(f_c[0, 1:]) / np.sqrt(scal.kappa[1:]))) <= 1e-13
+    assert np.max(np.abs(st.minus - f[0, 1:] / np.sqrt(np.conj(scal_c.kappa[1:])))) <= 1e-13
+    return True
+
+
+@pytest.mark.filterwarnings("ignore::bonft.errors.TruncationWarning")
+@pytest.mark.parametrize("real, draws", [(True, 240), (False, 60)], ids=["real", "complex"])
+def test_chain_matches_vector_recursion_oracle(real, draws):
+    """Sizes up to 1 in ||u||-scale cross the neighborhood boundary, so some draws are refused."""
+    rng = np.random.default_rng(44 if real else 45)
+    kept = 0
+    for _ in range(draws):
+        u = seeded(rng, int(rng.integers(1, 5)), 10.0 ** rng.uniform(-3.0, 0.0), real)
+        kept += assert_chain_matches_oracle(u, 32, int(rng.choice((4, 8, 12, 16))))
+    assert 0.8 * draws <= kept < draws
+    if real:
+        # a single mode up to the last size the guards accept at M = 32, K = 12
+        for eps in np.linspace(0.05, 0.56, 18):
+            assert assert_chain_matches_oracle(Potential(0.5, 1, {1: eps}, real=True), 32, 12)
 
 
 def assert_same_degeneracy(sd, message):

@@ -254,7 +254,7 @@ def test_delta_series_matches_spectral_delta():
     u = Potential(0.5, 2, coeffs, real=True)
     sd = spectrum(u, 96, k_use=8)
     from bonft.birkhoff import eigen_chain
-    _, scal = eigen_chain(sd)
+    scal = eigen_chain(sd)
     for n in range(1, 8):
         series = delta_series(u.nonzero_coeffs(), n, 4)
         assert abs(series - scal.delta[n]) < 1e-9, n
