@@ -166,13 +166,15 @@ def _cmd_vanishing(args):
 
 def _cmd_combi(args):
     counts, violations = sweep_combi(args.max_d)
+    bad = sum(n for _, n, _ in violations)
     rows = [("d%d" % d, counts[d]) for d in sorted(counts)]
-    rows.append(("violations", len(violations)))
+    rows.append(("violations", bad))
     _write(args, {"instances": {str(d): counts[d] for d in sorted(counts)},
-                  "violations": len(violations)}, ("check", "count"), rows)
+                  "violations": bad}, ("check", "count"), rows)
     if violations:
-        raise PropertyViolation("%d instances break |K_ad| = |J_ad| + 1, first: %r"
-                                % (len(violations), violations[0]))
+        d, _, (J, q) = violations[0]
+        raise PropertyViolation("%d instances break |K_ad| = |J_ad| + 1, first: d=%d, J=%r, q=%r"
+                                % (bad, d, J, q))
 
 
 def _cmd_continuity(args):

@@ -42,9 +42,9 @@ class ContinuityConfig:
             raise ValueError("t must be nonzero and finite")
         if int(self.k) < 1:
             raise ValueError("k must be a positive integer")
-        for name in ("max_m", "max_probes"):
-            if getattr(self, name) < 1:
-                raise ValueError("need %s >= 1, got %d" % (name, getattr(self, name)))
+        for name, floor in (("max_m", 1), ("max_probes", 2)):  # sweep fits a slope to >= 2 probes
+            if getattr(self, name) < floor:
+                raise ValueError("need %s >= %d, got %d" % (name, floor, getattr(self, name)))
         base = tuple(complex(v) for v in self.base)
         if any(not (math.isfinite(v.real) and math.isfinite(v.imag)) for v in base):
             raise ValueError("non-finite base coordinate")

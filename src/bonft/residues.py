@@ -29,6 +29,18 @@ O(d (Z + 2)) operations on plain Python integers, so every value is exact
 and the test compares two integers.  Nothing is cached, within a sweep or
 across sweeps, and the random tuples are drawn in fixed-size blocks, so a
 sweep's memory does not grow with its length.
+
+The counting identity |K_ad| = |J_ad| + 1 runs over instances (J, q): J a
+subset of {1..d} with nonempty complement K, q_k >= 0 on K summing to |J| + 1,
+J_ad = { m in J : S(K_m) = |J_m| }, K_ad = { m in K : S(K_m \\ {m}) <= |J_m|,
+S(K'_m \\ {m}) <= |J'_m| }, with S the sum of q, X_m = X cap [1, m] and
+X'_m = X cap [m, d].  Both sets depend only on the walk e_m = S(K_m) - |J_m|
+from 0 to 1.  A J step lowers e by 1 and is in J_ad when it lands on 0: a
+down-crossing from 1 to 0.  A K step raises e by q_m and is in K_ad when
+e <= 0 < e + q_m: an up-crossing from <= 0 to >= 1.  So a walk crosses up
+once more than down (the crossing argument of the cycle lemma; Dvoretzky
+and Motzkin 1947, Raney 1960).  sweep_combi counts the walks, and those that
+break the identity, by a dynamic program whose cost grows polynomially in d.
 """
 
 import itertools
@@ -81,56 +93,32 @@ def _vanishing_terms(ls):
     return S, h[Z + 1]
 
 
-def _admissible_counts(d, J, q):
-    """(|J_ad|, |K_ad|) of the instance (J, q) at size d, in one pass over m = 1..d.
-
-    With K = {1..d} minus J, J_m = J cap [1, m], J'_m = J cap [m, d],
-    likewise for K, and S(E) the sum of q over E:
-    J_ad = { m in J : S(K_m) = |J_m| } and
-    K_ad = { m in K : S(K_m \\ {m}) <= |J_m| and S(K'_m \\ {m}) <= |J'_m| };
-    the identity says |K_ad| = |J_ad| + 1.  Q and j are the running sums
-    of q and of J-membership over [1, m]; the sums over [m, d] are the
-    totals minus those over [1, m - 1].  J is a set of indices and q the
-    (k, q_k) pairs; nothing is validated, so a corrupted instance is
-    counted as it stands.
-    """
-    qv = [0] * (d + 1)
-    for k, v in q:
-        qv[k] = v
-    q_total, j_total = sum(qv), len(J)
-    Q = j = j_ad = k_ad = 0
-    for m in range(1, d + 1):
-        if m in J:
-            j += 1
-            j_ad += Q == j
-        else:
-            k_ad += Q <= j and q_total - Q - qv[m] <= j_total - j
-            Q += qv[m]
-    return j_ad, k_ad
+def _walk_step(e, in_j, q):
+    """(e', added to |J_ad|, added to |K_ad|) for a J step (q unused) or a K step q from e."""
+    if in_j:
+        return e - 1, int(e == 1), 0
+    return e + q, 0, int(e <= 0 < e + q)
 
 
-def compositions(total, parts):
-    """All tuples of parts >= 1 nonnegative integers summing to total, in
-    lexicographic order: the cuts between parts - 1 bars among total + parts - 1 slots."""
-    slots = total + parts - 1
-    for bars in itertools.combinations(range(slots), parts - 1):
-        edges = (-1,) + bars + (slots,)
-        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
+def _moves(e, rest):
+    """The steps (in_j, q) from e that can still end at 1 after rest more,
+    J first, then K by increasing q."""
+    return [(True, 0)] + [(False, q) for q in range(rest + 2 - e)]
 
 
-def iter_partition_instances(d):
-    """Every instance (J, q) of the counting identity at size d.
-
-    J is a subset of {1..d} whose complement K is nonempty; q holds the
-    pairs (k, q_k) over K in increasing k, with q_k >= 0 summing to |J| + 1.
-    """
-    indices = range(1, d + 1)
-    for j_size in range(d):
-        for J in itertools.combinations(indices, j_size):
-            J = frozenset(J)
-            K = [k for k in indices if k not in J]
-            for q in compositions(j_size + 1, len(K)):
-                yield J, tuple(zip(K, q))
+def _first_bad(tails, d):
+    """The first walk of length d in _moves order that breaks the identity, as (J, q)."""
+    e = gained = 0
+    steps = []
+    for rest in range(d - 1, -1, -1):
+        for step in _moves(e, rest):
+            e2, dj, dk = _walk_step(e, *step)
+            if any(gained + dk - dj + t != 1 for t in tails[rest].get(e2, ())):
+                break
+        e, gained = e2, gained + dk - dj
+        steps.append(step)
+    return (tuple(m for m, (in_j, _) in enumerate(steps, 1) if in_j),
+            tuple((m, q) for m, (in_j, q) in enumerate(steps, 1) if not in_j))
 
 
 def sweep_vanishing(max_d, l_bound, random_count=0, rng=None):
@@ -176,23 +164,32 @@ def sweep_vanishing(max_d, l_bound, random_count=0, rng=None):
 
 
 def sweep_combi(max_d, workers=1):
-    """Exhaustive check of the counting identity for all instances with d <= max_d.
+    """Count the instances with d <= max_d, and those with |K_ad| != |J_ad| + 1.
 
-    Each instance is counted by the O(d) kernel _admissible_counts.
-    Returns (counts per d, violations); a violation is (d, J, q, |J_ad|,
-    |K_ad|).  workers is ignored: the sweep always runs in one process.  The
-    parameter stays only because existing callers pass it positionally.
+    tails[r][e] maps t to the number of r-step walks from e that end at 1 and
+    add t to |K_ad| - |J_ad|; e spans the values that 0 reaches within
+    max_d - r steps and that can still reach 1, so the table costs O(max_d^3)
+    steps.  Ending at 1 takes a K step, so K is never empty.  Returns (counts
+    per d, violations), one violation (d, number bad, first bad (J, q)) per
+    failing d.  workers is ignored; existing callers pass it positionally.
     """
     if max_d < 1:
         raise ValueError("need max_d >= 1, got %d" % max_d)
-    counts = {}
-    violations = []
+    tails = [{1: {0: 1}}]
+    for rest in range(max_d):
+        layer = {}
+        for e in range(rest + 1 - max_d, rest + 3):
+            row = layer[e] = {}
+            for step in _moves(e, rest):
+                e2, dj, dk = _walk_step(e, *step)
+                for t, n in tails[rest].get(e2, {}).items():
+                    row[t + dk - dj] = row.get(t + dk - dj, 0) + n
+        tails.append(layer)
+    counts, violations = {}, []
     for d in range(1, max_d + 1):
-        n = 0
-        for J, q in iter_partition_instances(d):
-            n += 1
-            j_ad, k_ad = _admissible_counts(d, J, q)
-            if k_ad != j_ad + 1:
-                violations.append((d, J, q, j_ad, k_ad))
-        counts[d] = n
+        ends = tails[d][0]
+        counts[d] = sum(ends.values())
+        bad = counts[d] - ends.get(1, 0)
+        if bad:
+            violations.append((d, bad, _first_bad(tails, d)))
     return counts, violations

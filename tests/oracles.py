@@ -2,7 +2,8 @@
 
 Everything here is deliberately primitive: plain quadrature, truncated
 Fraction Taylor series, the closed-form residue and the multi-sums built
-on them, the partition counts from explicit sets, dense linear solves and
+on them, the partition counts from explicit sets and the enumeration of
+every instance with its O(d) count, dense linear solves and
 eigenvalues, the involutions, norms and energies on coefficient dicts,
 perturbation formulas, the scaling products one factor at a time, the
 eigenfunction chain one shifted projection at a time, the RK4
@@ -13,6 +14,7 @@ Nothing imports the package under test, so agreement between a package
 routine and its oracle is evidence, not circularity.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -189,6 +191,53 @@ def combi_check(d, J, q):
         if S(K_m - {m}) <= len(J_m) and S(K_pm - {m}) <= len(J_pm):
             k_ad += 1
     return j_ad, k_ad, k_ad == j_ad + 1
+
+
+def admissible_counts(d, J, q):
+    """(|J_ad|, |K_ad|) of the instance (J, q) at size d, as combi_check
+    defines them, in one pass over m = 1..d.
+
+    Q and j are the running sums of q and of J-membership over [1, m]; the
+    sums over [m, d] are the totals minus those over [1, m - 1].  Nothing is
+    validated, so a corrupted instance is counted as it stands.
+    """
+    qv = [0] * (d + 1)
+    for k, v in q:
+        qv[k] = v
+    q_total, j_total = sum(qv), len(J)
+    Q = j = j_ad = k_ad = 0
+    for m in range(1, d + 1):
+        if m in J:
+            j += 1
+            j_ad += Q == j
+        else:
+            k_ad += Q <= j and q_total - Q - qv[m] <= j_total - j
+            Q += qv[m]
+    return j_ad, k_ad
+
+
+def compositions(total, parts):
+    """All tuples of parts >= 1 nonnegative integers summing to total, in
+    lexicographic order: the cuts between parts - 1 bars among total + parts - 1 slots."""
+    slots = total + parts - 1
+    for bars in itertools.combinations(range(slots), parts - 1):
+        edges = (-1,) + bars + (slots,)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
+
+
+def iter_partition_instances(d):
+    """Every instance (J, q) of the counting identity at size d.
+
+    J is a subset of {1..d} whose complement K is nonempty; q holds the
+    pairs (k, q_k) over K in increasing k, with q_k >= 0 summing to |J| + 1.
+    """
+    indices = range(1, d + 1)
+    for j_size in range(d):
+        for J in itertools.combinations(indices, j_size):
+            J = frozenset(J)
+            K = [k for k in indices if k not in J]
+            for q in compositions(j_size + 1, len(K)):
+                yield J, tuple(zip(K, q))
 
 
 def psi_series(coeffs, n, d_max):

@@ -82,8 +82,8 @@ def test_criterion_01_vanishing_identity_exact():
 
 
 def test_criterion_02_partition_count_identity():
-    counts, violations = sweep_combi(8)
-    assert counts == {d: math.comb(2 * d, d - 1) for d in range(1, 9)}
+    counts, violations = sweep_combi(20)
+    assert counts == {d: math.comb(2 * d, d - 1) for d in range(1, 21)}
     assert violations == []
 
 

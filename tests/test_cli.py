@@ -144,11 +144,10 @@ def _potential_doc(s=0.5, coeffs=((1, 0.01),), **fields):
     (["vanishing", "--random-count", "-5"], None, "need random_count >= 0, got -5"),
     (["combi", "--max-d", "-2"], None, "need max_d >= 1, got -2"),
     (["continuity", "--n-base", "-1"], None, "need n_base >= 0, got -1"),
-    (["continuity", "--max-probes", "0"], None, "need max_probes >= 1, got 0"),
+    (["continuity", "--max-probes", "0"], None, "need max_probes >= 2, got 0"),
     (["continuity", "--max-m", "0"], None, "need max_m >= 1, got 0"),
     (["continuity", "--s=-0.01"], None, "need at least two probes for a growth rate, found 1"),
-    (["continuity", "--max-probes", "1"], None,
-     "need at least two probes for a growth rate, found 1"),
+    (["continuity", "--max-probes", "1"], None, "need max_probes >= 2, got 1"),
     (["continuity", "--max-m", "3"], None, "need at least two probes for a growth rate, found 1"),
     (["transform"], _potential_doc(s=float("inf")),
      "Sobolev exponent must be finite and > -1/2, got inf"),

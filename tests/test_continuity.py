@@ -55,7 +55,7 @@ def test_probe_indices_reach_max_m_1e12():
 def test_probe_indices_equal_the_window_scan(s):
     # the closed form scores at most two multiples per window; the scan all
     for k, max_m, n_base, max_probes in itertools.product(
-            (1, 2, 3, 8, 13), (7, 200, 20000), (0, 5, 40), (1, 12, 400)):
+            (1, 2, 3, 8, 13), (7, 200, 20000), (0, 5, 40), (2, 12, 400)):
         cfg = ContinuityConfig(s=s, k=k, max_m=max_m, base=(0.0,) * n_base,
                                max_probes=max_probes)
         assert probe_indices(cfg) == probe_indices_scan(s, k, max_m, n_base, max_probes), cfg

@@ -10,18 +10,34 @@ from hypothesis import strategies as st
 from bonft import cli, residues
 from bonft.hardy import Potential
 from bonft.lax import spectrum
-from bonft.residues import (RANDOM_BLOCK, _admissible_counts, _vanishing_terms,
-                            compositions, iter_partition_instances, sweep_combi,
-                            sweep_vanishing)
-from oracles import (combi_check, contour_residue_quadrature, delta_series, psi_series,
-                     residue_pair, series_residue, series_residue_pole_shift,
-                     vanishing_sum_quadrature)
+from bonft.residues import RANDOM_BLOCK, _vanishing_terms, sweep_combi, sweep_vanishing
+from oracles import (admissible_counts, combi_check, compositions, contour_residue_quadrature,
+                     delta_series, iter_partition_instances, psi_series, residue_pair,
+                     series_residue, series_residue_pole_shift, vanishing_sum_quadrature)
 
 QUAD_TOL = 1e-10
 
 
 def residue_A(ls, extra_mu_power=0):
     return Fraction(*residue_pair(tuple(ls), extra_mu_power))
+
+
+def walk_counts(d, J, q):
+    """(|J_ad|, |K_ad|) of the instance (J, q), stepping residues._walk_step along it."""
+    qmap = dict(q)
+    e = j_ad = k_ad = 0
+    for m in range(1, d + 1):
+        e, dj, dk = residues._walk_step(e, m in J, qmap.get(m, 0))
+        j_ad += dj
+        k_ad += dk
+    assert e == 1, (d, J, q)
+    return j_ad, k_ad
+
+
+def walk_key(d, J, q):
+    """The instance's steps in the order sweep_combi searches: a J step is -1, a K step q_k."""
+    qmap = dict(q)
+    return tuple(-1 if m in J else qmap[m] for m in range(1, d + 1))
 
 
 def vanishing_D(ls):
@@ -164,13 +180,13 @@ def test_partition_instance_validation():
 
 def test_combi_forced_single_element():
     assert combi_check(1, set(), ((1, 1),)) == (0, 1, True)
-    assert _admissible_counts(1, set(), ((1, 1),)) == (0, 1)
+    assert admissible_counts(1, set(), ((1, 1),)) == walk_counts(1, set(), ((1, 1),)) == (0, 1)
 
 
 def test_combi_d2_example():
     j_ad, k_ad, ok = combi_check(2, {2}, ((1, 2),))
     assert ok and k_ad == j_ad + 1
-    assert _admissible_counts(2, {2}, ((1, 2),)) == (j_ad, k_ad)
+    assert admissible_counts(2, {2}, ((1, 2),)) == walk_counts(2, {2}, ((1, 2),)) == (j_ad, k_ad)
 
 
 def test_instance_counts_are_central_binomials():
@@ -181,7 +197,6 @@ def test_instance_counts_are_central_binomials():
 
 
 def test_compositions_come_in_lexicographic_order():
-    # combi reports its first violation, so the order is part of the output
     for total in range(7):
         for parts in range(1, 6):
             want = [q for q in itertools.product(range(total + 1), repeat=parts)
@@ -203,26 +218,54 @@ def test_sweeps_are_clean():
 def test_combi_kernel_matches_combi_check():
     for d in range(1, 7):
         for J, q in iter_partition_instances(d):
-            assert _admissible_counts(d, J, q) == combi_check(d, J, q)[:2], (d, J, q)
+            assert admissible_counts(d, J, q) == combi_check(d, J, q)[:2], (d, J, q)
 
 
-def test_sweep_combi_reports_a_corrupted_q_entry(monkeypatch):
-    real = residues.iter_partition_instances
+def test_walk_step_matches_combi_check():
+    for d in range(1, 8):
+        for J, q in iter_partition_instances(d):
+            assert walk_counts(d, J, q) == combi_check(d, J, q)[:2], (d, J, q)
 
-    def corrupted(d):
-        for i, (J, q) in enumerate(real(d)):
-            if (d, i) == (3, 0):  # J = {}, q = (0, 0, 1) becomes (1, 0, 1)
-                (k, v), *rest = q
-                q = ((k, v + 1), *rest)
-            yield J, q
 
-    monkeypatch.setattr(residues, "iter_partition_instances", corrupted)
-    counts, violations = sweep_combi(4)
-    assert counts == {1: 1, 2: 4, 3: 15, 4: 56}
-    assert len(violations) == 1
-    d, J, q, j_ad, k_ad = violations[0]
-    assert (d, J, q) == (3, frozenset(), ((1, 1), (2, 0), (3, 1)))
-    assert (j_ad, k_ad) == combi_check(d, J, q)[:2] == (0, 0)
+def _enumerated_violations(max_d, counts, kernel):
+    """sweep_combi's result for d <= max_d, built by counting every instance with kernel."""
+    violations = []
+    for d in range(1, max_d + 1):
+        n, bad = 0, []
+        for J, q in iter_partition_instances(d):
+            n += 1
+            j_ad, k_ad = kernel(d, J, q)
+            if k_ad != j_ad + 1:
+                bad.append((J, q))
+        assert counts[d] == n
+        if bad:
+            J, q = min(bad, key=lambda inst: walk_key(d, *inst))
+            violations.append((d, len(bad), (tuple(sorted(J)), q)))
+    return violations
+
+
+def test_sweep_combi_equals_the_enumeration():
+    counts, violations = sweep_combi(8)
+    assert violations == _enumerated_violations(8, counts, admissible_counts) == []
+
+
+def test_sweep_combi_reports_a_wrong_step_rule(monkeypatch, capsys):
+    def strict(e, in_j, q):  # K_ad tested with e < 0, so up-crossings from 0 are missed
+        if in_j:
+            return e - 1, int(e == 1), 0
+        return e + q, 0, int(e < 0 < e + q)
+
+    monkeypatch.setattr(residues, "_walk_step", strict)
+    counts, violations = sweep_combi(6)
+    assert counts == {d: math.comb(2 * d, d - 1) for d in range(1, 7)}
+    assert violations == _enumerated_violations(6, counts, walk_counts)
+    assert [d for d, _, _ in violations] == list(range(1, 7))
+    assert violations[0] == (1, 1, ((), ((1, 1),)))
+    assert violations[2] == (3, 10, ((1,), ((2, 1), (3, 1))))
+    assert cli.main(["combi", "--max-d", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.endswith("violations,%d\n" % sum(n for _, n, _ in violations[:3]))
+    assert "first: d=1, J=(), q=((1, 1),)" in captured.err
 
 
 def test_vanishing_cache_lives_for_one_sweep():
