@@ -5,15 +5,18 @@ The coordinates are assembled from truncated spectral data in three layers:
   1. scaling_constants: products over the gaps give kappa_n and mu_n;
   2. eigen_chain: the normalized eigenvectors f_n = P_n(S f_{n-1}) / sqrt(mu_n)
      lie in the range of the rank-one projector P_n, so f_n = a_n h_n with
-     h_n = P_n e_n; the chain computes the projector couplings alpha_n,
-     beta_n, the derived delta_n, nu_n and the scalars a_n, never a vector;
+     h_n = P_n e_n, and a_n = a_0 prod_{k<=n} nu_k / sqrt(mu_k) with
+     nu_n = w_n^H S h_{n-1} / conj(w_n[n]), one pairing per column and a
+     cumulative product; no vector is formed;
   3. birkhoff_forward: the coordinate of index n is <1|f_n> / sqrt(kappa_n),
-     one product form for real and complex potentials alike.  On complex
+     one side formula for real and complex potentials alike: it gives
+     zeta_{-n}(u), and zeta_n(u) = conj(zeta_{-n}(conj u)).  On complex
      potentials conjugation symmetry no longer supplies the second half of
      the data, and the analytic extension reads it from the chain of
      conj(u): its spectrum is derived from L_u^H = L_{conj u}
      (lax.conjugate_spectrum) without a second eigensolve, and only its
-     chain runs.
+     chain runs.  The norm drift pairs the two chains,
+     sum_k f_n(u)_k conj(f_n(conj u)_k), against 1.
 
 Principal square roots throughout, with the branch cut treated as an error.
 """
@@ -149,13 +152,18 @@ def eigen_chain(sd):
     are computed.  The projector couplings
 
         alpha_n = <P_n e_n | e_n>,
-        beta_n  = <P_n S P_{n-1} e_{n-1} | e_n>,
+        beta_n  = <P_n S h_{n-1} | e_n>
 
-    fill delta_n = beta_n - alpha_n, nu_n = beta_n / alpha_n and the
-    cumulative a_n = a_0 prod_{k<=n} nu_k / sqrt(mu_k).  The admissibility
+    share the factor v_n[n] / (w_n^H v_n), so their ratio is one pairing,
+
+        nu_n = beta_n / alpha_n = w_n^H S h_{n-1} / conj(w_n[n]),
+
+    taken for every n at once.  Then a_n = a_0 prod_{k<=n} nu_k / sqrt(mu_k)
+    and delta_n = beta_n - alpha_n = alpha_n (nu_n - 1).  The admissibility
     guards |mu_n - 1| < 1/2 and |alpha_n| >= 1/2 delimit the neighborhood
     where the construction is trusted; leaving it raises OutOfNeighborhood
-    at the first offending n (mu before alpha).  Returns the ScalingData.
+    at the first offending n (mu before alpha).  The alpha guard also keeps
+    w_n[n] away from zero.  Returns the ScalingData.
     """
     K = sd.K_use
     h = sd.h
@@ -175,15 +183,12 @@ def eigen_chain(sd):
                                     % (n, abs(mu[n] - 1.0), NEIGHBORHOOD_MU))
         raise OutOfNeighborhood("|alpha_%d| = %.3f < %.1f"
                                 % (n, abs(alpha[n]), NEIGHBORHOOD_ALPHA))
-    roots = np.concatenate(([np.nan], sqrt_plus(mu[1:])))
-    beta = np.full(K + 1, np.nan, dtype=complex)
-    a = np.empty(K + 1, dtype=complex)
-    a[0] = sqrt_plus(kappa[0]) / h0_zero
-    up = np.zeros(sd.M + 1, dtype=complex)  # S x, the top mode dropped
-    for n in range(1, K + 1):
-        up[1:] = h[:-1, n - 1]
-        beta[n] = sd.project(n, up)[n]
-        a[n] = a[n - 1] * (beta[n] / alpha[n]) / roots[n]
+    # w_n pairs with S h_{n-1}: h_{n-1} shifted up a mode, its top mode dropped
+    w = sd.left_vecs[:, 1:K + 1]
+    nu = (np.sum(np.conj(w[1:]) * h[:-1, :K], axis=0)
+          / np.conj(np.diagonal(sd.left_vecs)[1:K + 1]))
+    a = np.cumprod(np.concatenate(([sqrt_plus(kappa[0]) / h0_zero],
+                                   nu / sqrt_plus(mu[1:]))))
     if not (np.isfinite(a).all() and np.isfinite(h).all()):
         raise ValueError("non-finite Hardy coefficients")
     # S drops the top mode of every vector it shifts, h_0..h_{K-1}, and of
@@ -195,7 +200,8 @@ def eigen_chain(sd):
         warnings.warn("chain shift dropped top coefficient of relative size %.3e"
                       % np.max(size[-1, drop] / scale[drop]), TruncationWarning,
                       stacklevel=2)
-    return ScalingData(kappa=kappa, mu=mu, delta=beta - alpha, a=a, tails=tails)
+    delta = np.concatenate(([np.nan], alpha[1:] * (nu - 1.0)))
+    return ScalingData(kappa=kappa, mu=mu, delta=delta, a=a, tails=tails)
 
 
 class BirkhoffState:
@@ -278,15 +284,10 @@ def state_from_json(obj):
     return BirkhoffState(s, plus, minus, real)
 
 
-def _assemble_plus(kappa_u, a_conj, psi_conj):
-    """sqrt(n) conj(a_n Psi_n) / sqrt(n kappa_n) for n = 1..K, from index-aligned arrays."""
-    ns = np.arange(1, len(kappa_u))
-    return (_mul(np.sqrt(ns), np.conj(_mul(a_conj[1:], psi_conj[1:])))
-            / sqrt_plus(_mul(ns, kappa_u[1:])))
-
-
 def _assemble_minus(kappa_conj, a_u, psi_u):
-    """sqrt(n) a_n Psi_n / sqrt(n conj(kappa_n)) for n = 1..K, from index-aligned arrays."""
+    """sqrt(n) a_n Psi_n / sqrt(n conj(kappa_n)) for n = 1..K, from index-aligned
+    arrays: zeta_{-n}(u) from a(u), Psi(u) and kappa(conj u), and conjugated,
+    zeta_n(u) from a(conj u), Psi(conj u) and kappa(u)."""
     ns = np.arange(1, len(kappa_conj))
     return (_mul(_mul(np.sqrt(ns), a_u[1:]), psi_u[1:])
             / sqrt_plus(_mul(ns, np.conj(kappa_conj[1:]))))
@@ -295,35 +296,37 @@ def _assemble_minus(kappa_conj, a_u, psi_u):
 def birkhoff_forward(u, M=None, k_use=None):
     """The coordinate map on a trig-polynomial potential.
 
-    With f_n = a_n h_n, zeta_n = <1|f_n> / sqrt(kappa_n) takes the product
-    form below, one assembly path for real and complex u alike.  Index n > 0
-    takes sqrt(n) conj(a_n(u-) Psi_n(u-)) / sqrt(n kappa_n(u)) with
-    u- = conj(u) and Psi_n = <1|h_n>; index -n takes
-    sqrt(n) a_n(u) Psi_n(u) / sqrt(n conj(kappa_n(u-))).  For real u the
-    chain of u- is the chain of u and the minus side is conj(plus).  For
-    complex u the spectrum of u- is derived from that of u
-    (L_{conj u} = L_u^H, so one eigensolve serves both) and only its chain
-    runs again.
+    With f_n = a_n h_n, zeta_n = <1|f_n> / sqrt(kappa_n) takes a product
+    form, one assembly path for real and complex u alike.  Index -n takes
+
+        zeta_{-n}(u) = sqrt(n) a_n(u) Psi_n(u) / sqrt(n conj(kappa_n(u-)))
+
+    with u- = conj(u) and Psi_n = <1|h_n>, and the analytic extension gives
+    index n as zeta_n(u) = conj(zeta_{-n}(u-)), the same formula on the
+    chain of u-.  For real u the chain of u- is the chain of u and the minus
+    side is conj(plus).  For complex u the spectrum of u- is derived from
+    that of u (L_{conj u} = L_u^H, so one eigensolve serves both) and only
+    its chain runs again.
 
     Attaches .diagnostics with the product tails and the chain norm drift
-    max_n | |a_n| ||h_n|| - 1 |.
+    max_n |a_n conj(a-_n) <h-_n|h_n> - 1|, the pairing
+    sum_k f_n(u)_k conj(f_n(u-)_k) of the two chains against 1: the analytic
+    extension of ||f_n||^2 = 1, which is |a_n|^2 ||h_n||^2 for real u.
     """
     if M is None:
         M = default_lax_dim(u)
     sd = spectrum(u, M, k_use=k_use)
     scaling = eigen_chain(sd)
-    # one norm per column: np.linalg.norm of a whole matrix rounds differently
-    norm_drift = max(abs(abs(an) * float(np.linalg.norm(hn)) - 1.0)
-                     for an, hn in zip(scaling.a, sd.h.T))
     if u.real:
         sd_c, scaling_c = sd, scaling
     else:
         sd_c = conjugate_spectrum(sd)
         scaling_c = eigen_chain(sd_c)
-    plus = _assemble_plus(scaling.kappa, scaling_c.a, sd_c.h[0])
+    pairing = scaling.a * np.conj(scaling_c.a) * np.sum(np.conj(sd_c.h) * sd.h, axis=0)
+    plus = np.conj(_assemble_minus(scaling.kappa, scaling_c.a, sd_c.h[0]))
     minus = None if u.real else _assemble_minus(scaling_c.kappa, scaling.a, sd.h[0])
     state = BirkhoffState(u.s, plus, minus, real_flag=u.real)
-    state.diagnostics = dict(scaling.tails, norm_drift=float(norm_drift))
+    state.diagnostics = dict(scaling.tails, norm_drift=float(np.max(np.abs(pairing - 1.0))))
     return state
 
 

@@ -1,9 +1,10 @@
 """Subcommand dispatcher.
 
 Exit codes: 0 success, 1 invalid input (bad flags, unreadable paths,
-malformed JSON), 2 numerical failure, 3 property violation found by a
-verifier subcommand.  All randomness flows from the single --seed
-generator; with fixed flags and seed the output bytes are reproducible.
+malformed JSON, sizes too large to allocate), 2 numerical failure, 3
+property violation found by a verifier subcommand.  All randomness flows
+from the single --seed generator; with fixed flags and seed the output
+bytes are reproducible.
 """
 
 import argparse
@@ -291,6 +292,9 @@ def main(argv=None):
         return 2
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print("error: %s" % (str(exc) or "out of memory"), file=sys.stderr)
         return 1
 
 

@@ -126,15 +126,10 @@ def weighted_norm(x, w):
 
 
 def l2_distance(u, v, band):
-    """L^2 distance of two real potentials over 0 < |n| <= band.
-
-    Both sides of the band count, so each n >= 1 enters twice; the sum
-    runs in increasing n, which fixes the rounding.
-    """
-    acc = 0.0
-    for n in range(1, band + 1):
-        acc += 2.0 * abs(u.coeff(n) - v.coeff(n)) ** 2
-    return float(np.sqrt(acc))
+    """L^2 distance of two real potentials over 0 < |n| <= band: each n >= 1
+    enters twice, once per side of the band."""
+    diff = np.array([u.coeff(n) - v.coeff(n) for n in range(1, band + 1)])
+    return weighted_norm(diff, 2.0)
 
 
 def potential_to_json(u):

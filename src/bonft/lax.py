@@ -66,12 +66,6 @@ class SpectralData:
         self.hermitian = hermitian
         self.min_separation = min_separation
 
-    def project(self, n, x):
-        """Apply the Riesz projector P_n, n <= K_use, to a coefficient vector."""
-        w = self.left_vecs[:, n]
-        return self.right_vecs[:, n] * (np.vdot(w, np.asarray(x, dtype=complex))
-                                        / self.denoms[n])
-
 
 def _by_real_part(lam, *vecs):
     """lam by increasing real part, then imaginary part; the columns of each
@@ -90,6 +84,9 @@ def spectrum(u, M, k_use=None):
     defaults to M/2: the upper half of a truncated spectrum is polluted by
     the cut.
     """
+    K_use = M // 2 if k_use is None else int(k_use)
+    if not 1 <= K_use <= M:
+        raise ValueError("k_use must lie in 1..M")
     L = assemble_lax(u, M)
     hermitian = bool(u.real)
     if hermitian:
@@ -115,9 +112,6 @@ def spectrum(u, M, k_use=None):
         # 1 and the near-orthogonality guard in _projector_data could not fire
         W = np.linalg.inv(V).conj().T
         W /= np.linalg.norm(W, axis=0)
-    K_use = M // 2 if k_use is None else int(k_use)
-    if not 1 <= K_use <= M:
-        raise ValueError("k_use must lie in 1..M")
     denoms, h = _projector_data(V, W, K_use)
     return SpectralData(lam, V, W, denoms, h, K_use, M, hermitian, min_separation)
 

@@ -4,7 +4,8 @@ scaling_constants works on factor matrices; tests/oracles.py keeps the
 loop it replaced, and the two must agree bit for bit, down to which factor
 a DegenerateProduct names.  eigen_chain computes only the scalars a_n of
 f_n = a_n h_n; tests/oracles.py keeps the vector recursion for f_n, and
-the coordinates must match the ones read off it.  Every guard of the chain
+the coordinates and the norm drift must match the ones read off it, the
+ratios a_n / a_{n-1} the rank-one projector form.  Every guard of the chain
 gets an input that trips it, and the message must name the first offending
 index.
 """
@@ -71,8 +72,30 @@ def test_scaling_constants_match_loop_oracle_off_lattice():
         assert_same_constants(sd)
 
 
+def assert_projector_form(sd, scal):
+    """delta_n and a_n / a_{n-1} against P_n = v_n w_n^H / (w_n^H v_n) applied to
+    S h_{n-1}: beta_n - alpha_n and (beta_n / alpha_n) / sqrt(mu_n)."""
+    for n in range(1, sd.K_use + 1):
+        P = np.outer(sd.right_vecs[:, n], np.conj(sd.left_vecs[:, n])) / sd.denoms[n]
+        shifted = np.zeros(sd.M + 1, dtype=complex)
+        shifted[1:] = sd.h[:-1, n - 1]
+        alpha, beta = P[n, n], (P @ shifted)[n]
+        assert abs(scal.delta[n] - (beta - alpha)) <= 1e-13
+        assert abs(scal.a[n] / scal.a[n - 1] - beta / alpha / np.sqrt(scal.mu[n])) <= 1e-13
+
+
+def oracle_chain(sd):
+    """The oracle's chain f of sd and eigen_chain's constants, checked against it."""
+    scal = eigen_chain(sd)
+    f = chain_loop(sd)
+    assert np.max(np.abs(f - sd.h * scal.a)) <= 1e-13 * np.max(np.abs(f))
+    assert_projector_form(sd, scal)
+    return f, scal
+
+
 def assert_chain_matches_oracle(u, M, k_use):
-    """f_n = a_n h_n on the oracle's chain, and the coordinates read off it.
+    """f_n = a_n h_n on the oracle's chains of u and conj(u), and the coordinates
+    and the norm drift read off them.
 
     Returns False, checking nothing, when u lies outside the neighborhood.
     """
@@ -81,22 +104,17 @@ def assert_chain_matches_oracle(u, M, k_use):
     except OutOfNeighborhood:
         return False
     sd = spectrum(u, M, k_use=k_use)
-    scal = eigen_chain(sd)
-    f = chain_loop(sd)
-    assert np.max(np.abs(f - sd.h * scal.a)) <= 1e-13 * np.max(np.abs(f))
-    if u.real:
-        # <1|f_n> / sqrt(kappa_n), the coordinate as the paper defines it
-        shortcut = np.conj(f[0, 1:]) / np.sqrt(scal.kappa[1:])
-        assert np.max(np.abs(st.plus - shortcut)) <= 1e-13
-        return True
-    drift = max(abs(np.linalg.norm(fn) - 1.0) for fn in f.T)
+    f, scal = oracle_chain(sd)
+    f_c, scal_c = (f, scal) if u.real else oracle_chain(conjugate_spectrum(sd))
+    # the analytic extension of ||f_n||^2 = 1, the pairing of the two chains;
+    # off 1 by no more than the truncated products drop
+    drift = np.max(np.abs(np.sum(f * np.conj(f_c), axis=0) - 1.0))
     assert abs(st.diagnostics["norm_drift"] - drift) <= 1e-13
-    sd_c = conjugate_spectrum(sd)
-    scal_c = eigen_chain(sd_c)
-    f_c = chain_loop(sd_c)
-    assert np.max(np.abs(f_c - sd_c.h * scal_c.a)) <= 1e-13 * np.max(np.abs(f_c))
+    assert drift <= st.diagnostics["kappa_tail"] + st.diagnostics["mu_tail"] + 1e-13
+    # <1|f_n> / sqrt(kappa_n), the coordinate as the paper defines it
     assert np.max(np.abs(st.plus - np.conj(f_c[0, 1:]) / np.sqrt(scal.kappa[1:]))) <= 1e-13
-    assert np.max(np.abs(st.minus - f[0, 1:] / np.sqrt(np.conj(scal_c.kappa[1:])))) <= 1e-13
+    if not u.real:
+        assert np.max(np.abs(st.minus - f[0, 1:] / np.sqrt(np.conj(scal_c.kappa[1:])))) <= 1e-13
     return True
 
 
@@ -114,6 +132,22 @@ def test_chain_matches_vector_recursion_oracle(real, draws):
         # a single mode up to the last size the guards accept at M = 32, K = 12
         for eps in np.linspace(0.05, 0.56, 18):
             assert assert_chain_matches_oracle(Potential(0.5, 1, {1: eps}, real=True), 32, 12)
+
+
+def test_norm_drift_sees_a_scaled_conjugate_chain(monkeypatch):
+    u = seeded(np.random.default_rng(46), 3, 0.05, False)
+    assert birkhoff_forward(u, M=32, k_use=8).diagnostics["norm_drift"] <= 1e-13
+    chains = []
+
+    def scaled(sd):
+        scal = eigen_chain(sd)
+        chains.append(scal)
+        if len(chains) == 2:  # the chain of conj(u)
+            scal.a = scal.a * (1.0 + 1e-9)
+        return scal
+    monkeypatch.setattr(birkhoff, "eigen_chain", scaled)
+    drift = birkhoff_forward(u, M=32, k_use=8).diagnostics["norm_drift"]
+    assert len(chains) == 2 and abs(drift - 1e-9) <= 1e-12
 
 
 def assert_same_degeneracy(sd, message):

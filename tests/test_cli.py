@@ -236,6 +236,33 @@ def test_transform_without_modes_exits_1(potential_file, capsys):
     assert capsys.readouterr() == ("", "error: k_use must lie in 1..M\n")
 
 
+@pytest.mark.parametrize("name", ["u.json", "uc.json"])
+@pytest.mark.parametrize("modes", ["0", "33"])
+def test_bad_modes_exit_1_before_the_eigensolve(monkeypatch, capsys, name, modes):
+    # a bad --modes used to cost an O(M^3) eigensolve before it was rejected
+    def refused(*args, **kwargs):
+        raise AssertionError("eigensolve ran")
+    monkeypatch.setattr(np.linalg, "eigh", refused)
+    monkeypatch.setattr(np.linalg, "eig", refused)
+    argv = ["transform", "-i", os.path.join(GOLDEN, name), "--lax-dim", "32", "--modes", modes]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", "error: k_use must lie in 1..M\n")
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 1.46 TiB for an array"),
+     "Unable to allocate 1.46 TiB for an array"),
+    (MemoryError(), "out of memory"),
+], ids=["numpy", "bare"])
+def test_memory_error_exits_1(monkeypatch, capsys, exc, message):
+    # a huge N, N_b or --lax-dim used to end in an allocation traceback
+    def exhausted(path):
+        raise exc
+    monkeypatch.setattr(cli, "_read_json", exhausted)
+    assert cli.main(["transform", "-i", U]) == 1
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+
+
 def test_error_exit_codes(tmp_path, potential_file, monkeypatch, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

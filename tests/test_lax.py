@@ -74,7 +74,7 @@ def test_projected_columns_match_contour_quadrature():
     for n in range(3):
         e_n = np.eye(25)[n]
         ref = riesz_column_quadrature(L, n, e_n)
-        got = sd.project(n, e_n)
+        got = projectors(sd.right_vecs, sd.left_vecs, n)[n] @ e_n
         scale = got[np.argmax(np.abs(ref))] / ref[np.argmax(np.abs(ref))]
         assert abs(abs(scale) - 1) < 1e-8
         assert np.max(np.abs(got - scale * ref)) < 1e-10
@@ -92,7 +92,7 @@ def test_h_normalization():
     u = Potential(0.5, 2, {1: 0.02, 2: -0.01}, real=True)
     sd = spectrum(u, 32, k_use=5)
     for n in range(6):
-        proj = sd.project(n, np.eye(33)[n])
+        proj = projectors(sd.right_vecs, sd.left_vecs, n)[n] @ np.eye(33)[n]
         assert proj[n] == pytest.approx(sd.h[n, n], abs=1e-12)
 
 
