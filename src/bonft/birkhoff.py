@@ -9,14 +9,15 @@ The coordinates are assembled from truncated spectral data in three layers:
      nu_n = w_n^H S h_{n-1} / conj(w_n[n]), one pairing per column and a
      cumulative product; no vector is formed;
   3. birkhoff_forward: the coordinate of index n is <1|f_n> / sqrt(kappa_n),
-     one side formula for real and complex potentials alike: it gives
-     zeta_{-n}(u), and zeta_n(u) = conj(zeta_{-n}(conj u)).  On complex
-     potentials conjugation symmetry no longer supplies the second half of
-     the data, and the analytic extension reads it from the chain of
+     one side formula for real and complex potentials alike, read off one
+     spectral record and its chain: it gives zeta_{-n}(u), and
+     zeta_n(u) = conj(zeta_{-n}(conj u)).  On complex potentials
+     conjugation symmetry no longer supplies the second half of the data,
+     and the analytic extension reads it from the record and chain of
      conj(u): its spectrum is derived from L_u^H = L_{conj u}
-     (lax.conjugate_spectrum) without a second eigensolve, and only its
-     chain runs.  The norm drift pairs the two chains,
-     sum_k f_n(u)_k conj(f_n(conj u)_k), against 1.
+     (lax.conjugate_spectrum) under u's labels without a second
+     eigensolve, and only its chain runs.  The norm drift pairs the two
+     chains, sum_k f_n(u)_k conj(f_n(conj u)_k), against 1.
 
 Principal square roots throughout, with the branch cut treated as an error.
 """
@@ -107,8 +108,6 @@ def scaling_constants(sd):
     """
     K = sd.K_use
     lam = sd.lambdas[:K + 1]
-    if sd.hermitian:
-        lam = lam.real
     gam = lam[1:] - lam[:-1] - 1.0  # gam[k-1] = gamma_k
     n = np.arange(1, K + 1)[:, None]
     j = np.arange(1, K)
@@ -284,13 +283,13 @@ def state_from_json(obj):
     return BirkhoffState(s, plus, minus, real)
 
 
-def _assemble_minus(kappa_conj, a_u, psi_u):
-    """sqrt(n) a_n Psi_n / sqrt(n conj(kappa_n)) for n = 1..K, from index-aligned
-    arrays: zeta_{-n}(u) from a(u), Psi(u) and kappa(conj u), and conjugated,
-    zeta_n(u) from a(conj u), Psi(conj u) and kappa(u)."""
-    ns = np.arange(1, len(kappa_conj))
-    return (_mul(_mul(np.sqrt(ns), a_u[1:]), psi_u[1:])
-            / sqrt_plus(_mul(ns, np.conj(kappa_conj[1:]))))
+def _zeta_minus(sd, scaling):
+    """zeta_{-n} = sqrt(n) a_n Psi_n / sqrt(n kappa_n) for n = 1..K_use, read off
+    one spectral record and its own chain: zeta_{-n}(u) from those of u and,
+    conjugated, zeta_n(u) from those of conj(u)."""
+    ns = np.arange(1, sd.K_use + 1)
+    return (_mul(_mul(np.sqrt(ns), scaling.a[1:]), sd.h[0, 1:])
+            / sqrt_plus(_mul(ns, scaling.kappa[1:])))
 
 
 def birkhoff_forward(u, M=None, k_use=None):
@@ -299,14 +298,15 @@ def birkhoff_forward(u, M=None, k_use=None):
     With f_n = a_n h_n, zeta_n = <1|f_n> / sqrt(kappa_n) takes a product
     form, one assembly path for real and complex u alike.  Index -n takes
 
-        zeta_{-n}(u) = sqrt(n) a_n(u) Psi_n(u) / sqrt(n conj(kappa_n(u-)))
+        zeta_{-n}(u) = sqrt(n) a_n(u) Psi_n(u) / sqrt(n kappa_n(u))
 
-    with u- = conj(u) and Psi_n = <1|h_n>, and the analytic extension gives
-    index n as zeta_n(u) = conj(zeta_{-n}(u-)), the same formula on the
-    chain of u-.  For real u the chain of u- is the chain of u and the minus
-    side is conj(plus).  For complex u the spectrum of u- is derived from
-    that of u (L_{conj u} = L_u^H, so one eigensolve serves both) and only
-    its chain runs again.
+    with Psi_n = <1|h_n>, and the analytic extension gives index n as
+    zeta_n(u) = conj(zeta_{-n}(u-)) with u- = conj(u), the same formula on
+    the spectral record and chain of u-.  For real u the chain of u- is the
+    chain of u and the minus side is conj(plus).  For complex u the spectrum
+    of u- is derived from that of u under the same labels (L_{conj u} =
+    L_u^H, so one eigensolve serves both), so kappa_n(u-) = conj(kappa_n(u))
+    to the last bit, and only its chain runs again.
 
     Attaches .diagnostics with the product tails and the chain norm drift
     max_n |a_n conj(a-_n) <h-_n|h_n> - 1|, the pairing
@@ -323,8 +323,8 @@ def birkhoff_forward(u, M=None, k_use=None):
         sd_c = conjugate_spectrum(sd)
         scaling_c = eigen_chain(sd_c)
     pairing = scaling.a * np.conj(scaling_c.a) * np.sum(np.conj(sd_c.h) * sd.h, axis=0)
-    plus = np.conj(_assemble_minus(scaling.kappa, scaling_c.a, sd_c.h[0]))
-    minus = None if u.real else _assemble_minus(scaling_c.kappa, scaling.a, sd.h[0])
+    plus = np.conj(_zeta_minus(sd_c, scaling_c))
+    minus = None if u.real else _zeta_minus(sd, scaling)
     state = BirkhoffState(u.s, plus, minus, real_flag=u.real)
     state.diagnostics = dict(scaling.tails, norm_drift=float(np.max(np.abs(pairing - 1.0))))
     return state

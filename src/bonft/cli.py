@@ -130,6 +130,9 @@ def _cmd_compare(args):
     icfg = pde.IntegratorConfig(grid_size=args.grid, dt=args.dt, T=ts[-1])
     pde.check_band(icfg.grid_size, u0.N)
     steps = [t / args.dt for t in ts]
+    # step 0 is the integrator's t = 0 sample, not the time asked for
+    if round(steps[0]) < 1:
+        raise ValueError("time %g is shorter than one step dt=%g" % (ts[0], args.dt))
     if any(abs(c - round(c)) > 1e-9 for c in steps):
         raise ValueError("every time must be a multiple of dt=%g" % args.dt)
     icfg.store_every = max(math.gcd(*(int(round(c)) for c in steps)), 1)

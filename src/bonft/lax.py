@@ -8,12 +8,14 @@ mode index minus a Toeplitz part built from the potential:
 Everything downstream (gaps, norming constants, the coordinate map) reads
 off this one matrix, so this module owns assembly, the eigensolve with its
 simplicity guard, the rank-one spectral projectors, and the spectral data
-of the conjugated potential derived from them.  A real potential gives a
-Hermitian matrix and numpy's eigh; a complex one gives numpy's eig for the
-right eigenvectors, with the left ones read off the inverse of their matrix.
+of the conjugated potential derived from them under u's labels.  A real
+potential gives a Hermitian matrix and numpy's eigh, its eigenvalues kept
+real; a complex one gives numpy's eig for the right eigenvectors, with the
+left ones read off the inverse of their matrix.
 """
 
 import warnings
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,47 +44,38 @@ def assemble_lax(u, M):
     return np.diag(j.astype(complex)) - coeffs[diff + M]
 
 
+@dataclass
 class SpectralData:
-    """Sorted truncated spectrum with rank-one projector data.
+    """Sorted truncated spectrum with its projected basis.
 
-    lambdas are sorted by increasing real part; right_vecs and left_vecs
-    store eigenvectors columnwise (left vectors w satisfy w^H L = lambda w^H,
-    so for a Hermitian matrix they coincide with the right ones; otherwise
-    w_n is the conjugate of row n of V^{-1}, scaled to unit length); denoms[n]
-    is the pairing w_n^H v_n and column n of the (M+1) x (K_use+1) array h
-    is the projected basis vector P_n e_n, for n <= K_use.  With unit vectors
-    1/|denoms[n]| is the condition number of lambda_n.
+    lambdas are sorted by increasing real part (real for a Hermitian
+    truncation, complex otherwise); right_vecs and left_vecs store
+    eigenvectors columnwise (left vectors w satisfy w^H L = lambda w^H, so
+    for a Hermitian matrix they coincide with the right ones; otherwise w_n
+    is the conjugate of row n of V^{-1}, scaled to unit length); column n
+    of the (M+1) x (K_use+1) array h is the projected basis vector P_n e_n,
+    for n <= K_use.
     """
 
-    def __init__(self, lambdas, right_vecs, left_vecs, denoms, h, K_use, M,
-                 hermitian, min_separation):
-        self.lambdas = lambdas
-        self.right_vecs = right_vecs
-        self.left_vecs = left_vecs
-        self.denoms = denoms
-        self.h = h
-        self.K_use = K_use
-        self.M = M
-        self.hermitian = hermitian
-        self.min_separation = min_separation
-
-
-def _by_real_part(lam, *vecs):
-    """lam by increasing real part, then imaginary part; the columns of each
-    of vecs follow it.  eigh's ascending order of a real spectrum already
-    satisfies this rule, so the Hermitian branch keeps it as it is."""
-    order = np.lexsort((lam.imag, lam.real))
-    return (lam[order],) + tuple(V[:, order] for V in vecs)
+    lambdas: np.ndarray
+    right_vecs: np.ndarray
+    left_vecs: np.ndarray
+    h: np.ndarray
+    K_use: int
+    M: int
+    hermitian: bool
+    min_separation: float
 
 
 def spectrum(u, M, k_use=None):
     """Eigendecomposition of the truncated Lax matrix with projector data.
 
-    Labels follow increasing real part.  A pair of eigenvalues closer than
-    SIMPLICITY_TOL leaves the labeling (and every rank-one projector) undefined,
-    so that raises NumericalFailure rather than picking an order.  K_use
-    defaults to M/2: the upper half of a truncated spectrum is polluted by
-    the cut.
+    Labels follow increasing real part, then imaginary part; eigh's
+    ascending order of a real spectrum already satisfies this rule.  A pair
+    of eigenvalues closer than SIMPLICITY_TOL leaves the labeling (and every
+    rank-one projector) undefined, so that raises NumericalFailure rather
+    than picking an order.  K_use defaults to M/2: the upper half of a
+    truncated spectrum is polluted by the cut.
     """
     K_use = M // 2 if k_use is None else int(k_use)
     if not 1 <= K_use <= M:
@@ -94,9 +87,10 @@ def spectrum(u, M, k_use=None):
         # eigh sorts ascending and rounding is monotone, so the closest pair
         # is adjacent: the same float as the all-pairs minimum
         min_separation = float(np.diff(lam).min(initial=np.inf))
-        lam = lam.astype(complex)
     else:
-        lam, V = _by_real_part(*np.linalg.eig(L))
+        lam, V = np.linalg.eig(L)
+        order = np.lexsort((lam.imag, lam.real))
+        lam, V = lam[order], V[:, order]
         sep = np.abs(lam[:, None] - lam[None, :])
         np.fill_diagonal(sep, np.inf)
         min_separation = float(sep.min())
@@ -109,40 +103,39 @@ def spectrum(u, M, k_use=None):
         W = V
     else:
         # rows of V^{-1} are the left vectors; unscaled, every w^H v would be
-        # 1 and the near-orthogonality guard in _projector_data could not fire
+        # 1 and the near-orthogonality guard in _projected_basis could not fire
         W = np.linalg.inv(V).conj().T
         W /= np.linalg.norm(W, axis=0)
-    denoms, h = _projector_data(V, W, K_use)
-    return SpectralData(lam, V, W, denoms, h, K_use, M, hermitian, min_separation)
+    return SpectralData(lam, V, W, _projected_basis(V, W, K_use), K_use, M,
+                        hermitian, min_separation)
 
 
-def _projector_data(V, W, K_use):
-    """The pairings w_n^H v_n and the projected basis P_n e_n for n <= K_use."""
+def _projected_basis(V, W, K_use):
+    """The columns P_n e_n = v_n conj(w_n[n]) / (w_n^H v_n), n <= K_use; with unit
+    vectors 1/|w_n^H v_n| is the condition number of lambda_n, guarded at 1e-12."""
     n_use = K_use + 1
-    denoms = np.array([np.vdot(W[:, n], V[:, n]) for n in range(n_use)], dtype=complex)
-    small = np.flatnonzero(np.abs(denoms) < 1e-12)
+    pairs = np.array([np.vdot(W[:, n], V[:, n]) for n in range(n_use)], dtype=complex)
+    small = np.flatnonzero(np.abs(pairs) < 1e-12)
     if small.size:
         raise NumericalFailure("left/right eigenvectors nearly orthogonal at n=%d"
                                % small[0])
-    h = V[:, :n_use] * (np.conj(np.diagonal(W)[:n_use]) / denoms)
-    return denoms, h
+    return V[:, :n_use] * (np.conj(np.diagonal(W)[:n_use]) / pairs)
 
 
 def conjugate_spectrum(sd):
     """The spectral data of conj(u), read off the spectral data of u.
 
     The truncation satisfies L_{conj u} = L_u^H entry for entry, so no
-    second eigensolve is needed: the eigenvalues are conj(lambda_n), the
-    right eigenvectors are u's left ones and the left eigenvectors u's
-    right ones.  The eigenvalues are sorted again as in spectrum(), since
-    conjugation reverses the imaginary order of a tie in the real part,
-    and the vectors follow them.  The separation, truncation and K_use
-    carry over; denoms and h are recomputed from the swapped vectors.
+    second eigensolve is needed: label n of conj(u) is conj(lambda_n(u)),
+    its right eigenvector u's left one and its left eigenvector u's right
+    one.  The labels are kept, not sorted again: they differ from those
+    spectrum(conj u) would pick only on an exact tie in the real part,
+    which conjugation reverses in the imaginary order.  Everything but the
+    eigenvalues, the vectors and h carries over.
     """
-    lam, V, W = _by_real_part(np.conj(sd.lambdas), sd.left_vecs, sd.right_vecs)
-    denoms, h = _projector_data(V, W, sd.K_use)
-    return SpectralData(lam, V, W, denoms, h, sd.K_use, sd.M, sd.hermitian,
-                        sd.min_separation)
+    return replace(sd, lambdas=np.conj(sd.lambdas), right_vecs=sd.left_vecs,
+                   left_vecs=sd.right_vecs,
+                   h=_projected_basis(sd.left_vecs, sd.right_vecs, sd.K_use))
 
 
 def gaps(sd):
@@ -154,7 +147,6 @@ def gaps(sd):
     lam = sd.lambdas[:sd.K_use + 1]
     g = lam[1:] - lam[:-1] - 1.0
     if sd.hermitian:
-        g = g.real
         worst = float(g.min()) if len(g) else 0.0
         if worst < -GAP_TOL:
             raise PropertyViolation("negative spectral gap %.3e for a real potential" % worst)

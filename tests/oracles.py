@@ -480,7 +480,7 @@ def chain_loop(sd):
     f_n = P_n(S f_{n-1}) / sqrt(mu_n), where S shifts every mode up by one
     and drops the top one, and P_n x = v_n (w_n^H x) / (w_n^H v_n).
     kappa and mu come from scaling_constants_loop; square roots are
-    principal.  Reads sd.right_vecs, sd.left_vecs, sd.denoms, sd.h, sd.M
+    principal.  Reads sd.right_vecs, sd.left_vecs, sd.h, sd.M
     besides what scaling_constants_loop reads, and runs no guard.  Returns
     the (M+1) x (K+1) array whose column n is f_n.
     """
@@ -493,7 +493,7 @@ def chain_loop(sd):
         shifted[1:] = f[:-1, n - 1]
         v = sd.right_vecs[:, n]
         w = sd.left_vecs[:, n]
-        f[:, n] = v * (np.vdot(w, shifted) / sd.denoms[n]) / np.sqrt(mu[n])
+        f[:, n] = v * (np.vdot(w, shifted) / np.vdot(w, v)) / np.sqrt(mu[n])
     return f
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bonft.birkhoff import (BirkhoffState, _assemble_minus, _perturbed, birkhoff_forward,
+from bonft.birkhoff import (BirkhoffState, _perturbed, _zeta_minus, birkhoff_forward,
                             canonical_bracket_table, eigen_chain, sqrt_plus,
                             state_from_json, state_to_json)
 from bonft.errors import BranchCutError
@@ -76,8 +76,7 @@ def two_solve_forward(u, M, k_use):
     scaling = eigen_chain(sd)
     sd_c = spectrum(Potential(u.s, u.N, involute(u.nonzero_coeffs(), "conj")), M, k_use=k_use)
     scaling_c = eigen_chain(sd_c)
-    return (np.conj(_assemble_minus(scaling.kappa, scaling_c.a, sd_c.h[0])),
-            _assemble_minus(scaling_c.kappa, scaling.a, sd.h[0]))
+    return np.conj(_zeta_minus(sd_c, scaling_c)), _zeta_minus(sd, scaling)
 
 
 def assert_matches_two_solve_route(u, M, k_use):

@@ -28,11 +28,10 @@ from oracles import chain_loop, scaling_constants_loop
 
 def hand_built(lambdas, h=None):
     """Hermitian spectral data with the given eigenvalues and identity vectors."""
-    lam = np.asarray(lambdas, dtype=complex)
+    lam = np.asarray(lambdas)
     K = len(lam) - 1
     eye = np.eye(K + 1, dtype=complex)
-    return SpectralData(lam, eye, eye, np.ones(K + 1, dtype=complex),
-                        eye if h is None else h, K, K, True, 1.0)
+    return SpectralData(lam, eye, eye, eye if h is None else h, K, K, True, 1.0)
 
 
 def seeded(rng, N, scale, real):
@@ -50,15 +49,32 @@ def assert_same_constants(sd):
     assert tails == ref_tails
 
 
-@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
-def test_scaling_constants_match_loop_oracle(real):
+def seeded_spectra(real):
+    """The spectral data of seeded draws over a grid of truncations and sizes."""
     rng = np.random.default_rng(41 if real else 42)
     for M, k_use in ((8, 3), (8, 1), (8, 2), (16, 5), (32, 16), (64, 32), (96, 32)):
         for scale in (0.005, 0.02, 0.1):
-            u = seeded(rng, int(rng.integers(1, 5)), scale, real)
-            sd = spectrum(u, M, k_use=k_use)
+            sd = spectrum(seeded(rng, int(rng.integers(1, 5)), scale, real), M, k_use=k_use)
             assert sd.hermitian == real
-            assert_same_constants(sd)
+            yield sd
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_scaling_constants_match_loop_oracle(real):
+    for sd in seeded_spectra(real):
+        assert_same_constants(sd)
+
+
+def test_scaling_constants_of_the_conjugate_are_exact_conjugates():
+    """Under one labelling kappa_n(conj u) = conj(kappa_n(u)) to the last bit, as
+    birkhoff_forward's one side formula takes it: every operation in
+    scaling_constants commutes exactly with conjugation."""
+    for sd in seeded_spectra(False):
+        kappa, mu, tails = scaling_constants(sd)
+        kappa_c, mu_c, tails_c = scaling_constants(conjugate_spectrum(sd))
+        assert np.array_equal(kappa_c, np.conj(kappa))
+        assert np.array_equal(mu_c, np.conj(mu), equal_nan=True)
+        assert tails_c == tails
 
 
 def test_scaling_constants_match_loop_oracle_off_lattice():
@@ -76,7 +92,8 @@ def assert_projector_form(sd, scal):
     """delta_n and a_n / a_{n-1} against P_n = v_n w_n^H / (w_n^H v_n) applied to
     S h_{n-1}: beta_n - alpha_n and (beta_n / alpha_n) / sqrt(mu_n)."""
     for n in range(1, sd.K_use + 1):
-        P = np.outer(sd.right_vecs[:, n], np.conj(sd.left_vecs[:, n])) / sd.denoms[n]
+        v, w = sd.right_vecs[:, n], sd.left_vecs[:, n]
+        P = np.outer(v, np.conj(w)) / np.vdot(w, v)
         shifted = np.zeros(sd.M + 1, dtype=complex)
         shifted[1:] = sd.h[:-1, n - 1]
         alpha, beta = P[n, n], (P @ shifted)[n]

@@ -306,12 +306,14 @@ def test_compare_rejects_nonpositive_modes(potential_file, capsys, modes):
 
 @pytest.mark.parametrize("flags, message", [
     (["--t", "0.25", "--dt", "0.3"], "every time must be a multiple of dt=0.3"),
+    (["--t", "1e-13,0.05"], "time 1e-13 is shorter than one step dt=0.00025"),
     (["--dt", "0"], "need finite dt > 0 and T >= 0"),
     (["--dt", "nan"], "need finite dt > 0 and T >= 0"),
     (["--t", "inf"], "time grid must be finite"),
     (["--t", "nan,0.5"], "time grid must be finite"),
     (["--grid", "4"], "grid 4 cannot dealias band N=2 (need >= 4N)"),
-], ids=["off-grid", "dt-0", "dt-nan", "t-inf", "t-nan", "grid-below-4N"])
+], ids=["off-grid", "below-one-step", "dt-0", "dt-nan", "t-inf", "t-nan",
+        "grid-below-4N"])
 def test_compare_checks_time_grid_before_the_solve(potential_file, monkeypatch, capsys,
                                                    flags, message):
     calls = []

@@ -14,6 +14,7 @@ from bonft import cli
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 U = os.path.join(GOLDEN, "u.json")
+UC = os.path.join(GOLDEN, "uc.json")
 SMALL = ["--lax-dim", "32", "--modes", "8"]
 SWEEP = ["vanishing", "--max-d", "3", "--l-bound", "3", "--random-count", "40",
          "--seed", "7"]
@@ -27,10 +28,10 @@ CASES = [
     (["combi", "--max-d", "5", "--format", "json"], "combi.json"),
     (SPECTRUM, "spectrum.json"),
     (SPECTRUM + ["--format", "csv"], "spectrum.csv"),
+    (["spectrum", "-i", UC, "--lax-dim", "16"], "spectrum_complex.json"),
     (["transform", "-i", U] + SMALL, "transform.json"),
     (["transform", "-i", U], "transform_default.json"),
-    (["transform", "-i", os.path.join(GOLDEN, "uc.json")] + SMALL,
-     "transform_complex.json"),
+    (["transform", "-i", UC] + SMALL, "transform_complex.json"),
     (["inverse", "-i", STATE, "--lax-dim", "32"], "inverse.json"),
     (["evolve", "-i", STATE, "--t", "0.05"], "evolve.json"),
     (["compare", "-i", U] + SMALL + ["--grid", "32", "--t", "0.05"], "compare.json"),

@@ -142,8 +142,9 @@ def test_conjugate_spectrum_matches_independent_eigensolve():
         assert np.max(np.abs(got.h - h_ref)) < 1e-10
 
 
-def test_conjugate_spectrum_resorts_ties_with_their_vectors():
-    """1 - 1j and 1 + 1j tie in the real part; conjugation swaps their order."""
+def test_conjugate_spectrum_keeps_the_labels_through_a_tie():
+    """1 - 1j and 1 + 1j tie in the real part; label n of conj(u) stays
+    conj(lambda_n(u)) with its vectors, though a fresh sort would swap them."""
     lam = np.array([0.0, 1.0 - 1.0j, 1.0 + 1.0j, 3.0])
     rng = np.random.default_rng(4)
     V = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -151,20 +152,18 @@ def test_conjugate_spectrum_resorts_ties_with_their_vectors():
     W = np.linalg.inv(V).conj().T  # w_n^H v_m = delta_nm
     W /= np.linalg.norm(W, axis=0)
     L = V @ np.diag(lam) @ np.linalg.inv(V)
-    denoms = np.array([np.vdot(W[:, n], V[:, n]) for n in range(4)])
-    h = V * (np.conj(np.diagonal(W)) / denoms)
+    h = V * (np.conj(np.diagonal(W)) / [np.vdot(W[:, n], V[:, n]) for n in range(4)])
     sep = abs(lam[1])  # the closest pair is 0 and 1 -+ 1j
-    sd = SpectralData(lam, V, W, denoms, h, 3, 3, False, sep)
-    got = conjugate_spectrum(sd)
-    assert np.array_equal(got.lambdas, lam)
+    got = conjugate_spectrum(SpectralData(lam, V, W, h, 3, 3, False, sep))
+    assert np.array_equal(got.lambdas, np.conj(lam))
+    assert np.array_equal(got.right_vecs, W) and np.array_equal(got.left_vecs, V)
     assert got.min_separation == sep and got.K_use == 3 and got.M == 3
     A = L.conj().T
     for n in range(4):
         v, w = got.right_vecs[:, n], got.left_vecs[:, n]
         assert np.max(np.abs(A @ v - got.lambdas[n] * v)) < 1e-12
         assert np.max(np.abs(w.conj() @ A - got.lambdas[n] * w.conj())) < 1e-12
-        assert got.denoms[n] == np.vdot(w, v)
-        assert np.array_equal(got.h[:, n], v * (np.conj(w[n]) / got.denoms[n]))
+        assert np.array_equal(got.h[:, n], v * (np.conj(w[n]) / np.vdot(w, v)))
 
 
 @pytest.mark.parametrize("M", [16, 32, 64, 96, 128])
@@ -186,6 +185,7 @@ def test_left_vectors_from_the_inverse_match_an_independent_eigensolve(M):
     K = sd.K_use
     # |w^H v| is the reciprocal condition number the near-orthogonality guard reads
     ref = np.abs([np.vdot(WL[:, n], V[:, n]) for n in range(K + 1)])
-    assert np.max(np.abs(np.abs(sd.denoms) - ref)) < 1e-10
+    got = np.abs([np.vdot(W[:, n], sd.right_vecs[:, n]) for n in range(K + 1)])
+    assert np.max(np.abs(got - ref)) < 1e-10
     for p_got, p_ref in zip(projectors(sd.right_vecs, W, K), projectors(V, WL, K)):
         assert np.max(np.abs(p_got - p_ref)) < 1e-10
