@@ -3,28 +3,28 @@
 The coordinates are assembled from truncated spectral data in three layers:
 
   1. scaling_constants: products over the gaps give kappa_n and mu_n;
-  2. eigen_chain: the normalized eigenvectors f_n = P_n(S f_{n-1}) / sqrt(mu_n)
-     lie in the range of the rank-one projector P_n, so f_n = a_n h_n with
+  2. eigen_chain(sd, kappa, mu): the chain f_n = P_n(S f_{n-1}) / sqrt(mu_n)
+     lies in the range of the rank-one projector P_n, so f_n = a_n h_n with
      h_n = P_n e_n, and a_n = a_0 prod_{k<=n} nu_k / sqrt(mu_k) with
      nu_n = w_n^H S h_{n-1} / conj(w_n[n]), one pairing per column and a
      cumulative product; no vector is formed;
   3. birkhoff_forward: the coordinate of index n is <1|f_n> / sqrt(kappa_n),
      one side formula for real and complex potentials alike, read off one
-     spectral record and its chain: it gives zeta_{-n}(u), and
+     spectral record, its chain and its kappa: it gives zeta_{-n}(u), and
      zeta_n(u) = conj(zeta_{-n}(conj u)).  On complex potentials
      conjugation symmetry no longer supplies the second half of the data,
      and the analytic extension reads it from the record and chain of
      conj(u): its spectrum is derived from L_u^H = L_{conj u}
      (lax.conjugate_spectrum) under u's labels without a second
-     eigensolve, and only its chain runs.  The norm drift pairs the two
-     chains, sum_k f_n(u)_k conj(f_n(conj u)_k), against 1.
+     eigensolve, with u's kappa_n and mu_n conjugated; only its chain runs.
+     The norm drift pairs the two chains, sum_k f_n(u)_k conj(f_n(conj u)_k),
+     against 1.
 
 Principal square roots throughout, with the branch cut treated as an error.
 """
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,21 +56,6 @@ def sqrt_plus(z):
         raise BranchCutError("square root argument %r on the branch cut"
                              % (complex(z.flat[cut[0]]),))
     return complex(np.sqrt(z)) if z.ndim == 0 else np.sqrt(z)
-
-
-@dataclass
-class ScalingData:
-    """Chain constants, index-aligned: slot n holds the n-th value.
-
-    kappa[0..K] and a[0..K] are fully populated; mu and delta start at
-    n = 1, their slot 0 is NaN by convention.
-    """
-
-    kappa: np.ndarray
-    mu: np.ndarray
-    delta: np.ndarray
-    a: np.ndarray
-    tails: dict  # scaling_constants' product tails, keyed kappa_tail and mu_tail
 
 
 def _mul(a, b):
@@ -142,8 +127,8 @@ def scaling_constants(sd):
                        "mu_tail": float(max([0.0, *map(abs, last_mu - 1.0)]))}
 
 
-def eigen_chain(sd):
-    """The scaling constants of the normalized chain f_0..f_K.
+def eigen_chain(sd, kappa, mu):
+    """The scaling constants a_0..a_K of the normalized chain f_0..f_K.
 
     The chain starts at f_0 = a_0 h_0 with a_0 = sqrt(kappa_0) / <h_0, 1>
     (bilinear pairing) and runs f_n = P_n(S f_{n-1}) / sqrt(mu_n).  P_n has
@@ -157,21 +142,19 @@ def eigen_chain(sd):
 
         nu_n = beta_n / alpha_n = w_n^H S h_{n-1} / conj(w_n[n]),
 
-    taken for every n at once.  Then a_n = a_0 prod_{k<=n} nu_k / sqrt(mu_k)
-    and delta_n = beta_n - alpha_n = alpha_n (nu_n - 1).  The admissibility
-    guards |mu_n - 1| < 1/2 and |alpha_n| >= 1/2 delimit the neighborhood
-    where the construction is trusted; leaving it raises OutOfNeighborhood
-    at the first offending n (mu before alpha).  The alpha guard also keeps
-    w_n[n] away from zero.  Returns the ScalingData.
+    taken for every n at once.  Then a_n = a_0 prod_{k<=n} nu_k / sqrt(mu_k),
+    with kappa and mu from scaling_constants(sd).  The admissibility guards
+    |mu_n - 1| < 1/2 and |alpha_n| >= 1/2 delimit the neighborhood where the
+    construction is trusted; leaving it raises OutOfNeighborhood at the
+    first offending n (mu before alpha).  The alpha guard also keeps w_n[n]
+    away from zero.  Returns the array a.
     """
     K = sd.K_use
     h = sd.h
-    kappa, mu, tails = scaling_constants(sd)
     h0_zero = complex(h[0, 0])  # bilinear <h_0, 1>
     if not abs(h0_zero) >= DEGENERATE_TOL:
         raise DegenerateProjector("projected vacuum has zero mean component")
-    alpha = np.diagonal(h).copy()
-    alpha[0] = np.nan
+    alpha = np.diagonal(h)
     far_mu = ~(np.abs(mu[1:] - 1.0) < NEIGHBORHOOD_MU)  # NaN is far
     far_alpha = ~(np.abs(alpha[1:]) >= NEIGHBORHOOD_ALPHA)
     bad = np.flatnonzero(far_mu | far_alpha)
@@ -199,8 +182,7 @@ def eigen_chain(sd):
         warnings.warn("chain shift dropped top coefficient of relative size %.3e"
                       % np.max(size[-1, drop] / scale[drop]), TruncationWarning,
                       stacklevel=2)
-    delta = np.concatenate(([np.nan], alpha[1:] * (nu - 1.0)))
-    return ScalingData(kappa=kappa, mu=mu, delta=delta, a=a, tails=tails)
+    return a
 
 
 class BirkhoffState:
@@ -283,13 +265,12 @@ def state_from_json(obj):
     return BirkhoffState(s, plus, minus, real)
 
 
-def _zeta_minus(sd, scaling):
+def _zeta_minus(sd, a, kappa):
     """zeta_{-n} = sqrt(n) a_n Psi_n / sqrt(n kappa_n) for n = 1..K_use, read off
-    one spectral record and its own chain: zeta_{-n}(u) from those of u and,
-    conjugated, zeta_n(u) from those of conj(u)."""
+    one spectral record, its chain and its kappa: zeta_{-n}(u) from those of u
+    and, conjugated, zeta_n(u) from those of conj(u)."""
     ns = np.arange(1, sd.K_use + 1)
-    return (_mul(_mul(np.sqrt(ns), scaling.a[1:]), sd.h[0, 1:])
-            / sqrt_plus(_mul(ns, scaling.kappa[1:])))
+    return _mul(_mul(np.sqrt(ns), a[1:]), sd.h[0, 1:]) / sqrt_plus(_mul(ns, kappa[1:]))
 
 
 def birkhoff_forward(u, M=None, k_use=None):
@@ -305,8 +286,8 @@ def birkhoff_forward(u, M=None, k_use=None):
     the spectral record and chain of u-.  For real u the chain of u- is the
     chain of u and the minus side is conj(plus).  For complex u the spectrum
     of u- is derived from that of u under the same labels (L_{conj u} =
-    L_u^H, so one eigensolve serves both), so kappa_n(u-) = conj(kappa_n(u))
-    to the last bit, and only its chain runs again.
+    L_u^H, so one eigensolve serves both), kappa_n and mu_n of u- are u's
+    conjugated to the last bit, and only the chain of u- runs again.
 
     Attaches .diagnostics with the product tails and the chain norm drift
     max_n |a_n conj(a-_n) <h-_n|h_n> - 1|, the pairing
@@ -316,17 +297,18 @@ def birkhoff_forward(u, M=None, k_use=None):
     if M is None:
         M = default_lax_dim(u)
     sd = spectrum(u, M, k_use=k_use)
-    scaling = eigen_chain(sd)
+    kappa, mu, tails = scaling_constants(sd)
+    a = eigen_chain(sd, kappa, mu)
     if u.real:
-        sd_c, scaling_c = sd, scaling
+        sd_c, a_c, kappa_c = sd, a, kappa
     else:
-        sd_c = conjugate_spectrum(sd)
-        scaling_c = eigen_chain(sd_c)
-    pairing = scaling.a * np.conj(scaling_c.a) * np.sum(np.conj(sd_c.h) * sd.h, axis=0)
-    plus = np.conj(_zeta_minus(sd_c, scaling_c))
-    minus = None if u.real else _zeta_minus(sd, scaling)
+        sd_c, kappa_c = conjugate_spectrum(sd), np.conj(kappa)
+        a_c = eigen_chain(sd_c, kappa_c, np.conj(mu))
+    pairing = a * np.conj(a_c) * np.sum(np.conj(sd_c.h) * sd.h, axis=0)
+    plus = np.conj(_zeta_minus(sd_c, a_c, kappa_c))
+    minus = None if u.real else _zeta_minus(sd, a, kappa)
     state = BirkhoffState(u.s, plus, minus, real_flag=u.real)
-    state.diagnostics = dict(scaling.tails, norm_drift=float(np.max(np.abs(pairing - 1.0))))
+    state.diagnostics = dict(tails, norm_drift=float(np.max(np.abs(pairing - 1.0))))
     return state
 
 

