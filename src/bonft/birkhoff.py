@@ -14,7 +14,7 @@ The coordinates are assembled from truncated spectral data in three layers:
      zeta_n(u) = conj(zeta_{-n}(conj u)).  On complex potentials
      conjugation symmetry no longer supplies the second half of the data,
      and the analytic extension reads it from the record and chain of
-     conj(u): its spectrum is derived from L_u^H = L_{conj u}
+     conj(u): its spectrum comes from L_u^H = L_{conj u}
      (lax.conjugate_spectrum) under u's labels without a second
      eigensolve, with u's kappa_n and mu_n conjugated; only its chain runs.
      The norm drift pairs the two chains, sum_k f_n(u)_k conj(f_n(conj u)_k),
@@ -188,11 +188,11 @@ def eigen_chain(sd, kappa, mu):
 class BirkhoffState:
     """Coordinates (zeta_n)_{1<=|n|<=N_b} with the potential's exponent s.
 
-    plus[j] holds zeta_{j+1}, minus[j] holds zeta_{-(j+1)}.  real_flag
-    asserts the conjugation symmetry zeta_{-n} = conj(zeta_n), the image of
-    a real potential.  A real state may pass minus=None: the minus side is
-    then conj(plus) by construction, and only plus is checked.  s must be a
-    finite number > -1/2, as for a Potential.
+    plus[j] holds zeta_{j+1}, minus[j] holds zeta_{-(j+1)}; both sides are
+    given and must be finite.  real_flag asserts the conjugation symmetry
+    zeta_{-n} = conj(zeta_n), the image of a real potential: the minus side
+    must match conj(plus) to 1e-8 and is then stored as conj(plus).  s must
+    be a finite number > -1/2, as for a Potential.
     """
 
     __slots__ = ("s", "plus", "minus", "real_flag", "diagnostics")
@@ -200,15 +200,12 @@ class BirkhoffState:
     def __init__(self, s, plus, minus, real_flag=False):
         self.diagnostics = None
         plus = np.asarray(plus, dtype=complex)
-        derived = minus is None
-        if derived and not real_flag:
-            raise ValueError("only a real state may omit its minus side")
-        minus = np.conj(plus) if derived else np.asarray(minus, dtype=complex)
+        minus = np.asarray(minus, dtype=complex)
         if plus.shape != minus.shape or plus.ndim != 1:
             raise ValueError("plus and minus sides must be 1-d of equal length")
-        if not (np.isfinite(plus).all() and (derived or np.isfinite(minus).all())):
+        if not (np.isfinite(plus).all() and np.isfinite(minus).all()):
             raise ValueError("non-finite coordinates")
-        if real_flag and not derived:
+        if real_flag:
             dev = float(np.max(np.abs(minus - np.conj(plus)))) if len(plus) else 0.0
             if dev > 1e-8:
                 raise ValueError("real_flag set but conjugation symmetry off by %.3e" % dev)
@@ -285,7 +282,7 @@ def birkhoff_forward(u, M=None, k_use=None):
     zeta_n(u) = conj(zeta_{-n}(u-)) with u- = conj(u), the same formula on
     the spectral record and chain of u-.  For real u the chain of u- is the
     chain of u and the minus side is conj(plus).  For complex u the spectrum
-    of u- is derived from that of u under the same labels (L_{conj u} =
+    of u- is read off that of u under the same labels (L_{conj u} =
     L_u^H, so one eigensolve serves both), kappa_n and mu_n of u- are u's
     conjugated to the last bit, and only the chain of u- runs again.
 
@@ -306,7 +303,7 @@ def birkhoff_forward(u, M=None, k_use=None):
         a_c = eigen_chain(sd_c, kappa_c, np.conj(mu))
     pairing = a * np.conj(a_c) * np.sum(np.conj(sd_c.h) * sd.h, axis=0)
     plus = np.conj(_zeta_minus(sd_c, a_c, kappa_c))
-    minus = None if u.real else _zeta_minus(sd, a, kappa)
+    minus = np.conj(plus) if u.real else _zeta_minus(sd, a, kappa)
     state = BirkhoffState(u.s, plus, minus, real_flag=u.real)
     state.diagnostics = dict(tails, norm_drift=float(np.max(np.abs(pairing - 1.0))))
     return state

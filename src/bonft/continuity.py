@@ -45,10 +45,9 @@ class ContinuityConfig:
         for name, floor in (("max_m", 1), ("max_probes", 2)):  # sweep fits a slope to >= 2 probes
             if getattr(self, name) < floor:
                 raise ValueError("need %s >= %d, got %d" % (name, floor, getattr(self, name)))
-        base = tuple(complex(v) for v in self.base)
-        if any(not (math.isfinite(v.real) and math.isfinite(v.imag)) for v in base):
+        self.base = tuple(complex(v) for v in self.base)
+        if any(not (math.isfinite(v.real) and math.isfinite(v.imag)) for v in self.base):
             raise ValueError("non-finite base coordinate")
-        object.__setattr__(self, "base", base)
         if self.delta is not None and not 0 < self.delta <= DELTA_CAP:
             raise ValueError("delta must lie in (0, %g]" % DELTA_CAP)
 

@@ -53,8 +53,10 @@ def rotate(values, ks, shift, t):
 def evolve(z0, t):
     """Flow for time t: zeta_n(t) = zeta_n(0) exp(i t omega_n(z0)), both sides.
 
-    A non-finite t is a ValueError; a state that the flow grows past the
-    float range (complex frequencies) raises NumericalFailure.
+    Every state rotates both sides, index -n at -(n^2 + Omega_n); a real
+    state's minus side stays conj(plus) to rounding, which BirkhoffState
+    checks.  A non-finite t is a ValueError; a state that the flow grows
+    past the float range (complex frequencies) raises NumericalFailure.
     """
     t = float(t)
     if not np.isfinite(t):
@@ -63,10 +65,8 @@ def evolve(z0, t):
         shift = frequency_shifts(z0)
         ks = np.arange(1, z0.n_modes + 1, dtype=float)
         plus = rotate(z0.plus, ks, shift, t)
-        # index -n spins at -(n^2 + Omega_n); a real state stays real, its
-        # minus side conj(plus), so its minus frequencies are never formed
-        minus = None if z0.real_flag else rotate(z0.minus, ks, shift, -t)
-    if not (np.isfinite(plus).all() and (minus is None or np.isfinite(minus).all())):
+        minus = rotate(z0.minus, ks, shift, -t)
+    if not (np.isfinite(plus).all() and np.isfinite(minus).all()):
         raise NumericalFailure("the flow to t=%r leaves the float range" % t)
     return BirkhoffState(z0.s, plus, minus, real_flag=z0.real_flag)
 

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bonft import cli, flow
+from bonft import cli, flow, pde
 from bonft.birkhoff import state_from_json
 from bonft.hardy import potential_from_json, potential_to_json
 from test_golden import CASES, GOLDEN, STATE, U
@@ -296,15 +296,19 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("modes", ["0", "-1"])
-def test_compare_rejects_nonpositive_modes(potential_file, capsys, modes):
-    # --modes 0 used to fall back to K_use = M/2 without a word
+@pytest.mark.parametrize("modes", ["0", "-1", "33"])
+def test_compare_rejects_nonpositive_modes(potential_file, monkeypatch, capsys, modes):
+    # --modes 0 used to fall back to K_use = M/2 without a word; compare takes
+    # transform's rule, from lax.spectrum, and rejects before any solve
+    def refused(*args, **kwargs):
+        raise AssertionError("solver ran")
+    monkeypatch.setattr(np.linalg, "eigh", refused)
+    monkeypatch.setattr(np.linalg, "eig", refused)
+    monkeypatch.setattr(pde, "integrate", refused)
     argv = ["compare", "-i", potential_file, "--lax-dim", "32", "--grid", "32",
             "--t", "0.05", "--modes", modes]
     assert cli.main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--modes" in captured.err
+    assert capsys.readouterr() == ("", "error: k_use must lie in 1..M\n")
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -63,7 +63,7 @@ def test_shift_antisymmetry():
 def test_real_shifts_own_their_memory():
     """A real state's shifts are an owned float array, not a view into a complex temporary."""
     plus = 0.1 * (np.arange(1, 9) + 1j)
-    shift = frequency_shifts(BirkhoffState(0.5, plus, None, real_flag=True))
+    shift = frequency_shifts(BirkhoffState(0.5, plus, np.conj(plus), real_flag=True))
     assert shift.dtype == float and shift.base is None
 
 
@@ -71,6 +71,20 @@ def test_evolve_spec_point():
     st = evolve(single_mode_state(0.5), np.pi)
     assert st.plus[0] == pytest.approx(0.5j)
     assert st.minus[0] == pytest.approx(-0.5j)
+
+
+def test_evolve_rotates_both_sides_of_a_real_state(monkeypatch):
+    calls = []
+    real = bonft.flow.rotate
+
+    def counting(values, ks, shift, t):
+        calls.append(t)
+        return real(values, ks, shift, t)
+
+    monkeypatch.setattr(bonft.flow, "rotate", counting)
+    st = evolve(single_mode_state(0.31 + 0.1j), 0.7)
+    assert calls == [0.7, -0.7]
+    assert st.real_flag and st.minus[0] == np.conj(st.plus[0])
 
 
 def test_evolve_is_a_group_action_on_moduli():
@@ -155,7 +169,7 @@ def test_invert_started_at_the_answer_makes_no_forward_map(forward_calls):
 
 def test_invert_start_needs_the_target_band():
     result = invert(single_mode_state(0.1))
-    wider = BirkhoffState(0.5, [0.1, 0.0], None, real_flag=True)
+    wider = BirkhoffState(0.5, [0.1, 0.0], [0.1, 0.0], real_flag=True)
     with pytest.raises(ValueError, match="start has N_b=1, the target N_b=2"):
         invert(wider, start=result)
 
