@@ -18,7 +18,7 @@ import numpy as np
 from . import pde
 from .birkhoff import (birkhoff_forward, canonical_bracket_table, state_from_json,
                        state_to_json)
-from .continuity import ContinuityConfig, ratio_slope, sweep
+from .continuity import ratio_slope, sweep
 from .errors import NumericalFailure, PropertyViolation
 from .flow import evolve, invert, solve_trajectory
 from .hardy import Potential, l2_distance, potential_from_json, potential_to_json
@@ -183,13 +183,10 @@ def _cmd_continuity(args):
     if args.n_base < 0:
         raise ValueError("need n_base >= 0, got %d" % args.n_base)
     base = _seeded_draws(np.random.default_rng(args.seed), args.n_base, 0.01)
-    cfg = ContinuityConfig(s=args.s, t=args.t, base=base, k=args.k,
-                           max_m=args.max_m, delta=args.delta,
-                           max_probes=args.max_probes)
-    rows = sweep(cfg)
+    rows = sweep(args.s, args.t, base, args.k, args.max_m, args.delta, args.max_probes)
     header = ("m", "delta", "d0", "dt", "ratio",
               "omega_gap_pred", "omega_gap_meas", "phase_bound_ok")
-    _write(args, {"rows": rows, "slope": ratio_slope(rows), "slope_predicted": -cfg.s / 2.0},
+    _write(args, {"rows": rows, "slope": ratio_slope(rows), "slope_predicted": -args.s / 2.0},
            header, [tuple(r[k] for k in header) for r in rows])
 
 

@@ -13,7 +13,6 @@ norm with weight n^{1/2+s} on the holomorphic modes.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,44 +21,7 @@ from .flow import coordinate_weights, rotate, shift_sums
 from .hardy import weighted_norm
 
 CLOSED_FORM_RTOL = 1e-12
-DELTA_CAP = 10.0  # largest perturbation size a config accepts
-
-
-@dataclass
-class ContinuityConfig:
-    s: float = -0.25
-    t: float = 1.0
-    base: tuple = ()           # zeta^0_1 .. zeta^0_N (real state, holomorphic side)
-    k: int = 2
-    max_m: int = 10 ** 6
-    delta: float = None        # None selects the resonant size for this t
-    max_probes: int = 12
-
-    def __post_init__(self):
-        if not -0.5 < self.s < 0.0:
-            raise ValueError("s must lie strictly in (-1/2, 0)")
-        if self.t == 0 or not math.isfinite(self.t):
-            raise ValueError("t must be nonzero and finite")
-        if int(self.k) < 1:
-            raise ValueError("k must be a positive integer")
-        for name, floor in (("max_m", 1), ("max_probes", 2)):  # sweep fits a slope to >= 2 probes
-            if getattr(self, name) < floor:
-                raise ValueError("need %s >= %d, got %d" % (name, floor, getattr(self, name)))
-        self.base = tuple(complex(v) for v in self.base)
-        if any(not (math.isfinite(v.real) and math.isfinite(v.imag)) for v in self.base):
-            raise ValueError("non-finite base coordinate")
-        if self.delta is not None and not 0 < self.delta <= DELTA_CAP:
-            raise ValueError("delta must lie in (0, %g]" % DELTA_CAP)
-
-    @property
-    def n_base(self):
-        return len(self.base)
-
-    def delta_value(self):
-        """Perturbation size: given, or the resonant choice sqrt(pi k^s / 2|t|)."""
-        if self.delta is not None:
-            return float(self.delta)
-        return math.sqrt(math.pi * self.k ** self.s / (2.0 * abs(self.t)))
+DELTA_CAP = 10.0  # largest perturbation size sweep accepts
 
 
 def _window_end(x, a, cap):
@@ -70,7 +32,7 @@ def _window_end(x, a, cap):
         return cap
 
 
-def probe_indices(cfg):
+def probe_indices(s, k, max_m, n_base, max_probes):
     """Admissible probes: multiples of k with (k/m)^s within 1/2 of an odd integer.
 
     Each odd target q keeps the multiple jk in its window with j^{-s} nearest q, so
@@ -78,25 +40,25 @@ def probe_indices(cfg):
     monotone, so only the two j next to q^{-1/s} compete.  Ascending, <= max_probes.
     """
     out = []
-    a = -cfg.s
-    top = cfg.max_m // cfg.k  # windows are capped at top + 1: at small |s| they pass 1e300
+    a = -s
+    top = max_m // k  # windows are capped at top + 1: at small |s| they pass 1e300
     q = 1
-    while len(out) < cfg.max_probes:
+    while len(out) < max_probes:
         lo, hi, target = (_window_end(x, a, top + 1) for x in (q - 0.5, q + 0.5, q))
-        j_lo = max(math.ceil(lo + 1e-12), cfg.n_base // cfg.k + 1)  # above the base support
+        j_lo = max(math.ceil(lo + 1e-12), n_base // k + 1)  # above the base support
         if j_lo > top:
             break
         j_hi = min(math.floor(hi - 1e-12), top)
         if j_lo <= j_hi:
             j = min(max(math.floor(target), j_lo), j_hi)
             best = min(range(j, min(j + 1, j_hi) + 1), key=lambda i: abs(i ** a - q))
-            out.append(best * cfg.k)
+            out.append(best * k)
         q += 2
     return out
 
 
-def _certified_pair(cfg, m, delta):
-    """The two states differing only in mode m, on their support ks = [1..n_base, m].
+def _certified_pair(s, base, m, delta):
+    """The two states differing only in mode m, on their support ks = [1..len(base), m].
 
     zeta adds delta/m^{1/2+s} to the base at mode m; xi adds the same with
     the extra transverse component i m^{s/2}.  The three pairwise distances
@@ -104,17 +66,17 @@ def _certified_pair(cfg, m, delta):
     certified against the measured norm to CLOSED_FORM_RTOL.  Returns
     (ks, weights at ks, plus side of zeta, plus side of xi, measured d0).
     """
-    ks = np.append(np.arange(1.0, cfg.n_base + 1), m)
-    w = coordinate_weights(ks, cfg.s)
-    plus0 = np.array(cfg.base + (0j,), dtype=complex)
-    amp = delta / m ** (0.5 + cfg.s)
+    ks = np.append(np.arange(1.0, len(base) + 1), m)
+    w = coordinate_weights(ks, s)
+    plus0 = np.array(base + (0j,), dtype=complex)
+    amp = delta / m ** (0.5 + s)
     plus_z, plus_x = plus0.copy(), plus0.copy()
-    plus_z[-1], plus_x[-1] = amp, amp * (1.0 + 1j * m ** (cfg.s / 2.0))
+    plus_z[-1], plus_x[-1] = amp, amp * (1.0 + 1j * m ** (s / 2.0))
     d0 = weighted_norm(plus_z - plus_x, w)
     checks = (
         (weighted_norm(plus_z - plus0, w), delta),
-        (d0, delta * m ** (cfg.s / 2.0)),
-        (weighted_norm(plus_x - plus0, w), delta * math.sqrt(1.0 + m ** cfg.s)),
+        (d0, delta * m ** (s / 2.0)),
+        (weighted_norm(plus_x - plus0, w), delta * math.sqrt(1.0 + m ** s)),
     )
     for got, want in checks:
         if abs(got - want) > CLOSED_FORM_RTOL * want:
@@ -122,8 +84,13 @@ def _certified_pair(cfg, m, delta):
     return ks, w, plus_z, plus_x, d0
 
 
-def sweep(cfg):
+def sweep(s, t, base, k, max_m, delta, max_probes):
     """One row per admissible probe; raises PropertyViolation on a failed bound.
+
+    base is zeta^0_1 .. zeta^0_N, the holomorphic side of the real base
+    state.  delta None selects the resonant size sqrt(pi k^s / 2|t|).  Bad
+    inputs raise ValueError, as does a run with fewer than two probes: one
+    probe shows no growth rate.
 
     Row fields: m, delta, d0, dt, ratio, omega_gap_pred, omega_gap_meas,
     phase_bound_ok.  The frequency gap at mode m is measured from the
@@ -132,29 +99,45 @@ def sweep(cfg):
     the phase bound |e^{i t gap} - 1| > 1, so it is enforced on the rows
     where the phase bound holds.  The phase bound itself is enforced only
     for the resonant delta, where admissibility guarantees it; a given
-    delta keeps phase_bound_ok as a row field.  One probe shows no growth
-    rate, so fewer than two raise ValueError.
+    delta keeps phase_bound_ok as a row field.
     """
-    probes = probe_indices(cfg)
+    if not -0.5 < s < 0.0:
+        raise ValueError("s must lie strictly in (-1/2, 0)")
+    if t == 0 or not math.isfinite(t):
+        raise ValueError("t must be nonzero and finite")
+    if int(k) < 1:
+        raise ValueError("k must be a positive integer")
+    for name, value, floor in (("max_m", max_m, 1), ("max_probes", max_probes, 2)):
+        if value < floor:  # a slope needs >= 2 probes
+            raise ValueError("need %s >= %d, got %d" % (name, floor, value))
+    base = tuple(complex(v) for v in base)
+    if any(not (math.isfinite(v.real) and math.isfinite(v.imag)) for v in base):
+        raise ValueError("non-finite base coordinate")
+    resonant = delta is None
+    if resonant:
+        delta = math.sqrt(math.pi * k ** s / (2.0 * abs(t)))
+    elif not 0 < delta <= DELTA_CAP:
+        raise ValueError("delta must lie in (0, %g]" % DELTA_CAP)
+    else:
+        delta = float(delta)
+    probes = probe_indices(s, k, max_m, len(base), max_probes)
     if len(probes) < 2:
         raise ValueError("need at least two probes for a growth rate, found %d" % len(probes))
-    delta = cfg.delta_value()
-    resonant = cfg.delta is None
     rows = []
     for m in probes:
-        ks, w, plus_z, plus_x, d0 = _certified_pair(cfg, m, delta)
+        ks, w, plus_z, plus_x, d0 = _certified_pair(s, base, m, delta)
         # real states: zeta_{-k} = conj(zeta_k), so the shifts are real
         shift_z = shift_sums(ks, plus_z.conj() * plus_z).real
         shift_x = shift_sums(ks, plus_x.conj() * plus_x).real
         gap = float(abs(shift_z[-1] - shift_x[-1]))
-        gap_pred = 2.0 * delta ** 2 * m ** (-cfg.s)
-        phase = abs(math.sin(0.5 * cfg.t * gap)) * 2.0
+        gap_pred = 2.0 * delta ** 2 * m ** (-s)
+        phase = abs(math.sin(0.5 * t * gap)) * 2.0
         phase_ok = phase > 1.0
         if resonant and not phase_ok:
             raise PropertyViolation("phase separation %.6f <= 1 at admissible m=%d" % (phase, m))
-        dt = weighted_norm(rotate(plus_z, ks, shift_z, cfg.t)
-                           - rotate(plus_x, ks, shift_x, cfg.t), w)
-        bound = (math.sqrt(1.0 + m ** cfg.s) - m ** (cfg.s / 2.0)) * delta
+        dt = weighted_norm(rotate(plus_z, ks, shift_z, t)
+                           - rotate(plus_x, ks, shift_x, t), w)
+        bound = (math.sqrt(1.0 + m ** s) - m ** (s / 2.0)) * delta
         if phase_ok and dt < bound * (1.0 - 1e-12):
             raise PropertyViolation("dt=%.17g below the bound %.17g at m=%d" % (dt, bound, m))
         rows.append({

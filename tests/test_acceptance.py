@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from bonft.birkhoff import birkhoff_forward, canonical_bracket_table, scaling_constants
-from bonft.continuity import ContinuityConfig, ratio_slope, sweep
+from bonft.continuity import ratio_slope, sweep
 from bonft.flow import frequency_shifts, invert, solve_trajectory
 from bonft.hardy import Potential, l2_distance
 from bonft.lax import conjugate_spectrum, spectrum
@@ -195,19 +195,18 @@ def test_criterion_11_defect_series_and_summability():
 
 
 def test_criterion_12_continuity_defeats_uniformity():
-    cfg = ContinuityConfig(s=-0.45, k=8, max_m=4000)
-    rows = sweep(cfg)
+    s = -0.45
+    rows = sweep(s, 1.0, (), 8, 4000, None, 12)
     assert len(rows) >= 5
-    delta = cfg.delta_value()
     for row in rows:
-        m = row["m"]
-        gap_closed = 2.0 * delta ** 2 * m ** (-cfg.s)
+        m, delta = row["m"], row["delta"]
+        gap_closed = 2.0 * delta ** 2 * m ** (-s)
         assert abs(row["omega_gap_meas"] - gap_closed) <= GAP_REL_TOL * gap_closed
-        assert abs(row["d0"] - delta * m ** (cfg.s / 2.0)) <= 1e-12 * row["d0"]
-        bound = (math.sqrt(1.0 + m ** cfg.s) - m ** (cfg.s / 2.0)) * delta
+        assert abs(row["d0"] - delta * m ** (s / 2.0)) <= 1e-12 * row["d0"]
+        bound = (math.sqrt(1.0 + m ** s) - m ** (s / 2.0)) * delta
         assert row["dt"] >= bound * (1.0 - 1e-12)
     slope = ratio_slope(rows)
-    want = -cfg.s / 2.0
+    want = -s / 2.0
     assert abs(slope - want) <= SLOPE_REL_TOL * want, (slope, want)
 
 

@@ -10,8 +10,12 @@ import numpy as np
 import pytest
 
 import bonft
-from bonft.continuity import ContinuityConfig, probe_indices, ratio_slope, sweep
+from bonft.continuity import probe_indices, ratio_slope, sweep
 from oracles import dense_probe, probe_indices_scan
+
+
+# the continuity verb's defaults
+DEFAULTS = dict(s=-0.25, t=1.0, base=(), k=2, max_m=10 ** 6, delta=None, max_probes=12)
 
 
 def test_config_validation():
@@ -19,14 +23,14 @@ def test_config_validation():
                 {"t": float("inf")}, {"k": 0}, {"delta": 0.0},
                 {"delta": 11.0}, {"base": (float("nan"),)}):
         with pytest.raises(ValueError):
-            ContinuityConfig(**bad)
+            sweep(**{**DEFAULTS, **bad})
 
 
 def test_resonant_delta_closed_form():
-    cfg = ContinuityConfig(s=-0.25, t=2.0, k=3)
-    assert cfg.delta_value() == pytest.approx(
+    rows = sweep(**{**DEFAULTS, "t": 2.0, "k": 3})
+    assert rows[0]["delta"] == pytest.approx(
         math.sqrt(math.pi * 3 ** -0.25 / 4.0))
-    assert ContinuityConfig(delta=0.7).delta_value() == 0.7
+    assert sweep(**{**DEFAULTS, "delta": 0.7})[0]["delta"] == 0.7
 
 
 def _assert_in_odd_windows(probes, s, k):
@@ -39,14 +43,14 @@ def _assert_in_odd_windows(probes, s, k):
 
 
 def test_probe_indices_hit_odd_windows():
-    probes = probe_indices(ContinuityConfig(s=-0.45, k=8, max_m=4000))
+    probes = probe_indices(-0.45, 8, 4000, 0, 12)
     _assert_in_odd_windows(probes, -0.45, 8)
     assert probes[0] == 8
 
 
 def test_probe_indices_reach_max_m_1e12():
     # a scan of every multiple in each window would score about 2.3e11 of them
-    probes = probe_indices(ContinuityConfig(s=-0.1, k=2, max_m=10 ** 12, max_probes=40))
+    probes = probe_indices(-0.1, 2, 10 ** 12, 0, 40)
     _assert_in_odd_windows(probes, -0.1, 2)
     assert len(probes) >= 2 and probes[-1] <= 10 ** 12
 
@@ -56,24 +60,21 @@ def test_probe_indices_equal_the_window_scan(s):
     # the closed form scores at most two multiples per window; the scan all
     for k, max_m, n_base, max_probes in itertools.product(
             (1, 2, 3, 8, 13), (7, 200, 20000), (0, 5, 40), (2, 12, 400)):
-        cfg = ContinuityConfig(s=s, k=k, max_m=max_m, base=(0.0,) * n_base,
-                               max_probes=max_probes)
-        assert probe_indices(cfg) == probe_indices_scan(s, k, max_m, n_base, max_probes), cfg
+        args = (s, k, max_m, n_base, max_probes)
+        assert probe_indices(*args) == probe_indices_scan(*args), args
 
 
 def test_probe_indices_window_clipped_by_the_base():
     # at s = -0.45, k = 1 the window around q = 3 is j = 8..16 with its target
     # 3^(1/0.45) = 11.5 inside; a base of 12 modes clips it to 13..16, so the
     # target lies below the clipped window and its lower end wins
-    cfg = ContinuityConfig(s=-0.45, k=1, base=(0.0,) * 12, max_m=20000, max_probes=3)
-    probes = probe_indices(cfg)
+    probes = probe_indices(-0.45, 1, 20000, 12, 3)
     assert probes[0] == 13
     assert probes == probe_indices_scan(-0.45, 1, 20000, 12, 3)
 
 
 def test_probe_exhaustion():
-    none = ContinuityConfig(s=-0.45, k=8, max_m=7)
-    assert probe_indices(none) == []
+    assert probe_indices(-0.45, 8, 7, 0, 12) == []
 
 
 @pytest.mark.parametrize("s", ["-0.01", "-1e-300"])
@@ -89,46 +90,43 @@ def test_small_s_searches_only_up_to_max_m(s):
                          timeout=20, env=dict(os.environ, PYTHONPATH=src))
     assert (out.returncode, out.stdout, out.stderr) == (
         1, "", "error: need at least two probes for a growth rate, found 1\n")
-    assert probe_indices(ContinuityConfig(s=float(s))) == [2]
+    assert probe_indices(float(s), 2, 10 ** 6, 0, 12) == [2]
 
 
 def test_build_pair_distances_and_flags():
-    cfg = ContinuityConfig(s=-0.3, base=(0.05, 0.02))
-    delta = cfg.delta_value()
-    zeta, xi, row = dense_probe(cfg.s, cfg.t, cfg.base, delta, 40)
+    s, t, base = -0.3, 1.0, (0.05, 0.02)
+    delta = math.sqrt(math.pi * 2 ** s / 2.0)
+    zeta, xi, row = dense_probe(s, t, base, delta, 40)
     assert len(zeta) == len(xi) == 40
     assert zeta[2] == 0 and np.array_equal(zeta[:39], xi[:39])
-    amp = delta / 40 ** (0.5 + cfg.s)
+    amp = delta / 40 ** (0.5 + s)
     assert zeta[39] == pytest.approx(amp)
-    assert xi[39] == pytest.approx(amp * (1 + 1j * 40 ** (cfg.s / 2)))
-    assert row["d0"] == pytest.approx(delta * 40 ** (cfg.s / 2), rel=1e-12)
+    assert xi[39] == pytest.approx(amp * (1 + 1j * 40 ** (s / 2)))
+    assert row["d0"] == pytest.approx(delta * 40 ** (s / 2), rel=1e-12)
     with pytest.raises(ValueError):
-        dense_probe(cfg.s, cfg.t, cfg.base, delta, 2)
+        dense_probe(s, t, base, delta, 2)
     # the sweep never places a probe on the base support
-    based = ContinuityConfig(s=-0.45, k=1, base=(0.01,) * 5, max_m=4000)
-    assert min(probe_indices(based)) > 5
+    assert min(probe_indices(-0.45, 1, 4000, 5, 12)) > 5
 
 
 @pytest.mark.parametrize("s, k, max_m", [(-0.45, 8, 20000), (-0.25, 2, 20000),
                                          (-0.1, 2, 120000)])
 def test_sparse_probes_equal_the_dense_oracle(s, k, max_m):
     # with no base, each norm sums a single nonzero term, so every bit agrees
-    cfg = ContinuityConfig(s=s, k=k, max_m=max_m, max_probes=40)
-    rows = sweep(cfg)
+    rows = sweep(s, 1.0, (), k, max_m, None, 40)
     assert len(rows) >= 2
     for row in rows:
-        assert row == dense_probe(s, cfg.t, (), cfg.delta_value(), row["m"])[2]
+        assert row == dense_probe(s, 1.0, (), row["delta"], row["m"])[2]
 
 
 def test_given_delta_keeps_rows_that_miss_the_phase_bound():
     # the separation bound needs the phase bound; a given delta need not meet
     # it, so those rows are reported with phase_bound_ok False, not raised on
-    cfg = ContinuityConfig(s=-0.45, k=8, max_m=4000, delta=0.7)
-    rows = sweep(cfg)
+    rows = sweep(-0.45, 1.0, (), 8, 4000, 0.7, 12)
     assert len(rows) >= 2
     assert any(not row["phase_bound_ok"] for row in rows)
     for row in rows:
-        assert row == dense_probe(cfg.s, cfg.t, (), 0.7, row["m"])[2]
+        assert row == dense_probe(-0.45, 1.0, (), 0.7, row["m"])[2]
 
 
 @pytest.mark.parametrize("n_base", range(1, 9))
@@ -136,11 +134,10 @@ def test_sparse_probes_with_a_base_match_the_dense_oracle(n_base):
     # np.sum groups the base terms differently on the two supports: 1 ulp
     rng = np.random.default_rng(n_base)
     base = 0.01 * (rng.standard_normal(n_base) + 1j * rng.standard_normal(n_base))
-    cfg = ContinuityConfig(s=-0.35, k=2, base=tuple(base), max_m=20000, max_probes=40)
-    rows = sweep(cfg)
+    rows = sweep(-0.35, 1.0, tuple(base), 2, 20000, None, 40)
     assert len(rows) >= 2
     for row in rows:
-        want = dense_probe(cfg.s, cfg.t, cfg.base, cfg.delta_value(), row["m"])[2]
+        want = dense_probe(-0.35, 1.0, tuple(base), row["delta"], row["m"])[2]
         assert row.keys() == want.keys()
         for key, value in want.items():
             assert row[key] == pytest.approx(value, rel=1e-15, abs=0), key
@@ -149,10 +146,9 @@ def test_sparse_probes_with_a_base_match_the_dense_oracle(n_base):
 def test_sweep_memory_stays_on_the_probe_support():
     # verify's setting: probes reach m = 131,840; dense arrays of that length
     # take tens of MB
-    cfg = ContinuityConfig(s=-0.45, k=8, max_m=600000, max_probes=40)
     tracemalloc.start()
     try:
-        rows = sweep(cfg)
+        rows = sweep(-0.45, 1.0, (), 8, 600000, None, 40)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -161,16 +157,16 @@ def test_sweep_memory_stays_on_the_probe_support():
 
 
 def test_sweep_rows_and_bound():
-    cfg = ContinuityConfig(s=-0.45, k=8, max_m=2000, max_probes=4)
-    rows = sweep(cfg)
+    s = -0.45
+    rows = sweep(s, 1.0, (), 8, 2000, None, 4)
     assert len(rows) == 4
     keys = {"m", "delta", "d0", "dt", "ratio", "omega_gap_pred",
             "omega_gap_meas", "phase_bound_ok"}
     for row in rows:
         assert keys <= set(row)
         assert row["phase_bound_ok"]
-        assert row["dt"] >= (math.sqrt(1 + row["m"] ** cfg.s)
-                             - row["m"] ** (cfg.s / 2)) * row["delta"] - 1e-12
+        assert row["dt"] >= (math.sqrt(1 + row["m"] ** s)
+                             - row["m"] ** (s / 2)) * row["delta"] - 1e-12
         assert row["omega_gap_meas"] == pytest.approx(row["omega_gap_pred"],
                                                       rel=1e-10)
     # the initial distances shrink while the evolved ones stay bounded below
@@ -182,7 +178,7 @@ def test_sweep_rows_and_bound():
 
 def test_sweep_without_probes_raises():
     with pytest.raises(ValueError):
-        sweep(ContinuityConfig(s=-0.45, k=8, max_m=7))
+        sweep(-0.45, 1.0, (), 8, 7, None, 12)
 
 
 def test_ratio_slope():

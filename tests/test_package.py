@@ -77,8 +77,8 @@ def test_every_method_is_read_by_the_package():
     src/bonft outside its own definition.  An override of a base-class method
     (_Parser.error) is called by the base class.  The rule matches attribute
     names only, not the class they belong to: a field shares its reads with
-    every attribute of the same name, so ContinuityConfig.delta's reads would
-    also cover a field delta of another class."""
+    every attribute of the same name, so IntegratorConfig.dt's reads would
+    also cover a field dt of another class."""
     package = Path(bonft.__file__).parent
     trees = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
     reads = Counter(node.attr for tree in trees.values() for node in ast.walk(tree)
