@@ -4,9 +4,10 @@ For -1/2 < s < 0 the flow map fails to be locally uniformly continuous on
 the coordinate side: two states agreeing except in a single high mode m can
 be made arbitrarily close while their time-t images stay order-delta apart.
 A probe pair is supported on the base modes and m, so each probe is built
-and evolved on those n_base + 1 indices alone with the flow's own formulas.
-The initial distances are certified in closed form and dt against its lower
-bound; the phase at mode m, and so dt, carries an error of about t m^2 eps.
+and evolved on those n_base + 1 indices alone with the flow's own shifts,
+in the rotating frame: the phase e^{itn^2} is common to both states and
+drops out of their distance.  The initial distances are certified in
+closed form and dt against its lower bound.
 
 Conventions: states are real-flagged, distances are the one-sided weighted
 norm with weight n^{1/2+s} on the holomorphic modes.
@@ -17,7 +18,7 @@ import math
 import numpy as np
 
 from .errors import PropertyViolation
-from .flow import coordinate_weights, rotate, shift_sums
+from .flow import coordinate_weights, shift_sums
 from .hardy import weighted_norm
 
 CLOSED_FORM_RTOL = 1e-12
@@ -135,8 +136,8 @@ def sweep(s, t, base, k, max_m, delta, max_probes):
         phase_ok = phase > 1.0
         if resonant and not phase_ok:
             raise PropertyViolation("phase separation %.6f <= 1 at admissible m=%d" % (phase, m))
-        dt = weighted_norm(rotate(plus_z, ks, shift_z, t)
-                           - rotate(plus_x, ks, shift_x, t), w)
+        dt = weighted_norm(plus_z * np.exp(1j * t * shift_z)
+                           - plus_x * np.exp(1j * t * shift_x), w)
         bound = (math.sqrt(1.0 + m ** s) - m ** (s / 2.0)) * delta
         if phase_ok and dt < bound * (1.0 - 1e-12):
             raise PropertyViolation("dt=%.17g below the bound %.17g at m=%d" % (dt, bound, m))

@@ -68,7 +68,7 @@ def check_band(grid_size, N):
         raise ValueError("grid %d cannot dealias band N=%d (need >= 4N)" % (grid_size, N))
 
 
-def integrate(u0, cfg=None):
+def integrate(u0, cfg):
     """Integrating-factor RK4 trajectory from a real mean-zero potential.
 
     The grid must resolve the quadratic interactions of the retained band
@@ -77,8 +77,6 @@ def integrate(u0, cfg=None):
     through more than PHASE_BUDGET radians, where the RK4 treatment of the
     nonlinear term loses accuracy even though the linear phase is exact.
     """
-    if cfg is None:
-        cfg = IntegratorConfig()
     if not u0.real:
         raise ValueError("direct integration needs a real potential")
     grid = int(cfg.grid_size)

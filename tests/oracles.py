@@ -604,9 +604,10 @@ def dense_probe(s, t, base, delta, m):
     """One continuity probe on the full index range 1..m, all arrays of length m.
 
     zeta adds delta/m^{1/2+s} to the real state with holomorphic side `base`
-    at mode m; xi adds the same times 1 + i m^{s/2}.  Each evolves by
-    zeta_n exp(i t (n^2 + Omega_n)), with Omega_n formed by cumulative sums
-    over all m modes; norms carry the weights n^{1+2s}.  Returns
+    at mode m; xi adds the same times 1 + i m^{s/2}.  Each evolves in the
+    rotating frame, zeta_n exp(i t Omega_n), with Omega_n formed by cumulative
+    sums over all m modes: the factor exp(i t n^2) is common to both states
+    and drops out of their distance.  Norms carry the weights n^{1+2s}.  Returns
     (zeta, xi, row): the two plus sides at t = 0 and a row with the fields
     of bonft's continuity sweep.
     """
@@ -631,8 +632,8 @@ def dense_probe(s, t, base, delta, m):
         return float(np.sqrt(np.sum(w * np.abs(x) ** 2)))
 
     shift_z, shift_x = shifts(zeta), shifts(xi)
-    zeta_t = zeta * np.exp(1j * float(t) * (ns ** 2 + shift_z))
-    xi_t = xi * np.exp(1j * float(t) * (ns ** 2 + shift_x))
+    zeta_t = zeta * np.exp(1j * float(t) * shift_z)
+    xi_t = xi * np.exp(1j * float(t) * shift_x)
     d0, dt = norm(zeta - xi), norm(zeta_t - xi_t)
     gap = float(abs(shift_z[m - 1] - shift_x[m - 1]))
     return zeta, xi, {

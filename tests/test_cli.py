@@ -110,6 +110,17 @@ def test_continuity_given_delta_exits_0(tmp_path):
     assert any(line.split(",")[-1] == "0" for line in lines[1:])
 
 
+@pytest.mark.parametrize("argv", [
+    ["--t", "1e6"], ["--t", "1e12", "--max-m", "2000"],
+    ["--t", "1e16", "--max-m", "2000"], ["--t", "1e20", "--max-m", "2000"]],
+    ids=["t-1e6", "t-1e12", "t-1e16", "t-1e20"])
+def test_continuity_at_large_t_exits_0(capsys, argv):
+    # a phase with t m^2 in it lost dt's digits past t m^2 ~ 2^53 and reported
+    # a false counterexample (exit 3)
+    assert cli.main(["continuity"] + argv) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_bracket_small(tmp_path):
     path = str(tmp_path / "b.json")
     assert cli.main(["bracket", "--modes", "1", "--scale", "0.005",
@@ -184,6 +195,24 @@ def _potential_doc(s=0.5, coeffs=((1, 0.01),), **fields):
     (["compare", "--mode", "4"], None, "unrecognized arguments: --mode 4"),
     (["bracket", "--format", "json"], None, "unrecognized arguments: --format json"),
     (["transform", "--format", "csv"], None, "unrecognized arguments: --format csv"),
+    (["transform", "--lax-dim", "1", "--modes", "1"], _potential_doc(N=2),
+     "truncation M=1 cannot hold a band of width N=2"),
+    (["transform"], _potential_doc(N=0, coeffs=()), "mode cutoff must be >= 1, got 0"),
+    (["transform"], _potential_doc(coeffs=((2, 0.01),)), "coefficient index 2 outside cutoff N=1"),
+    (["transform"], _potential_doc(coeffs=((-1, 0.01),), real=True),
+     "real potentials store n >= 1 only; the reflection is implied"),
+    (["transform"], _potential_doc(coeffs=((1, float("nan")),)),
+     "coefficient at n=1 is not finite"),
+    (["transform"], _potential_doc(coeffs=((1, 0.25),)).replace("0.25", "1e400"),
+     "coefficient at n=1 is not finite"),
+    (["evolve", "--t", "1"], _state_doc(plus=(2,)), "index 2 outside 1..1"),
+    (["evolve", "--t", "1"], _state_doc(minus=(1,)), "index 1 outside -1..-1"),
+    (["inverse", "-i", os.path.join(GOLDEN, "transform_complex.json")], None,
+     "inversion is defined for real-flagged targets"),
+    (["compare", "-i", U, "--t", "abc"], None,
+     "bad time grid 'abc'; want comma-separated floats"),
+    (["compare", "-i", U, "--t", "0,0.5"], None, "time grid must be positive"),
+    (["compare", "-i", U, "--t", "-0.5"], None, "time grid must be positive"),
 ], ids=["fd-step-0", "fd-step-negative", "fd-step-nan", "bracket-modes-0", "max-d-0",
         "l-bound-negative", "random-count-negative", "combi-max-d-negative",
         "n-base-negative", "max-probes-0", "max-m-0", "continuity-small-s-one-probe",
@@ -196,7 +225,11 @@ def _potential_doc(s=0.5, coeffs=((1, 0.01),), **fields):
         "potential-string-numbers", "state-item-without-im", "state-N_b-0",
         "state-N_b-negative", "evolve-t-inf", "evolve-t-nan", "tol-newton-inf",
         "tol-newton-0", "bracket-s-removed", "bracket-scale-prefix", "compare-modes-prefix",
-        "bracket-format-removed", "transform-format-removed"])
+        "bracket-format-removed", "transform-format-removed", "lax-dim-below-band",
+        "potential-N-0", "potential-n-past-N", "real-potential-negative-n",
+        "potential-nan", "potential-1e400", "state-plus-n-past-N_b", "state-minus-n-positive",
+        "inverse-complex-target", "compare-t-not-a-number", "compare-t-zero",
+        "compare-t-negative"])
 def test_vacuous_or_ill_posed_runs_exit_1(capsys, monkeypatch, argv, stdin, message):
     # each of these used to exit 0 after checking nothing, print NaN or
     # Infinity (not JSON), keep only the last of a repeated index, truncate

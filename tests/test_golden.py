@@ -41,6 +41,7 @@ CASES = [
      "compare.csv"),
     (["compare", "-i", U] + SMALL + ["--t", "0.05"], "compare_default.json"),
     (["continuity", "--max-m", "2000"], "continuity.csv"),
+    (["continuity"], "continuity_default.csv"),
     (["continuity", "--s", "-0.45", "--k", "8", "--max-m", "600000",
       "--max-probes", "40", "--format", "json"], "continuity_verify.json"),
     (["bracket"], "bracket.json"),

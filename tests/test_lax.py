@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 import bonft.lax
-from bonft.errors import NumericalFailure
+from bonft.errors import NumericalFailure, TruncationWarning
 from bonft.hardy import Potential
 from bonft.lax import SpectralData, assemble_lax, conjugate_spectrum, gaps, spectrum
 from oracles import (involute, lax_matrix, perturbative_gamma1, perturbative_lambda0,
@@ -16,6 +16,12 @@ def test_matrix_matches_oracle():
     coeffs = {1: 0.3 - 0.2j, -2: 0.1, 2: 0.05j}
     u = Potential(0.5, 2, coeffs)
     assert np.array_equal(assemble_lax(u, 6), lax_matrix(coeffs, 6))
+
+
+def test_truncation_below_twice_the_band_warns():
+    u = Potential(0.5, 2, {1: 0.02, 2: 0.01j}, real=True)
+    with pytest.warns(TruncationWarning, match="truncation M=3 below 2N=4"):
+        spectrum(u, 3)
 
 
 def test_zero_potential_spectrum_is_integers():

@@ -135,6 +135,13 @@ def test_potential_at_trims_declared_band():
     assert u.coeff(1) == pytest.approx(0.1)
 
 
+def test_step_past_the_phase_budget_warns():
+    # dt (grid/2)^2 = 0.01 * 128^2 radians per step at the top mode
+    cfg = IntegratorConfig(grid_size=256, dt=0.01, T=0.01)
+    with pytest.warns(UserWarning, match="dt=0.01 spins the top mode 164 radians per step"):
+        integrate(smooth_potential(), cfg)
+
+
 def test_zero_time_returns_initial_sample():
     u0 = smooth_potential()
     traj = integrate(u0, IntegratorConfig(grid_size=64, dt=1e-3, T=0.0))
