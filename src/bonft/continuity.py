@@ -119,8 +119,7 @@ def sweep(s, t, base, k, max_m, delta, max_probes):
         delta = math.sqrt(math.pi * k ** s / (2.0 * abs(t)))
     elif not 0 < delta <= DELTA_CAP:
         raise ValueError("delta must lie in (0, %g]" % DELTA_CAP)
-    else:
-        delta = float(delta)
+    delta = float(delta)
     probes = probe_indices(s, k, max_m, len(base), max_probes)
     if len(probes) < 2:
         raise ValueError("need at least two probes for a growth rate, found %d" % len(probes))
