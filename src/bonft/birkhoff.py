@@ -40,9 +40,9 @@ NEIGHBORHOOD_MU = 0.5
 NEIGHBORHOOD_ALPHA = 0.5
 
 
-def default_lax_dim(u):
-    """Truncation heuristic: several bands of headroom, never tiny."""
-    return max(4 * u.N, 32)
+def default_lax_dim(N):
+    """Truncation heuristic for a band of width N: several bands of headroom, never tiny."""
+    return max(4 * N, 32)
 
 
 def sqrt_plus(z):
@@ -292,7 +292,7 @@ def birkhoff_forward(u, M=None, k_use=None):
     extension of ||f_n||^2 = 1, which is |a_n|^2 ||h_n||^2 for real u.
     """
     if M is None:
-        M = default_lax_dim(u)
+        M = default_lax_dim(u.N)
     sd = spectrum(u, M, k_use=k_use)
     kappa, mu, tails = scaling_constants(sd)
     a = eigen_chain(sd, kappa, mu)
@@ -315,7 +315,7 @@ def _perturbed(u, k, step):
     return Potential(u.s, max(u.N, abs(k)), coeffs, real=False)
 
 
-def canonical_bracket_table(u, n_max, h=1e-5):
+def canonical_bracket_table(u, n_max, h):
     """Brackets among the coordinate functionals, sharing the transforms.
 
     Returns (plus_minus, plus_plus) where plus_minus[i, j] approximates
@@ -332,7 +332,7 @@ def canonical_bracket_table(u, n_max, h=1e-5):
     if not (math.isfinite(h) and h > 0):
         raise ValueError("need a finite step h > 0, got %r" % h)
     reach = u.N + n_max + 2
-    M = max(4 * (u.N + reach), 32)
+    M = default_lax_dim(u.N + reach)
     # the scaling products at index n carry factors from every open gap, so
     # the chain must run well past n_max or the partials inherit O(u^2) bias
     depth = min(M // 2, n_max + 2 * u.N + 8)

@@ -125,25 +125,22 @@ def _parse_times(spec_str):
 def _cmd_compare(args):
     u0 = potential_from_json(_read_json(args.input))
     ts = _parse_times(args.t)
-    icfg = pde.IntegratorConfig(grid_size=args.grid, dt=args.dt, T=ts[-1])
+    icfg = pde.IntegratorConfig(args.grid, args.dt, ts[-1])
     pde.check_band(icfg.grid_size, u0.N)
-    steps = [t / args.dt for t in ts]
+    steps = [round(t / args.dt) for t in ts]
     # step 0 is the integrator's t = 0 sample, not the time asked for
-    if round(steps[0]) < 1:
+    if steps[0] < 1:
         raise ValueError("time %g is shorter than one step dt=%g" % (ts[0], args.dt))
-    if any(abs(c - round(c)) > 1e-9 for c in steps):
+    if any(abs(t / args.dt - c) > 1e-9 for t, c in zip(ts, steps)):
         raise ValueError("every time must be a multiple of dt=%g" % args.dt)
-    icfg.store_every = math.gcd(*(int(round(c)) for c in steps))
+    icfg.store_every = math.gcd(*steps)
 
-    samples, diag = solve_trajectory(u0, [0.0] + ts, M=args.lax_dim, k_use=args.modes)
+    samples, diag = solve_trajectory(u0, [0.0] + ts, args.lax_dim, args.modes)
     traj = pde.integrate(u0, icfg)
-    index = {round(t / args.dt): i for i, t in enumerate(traj.times)}
 
     band = min(u0.N * 2, traj.band)
-    rows = []
-    for t, u_b in samples[1:]:
-        u_d = traj.potential_at(index[round(t / args.dt)])
-        rows.append((t, l2_distance(u_b, u_d, band)))
+    rows = [(t, l2_distance(u_b, traj.potential_at(c // icfg.store_every), band))
+            for (t, u_b), c in zip(samples[1:], steps)]
     _write(args, {
         "rows": [{"t": t, "l2_diff": d} for t, d in rows],
         "action_drift": diag["action_drift"],
@@ -154,7 +151,7 @@ def _cmd_compare(args):
 def _cmd_vanishing(args):
     rng = np.random.default_rng(args.seed)
     counts, random_checked, violations = sweep_vanishing(
-        args.max_d, args.l_bound, random_count=args.random_count, rng=rng)
+        args.max_d, args.l_bound, args.random_count, rng)
     rows = [("exhaustive_d%d" % d, counts[d]) for d in sorted(counts)]
     rows.append(("random", random_checked))
     rows.append(("violations", len(violations)))
@@ -194,7 +191,7 @@ def _cmd_bracket(args):
     rng = np.random.default_rng(args.seed)
     # the brackets do not depend on the Sobolev exponent, so it is fixed at 1/2
     u = Potential(0.5, 4, dict(enumerate(_seeded_draws(rng, 4, args.scale), 1)), real=True)
-    pm, pp = canonical_bracket_table(u, args.modes, h=args.fd_step)
+    pm, pp = canonical_bracket_table(u, args.modes, args.fd_step)
     target = -1j * np.eye(args.modes)
     _write(args, {
         "n_max": args.modes,

@@ -28,9 +28,9 @@ class BranchCutError(NumericalFailure):
 class InversionFailure(NumericalFailure):
     """Broyden inversion found no descent or did not converge; carries the residual history."""
 
-    def __init__(self, message, history=None):
+    def __init__(self, message, history):
         super().__init__(message)
-        self.history = list(history or [])
+        self.history = list(history)
 
 
 class PropertyViolation(RuntimeError):

@@ -11,7 +11,7 @@ which the coordinate map is a near-identity perturbation.
 import numpy as np
 
 from .errors import InversionFailure, NumericalFailure
-from .birkhoff import BirkhoffState, birkhoff_forward, default_lax_dim
+from .birkhoff import BirkhoffState, birkhoff_forward
 from .hardy import Potential, weighted_norm
 
 MAX_ITER = 40  # Broyden iterations before an inversion counts as failed
@@ -150,14 +150,14 @@ def invert(target, M=None, tol=1e-12, start=None):
     return u, image, history
 
 
-def solve_trajectory(u0, t_grid=(0.0, 0.5, 1.0), M=None, k_use=None):
+def solve_trajectory(u0, t_grid, M, k_use):
     """The composed solution map: transform once, rotate and invert per sample.
 
     Returns (samples, diagnostics): samples is a list of (t, Potential), one
     per entry of t_grid; diagnostics holds per-sample inversion residuals
     and the largest action drift of the samples' images against the
-    initial state.  Every forward map runs at the one truncation M
-    (default: the heuristic for u0) and K_use = k_use (default M/2).  Each
+    initial state.  Every forward map runs at the one truncation M and
+    K_use = k_use (None: M/2).  Each
     inversion starts from the previous sample's result, whose image it
     reuses; the first from the linearized guess.
     """
@@ -166,8 +166,6 @@ def solve_trajectory(u0, t_grid=(0.0, 0.5, 1.0), M=None, k_use=None):
         raise ValueError("non-finite sample times")
     if not u0.real:
         raise ValueError("trajectory evolution needs a real potential")
-    if M is None:
-        M = default_lax_dim(u0)
     z0 = birkhoff_forward(u0, M=M, k_use=k_use)
     samples = []
     residuals = []

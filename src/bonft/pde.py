@@ -26,9 +26,9 @@ DROP_TOL = 1e-13  # potential_at drops coefficients of at most this modulus
 
 @dataclass
 class IntegratorConfig:
-    grid_size: int = 256
-    dt: float = 1e-3
-    T: float = 1.0
+    grid_size: int
+    dt: float
+    T: float
     store_every: int = 1
 
     def __post_init__(self):

@@ -121,7 +121,7 @@ def _first_bad(tails, d):
             tuple((m, q) for m, (in_j, q) in enumerate(steps, 1) if not in_j))
 
 
-def sweep_vanishing(max_d, l_bound, random_count=0, rng=None):
+def sweep_vanishing(max_d, l_bound, random_count, rng):
     """Exhaustive + random exact sweep of the vanishing combination D.
 
     Returns (counts per d, random tuples checked, violations); violations
@@ -136,8 +136,6 @@ def sweep_vanishing(max_d, l_bound, random_count=0, rng=None):
         raise ValueError("need l_bound >= 0, got %d" % l_bound)
     if random_count < 0:
         raise ValueError("need random_count >= 0, got %d" % random_count)
-    if random_count and rng is None:
-        raise ValueError("random sweep needs an rng")
     counts = {}
     violations = []
     values = range(-l_bound, l_bound + 1)

@@ -176,7 +176,7 @@ def test_criterion_09_energy_agrees_across_coordinates(flow_bundle):
 
 def test_criterion_10_canonical_relations():
     u = Potential(0.5, 2, {1: 0.009 + 0.004j, 2: 0.003 - 0.005j}, real=True)
-    pm, pp = canonical_bracket_table(u, 3)
+    pm, pp = canonical_bracket_table(u, 3, 1e-5)
     assert np.max(np.abs(pm + 1j * np.eye(3))) < BRACKET_TOL
     assert np.max(np.abs(pp)) < BRACKET_TOL
 

@@ -159,7 +159,7 @@ def test_observables_potential_energy():
 
 def test_canonical_bracket_table_small():
     u = Potential(0.5, 1, {1: 0.02}, real=True)
-    pm, pp = canonical_bracket_table(u, 2)
+    pm, pp = canonical_bracket_table(u, 2, 1e-5)
     target = -1j * np.eye(2)
     assert np.max(np.abs(pm - target)) < 1e-6
     assert np.max(np.abs(pp)) < 1e-6

@@ -177,7 +177,7 @@ def test_invert_start_needs_the_target_band():
 @pytest.mark.filterwarnings("ignore::bonft.errors.TruncationWarning")
 def test_solve_trajectory_conserves_actions():
     u0 = Potential(0.5, 2, {1: 0.03, 2: 0.01j}, real=True)
-    samples, diag = solve_trajectory(u0, (0.0, 0.4, 0.8), M=48)
+    samples, diag = solve_trajectory(u0, (0.0, 0.4, 0.8), 48, None)
     assert [t for t, _ in samples] == [0.0, 0.4, 0.8]
     assert diag["action_drift"] < 1e-10
     assert max(diag["residuals"]) < 1e-10
@@ -190,7 +190,7 @@ def test_solve_trajectory_conserves_actions():
 def test_solve_trajectory_warm_start_matches_cold():
     """Each sample seeded by the previous one lands where a cold inversion does."""
     u0 = Potential(0.5, 1, {1: 0.05}, real=True)
-    samples, _ = solve_trajectory(u0, (0.0, 0.5), M=32)
+    samples, _ = solve_trajectory(u0, (0.0, 0.5), 32, None)
     z0 = birkhoff_forward(u0, M=32)
     for t, u_t in samples:
         cold, _, _ = invert(evolve(z0, t), M=32)
@@ -200,7 +200,7 @@ def test_solve_trajectory_warm_start_matches_cold():
 @pytest.mark.filterwarnings("ignore::bonft.errors.TruncationWarning")
 def test_solve_trajectory_uses_one_truncation(forward_calls):
     u0 = Potential(0.5, 2, {1: 0.03, 2: 0.01j}, real=True)
-    solve_trajectory(u0)
+    solve_trajectory(u0, (0.0, 0.5, 1.0), 32, None)
     truncations = {call[:2] for call in forward_calls}
     assert len(truncations) == 1, sorted(truncations)
 
@@ -210,7 +210,7 @@ def test_solve_trajectory_transforms_each_potential_once(forward_calls):
     """Each inversion reuses the last image of the one before, and the
     residuals and drift are read off the images, not re-transformed."""
     u0 = Potential(0.5, 2, {1: 0.03, 2: 0.01j}, real=True)
-    samples, diag = solve_trajectory(u0, (0.0, 0.4, 0.8), M=48)
+    samples, diag = solve_trajectory(u0, (0.0, 0.4, 0.8), 48, None)
     potentials = [call[2] for call in forward_calls]
     assert len(set(potentials)) == len(potentials)
     assert len(diag["residuals"]) == 3 and max(diag["residuals"]) < 1e-12
@@ -219,9 +219,9 @@ def test_solve_trajectory_transforms_each_potential_once(forward_calls):
 def test_flow_input_validation():
     u0 = Potential(0.5, 1, {1: 0.05}, real=True)
     with pytest.raises(ValueError):
-        solve_trajectory(u0, (0.0, float("nan")))
+        solve_trajectory(u0, (0.0, float("nan")), 32, None)
     with pytest.raises(ValueError):
         invert(single_mode_state(0.1), tol=0.0)
-    samples, _ = solve_trajectory(u0, [0, 1], M=32)
+    samples, _ = solve_trajectory(u0, [0, 1], 32, None)
     assert [t for t, _ in samples] == [0.0, 1.0]
     assert all(type(t) is float for t, _ in samples)

@@ -45,22 +45,22 @@ def test_integrate_matches_loop_oracle_at_compare_setting(T):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        IntegratorConfig(grid_size=100)
+        IntegratorConfig(grid_size=100, dt=1e-3, T=1.0)
     with pytest.raises(ValueError):
-        IntegratorConfig(grid_size=2)
+        IntegratorConfig(grid_size=2, dt=1e-3, T=1.0)
     with pytest.raises(ValueError):
-        IntegratorConfig(dt=-1e-3)
+        IntegratorConfig(grid_size=256, dt=-1e-3, T=1.0)
     with pytest.raises(ValueError):
-        IntegratorConfig(store_every=0)
+        IntegratorConfig(grid_size=256, dt=1e-3, T=1.0, store_every=0)
 
 
 def test_rejects_bad_initial_data():
     with pytest.raises(ValueError):
         integrate(Potential(0.5, 1, {1: 0.1}, real=False),
-                  IntegratorConfig(grid_size=64, T=0.01))
+                  IntegratorConfig(grid_size=64, dt=1e-3, T=0.01))
     with pytest.raises(ValueError):
         integrate(Potential(0.5, 20, {20: 0.1}, real=True),
-                  IntegratorConfig(grid_size=64, T=0.01))
+                  IntegratorConfig(grid_size=64, dt=1e-3, T=0.01))
 
 
 def test_mean_pinned_and_real():
