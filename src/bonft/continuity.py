@@ -4,10 +4,10 @@ For -1/2 < s < 0 the flow map fails to be locally uniformly continuous on
 the coordinate side: two states agreeing except in a single high mode m can
 be made arbitrarily close while their time-t images stay order-delta apart.
 A probe pair is supported on the base modes and m, so each probe is built
-and evolved on those n_base + 1 indices alone with the flow's own shifts,
-in the rotating frame: the phase e^{itn^2} is common to both states and
-drops out of their distance.  The initial distances are certified in
-closed form and dt against its lower bound.
+and evolved on those n_base + 1 indices alone, by its relative phase: the
+common factor e^{it(n^2 + Omega^zeta_n)} of the two states has modulus 1.
+The initial distances are certified in closed form and dt against its
+lower bound.
 
 Conventions: states are real-flagged, distances are the one-sided weighted
 norm with weight n^{1/2+s} on the holomorphic modes.
@@ -94,13 +94,16 @@ def sweep(s, t, base, k, max_m, delta, max_probes):
     probe shows no growth rate.
 
     Row fields: m, delta, d0, dt, ratio, omega_gap_pred, omega_gap_meas,
-    phase_bound_ok.  The frequency gap at mode m is measured from the
-    affine frequency parts so the m^2 term cancels before any rounding.
+    phase_bound_ok.  The states differ only in |zeta_m|^2 and the shifts
+    are linear in the products, so Delta = shift_sums of the one product
+    |xi_m - zeta_m|^2: the gap |Delta_m| is measured with nothing cancelled.
     The separation bound dt >= (sqrt(1+m^s) - m^{s/2}) delta follows from
     the phase bound |e^{i t gap} - 1| > 1, so it is enforced on the rows
     where the phase bound holds.  The phase bound itself is enforced only
     for the resonant delta, where admissibility guarantees it; a given
-    delta keeps phase_bound_ok as a row field.
+    delta keeps phase_bound_ok as a row field.  A ValueError rejects a delta
+    with delta^2 m^{-1-s} subnormal or 4 delta^2 m^{-2s} max(1, |t|), the
+    largest shift or phase, overflowing at the largest probe m.
     """
     if not -0.5 < s < 0.0:
         raise ValueError("s must lie strictly in (-1/2, 0)")
@@ -116,27 +119,28 @@ def sweep(s, t, base, k, max_m, delta, max_probes):
         raise ValueError("non-finite base coordinate")
     resonant = delta is None
     if resonant:
-        delta = math.sqrt(math.pi * k ** s / (2.0 * abs(t)))
+        delta = math.sqrt(math.pi * k ** s / 2.0 / abs(t))  # 2|t| overflows past 8.99e307
     elif not 0 < delta <= DELTA_CAP:
         raise ValueError("delta must lie in (0, %g]" % DELTA_CAP)
     delta = float(delta)
     probes = probe_indices(s, k, max_m, len(base), max_probes)
     if len(probes) < 2:
         raise ValueError("need at least two probes for a growth rate, found %d" % len(probes))
+    top, fmax = probes[-1], np.finfo(float)
+    if not (delta * delta * top ** (-1.0 - s) >= fmax.tiny
+            and 4.0 * delta * delta * top ** (-2.0 * s) * max(1.0, abs(t)) <= fmax.max):
+        raise ValueError("delta=%g at t=%g leaves the float range at probe m=%d" % (delta, t, top))
     rows = []
     for m in probes:
         ks, w, plus_z, plus_x, d0 = _certified_pair(s, base, m, delta)
-        # real states: zeta_{-k} = conj(zeta_k), so the shifts are real
-        shift_z = shift_sums(ks, plus_z.conj() * plus_z).real
-        shift_x = shift_sums(ks, plus_x.conj() * plus_x).real
-        gap = float(abs(shift_z[-1] - shift_x[-1]))
+        rel = shift_sums(ks, np.abs(plus_x - plus_z) ** 2)  # Omega^xi - Omega^zeta
+        gap = float(abs(rel[-1]))
         gap_pred = 2.0 * delta ** 2 * m ** (-s)
         phase = abs(math.sin(0.5 * t * gap)) * 2.0
         phase_ok = phase > 1.0
         if resonant and not phase_ok:
             raise PropertyViolation("phase separation %.6f <= 1 at admissible m=%d" % (phase, m))
-        dt = weighted_norm(plus_z * np.exp(1j * t * shift_z)
-                           - plus_x * np.exp(1j * t * shift_x), w)
+        dt = weighted_norm(plus_z - plus_x * np.exp(1j * t * rel), w)
         bound = (math.sqrt(1.0 + m ** s) - m ** (s / 2.0)) * delta
         if phase_ok and dt < bound * (1.0 - 1e-12):
             raise PropertyViolation("dt=%.17g below the bound %.17g at m=%d" % (dt, bound, m))

@@ -37,6 +37,8 @@ class IntegratorConfig:
             raise ValueError("grid_size must be a power of two >= 4")
         if not (0 < self.dt < math.inf and 0 <= self.T < math.inf):
             raise ValueError("need finite dt > 0 and T >= 0")
+        if not math.isfinite(self.T / self.dt):
+            raise ValueError("the step count T/dt is not finite (T=%g, dt=%g)" % (self.T, self.dt))
         if int(self.store_every) < 1:
             raise ValueError("store_every must be >= 1")
 

@@ -9,7 +9,8 @@ perturbation formulas, the scaling products one factor at a time, the
 eigenfunction chain one shifted projection at a time, the RK4
 loop with its products spelled out, the time-discrete equation residual,
 a continuity probe on the full index range with its own copy of the
-flow, and the probe search that scores every multiple in each window.
+flow, the probe search that scores every multiple in each window, and
+the one-gap potential with its coordinate and gap in closed form.
 Nothing imports the package under test, so agreement between a package
 routine and its oracle is evidence, not circularity.
 """
@@ -404,6 +405,23 @@ def perturbative_gamma1(eps):
     return eps ** 2
 
 
+def one_gap(q):
+    """The one-gap potential u_hat(n) = q^n, 0 < q < 1, in closed form.
+
+    Returns (coeffs, zeta_1, gamma_1): coeffs maps n = 1..N to q^n, with N
+    the first index where q^N < 1e-17, so the tail lies below rounding.
+    The only nonzero coordinate is zeta_1 = -q / sqrt(1 - q^2), and the one
+    open gap is gamma_1 = |zeta_1|^2 = q^2 / (1 - q^2) (Gerard and Kappeler,
+    CPAM 2021).  The flow moves it as the travelling wave
+    u_hat(n, t) = (q e^{i (1 - 2 gamma_1) t})^n.
+    """
+    N = 1
+    while q ** N >= 1e-17:
+        N += 1
+    coeffs = {n: q ** n for n in range(1, N + 1)}
+    return coeffs, -q / math.sqrt(1.0 - q * q), q * q / (1.0 - q * q)
+
+
 def direct_bo_rhs(u_hat_full, n_index):
     """Modewise right side i n |n| u_hat(n) - i n (u^2)_hat(n) on a full FFT grid.
 
@@ -604,10 +622,12 @@ def dense_probe(s, t, base, delta, m):
     """One continuity probe on the full index range 1..m, all arrays of length m.
 
     zeta adds delta/m^{1/2+s} to the real state with holomorphic side `base`
-    at mode m; xi adds the same times 1 + i m^{s/2}.  Each evolves in the
-    rotating frame, zeta_n exp(i t Omega_n), with Omega_n formed by cumulative
-    sums over all m modes: the factor exp(i t n^2) is common to both states
-    and drops out of their distance.  Norms carry the weights n^{1+2s}.  Returns
+    at mode m; xi adds the same times 1 + i m^{s/2}.  Their distance at time t
+    is that of zeta and xi exp(i t Delta), where Delta = Omega^xi - Omega^zeta
+    is formed by cumulative sums over all m modes from the one product the
+    states differ in, |xi_m - zeta_m|^2: the common factor
+    exp(i t (n^2 + Omega^zeta_n)) has modulus 1.  Norms carry the weights
+    n^{1+2s}.  Returns
     (zeta, xi, row): the two plus sides at t = 0 and a row with the fields
     of bonft's continuity sweep.
     """
@@ -622,20 +642,15 @@ def dense_probe(s, t, base, delta, m):
     zeta[m - 1] = amp
     xi[m - 1] = amp * (1.0 + 1j * m ** (s / 2.0))
 
-    def shifts(plus):
-        prod = np.conj(plus) * plus
-        weighted = np.cumsum(ns * prod)
-        tails = np.concatenate((np.cumsum(prod[::-1])[::-1][1:], [0.0]))
-        return (-2.0 * weighted - 2.0 * ns * tails).real
-
     def norm(x):
         return float(np.sqrt(np.sum(w * np.abs(x) ** 2)))
 
-    shift_z, shift_x = shifts(zeta), shifts(xi)
-    zeta_t = zeta * np.exp(1j * float(t) * shift_z)
-    xi_t = xi * np.exp(1j * float(t) * shift_x)
-    d0, dt = norm(zeta - xi), norm(zeta_t - xi_t)
-    gap = float(abs(shift_z[m - 1] - shift_x[m - 1]))
+    prod = np.abs(xi - zeta) ** 2
+    weighted = np.cumsum(ns * prod)
+    tails = np.concatenate((np.cumsum(prod[::-1])[::-1][1:], [0.0]))
+    rel = -2.0 * weighted - 2.0 * ns * tails
+    d0, dt = norm(zeta - xi), norm(zeta - xi * np.exp(1j * float(t) * rel))
+    gap = float(abs(rel[m - 1]))
     return zeta, xi, {
         "m": m,
         "delta": delta,

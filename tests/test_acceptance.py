@@ -10,15 +10,18 @@ import math
 import numpy as np
 import pytest
 
-from bonft.birkhoff import birkhoff_forward, canonical_bracket_table, scaling_constants
+from bonft.birkhoff import (BirkhoffState, birkhoff_forward, canonical_bracket_table,
+                            scaling_constants)
 from bonft.continuity import ratio_slope, sweep
-from bonft.flow import frequency_shifts, invert, solve_trajectory
+from bonft.errors import InversionFailure
+from bonft.flow import evolve, frequency_shifts, invert, solve_trajectory
 from bonft.hardy import Potential, l2_distance
 from bonft.lax import conjugate_spectrum, spectrum
 from bonft.pde import IntegratorConfig, integrate
 from bonft.residues import sweep_combi, sweep_vanishing
 from oracles import (delta_series, hamiltonian_b, hamiltonian_phys, involute,
-                     isospectral_audit, projector_delta, sobolev_norm, symmetry_audit)
+                     isospectral_audit, one_gap, projector_delta, sobolev_norm,
+                     symmetry_audit)
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::bonft.errors.TruncationWarning")
@@ -37,6 +40,14 @@ DELTA_L1_CAP = 0.1               # summability of the defect sequence
 GAP_REL_TOL = 1e-12              # measured vs closed-form frequency gap
 SLOPE_REL_TOL = 0.05             # log-log separation growth rate
 SYMMETRY_TOL = 1e-10             # spectral symmetry deviations
+# one-gap closed forms at q = 0.1, 0.3, 0.4; each about 3.5x the largest
+# deviation measured (1.1e-15, 1.2e-15, 5.6e-14, 2.9e-14 and, at q = 0.45,
+# the failed inversion's last residual 4.2e-11)
+ONE_GAP_ZETA_TOL = 4e-15         # forward map vs zeta_1
+ONE_GAP_FLOW_TOL = 4e-15         # evolve vs zeta_1 e^{i(1 - 2 gamma_1) t}
+ONE_GAP_WAVE_TOL = 2e-13         # direct run vs the travelling wave
+ONE_GAP_INVERT_TOL = 1e-13       # inverted coefficients vs q^n
+ONE_GAP_STALL_RES = 1.5e-10      # where the inversion stalls at q = 0.45
 
 
 def norm(u, s=0.5):
@@ -229,3 +240,40 @@ def test_criterion_13_spectral_symmetries():
         assert np.max(np.abs(star.lambdas - sd.lambdas)) < SYMMETRY_TOL
         conj = spectrum(involuted(p, "conj"), M)
         assert np.max(np.abs(conjugate_spectrum(sd).lambdas - conj.lambdas)) < SYMMETRY_TOL
+
+
+@pytest.mark.parametrize("q", [0.1, 0.3, 0.4])
+def test_criterion_14_one_gap_closed_form(q):
+    """Far from zero: the forward map, the coordinate flow and the direct
+    integrator against the one-gap potential's closed forms."""
+    coeffs, zeta_1, gamma_1 = one_gap(q)
+    N = max(coeffs)
+    u = Potential(0.5, N, coeffs, real=True)
+    z = birkhoff_forward(u, M=4 * N, k_use=16)
+    assert abs(z.plus[0] - zeta_1) <= ONE_GAP_ZETA_TOL
+    # the Lax eigenvectors past the open gap have a mean component of exactly 0
+    assert np.all(z.plus[1:] == 0)
+    t = 0.5
+    omega = 1.0 - 2.0 * gamma_1
+    assert abs(evolve(z, t).plus[0] - zeta_1 * np.exp(1j * omega * t)) <= ONE_GAP_FLOW_TOL
+    traj = integrate(u, IntegratorConfig(128 if q == 0.1 else 256, 2.5e-4, t))
+    ns = np.arange(1, traj.band + 1)
+    wave = (q * np.exp(1j * omega * t)) ** ns
+    assert np.max(np.abs(traj.coeffs[-1][ns] - wave)) <= ONE_GAP_WAVE_TOL
+
+
+def test_criterion_14_inversion_boundary():
+    """invert recovers the exact one-gap state at q = 0.4 and stalls at 0.45."""
+    def target(q):
+        coeffs, zeta_1, _ = one_gap(q)
+        plus = [zeta_1] + [0.0] * (max(coeffs) - 1)
+        return coeffs, BirkhoffState(0.5, plus, np.conj(plus), real_flag=True)
+
+    coeffs, z = target(0.4)
+    u, _, history = invert(z, M=4 * len(coeffs))
+    assert len(history) == 41
+    assert max(abs(u.coeff(n) - v) for n, v in coeffs.items()) <= ONE_GAP_INVERT_TOL
+    coeffs, z = target(0.45)
+    with pytest.raises(InversionFailure, match="no convergence in 40 iterations") as exc:
+        invert(z, M=4 * len(coeffs))
+    assert exc.value.history[-1] <= ONE_GAP_STALL_RES

@@ -213,6 +213,22 @@ def _potential_doc(s=0.5, coeffs=((1, 0.01),), **fields):
      "bad time grid 'abc'; want comma-separated floats"),
     (["compare", "-i", U, "--t", "0,0.5"], None, "time grid must be positive"),
     (["compare", "-i", U, "--t", "-0.5"], None, "time grid must be positive"),
+    (["continuity", "--t", "1e308", "--max-m", "2000"], None,
+     "delta=1.14929e-154 at t=1e+308 leaves the float range at probe m=1250"),
+    (["continuity", "--t", "9e307", "--max-m", "2000"], None,
+     "delta=1.21146e-154 at t=9e+307 leaves the float range at probe m=1250"),
+    (["continuity", "--delta", "1e-154"], None,
+     "delta=1e-154 at t=1 leaves the float range at probe m=559682"),
+    (["continuity", "--t=1e-307", "--max-m", "2000"], None,
+     "delta=3.63439e+153 at t=1e-307 leaves the float range at probe m=1250"),
+    (["continuity", "--t", "1e305", "--s", "-0.05", "--max-m", "1000000000000"], None,
+     "delta=3.89524e-153 at t=1e+305 leaves the float range at probe m=6973568802"),
+    (["continuity", "--delta", "1", "--t", "2e307", "--max-m", "2000"], None,
+     "delta=1 at t=2e+307 leaves the float range at probe m=1250"),
+    (["compare", "-i", U, "--t", "1e300", "--dt", "1e-10"], None,
+     "the step count T/dt is not finite (T=1e+300, dt=1e-10)"),
+    (["compare", "-i", U, "--t", "0.05", "--dt", "5e-324"], None,
+     "the step count T/dt is not finite (T=0.05, dt=4.94066e-324)"),
 ], ids=["fd-step-0", "fd-step-negative", "fd-step-nan", "bracket-modes-0", "max-d-0",
         "l-bound-negative", "random-count-negative", "combi-max-d-negative",
         "n-base-negative", "max-probes-0", "max-m-0", "continuity-small-s-one-probe",
@@ -229,14 +245,17 @@ def _potential_doc(s=0.5, coeffs=((1, 0.01),), **fields):
         "potential-N-0", "potential-n-past-N", "real-potential-negative-n",
         "potential-nan", "potential-1e400", "state-plus-n-past-N_b", "state-minus-n-positive",
         "inverse-complex-target", "compare-t-not-a-number", "compare-t-zero",
-        "compare-t-negative"])
+        "compare-t-negative", "continuity-t-1e308", "continuity-t-9e307",
+        "continuity-delta-1e-154", "continuity-t-1e-307", "continuity-t-1e305-small-s",
+        "continuity-phase-overflow", "compare-steps-overflow-t", "compare-steps-overflow-dt"])
 def test_vacuous_or_ill_posed_runs_exit_1(capsys, monkeypatch, argv, stdin, message):
     # each of these used to exit 0 after checking nothing, print NaN or
     # Infinity (not JSON), keep only the last of a repeated index, truncate
     # a fractional index or cutoff, read a string or a bool as a number, or
     # accept a flag that changed nothing or a prefix of another flag, or
-    # print a continuity sweep of one probe; the mean mode pins the message
-    # Potential gives it
+    # print a continuity sweep of one probe, report a float-range artefact as
+    # a counterexample, or raise on a step count past the floats; the mean
+    # mode pins the message Potential gives it
     if stdin is not None:
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     assert cli.main(argv) == 1

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import bonft
+from bonft import cli
 from bonft.continuity import probe_indices, ratio_slope, sweep
 from oracles import dense_probe, probe_indices_scan
 
@@ -156,6 +157,46 @@ def test_dt_equals_its_closed_form(s, k, t, max_m):
         phase = np.exp(-1j * t * row["omega_gap_meas"])
         want = row["delta"] * abs(1 - (1 + 1j * row["m"] ** (s / 2)) * phase)
         assert row["dt"] == pytest.approx(want, rel=1e-12, abs=0), row["m"]
+
+
+@pytest.mark.parametrize("s, k, t, max_m", [
+    (-0.45, 8, 1.0, 600000), (-0.25, 2, 1.0, 10 ** 6), (-0.25, 2, -3.0, 10 ** 6),
+    (-0.25, 2, 1e6, 10 ** 6), (-0.25, 2, 1e12, 2000)])
+def test_dt_equals_its_closed_form_to_rounding(s, k, t, max_m):
+    # the relative phase e^{it Delta} carries no rounding from the two
+    # states' own shifts; two rotations read this to 1.1e-13 at t = -3
+    rows = sweep(s, t, (), k, max_m, None, 40)
+    assert len(rows) >= 2
+    for row in rows:
+        phase = np.exp(-1j * t * row["omega_gap_meas"])
+        want = row["delta"] * abs(1 - (1 + 1j * row["m"] ** (s / 2)) * phase)
+        assert row["dt"] == pytest.approx(want, rel=1e-14, abs=0), row["m"]
+
+
+@pytest.mark.parametrize("argv", [["--n-base", "3", "--max-m", "100000", "--t", "1e20"],
+                                  ["--n-base", "1", "--max-m", "100000", "--t", "3e21"]])
+def test_base_at_large_t_shows_no_counterexample(argv, capsys):
+    # both states' shifts carry the base's (about 1e-3); rotating each by
+    # t Omega read the gap and dt as rounding noise once t |Omega| passed 1e16
+    assert cli.main(["continuity"] + argv) == 0
+
+
+@pytest.mark.parametrize("flags", [
+    [], ["--max-m", "2000"], ["--s", "-0.45", "--k", "8", "--max-m", "4000"],
+    ["--s", "-0.05", "--max-m", "1000000000000"], ["--n-base", "3"]],
+    ids=["default", "max-m-2000", "criterion-12", "small-s", "base-3"])
+def test_no_float_range_artefact_is_a_counterexample(flags, capsys):
+    # t across the float range, with its resonant delta, and given deltas near
+    # the edges: each run sweeps to finite rows, or rejects its delta as
+    # invalid input
+    runs = [["--t=" + t] for t in ("-1e-310", "5e-304", "1e20", "-1e299", "1e305",
+                                   "9e307", "1.797e308")]
+    for extra in runs + [["--delta", "1e-150"], ["--delta", "1e-154"],
+                         ["--delta", "1e-3", "--t", "1e308"], ["--delta", "1", "--t", "2e307"]]:
+        code = cli.main(["continuity"] + flags + extra)
+        out, err = capsys.readouterr()
+        assert (code == 0 and "nan" not in out) or (
+            code == 1 and "leaves the float range" in err), (extra, err)
 
 
 def test_sweep_memory_stays_on_the_probe_support():
