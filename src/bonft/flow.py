@@ -157,9 +157,9 @@ def solve_trajectory(u0, t_grid, M, k_use):
     per entry of t_grid; diagnostics holds per-sample inversion residuals
     and the largest action drift of the samples' images against the
     initial state.  Every forward map runs at the one truncation M and
-    K_use = k_use (None: M/2).  Each
-    inversion starts from the previous sample's result, whose image it
-    reuses; the first from the linearized guess.
+    K_use = k_use (None: M/2).  Each inversion starts from the previous
+    sample's result, whose image it reuses; the first from the linearized
+    guess.
     """
     t_grid = tuple(float(t) for t in t_grid)
     if not all(np.isfinite(t_grid)):
