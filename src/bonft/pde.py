@@ -10,6 +10,7 @@ the dealiasing cut.  This module never touches the coordinate pipeline;
 it exists to cross-validate it.
 """
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -26,21 +27,32 @@ DROP_TOL = 1e-13  # potential_at drops coefficients of at most this modulus
 
 @dataclass
 class IntegratorConfig:
+    """RK4 samples at sorted times past t = 0, each a whole number of steps dt:
+    steps[i] is times[i]'s step count and T the last time (0 with no times)."""
     grid_size: int
     dt: float
-    T: float
-    store_every: int = 1
+    times: tuple
 
     def __post_init__(self):
+        ts = self.times = tuple(sorted(float(t) for t in self.times))
+        if ts and ts[0] <= 0:
+            raise ValueError("time grid must be positive")
+        if not all(math.isfinite(t) for t in ts):
+            raise ValueError("time grid must be finite")
         g = int(self.grid_size)
         if g < 4 or g & (g - 1):
             raise ValueError("grid_size must be a power of two >= 4")
-        if not (0 < self.dt < math.inf and 0 <= self.T < math.inf):
+        if not 0 < self.dt < math.inf:
             raise ValueError("need finite dt > 0 and T >= 0")
+        self.T = ts[-1] if ts else 0.0
         if not math.isfinite(self.T / self.dt):
             raise ValueError("the step count T/dt is not finite (T=%g, dt=%g)" % (self.T, self.dt))
-        if int(self.store_every) < 1:
-            raise ValueError("store_every must be >= 1")
+        self.steps = tuple(round(t / self.dt) for t in ts)
+        # step 0 is the integrator's t = 0 sample, not a time asked for
+        if ts and self.steps[0] < 1:
+            raise ValueError("time %g is shorter than one step dt=%g" % (ts[0], self.dt))
+        if any(abs(t / self.dt - k) > 1e-9 for t, k in zip(ts, self.steps)):
+            raise ValueError("every time must be a multiple of dt=%g" % self.dt)
 
 
 class Trajectory:
@@ -75,9 +87,11 @@ def integrate(u0, cfg):
 
     The grid must resolve the quadratic interactions of the retained band
     (grid_size >= 4N); the mean mode has zero right-hand side and is pinned
-    to 0.  A warning flags steps asking the top retained mode to rotate
-    through more than PHASE_BUDGET radians, where the RK4 treatment of the
-    nonlinear term loses accuracy even though the linear phase is exact.
+    to 0.  The trajectory holds t = 0 and cfg.times; a non-finite state
+    raises NumericalFailure.  A warning flags steps asking the top retained
+    mode to rotate through more than PHASE_BUDGET radians, where the RK4
+    treatment of the nonlinear term loses accuracy even though the linear
+    phase is exact.
     """
     if not u0.real:
         raise ValueError("direct integration needs a real potential")
@@ -86,7 +100,7 @@ def integrate(u0, cfg):
     n = np.fft.fftfreq(grid, d=1.0 / grid).astype(int)
     keep = int(np.floor((grid // 2) * DEALIAS_FRACTION))
     if cfg.dt * (grid // 2) ** 2 > PHASE_BUDGET:
-        warnings.warn("dt=%g spins the top mode %.0f radians per step"
+        warnings.warn("dt=%g spins the top mode %.3g radians per step"
                       % (cfg.dt, cfg.dt * (grid // 2) ** 2), stacklevel=2)
 
     c = np.zeros(grid, dtype=complex)
@@ -108,39 +122,41 @@ def integrate(u0, cfg):
         out[0] = 0.0
         return out
 
-    steps = int(round(cfg.T / cfg.dt))
-    dt = cfg.T / steps if steps else cfg.dt
+    dt = cfg.T / cfg.steps[-1] if cfg.steps else cfg.dt
     E = np.exp(1j * n * np.abs(n) * dt / 2.0)
     E2 = E * E
     twoE, dtE, half, sixth = 2.0 * E, dt * E, dt / 2.0, dt / 6.0
-    times = [0.0]
-    stored = [c]
-    for step in range(steps):
-        # k2 = rhs(E (c + dt/2 k1)), k3 = rhs(E c + dt/2 k2), k4 = rhs(E2 c + dt E k3),
-        # c <- E2 c + dt/6 (E2 k1 + 2E (k2 + k3) + k4), on reused buffers
-        E2c = E2 * c
-        k1 = rhs(c)
-        stage = half * k1
-        stage += c
-        k2 = rhs(np.multiply(E, stage, out=stage))
-        np.multiply(half, k2, out=stage)
-        stage += E * c
-        k3 = rhs(stage)
-        np.multiply(dtE, k3, out=stage)
-        stage += E2c
-        k4 = rhs(stage)
-        k2 += k3
-        np.multiply(twoE, k2, out=k2)
-        np.multiply(E2, k1, out=k1)
-        k1 += k2
-        k1 += k4
-        np.multiply(sixth, k1, out=k1)
-        E2c += k1
-        c = E2c  # a fresh array every step, so stored samples never alias
-        c[0] = 0.0
-        if (step + 1) % cfg.store_every == 0 or step == steps - 1:
-            if not np.all(np.isfinite(c)):
-                raise NumericalFailure("non-finite state at t=%.6f" % ((step + 1) * dt))
-            times.append((step + 1) * dt)
-            stored.append(c)
+    times, stored = [0.0], [c]
+    step = 0
+    for k in cfg.steps:
+        while step < k:
+            step += 1
+            # k2 = rhs(E (c + dt/2 k1)), k3 = rhs(E c + dt/2 k2), k4 = rhs(E2 c + dt E k3),
+            # c <- E2 c + dt/6 (E2 k1 + 2E (k2 + k3) + k4), on reused buffers
+            E2c = E2 * c
+            k1 = rhs(c)
+            stage = half * k1
+            stage += c
+            k2 = rhs(np.multiply(E, stage, out=stage))
+            np.multiply(half, k2, out=stage)
+            stage += E * c
+            k3 = rhs(stage)
+            np.multiply(dtE, k3, out=stage)
+            stage += E2c
+            k4 = rhs(stage)
+            k2 += k3
+            np.multiply(twoE, k2, out=k2)
+            np.multiply(E2, k1, out=k1)
+            k1 += k2
+            k1 += k4
+            np.multiply(sixth, k1, out=k1)
+            E2c += k1
+            c = E2c  # a fresh array every step, so stored samples never alias
+            c[0] = 0.0
+            # the next inverse FFT and square carry a non-finite mode into
+            # mode 1, so one entry per step, and all of a stored one, suffice
+            if not cmath.isfinite(c[1]) or step == k and not np.isfinite(c).all():
+                raise NumericalFailure("non-finite state at t=%g" % (step * dt))
+        times.append(k * dt)
+        stored.append(c)
     return Trajectory(times, stored, u0.s, keep)

@@ -9,8 +9,9 @@ perturbation formulas, the scaling products one factor at a time, the
 eigenfunction chain one shifted projection at a time, the RK4
 loop with its products spelled out, the time-discrete equation residual,
 a continuity probe on the full index range with its own copy of the
-flow, the probe search that scores every multiple in each window, and
-the one-gap potential with its coordinate and gap in closed form.
+flow, the probe search that scores every multiple in each window, the
+one-gap potential with its coordinate and gap in closed form, and the
+finite-gap potentials sum_j q_j^n.
 Nothing imports the package under test, so agreement between a package
 routine and its oracle is evidence, not circularity.
 """
@@ -422,6 +423,21 @@ def one_gap(q):
     return coeffs, -q / math.sqrt(1.0 - q * q), q * q / (1.0 - q * q)
 
 
+def finite_gap(qs):
+    """The finite-gap potential u_hat(n) = sum_j q_j^n, distinct 0 < |q_j| < 1.
+
+    Returns coeffs mapping n = 1..N to the sum, with N the first index where
+    max_j |q_j|^N < 1e-17.  It has len(qs) open gaps and every coordinate
+    past them is 0 (Gerard and Kappeler, CPAM 2021); one_gap is len(qs) = 1.
+    """
+    qs = np.asarray(qs, dtype=complex)
+    N = 1
+    while np.max(np.abs(qs)) ** N >= 1e-17:
+        N += 1
+    n = np.arange(1, N + 1)
+    return dict(zip(n.tolist(), np.sum(qs[:, None] ** n, axis=0).tolist()))
+
+
 def direct_bo_rhs(u_hat_full, n_index):
     """Modewise right side i n |n| u_hat(n) - i n (u^2)_hat(n) on a full FFT grid.
 
@@ -569,21 +585,21 @@ def integrate_loop(u0, cfg, dealias_fraction=2.0 / 3.0):
         out[0] = 0.0
         return out
 
-    steps = int(round(cfg.T / cfg.dt))
-    dt = cfg.T / steps if steps else cfg.dt
+    steps = [round(t / cfg.dt) for t in cfg.times]
+    dt = cfg.times[-1] / steps[-1] if steps else cfg.dt
     E = np.exp(lin * dt / 2.0)
     E2 = E * E
     times = [0.0]
     stored = [c.copy()]
-    for step in range(steps):
+    for step in range(1, max(steps, default=0) + 1):
         k1 = rhs(c)
         k2 = rhs(E * (c + dt / 2.0 * k1))
         k3 = rhs(E * c + dt / 2.0 * k2)
         k4 = rhs(E2 * c + dt * E * k3)
         c = E2 * c + dt / 6.0 * (E2 * k1 + 2.0 * E * (k2 + k3) + k4)
         c[0] = 0.0
-        if (step + 1) % cfg.store_every == 0 or step == steps - 1:
-            times.append((step + 1) * dt)
+        for _ in range(steps.count(step)):
+            times.append(step * dt)
             stored.append(c.copy())
     return np.asarray(times, dtype=float), np.asarray(stored, dtype=complex)
 

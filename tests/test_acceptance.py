@@ -16,12 +16,12 @@ from bonft.continuity import ratio_slope, sweep
 from bonft.errors import InversionFailure
 from bonft.flow import evolve, frequency_shifts, invert, solve_trajectory
 from bonft.hardy import Potential, l2_distance
-from bonft.lax import conjugate_spectrum, spectrum
+from bonft.lax import conjugate_spectrum, gaps, spectrum
 from bonft.pde import IntegratorConfig, integrate
 from bonft.residues import sweep_combi, sweep_vanishing
-from oracles import (delta_series, hamiltonian_b, hamiltonian_phys, involute,
-                     isospectral_audit, one_gap, projector_delta, sobolev_norm,
-                     symmetry_audit)
+from oracles import (delta_series, finite_gap, hamiltonian_b, hamiltonian_phys,
+                     involute, isospectral_audit, one_gap, projector_delta,
+                     sobolev_norm, symmetry_audit)
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::bonft.errors.TruncationWarning")
@@ -48,6 +48,9 @@ ONE_GAP_FLOW_TOL = 4e-15         # evolve vs zeta_1 e^{i(1 - 2 gamma_1) t}
 ONE_GAP_WAVE_TOL = 2e-13         # direct run vs the travelling wave
 ONE_GAP_INVERT_TOL = 1e-13       # inverted coefficients vs q^n
 ONE_GAP_STALL_RES = 1.5e-10      # where the inversion stalls at q = 0.45
+# measured 2.5e-14 and 2.3e-15 over the three finite-gap rows
+CLOSED_GAP_TOL = 1e-13           # gaps past the open ones of sum_j q_j^n
+ACTION_GAP_TOL = 5e-15           # |zeta_n|^2 vs gamma_n on the open gaps
 
 
 def norm(u, s=0.5):
@@ -75,8 +78,8 @@ def flow_bundle():
               3: 0.00285 + 0.0019j, 4: -0.0019j, 5: 0.001425, 6: 0.00095j}
     u0 = Potential(0.5, 6, coeffs, real=True)
     assert norm(u0) <= 0.02
-    traj = integrate(u0, IntegratorConfig(grid_size=256, dt=2.5e-4, T=1.0,
-                                          store_every=100))
+    traj = integrate(u0, IntegratorConfig(grid_size=256, dt=2.5e-4,
+                                          times=np.arange(1, 41) / 40))
     samples, diag = solve_trajectory(u0, (0.25, 0.5, 1.0), M=96, k_use=32)
     assert max(diag["residuals"]) < 1e-10
     z0 = birkhoff_forward(u0, M=96, k_use=48)
@@ -256,10 +259,28 @@ def test_criterion_14_one_gap_closed_form(q):
     t = 0.5
     omega = 1.0 - 2.0 * gamma_1
     assert abs(evolve(z, t).plus[0] - zeta_1 * np.exp(1j * omega * t)) <= ONE_GAP_FLOW_TOL
-    traj = integrate(u, IntegratorConfig(128 if q == 0.1 else 256, 2.5e-4, t))
+    traj = integrate(u, IntegratorConfig(128 if q == 0.1 else 256, 2.5e-4, (t,)))
     ns = np.arange(1, traj.band + 1)
     wave = (q * np.exp(1j * omega * t)) ** ns
     assert np.max(np.abs(traj.coeffs[-1][ns] - wave)) <= ONE_GAP_WAVE_TOL
+
+
+@pytest.mark.parametrize("qs", [(0.3, -0.2), (0.1 + 0.2j, -0.3), (0.3, 0.3 - 0.1j, -0.2)],
+                         ids=["two-real", "two-complex", "three"])
+def test_criterion_14_finite_gap_closed_form(qs):
+    """u_hat(n) = sum_j q_j^n has len(qs) open gaps and no coordinate past
+    them, and its actions are its gaps, |zeta_n|^2 = gamma_n.  The forward
+    map refuses qs = (0.4, 0.35), where |alpha_1| = 0.29."""
+    coeffs = finite_gap(qs)
+    N = max(coeffs)
+    u = Potential(0.5, N, coeffs, real=True)
+    z = birkhoff_forward(u, M=4 * N, k_use=16)
+    gamma = gaps(spectrum(u, 4 * N, k_use=16))
+    J = len(qs)
+    assert np.all(z.plus[J:] == 0)
+    assert np.max(np.abs(gamma[J:])) <= CLOSED_GAP_TOL
+    assert np.all(gamma[:J] > 1e-4)
+    assert np.max(np.abs(np.abs(z.plus[:J]) ** 2 - gamma[:J])) <= ACTION_GAP_TOL
 
 
 def test_criterion_14_inversion_boundary():

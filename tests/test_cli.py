@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import subprocess
 import sys
 import warnings
 
@@ -380,6 +381,34 @@ def test_compare_checks_time_grid_before_the_solve(potential_file, monkeypatch, 
     assert cli.main(["compare", "-i", potential_file] + flags) == 1
     assert calls == []
     assert capsys.readouterr().err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("times, stored", [("0.00025,1.0", 3), ("0.25,0.5,1.0", 4)])
+def test_compare_stores_only_the_requested_samples(monkeypatch, times, stored):
+    # the direct run keeps t = 0 and the times asked for, nothing between
+    lengths = []
+
+    def counted(u0, cfg, integrate=pde.integrate):
+        traj = integrate(u0, cfg)
+        lengths.append(len(traj.coeffs))
+        return traj
+    monkeypatch.setattr(pde, "integrate", counted)
+    argv = ["compare", "-i", U, "--lax-dim", "32", "--modes", "8", "--t", times,
+            "-o", os.devnull]
+    assert cli.main(argv) == 0
+    assert lengths == [stored]
+
+
+def test_blow_up_exits_2_without_stepping_to_the_end():
+    # 1e10 RK4 steps whose state overflows at the first: the run must stop
+    # there, well inside the timeout
+    argv = ["compare", "-i", U, "--lax-dim", "32", "--modes", "8", "--grid", "32",
+            "--t", "1e300", "--dt", "1e290"]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run([sys.executable, "-m", "bonft.cli"] + argv, capture_output=True,
+                         text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert out.returncode == 2
+    assert "numerical failure: non-finite state at t=" in out.stderr
 
 
 def test_compare_rejects_complex_potential_before_any_forward_map(monkeypatch, capsys):

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from bonft.errors import NumericalFailure
 from bonft.hardy import Potential
 import bonft.pde
 from bonft.pde import IntegratorConfig, Trajectory, integrate
@@ -19,15 +22,16 @@ def edge_potential():
                      real=True)
 
 
-@pytest.mark.parametrize("store_every", [1, 7, 1000])
+@pytest.mark.parametrize("every", [1, 7, 1000])
 @pytest.mark.parametrize("fraction", [2.0 / 3.0, 1.0, 0.5])
 @pytest.mark.parametrize("grid", [32, 64, 128, 256])
-def test_integrate_matches_loop_oracle_exactly(grid, fraction, store_every, monkeypatch):
+def test_integrate_matches_loop_oracle_exactly(grid, fraction, every, monkeypatch):
     # integrate() reads the 2/3 rule from the module; patching it moves the cut
     monkeypatch.setattr(bonft.pde, "DEALIAS_FRACTION", fraction)
-    # 23 steps: not a multiple of 7, so the last sample is off the stride
-    cfg = IntegratorConfig(grid_size=grid, dt=0.03 / 23, T=0.03,
-                           store_every=store_every)
+    # a sample every `every` steps and one at step 23, not a multiple of 7
+    dt = 0.03 / 23
+    cfg = IntegratorConfig(grid_size=grid, dt=dt,
+                           times=[k * dt for k in range(every, 23, every)] + [0.03])
     traj = integrate(edge_potential(), cfg)
     times, coeffs = integrate_loop(edge_potential(), cfg, fraction)
     assert np.array_equal(traj.times, times)
@@ -36,7 +40,7 @@ def test_integrate_matches_loop_oracle_exactly(grid, fraction, store_every, monk
 
 @pytest.mark.parametrize("T", [0.0, 0.05])
 def test_integrate_matches_loop_oracle_at_compare_setting(T):
-    cfg = IntegratorConfig(grid_size=256, dt=2.5e-4, T=T, store_every=100)
+    cfg = IntegratorConfig(grid_size=256, dt=2.5e-4, times=(T / 2, T) if T else ())
     traj = integrate(smooth_potential(0.4), cfg)
     times, coeffs = integrate_loop(smooth_potential(0.4), cfg)
     assert np.array_equal(traj.times, times)
@@ -45,27 +49,64 @@ def test_integrate_matches_loop_oracle_at_compare_setting(T):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        IntegratorConfig(grid_size=100, dt=1e-3, T=1.0)
+        IntegratorConfig(grid_size=100, dt=1e-3, times=(1.0,))
     with pytest.raises(ValueError):
-        IntegratorConfig(grid_size=2, dt=1e-3, T=1.0)
+        IntegratorConfig(grid_size=2, dt=1e-3, times=(1.0,))
     with pytest.raises(ValueError):
-        IntegratorConfig(grid_size=256, dt=-1e-3, T=1.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(grid_size=256, dt=1e-3, T=1.0, store_every=0)
+        IntegratorConfig(grid_size=256, dt=-1e-3, times=(1.0,))
+    with pytest.raises(ValueError, match="every time must be a multiple of dt=0.001"):
+        IntegratorConfig(grid_size=256, dt=1e-3, times=(0.5, 1.0005))
+    with pytest.raises(ValueError, match="time 0.0001 is shorter than one step dt=0.001"):
+        IntegratorConfig(grid_size=256, dt=1e-3, times=(1.0, 1e-4))
+    with pytest.raises(ValueError, match="time grid must be positive"):
+        IntegratorConfig(grid_size=256, dt=1e-3, times=(1.0, 0.0))
+    with pytest.raises(ValueError, match="time grid must be finite"):
+        IntegratorConfig(grid_size=256, dt=1e-3, times=(1.0, np.inf))
+
+
+def test_config_sorts_times_and_counts_their_steps():
+    cfg = IntegratorConfig(grid_size=64, dt=1e-3, times=(0.5, 0.25, 0.5))
+    assert cfg.times == (0.25, 0.5, 0.5)
+    assert cfg.steps == (250, 500, 500)
+    assert (cfg.T, cfg.dt) == (0.5, 1e-3)
+    empty = IntegratorConfig(grid_size=64, dt=1e-3, times=())
+    assert (empty.times, empty.steps, empty.T) == ((), (), 0.0)
+
+
+def test_integrate_keeps_exactly_the_requested_samples():
+    cfg = IntegratorConfig(grid_size=64, dt=1e-3, times=(0.005, 0.002, 0.005))
+    traj = integrate(smooth_potential(), cfg)
+    times, coeffs = integrate_loop(smooth_potential(), cfg)
+    assert len(traj.coeffs) == 4
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.coeffs, coeffs)
+
+
+def test_blow_up_stops_at_the_first_non_finite_state():
+    # one sample at t = 2000: between samples only mode 1 is read, and the
+    # run still ends at the step where the oracle loop first leaves the floats
+    u0 = Potential(0.5, 2, {1: 0.2 + 0.1j, 2: -0.15j}, real=True)
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the phase budget
+        with pytest.raises(NumericalFailure, match="^non-finite state at t=4$"):
+            integrate(u0, IntegratorConfig(grid_size=32, dt=1.0, times=(2000.0,)))
+        _, coeffs = integrate_loop(u0, IntegratorConfig(grid_size=32, dt=1.0,
+                                                        times=(1, 2, 3, 4)))
+    assert np.isfinite(coeffs[:4]).all() and not np.isfinite(coeffs[4]).all()
 
 
 def test_rejects_bad_initial_data():
     with pytest.raises(ValueError):
         integrate(Potential(0.5, 1, {1: 0.1}, real=False),
-                  IntegratorConfig(grid_size=64, dt=1e-3, T=0.01))
+                  IntegratorConfig(grid_size=64, dt=1e-3, times=(0.01,)))
     with pytest.raises(ValueError):
         integrate(Potential(0.5, 20, {20: 0.1}, real=True),
-                  IntegratorConfig(grid_size=64, dt=1e-3, T=0.01))
+                  IntegratorConfig(grid_size=64, dt=1e-3, times=(0.01,)))
 
 
 def test_mean_pinned_and_real():
     traj = integrate(smooth_potential(), IntegratorConfig(
-        grid_size=64, dt=1e-3, T=0.05, store_every=10))
+        grid_size=64, dt=1e-3, times=np.arange(1, 6) / 100))
     assert np.all(traj.coeffs[:, 0] == 0)
     for i in range(len(traj.times)):
         c = traj.coeffs[i]
@@ -75,8 +116,8 @@ def test_mean_pinned_and_real():
 
 def test_energy_conserved():
     u0 = smooth_potential()
-    traj = integrate(u0, IntegratorConfig(grid_size=64, dt=5e-4, T=0.2,
-                                          store_every=100))
+    traj = integrate(u0, IntegratorConfig(grid_size=64, dt=5e-4,
+                                          times=np.arange(1, 5) / 20))
     h0 = hamiltonian_phys(u0.nonzero_coeffs())
     for i in range(len(traj.times)):
         hi = hamiltonian_phys(traj.potential_at(i).nonzero_coeffs())
@@ -88,8 +129,7 @@ def test_fourth_order_in_dt():
     T = 0.1
 
     def final(dt):
-        traj = integrate(u0, IntegratorConfig(grid_size=64, dt=dt, T=T,
-                                              store_every=10 ** 9))
+        traj = integrate(u0, IntegratorConfig(grid_size=64, dt=dt, times=(T,)))
         return traj.coeffs[-1]
 
     ref = final(T / 640)
@@ -101,7 +141,7 @@ def test_fourth_order_in_dt():
 def test_initial_slope_matches_modewise_equation():
     u0 = smooth_potential(0.3)
     dt = 1e-5
-    traj = integrate(u0, IntegratorConfig(grid_size=64, dt=dt, T=2 * dt))
+    traj = integrate(u0, IntegratorConfig(grid_size=64, dt=dt, times=(dt, 2 * dt)))
     n = np.fft.fftfreq(64, d=1.0 / 64).astype(int)
     mid = direct_bo_rhs(traj.coeffs[1], n)
     mid[0] = 0.0
@@ -112,14 +152,14 @@ def test_initial_slope_matches_modewise_equation():
 
 def test_isospectral_audit_small():
     traj = integrate(smooth_potential(0.15), IntegratorConfig(
-        grid_size=64, dt=5e-4, T=0.1, store_every=50))
+        grid_size=64, dt=5e-4, times=np.arange(1, 5) / 40))
     samples = [traj.potential_at(i).nonzero_coeffs() for i in range(len(traj.times))]
     assert isospectral_audit(samples, 64, 32) < 1e-10
 
 
 def test_residual_is_small_in_dt():
     traj = integrate(smooth_potential(0.2), IntegratorConfig(
-        grid_size=64, dt=1e-3, T=0.02, store_every=1))
+        grid_size=64, dt=1e-3, times=np.arange(1, 21) / 1000))
     # central differences in t limit the defect, not the scheme
     assert equation_residual(traj) < 1e-2
     short = Trajectory(traj.times[:2], traj.coeffs[:2], traj.s, traj.band)
@@ -129,7 +169,7 @@ def test_residual_is_small_in_dt():
 
 def test_potential_at_trims_declared_band():
     traj = integrate(smooth_potential(), IntegratorConfig(
-        grid_size=128, dt=1e-3, T=0.01))
+        grid_size=128, dt=1e-3, times=(0.01,)))
     u = traj.potential_at(0)
     assert u.N <= 10  # content, not the 42-mode dealias band
     assert u.coeff(1) == pytest.approx(0.1)
@@ -137,13 +177,13 @@ def test_potential_at_trims_declared_band():
 
 def test_step_past_the_phase_budget_warns():
     # dt (grid/2)^2 = 0.01 * 128^2 radians per step at the top mode
-    cfg = IntegratorConfig(grid_size=256, dt=0.01, T=0.01)
+    cfg = IntegratorConfig(grid_size=256, dt=0.01, times=(0.01,))
     with pytest.warns(UserWarning, match="dt=0.01 spins the top mode 164 radians per step"):
         integrate(smooth_potential(), cfg)
 
 
 def test_zero_time_returns_initial_sample():
     u0 = smooth_potential()
-    traj = integrate(u0, IntegratorConfig(grid_size=64, dt=1e-3, T=0.0))
+    traj = integrate(u0, IntegratorConfig(grid_size=64, dt=1e-3, times=()))
     assert len(traj.times) == 1
     assert traj.potential_at(0).coeff(2) == pytest.approx(u0.coeff(2))
