@@ -55,6 +55,8 @@ def sqrt_plus(z):
     if cut.size:
         raise BranchCutError("square root argument %r on the branch cut"
                              % (complex(z.flat[cut[0]]),))
+    # a Python complex on 0-d input keeps eigen_chain's sqrt_plus(kappa[0]) / h0_zero
+    # a Python division, which rounds apart from numpy's; the goldens hold its bits
     return complex(np.sqrt(z)) if z.ndim == 0 else np.sqrt(z)
 
 

@@ -19,7 +19,7 @@ from .birkhoff import (birkhoff_forward, canonical_bracket_table, state_from_jso
                        state_to_json)
 from .continuity import ratio_slope, sweep
 from .errors import NumericalFailure, PropertyViolation
-from .flow import evolve, invert, solve_trajectory
+from .flow import NEWTON_TOL, evolve, invert, solve_trajectory
 from .hardy import Potential, l2_distance, potential_from_json, potential_to_json
 from .lax import gaps, spectrum
 from .residues import sweep_combi, sweep_vanishing
@@ -214,7 +214,7 @@ def build_parser():
 
     sp = _verb(sub, "inverse", _cmd_inverse, "coordinate state to potential")
     sp.add_argument("--lax-dim", type=int, default=None)
-    sp.add_argument("--tol-newton", type=float, default=1e-12)
+    sp.add_argument("--tol-newton", type=float, default=NEWTON_TOL)
 
     sp = _verb(sub, "evolve", _cmd_evolve, "advance a coordinate state by t")
     sp.add_argument("--t", type=float, required=True)

@@ -15,6 +15,7 @@ from .birkhoff import BirkhoffState, birkhoff_forward
 from .hardy import Potential, weighted_norm
 
 MAX_ITER = 40  # Broyden iterations before an inversion counts as failed
+NEWTON_TOL = 1e-12  # weighted residual at which an inversion stops
 MAX_HALVINGS = 6  # step halvings allowed before a trial step counts as failed
 
 
@@ -76,7 +77,7 @@ def coordinate_weights(ks, s):
     return ks ** (1.0 + 2.0 * s)
 
 
-def invert(target, M=None, tol=1e-12, start=None):
+def invert(target, M=None, tol=NEWTON_TOL, start=None):
     """Recover the real potential mapping to the target coordinates.
 
     Good-Broyden iteration on the real view of u_hat(1..N_b), with every

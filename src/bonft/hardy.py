@@ -75,7 +75,7 @@ class Potential:
 
     __slots__ = ("s", "N", "real", "_c")
 
-    def __init__(self, s, N, coeffs=None, real=False):
+    def __init__(self, s, N, coeffs, real=False):
         s = sobolev_exponent(s)
         N = int(N)
         if N < 1:
@@ -84,7 +84,7 @@ class Potential:
         self.N = N
         self.real = bool(real)
         c = np.zeros(2 * N + 1, dtype=complex)
-        for n, v in (coeffs or {}).items():
+        for n, v in coeffs.items():
             n = int(n)
             v = complex(v)
             if n == 0:

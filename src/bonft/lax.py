@@ -147,7 +147,7 @@ def gaps(sd):
     lam = sd.lambdas[:sd.K_use + 1]
     g = lam[1:] - lam[:-1] - 1.0
     if sd.hermitian:
-        worst = float(g.min()) if len(g) else 0.0
+        worst = float(g.min())
         if worst < -GAP_TOL:
             raise PropertyViolation("negative spectral gap %.3e for a real potential" % worst)
     return g

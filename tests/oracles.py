@@ -562,8 +562,8 @@ def integrate_loop(u0, cfg, dealias_fraction=2.0 / 3.0):
     The reference form of the pseudospectral integrator: the nonlinear term
     scales by the grid around each FFT, and each step recomputes its
     constants; the square's spectrum is cut above dealias_fraction of the
-    grid's band.  Reads u0.nonzero_coeffs() and cfg's grid_size, dt, T and
-    store_every; returns (times, coeffs) as float and complex arrays, coeffs
+    grid's band.  Reads u0.nonzero_coeffs() and cfg's grid_size, dt and
+    times; returns (times, coeffs) as float and complex arrays, coeffs
     in np.fft layout.
     """
     grid = int(cfg.grid_size)
@@ -586,12 +586,12 @@ def integrate_loop(u0, cfg, dealias_fraction=2.0 / 3.0):
         return out
 
     steps = [round(t / cfg.dt) for t in cfg.times]
-    dt = cfg.times[-1] / steps[-1] if steps else cfg.dt
+    dt = cfg.times[-1] / steps[-1]
     E = np.exp(lin * dt / 2.0)
     E2 = E * E
     times = [0.0]
     stored = [c.copy()]
-    for step in range(1, max(steps, default=0) + 1):
+    for step in range(1, max(steps) + 1):
         k1 = rhs(c)
         k2 = rhs(E * (c + dt / 2.0 * k1))
         k3 = rhs(E * c + dt / 2.0 * k2)

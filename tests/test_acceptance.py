@@ -38,6 +38,7 @@ BRACKET_TOL = 1e-4               # canonical relation deviation
 DELTA_SERIES_TOL = 1e-6          # spectral defect vs truncated series
 DELTA_L1_CAP = 0.1               # summability of the defect sequence
 GAP_REL_TOL = 1e-12              # measured vs closed-form frequency gap
+DT_REL_TOL = 1e-14               # probe separation vs its closed form, no base
 SLOPE_REL_TOL = 0.05             # log-log separation growth rate
 SYMMETRY_TOL = 1e-10             # spectral symmetry deviations
 # one-gap closed forms at q = 0.1, 0.3, 0.4; each about 3.5x the largest
@@ -222,6 +223,25 @@ def test_criterion_12_continuity_defeats_uniformity():
     slope = ratio_slope(rows)
     want = -s / 2.0
     assert abs(slope - want) <= SLOPE_REL_TOL * want, (slope, want)
+
+
+def test_criterion_12_closed_forms_at_small_s():
+    # at s = -0.1 only eight probes fit below m = 1e12, too few to pin the
+    # growth rate, so each probe is held to its closed forms instead
+    s = -0.1
+    rows = sweep(s, 1.0, (), 2, 10 ** 12, None, 40)
+    assert len(rows) == 8
+    for row in rows:
+        m, delta = row["m"], row["delta"]
+        assert row["phase_bound_ok"], m
+        assert abs(row["d0"] - delta * m ** (s / 2.0)) <= 1e-12 * row["d0"]
+        gap_closed = 2.0 * delta ** 2 * m ** (-s)
+        assert abs(row["omega_gap_meas"] - gap_closed) <= GAP_REL_TOL * gap_closed
+        phase = np.exp(-1j * row["omega_gap_meas"])
+        dt_closed = delta * abs(1 - (1 + 1j * m ** (s / 2.0)) * phase)
+        assert abs(row["dt"] - dt_closed) <= DT_REL_TOL * dt_closed
+        bound = (math.sqrt(1.0 + m ** s) - m ** (s / 2.0)) * delta
+        assert row["dt"] > bound
 
 
 def test_criterion_13_spectral_symmetries():

@@ -146,25 +146,11 @@ def test_sparse_probes_with_a_base_match_the_dense_oracle(n_base):
 
 @pytest.mark.parametrize("s, k, t, max_m", [
     (-0.45, 8, 1.0, 600000), (-0.25, 2, 1.0, 10 ** 6), (-0.25, 2, -3.0, 10 ** 6),
-    (-0.25, 2, 1e6, 10 ** 6), (-0.25, 2, 1e12, 2000)])
-def test_dt_equals_its_closed_form(s, k, t, max_m):
-    # with no base, dt = delta |1 - (1 + i m^{s/2}) e^{-itg}| at the measured
-    # gap g; a phase taken with the common t m^2 in it read this to 2e-5 at
-    # t = 1 and fell below the separation bound at t = 1e6
-    rows = sweep(s, t, (), k, max_m, None, 40)
-    assert len(rows) >= 2
-    for row in rows:
-        phase = np.exp(-1j * t * row["omega_gap_meas"])
-        want = row["delta"] * abs(1 - (1 + 1j * row["m"] ** (s / 2)) * phase)
-        assert row["dt"] == pytest.approx(want, rel=1e-12, abs=0), row["m"]
-
-
-@pytest.mark.parametrize("s, k, t, max_m", [
-    (-0.45, 8, 1.0, 600000), (-0.25, 2, 1.0, 10 ** 6), (-0.25, 2, -3.0, 10 ** 6),
-    (-0.25, 2, 1e6, 10 ** 6), (-0.25, 2, 1e12, 2000)])
+    (-0.25, 2, 1e6, 10 ** 6), (-0.25, 2, 1e12, 2000), (-0.1, 2, 1.0, 10 ** 12)])
 def test_dt_equals_its_closed_form_to_rounding(s, k, t, max_m):
-    # the relative phase e^{it Delta} carries no rounding from the two
-    # states' own shifts; two rotations read this to 1.1e-13 at t = -3
+    # with no base, dt = delta |1 - (1 + i m^{s/2}) e^{-itg}| at the measured
+    # gap g; the relative phase e^{it Delta} carries no rounding from the two
+    # states' own shifts
     rows = sweep(s, t, (), k, max_m, None, 40)
     assert len(rows) >= 2
     for row in rows:

@@ -38,9 +38,10 @@ def test_integrate_matches_loop_oracle_exactly(grid, fraction, every, monkeypatc
     assert np.array_equal(traj.coeffs, coeffs)
 
 
-@pytest.mark.parametrize("T", [0.0, 0.05])
+@pytest.mark.parametrize("T", [0.0005, 0.05])
 def test_integrate_matches_loop_oracle_at_compare_setting(T):
-    cfg = IntegratorConfig(grid_size=256, dt=2.5e-4, times=(T / 2, T) if T else ())
+    # 0.0005 samples after one step and after two, the shortest grid
+    cfg = IntegratorConfig(grid_size=256, dt=2.5e-4, times=(T / 2, T))
     traj = integrate(smooth_potential(0.4), cfg)
     times, coeffs = integrate_loop(smooth_potential(0.4), cfg)
     assert np.array_equal(traj.times, times)
@@ -69,8 +70,8 @@ def test_config_sorts_times_and_counts_their_steps():
     assert cfg.times == (0.25, 0.5, 0.5)
     assert cfg.steps == (250, 500, 500)
     assert (cfg.T, cfg.dt) == (0.5, 1e-3)
-    empty = IntegratorConfig(grid_size=64, dt=1e-3, times=())
-    assert (empty.times, empty.steps, empty.T) == ((), (), 0.0)
+    with pytest.raises(ValueError, match="time grid must be positive"):
+        IntegratorConfig(grid_size=64, dt=1e-3, times=())
 
 
 def test_integrate_keeps_exactly_the_requested_samples():
@@ -180,10 +181,3 @@ def test_step_past_the_phase_budget_warns():
     cfg = IntegratorConfig(grid_size=256, dt=0.01, times=(0.01,))
     with pytest.warns(UserWarning, match="dt=0.01 spins the top mode 164 radians per step"):
         integrate(smooth_potential(), cfg)
-
-
-def test_zero_time_returns_initial_sample():
-    u0 = smooth_potential()
-    traj = integrate(u0, IntegratorConfig(grid_size=64, dt=1e-3, times=()))
-    assert len(traj.times) == 1
-    assert traj.potential_at(0).coeff(2) == pytest.approx(u0.coeff(2))

@@ -132,6 +132,50 @@ def test_vanishing_terms_match_series_oracle():
                                 for m in range(1, len(ls) + 1)), ls
 
 
+def test_vanishing_holds_for_every_tuple_up_to_length_6():
+    """D == 0 for every integer tuple of length <= 6, by Alon's Combinatorial
+    Nullstellensatz (1999, Lemma 2.1): with the zeros' positions fixed, S and
+    A2 are integer polynomials in the d - Z nonzero entries of degree <= Z + 1
+    in each (the next test), so S == A2 on {1..Z+2}^(d-Z) makes S - A2 the
+    zero polynomial, and P != 0 then gives D == 0."""
+    calls = 0
+    for d in range(1, 7):
+        for zeros in itertools.product((False, True), repeat=d):
+            Z = sum(zeros)
+            for values in itertools.product(range(1, Z + 3), repeat=d - Z):
+                entries = iter(values)
+                ls = tuple(0 if zero else next(entries) for zero in zeros)
+                S, A2 = _vanishing_terms(ls)
+                assert S == A2, ls
+                calls += 1
+    assert calls == 10106
+
+
+def _difference(values):
+    """The len(values) - 1'th forward difference of equally spaced values."""
+    k = len(values) - 1
+    return sum((-1) ** (k - j) * math.comb(k, j) * f for j, f in enumerate(values))
+
+
+def test_vanishing_sides_have_degree_at_most_z_plus_1():
+    # the (Z+2)-th difference of each side along a nonzero entry is exactly 0,
+    # and the (Z+1)-th is not always; the entry steps away from 0, so the zero
+    # pattern stays fixed
+    checks = reached = 0
+    for ls in _seeded_tuples(36, 200, 5, 2):
+        Z = ls.count(0)
+        for i, v in enumerate(ls):
+            if not v:
+                continue
+            step = 1 if v > 0 else -1
+            sides = [_vanishing_terms(ls[:i] + (v + j * step,) + ls[i + 1:]) for j in range(Z + 3)]
+            for side in zip(*sides):
+                assert _difference(side) == 0, (ls, i)
+                reached += _difference(side[:-1]) != 0
+                checks += 1
+    assert checks == 950 and reached
+
+
 def test_sweep_vanishing_reports_a_corrupted_tuple(monkeypatch, capsys):
     real = residues._vanishing_terms
     bad = (1, -2, 0)
