@@ -43,14 +43,15 @@ def _read_json(path):
         return json.load(fh)
 
 
-def _write(args, doc, header=None, rows=None):
-    """Write doc as JSON, or header and rows as CSV under --format csv, to stdout
-    when args.output is "-" and to that path otherwise."""
+def _write(args, doc, rows=None):
+    """Write doc as JSON, or the dict rows as CSV under --format csv (the first
+    row's keys the header), to stdout when args.output is "-" and to that path
+    otherwise."""
     if args.format == "csv":
-        lines = [",".join(header)]
+        lines = [",".join(rows[0])]
         for row in rows:
             cells = []
-            for v in row:
+            for v in row.values():
                 if isinstance(v, bool):
                     cells.append("1" if v else "0")
                 elif isinstance(v, float):
@@ -79,8 +80,8 @@ def _cmd_spectrum(args):
     sd = spectrum(u, args.lax_dim, k_use=args.modes)
     gam = gaps(sd)
     lam = sd.lambdas[:sd.K_use + 1]
-    rows = [(n, lam[n].real, lam[n].imag,
-             gam[n - 1].real if n else 0.0, gam[n - 1].imag if n else 0.0)
+    rows = [{"n": n, "lambda_re": lam[n].real, "lambda_im": lam[n].imag,
+             "gap_re": gam[n - 1].real if n else 0.0, "gap_im": gam[n - 1].imag if n else 0.0}
             for n in range(sd.K_use + 1)]
     _write(args, {
         "M": sd.M,
@@ -89,7 +90,7 @@ def _cmd_spectrum(args):
         "min_separation": sd.min_separation,
         "lambdas": [[v.real, v.imag] for v in lam],
         "gaps": [[v.real, v.imag] for v in gam],
-    }, ("n", "lambda_re", "lambda_im", "gap_re", "gap_im"), rows)
+    }, rows)
 
 
 def _cmd_transform(args):
@@ -122,25 +123,21 @@ def _cmd_compare(args):
     traj = pde.integrate(u0, icfg)
 
     band = min(u0.N * 2, traj.band)
-    rows = [(t, l2_distance(u_b, traj.potential_at(i), band))
+    rows = [{"t": t, "l2_diff": l2_distance(u_b, traj.potential_at(i), band)}
             for i, (t, u_b) in enumerate(samples[1:], 1)]
-    _write(args, {
-        "rows": [{"t": t, "l2_diff": d} for t, d in rows],
-        "action_drift": diag["action_drift"],
-        "newton_residuals": diag["residuals"],
-    }, ("t", "l2_diff"), rows)
+    _write(args, dict(diag, rows=rows), rows)
 
 
 def _cmd_vanishing(args):
     rng = np.random.default_rng(args.seed)
     counts, random_checked, violations = sweep_vanishing(
         args.max_d, args.l_bound, args.random_count, rng)
-    rows = [("exhaustive_d%d" % d, counts[d]) for d in sorted(counts)]
-    rows.append(("random", random_checked))
-    rows.append(("violations", len(violations)))
+    rows = [{"check": "exhaustive_d%d" % d, "count": counts[d]} for d in sorted(counts)]
+    rows.append({"check": "random", "count": random_checked})
+    rows.append({"check": "violations", "count": len(violations)})
     _write(args, {"exhaustive": {str(d): counts[d] for d in sorted(counts)},
                   "random": random_checked,
-                  "violations": len(violations)}, ("check", "count"), rows)
+                  "violations": len(violations)}, rows)
     if violations:
         raise PropertyViolation("%d tuples violate the vanishing identity, first: %r"
                                 % (len(violations), violations[0]))
@@ -149,10 +146,10 @@ def _cmd_vanishing(args):
 def _cmd_combi(args):
     counts, violations = sweep_combi(args.max_d)
     bad = sum(n for _, n, _ in violations)
-    rows = [("d%d" % d, counts[d]) for d in sorted(counts)]
-    rows.append(("violations", bad))
+    rows = [{"check": "d%d" % d, "count": counts[d]} for d in sorted(counts)]
+    rows.append({"check": "violations", "count": bad})
     _write(args, {"instances": {str(d): counts[d] for d in sorted(counts)},
-                  "violations": bad}, ("check", "count"), rows)
+                  "violations": bad}, rows)
     if violations:
         d, _, (J, q) = violations[0]
         raise PropertyViolation("%d instances break |K_ad| = |J_ad| + 1, first: d=%d, J=%r, q=%r"
@@ -164,10 +161,8 @@ def _cmd_continuity(args):
         raise ValueError("need n_base >= 0, got %d" % args.n_base)
     base = _seeded_draws(np.random.default_rng(args.seed), args.n_base, 0.01)
     rows = sweep(args.s, args.t, base, args.k, args.max_m, args.delta, args.max_probes)
-    header = ("m", "delta", "d0", "dt", "ratio",
-              "omega_gap_pred", "omega_gap_meas", "phase_bound_ok")
     _write(args, {"rows": rows, "slope": ratio_slope(rows), "slope_predicted": -args.s / 2.0},
-           header, [tuple(r[k] for k in header) for r in rows])
+           rows)
 
 
 def _cmd_bracket(args):

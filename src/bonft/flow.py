@@ -115,9 +115,8 @@ def invert(target, M=None, tol=NEWTON_TOL, start=None):
         u = Potential(s, n_modes, dict(enumerate(coeffs, 1)), real=True)
         return measured(u, birkhoff_forward(u, M=M, k_use=n_modes))
 
-    u_hat = -root_n * target.plus if start is None else start[0].band()[n_modes + 1:]
     try:
-        u, image, r = trial(u_hat) if start is None else measured(*start[:2])
+        u, image, r = trial(-root_n * target.plus) if start is None else measured(*start[:2])
     except NumericalFailure as exc:
         raise InversionFailure("start point outside the trusted regime: %s" % exc,
                                [np.inf]) from exc
@@ -128,7 +127,7 @@ def invert(target, M=None, tol=NEWTON_TOL, start=None):
         step = -(H @ r)
         for _ in range(MAX_HALVINGS + 1):
             try:
-                u_new, image_new, r_new = trial(u_hat + step.view(complex))
+                u_new, image_new, r_new = trial(u.band()[n_modes + 1:] + step.view(complex))
             except NumericalFailure:  # the step left the trusted regime
                 history.append(np.inf)
             if history[-1] < res:
@@ -143,7 +142,6 @@ def invert(target, M=None, tol=NEWTON_TOL, start=None):
         if denom == 0.0:
             raise InversionFailure("singular Broyden update", history)
         H += np.outer(step - Hy, step @ H) / denom
-        u_hat = u_hat + step.view(complex)
         u, image, r = u_new, image_new, r_new
     if not history[-1] < tol:
         raise InversionFailure("no convergence in %d iterations (residual %.3e)"
@@ -156,8 +154,8 @@ def solve_trajectory(u0, t_grid, M, k_use):
 
     Returns (samples, diagnostics): samples is a list of (t, Potential), one
     per entry of t_grid; diagnostics holds per-sample inversion residuals
-    and the largest action drift of the samples' images against the
-    initial state.  Every forward map runs at the one truncation M and
+    (newton_residuals) and the largest action drift of the samples' images
+    against the initial state (action_drift).  Every forward map runs at the one truncation M and
     K_use = k_use (None: M/2).  Each inversion starts from the previous
     sample's result, whose image it reuses; the first from the linearized
     guess.
@@ -180,4 +178,4 @@ def solve_trajectory(u0, t_grid, M, k_use):
             np.abs(0.5 * np.abs(image.plus) ** 2 - I0))))
         residuals.append(history[-1])
         samples.append((t, u_t))
-    return samples, {"residuals": residuals, "action_drift": action_drift}
+    return samples, {"newton_residuals": residuals, "action_drift": action_drift}

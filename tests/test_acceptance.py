@@ -82,7 +82,7 @@ def flow_bundle():
     traj = integrate(u0, IntegratorConfig(grid_size=256, dt=2.5e-4,
                                           times=np.arange(1, 41) / 40))
     samples, diag = solve_trajectory(u0, (0.25, 0.5, 1.0), M=96, k_use=32)
-    assert max(diag["residuals"]) < 1e-10
+    assert max(diag["newton_residuals"]) < 1e-10
     z0 = birkhoff_forward(u0, M=96, k_use=48)
     return {"u0": u0, "traj": traj, "samples": samples, "z0": z0}
 

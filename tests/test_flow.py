@@ -180,7 +180,7 @@ def test_solve_trajectory_conserves_actions():
     samples, diag = solve_trajectory(u0, (0.0, 0.4, 0.8), 48, None)
     assert [t for t, _ in samples] == [0.0, 0.4, 0.8]
     assert diag["action_drift"] < 1e-10
-    assert max(diag["residuals"]) < 1e-10
+    assert max(diag["newton_residuals"]) < 1e-10
     # t = 0 must reproduce the initial potential
     for n in range(1, 3):
         assert samples[0][1].coeff(n) == pytest.approx(u0.coeff(n), abs=1e-11)
@@ -213,7 +213,7 @@ def test_solve_trajectory_transforms_each_potential_once(forward_calls):
     samples, diag = solve_trajectory(u0, (0.0, 0.4, 0.8), 48, None)
     potentials = [call[2] for call in forward_calls]
     assert len(set(potentials)) == len(potentials)
-    assert len(diag["residuals"]) == 3 and max(diag["residuals"]) < 1e-12
+    assert len(diag["newton_residuals"]) == 3 and max(diag["newton_residuals"]) < 1e-12
 
 
 def test_flow_input_validation():
