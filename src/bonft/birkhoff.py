@@ -182,8 +182,7 @@ def eigen_chain(sd, kappa, mu):
     drop = (scale > 0.0) & (size[-1] > SHIFT_DROP_THRESHOLD * scale)
     if drop.any():
         warnings.warn("chain shift dropped top coefficient of relative size %.3e"
-                      % np.max(size[-1, drop] / scale[drop]), TruncationWarning,
-                      stacklevel=2)
+                      % np.max(size[-1, drop] / scale[drop]), TruncationWarning)
     return a
 
 

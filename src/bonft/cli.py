@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -253,22 +254,25 @@ def build_parser():
 
 
 def main(argv=None):
-    try:
-        args = build_parser().parse_args(argv)
-        args.run(args)
-        return 0
-    except PropertyViolation as exc:
-        print("property violation: %s" % exc, file=sys.stderr)
-        return 3
-    except NumericalFailure as exc:
-        print("numerical failure: %s" % exc, file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except MemoryError as exc:
-        print("error: %s" % (str(exc) or "out of memory"), file=sys.stderr)
-        return 1
+    # a warning the filters let through prints as one line, like the errors
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print("warning: %s" % message, file=sys.stderr)
+        try:
+            args = build_parser().parse_args(argv)
+            args.run(args)
+            return 0
+        except PropertyViolation as exc:
+            print("property violation: %s" % exc, file=sys.stderr)
+            return 3
+        except NumericalFailure as exc:
+            print("numerical failure: %s" % exc, file=sys.stderr)
+            return 2
+        except (ValueError, OSError) as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 1
+        except MemoryError as exc:
+            print("error: %s" % (str(exc) or "out of memory"), file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

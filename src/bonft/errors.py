@@ -38,4 +38,4 @@ class PropertyViolation(RuntimeError):
 
 
 class TruncationWarning(UserWarning):
-    """A truncation dropped a coefficient above the configured threshold."""
+    """A truncation or step size visibly loses accuracy."""

@@ -8,9 +8,11 @@ quasi-Newton iteration seeded by the closed-form differential at zero, of
 which the coordinate map is a near-identity perturbation.
 """
 
+import warnings
+
 import numpy as np
 
-from .errors import InversionFailure, NumericalFailure
+from .errors import InversionFailure, NumericalFailure, TruncationWarning
 from .birkhoff import BirkhoffState, birkhoff_forward
 from .hardy import Potential, weighted_norm
 
@@ -57,7 +59,9 @@ def evolve(z0, t):
     Every state rotates both sides, index -n at -(n^2 + Omega_n); a real
     state's minus side stays conj(plus) to rounding, which BirkhoffState
     checks.  A non-finite t is a ValueError; a state that the flow grows
-    past the float range (complex frequencies) raises NumericalFailure.
+    past the float range (complex frequencies) raises NumericalFailure.  A
+    phase |t| max_n |n^2 + Omega_n| of 2^52 radians or more, whose ulp is a
+    radian or more, leaves no digit certain: a TruncationWarning.
     """
     t = float(t)
     if not np.isfinite(t):
@@ -69,6 +73,10 @@ def evolve(z0, t):
         minus = rotate(z0.minus, ks, shift, -t)
     if not (np.isfinite(plus).all() and np.isfinite(minus).all()):
         raise NumericalFailure("the flow to t=%r leaves the float range" % t)
+    phase = abs(t) * float(np.max(np.abs(ks ** 2 + shift)))
+    if phase >= 2.0 ** 52:
+        warnings.warn("t=%g spins a phase %.3g radians, past 2^52: no digit of the flow "
+                      "is certain" % (t, phase), TruncationWarning)
     return BirkhoffState(z0.s, plus, minus, real_flag=z0.real_flag)
 
 
@@ -155,10 +163,10 @@ def solve_trajectory(u0, t_grid, M, k_use):
     Returns (samples, diagnostics): samples is a list of (t, Potential), one
     per entry of t_grid; diagnostics holds per-sample inversion residuals
     (newton_residuals) and the largest action drift of the samples' images
-    against the initial state (action_drift).  Every forward map runs at the one truncation M and
-    K_use = k_use (None: M/2).  Each inversion starts from the previous
-    sample's result, whose image it reuses; the first from the linearized
-    guess.
+    against the initial state (action_drift).  Every forward map runs at the
+    one truncation M and K_use = k_use (None: M/2).  Each inversion starts
+    from the previous sample's result, whose image it reuses; the first from
+    the linearized guess.
     """
     t_grid = tuple(float(t) for t in t_grid)
     if not all(np.isfinite(t_grid)):

@@ -36,7 +36,7 @@ def assemble_lax(u, M):
         raise ValueError("truncation M=%d cannot hold a band of width N=%d" % (M, u.N))
     if M < 2 * u.N:
         warnings.warn("truncation M=%d below 2N=%d; band only partially resolved"
-                      % (M, 2 * u.N), TruncationWarning, stacklevel=2)
+                      % (M, 2 * u.N), TruncationWarning)
     j = np.arange(M + 1)
     diff = j[:, None] - j[None, :]
     coeffs = np.zeros(2 * M + 1, dtype=complex)

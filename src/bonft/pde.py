@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailure
+from .errors import NumericalFailure, TruncationWarning
 from .hardy import Potential
 
 PHASE_BUDGET = 50.0
@@ -102,7 +102,7 @@ def integrate(u0, cfg):
     keep = int(np.floor((grid // 2) * DEALIAS_FRACTION))
     if cfg.dt * (grid // 2) ** 2 > PHASE_BUDGET:
         warnings.warn("dt=%g spins the top mode %.3g radians per step"
-                      % (cfg.dt, cfg.dt * (grid // 2) ** 2), stacklevel=2)
+                      % (cfg.dt, cfg.dt * (grid // 2) ** 2), TruncationWarning)
 
     c = np.zeros(grid, dtype=complex)
     c[np.arange(-u0.N, u0.N + 1) % grid] = u0.band()

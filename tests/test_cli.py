@@ -399,17 +399,42 @@ def test_compare_stores_only_the_requested_samples(monkeypatch, times, stored):
     assert lengths == [stored]
 
 
+def _bonft(argv):
+    """python -m bonft.cli argv in a fresh interpreter, under the default warning
+    filters (this module ignores TruncationWarning)."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return subprocess.run([sys.executable, "-m", "bonft.cli"] + argv, capture_output=True,
+                          text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+
+
 def test_blow_up_exits_2_without_stepping_to_the_end():
     # 1e10 RK4 steps whose state overflows at the first: the run must stop
     # there, well inside the timeout, and report it once, without numpy's warnings
-    argv = ["compare", "-i", U, "--lax-dim", "32", "--modes", "8", "--grid", "32",
-            "--t", "1e300", "--dt", "1e290"]
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    out = subprocess.run([sys.executable, "-m", "bonft.cli"] + argv, capture_output=True,
-                         text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    out = _bonft(["compare", "-i", U, "--lax-dim", "32", "--modes", "8", "--grid", "32",
+                  "--t", "1e300", "--dt", "1e290"])
     assert out.returncode == 2
     assert out.stderr.endswith("numerical failure: non-finite state at t=1e+290\n")
     assert "RuntimeWarning" not in out.stderr
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["compare", "-i", U, "--lax-dim", "32", "--modes", "8", "--grid", "32",
+      "--t", "0.25", "--dt", "0.25"],
+     "warning: dt=0.25 spins the top mode 64 radians per step\n"),
+    (["transform", "-i", U, "--lax-dim", "10"],
+     "warning: chain shift dropped top coefficient of relative size 6.484e-08\n"),
+    # max |n^2 + Omega_n| = 63.9986 on this state, so the 2^52 phase bound
+    # falls at t = 7.04e13
+    (["evolve", "-i", STATE, "--t", "1e15"],
+     "warning: t=1e+15 spins a phase 6.4e+16 radians, past 2^52: no digit of the flow"
+     " is certain\n"),
+    (["evolve", "-i", STATE, "--t", "7e13"], ""),
+], ids=["phase-budget", "shift-drop", "evolve-no-digit", "evolve-below-bound"])
+def test_each_warning_prints_as_one_line(argv, err):
+    # one warning: line per warning, with no source path or code line
+    out = _bonft(argv)
+    assert out.returncode == 0
+    assert out.stderr == err
 
 
 def test_compare_rejects_complex_potential_before_any_forward_map(monkeypatch, capsys):

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bonft.errors import NumericalFailure
+from bonft.errors import NumericalFailure, TruncationWarning
 from bonft.hardy import Potential
 import bonft.pde
 from bonft.pde import IntegratorConfig, Trajectory, integrate
@@ -179,5 +179,5 @@ def test_potential_at_trims_declared_band():
 def test_step_past_the_phase_budget_warns():
     # dt (grid/2)^2 = 0.01 * 128^2 radians per step at the top mode
     cfg = IntegratorConfig(grid_size=256, dt=0.01, times=(0.01,))
-    with pytest.warns(UserWarning, match="dt=0.01 spins the top mode 164 radians per step"):
+    with pytest.warns(TruncationWarning, match="dt=0.01 spins the top mode 164 radians per step"):
         integrate(smooth_potential(), cfg)
