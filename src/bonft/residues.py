@@ -23,12 +23,16 @@ The sweep checks that the combination
 vanishes.  With P the product of all nonzero entries, Z the number of
 zeros and y_j = P / l_j, every term of D shares the denominator P^(Z+2),
 and D P^(Z+2) (-1)^Z = S - A2 with A2 = h_(Z+1)(y) and S = sum_m w_m
-h(prefix) h(suffix) (see _vanishing_terms).  One left pass gives the
+h(prefix) h(suffix) (see _vanishing_sides).  One left pass gives the
 prefix values and A2, one right pass the suffix values and S, in
-O(d (Z + 2)) operations on plain Python integers, so every value is exact
-and the test compares two integers.  Nothing is cached, within a sweep or
-across sweeps, and the random tuples are drawn in fixed-size blocks, so a
-sweep's memory does not grow with its length.
+O(d (Z + 2)) integer operations per tuple.  The kernel runs both passes on
+a block of tuples at once, with numpy operations over the rows that share a
+zero count Z: in int64 where a bound B on every value proves that nothing
+overflows (the random part, d <= 6 and |l| <= 50, stays below 4.7e18), on
+Python integers (dtype=object) otherwise.  So every value is exact and
+the test compares two integers.  Nothing is cached, within a sweep or
+across sweeps.  Both parts of a sweep hand the kernel at most RANDOM_BLOCK
+tuples at a time, so its memory does not grow with its length.
 
 The counting identity |K_ad| = |J_ad| + 1 runs over instances (J, q): J a
 subset of {1..d} with nonempty complement K, q_k >= 0 on K summing to |J| + 1,
@@ -43,54 +47,114 @@ and Motzkin 1947, Raney 1960).  sweep_combi counts the walks, and those that
 break the identity, by a dynamic program whose cost grows polynomially in d.
 """
 
-import itertools
+import math
 
-# the random part of sweep_vanishing draws its tuples this many at a time, so
-# its memory does not grow with random_count
+import numpy as np
+
+# the rows per _vanishing_sides call; the random part of sweep_vanishing also
+# draws its tuples this many at a time, so the block size fixes which tuples a
+# seed draws
 RANDOM_BLOCK = 4096
 
+INT64_MAX = np.iinfo(np.int64).max
 
-def _vanishing_terms(ls):
-    """The two sides (S, A2) of D(ls) P^(Z+2) (-1)^Z = S - A2, as integers.
 
-    ls is a nonempty tuple of integers, P the product of its nonzero
-    entries, Z the number of zeros and y_j = P / l_j (y_j = 0 marks a zero
-    entry).  A2 = h_(Z+1)(y) and S = sum_m w_m h_(z(1..m))(y_1..y_m)
-    h_(z(m..d))(y_m..y_d), with w_m = y_m, or -1 where l_m = 0.  The left
-    pass builds the prefix values by the recurrence h_i += y_j h_(i-1)
-    (i ascending) and ends with A2; the right pass builds the suffix values
-    the same way and accumulates S.  D vanishes iff S == A2.
-    """
-    P = 1
-    for l in ls:
-        if l:
-            P *= l
-    ys = [P // l if l else 0 for l in ls]
-    Z = ys.count(0)
-    top = range(1, Z + 2)
-    h = [1] + [0] * (Z + 1)
+def _side_bound(d, Z, L):
+    """B: a bound on every value _group_sides forms for a row of length d with
+    Z zeros and entries of size at most L (see _vanishing_sides)."""
+    n = d - Z
+    Y = L ** max(n - 1, 0)
+    return max(L ** n, d * math.comb(n + Z, Z + 1) ** 2 * Y ** (Z + 1))
+
+
+def _group_sides(rows, Z):
+    """The exact (S, A2) of each row of rows, every row with exactly Z zeros,
+    computed in rows' dtype: int64 where _side_bound allows it, else object."""
+    count, d = rows.shape
+    ls = rows.T
+    zero = ls == 0
+    safe = np.where(zero, 1, ls)
+    y = np.where(zero, 0, safe.prod(axis=0) // safe)
+    at = np.arange(count)
+    h = np.zeros((Z + 2, count), rows.dtype)
+    h[0] = 1
+    z = np.zeros(count, np.intp)
     left = []
-    z = 0
-    for y in ys:
-        if y:
-            for i in top:
-                h[i] += y * h[i - 1]
-        else:
-            z += 1
-        left.append(h[z])
-    top = range(1, Z + 1)
-    g = [1] + [0] * Z
-    S = z = 0
-    for m in range(len(ys) - 1, -1, -1):
-        y = ys[m]
-        if y:
-            for i in top:
-                g[i] += y * g[i - 1]
-            S += y * left[m] * g[z]
-        else:
-            z += 1
-            S -= left[m] * g[z]
+    for j in range(d):
+        for i in range(1, Z + 2):
+            h[i] += y[j] * h[i - 1]
+        z += zero[j]
+        left.append(h[z, at])
+    g = np.zeros((Z + 1, count), rows.dtype)
+    g[0] = 1
+    S = np.zeros(count, rows.dtype)
+    z[:] = 0
+    for m in range(d - 1, -1, -1):
+        for i in range(1, Z + 1):
+            g[i] += y[m] * g[i - 1]
+        z += zero[m]
+        S += np.where(zero[m], -1, y[m]) * left[m] * g[z, at]
     return S, h[Z + 1]
+
+
+def _vanishing_sides(rows):
+    """The two sides (S, A2) of D P^(Z+2) (-1)^Z = S - A2 for each row of rows.
+
+    rows is a 2-D integer array, one tuple of length d >= 1 per row; P is the
+    product of a row's nonzero entries, Z its number of zeros and y_j = P / l_j
+    (y_j = 0 marks a zero entry).  A2 = h_(Z+1)(y) and S = sum_m w_m
+    h_(z(1..m))(y_1..y_m) h_(z(m..d))(y_m..y_d), with w_m = y_m, or -1 where
+    l_m = 0.  The left pass builds the prefix values by the recurrence
+    h_i += y_j h_(i-1) (i ascending) and ends with A2; the right pass builds
+    the suffix values the same way and accumulates S.  A zero entry has
+    y_j = 0, so the recurrence leaves it alone, and a row's running zero count
+    picks its prefix value h_z.  D vanishes iff S == A2.  Returns two arrays,
+    int64 unless some group needed dtype=object.
+
+    The rows are grouped by Z, and a group runs in int64 when B < 2^63, with
+    n = d - Z, L the group's largest |l_j|, Y = L^(n-1) and
+
+        B = max(L^n, d C(n+Z, Z+1)^2 Y^(Z+1)).
+
+    Proof that B bounds every value formed: the partial products of P are at
+    most L^n, and |y_j| <= Y, a product of n - 1 entries.  A prefix or suffix
+    value h_k, k <= Z + 1, and each partial value of its recurrence, is a sum
+    of at most C(n+k-1, k) <= C(n+Z, Z+1) monomials of degree k in the y_j,
+    each at most Y^k.  The m-th term of S multiplies w_m, the prefix value of
+    degree a and the suffix value of degree b, with a + b = Z where l_m != 0
+    (|w_m| <= Y) and a + b = Z + 1 where l_m = 0 (|w_m| = 1); the term and
+    its partial product are at most C(n+Z, Z+1)^2 Y^(Z+1), as Y >= 1, and S
+    sums d terms.  Past the bound the group runs on Python integers.
+    """
+    rows = np.asarray(rows)
+    count, d = rows.shape
+    zeros = (rows == 0).sum(axis=1)
+    parts = []
+    for Z in range(d + 1):
+        at = np.flatnonzero(zeros == Z)
+        if at.size:
+            group = rows[at]
+            L = max(int(group.max()), -int(group.min()))
+            dtype = np.int64 if _side_bound(d, Z, L) <= INT64_MAX else object
+            parts.append((at, _group_sides(group.astype(dtype), Z)))
+    dtype = object if any(S.dtype == object for _, (S, _) in parts) else np.int64
+    S, A2 = np.zeros(count, dtype), np.zeros(count, dtype)
+    for at, (s, a2) in parts:
+        S[at], A2[at] = s, a2
+    return S, A2
+
+
+def _lex_blocks(d, l_bound):
+    """Every tuple of length d with |l_j| <= l_bound, in lexicographic order,
+    as arrays of at most RANDOM_BLOCK rows: the k-th tuple's entries are the
+    digits of k in base 2 l_bound + 1, less l_bound."""
+    base = 2 * l_bound + 1
+    total = base ** d
+    dtype = np.int64 if total <= INT64_MAX else object
+    place = np.array([base ** (d - 1 - j) for j in range(d)], dtype)
+    for start in range(0, total, RANDOM_BLOCK):
+        k = np.arange(start, min(start + RANDOM_BLOCK, total), dtype=dtype)
+        yield k[:, None] // place % base - l_bound
 
 
 def _walk_step(e, in_j, q):
@@ -125,10 +189,13 @@ def sweep_vanishing(max_d, l_bound, random_count, rng):
     """Exhaustive + random exact sweep of the vanishing combination D.
 
     Returns (counts per d, random tuples checked, violations); violations
-    lists the offending tuples.
-    Exhaustive part: every tuple with d <= max_d, |l_j| <= l_bound.
+    lists the offending tuples, as tuples of ints, in the order checked.
+    Exhaustive part: every tuple with d <= max_d, |l_j| <= l_bound, in
+    lexicographic order for each d.
     Random part: random_count tuples with d uniform on 1..6 and entries iid
-    uniform on [-50, 50], drawn from rng in blocks of at most RANDOM_BLOCK.
+    uniform on [-50, 50], drawn from rng in blocks of at most RANDOM_BLOCK:
+    a block draws its lengths, then one six-entry row per tuple, of which a
+    tuple keeps its first d entries.
     """
     if max_d < 1:
         raise ValueError("need max_d >= 1, got %d" % max_d)
@@ -138,25 +205,23 @@ def sweep_vanishing(max_d, l_bound, random_count, rng):
         raise ValueError("need random_count >= 0, got %d" % random_count)
     counts = {}
     violations = []
-    values = range(-l_bound, l_bound + 1)
     for d in range(1, max_d + 1):
-        n = 0
-        for ls in itertools.product(values, repeat=d):
-            n += 1
-            S, A2 = _vanishing_terms(ls)
-            if S != A2:
-                violations.append(ls)
-        counts[d] = n
+        counts[d] = 0
+        for rows in _lex_blocks(d, l_bound):
+            S, A2 = _vanishing_sides(rows)
+            violations += [tuple(map(int, rows[i])) for i in np.flatnonzero(S != A2)]
+            counts[d] += len(rows)
     random_checked = 0
     while random_checked < random_count:
         b = min(RANDOM_BLOCK, random_count - random_checked)
-        lengths = rng.integers(1, 7, size=b).tolist()
-        rows = rng.integers(-50, 51, size=(b, 6)).tolist()
-        for d, row in zip(lengths, rows):
-            ls = tuple(row[:d])
-            S, A2 = _vanishing_terms(ls)
-            if S != A2:
-                violations.append(ls)
+        lengths = rng.integers(1, 7, size=b)
+        rows = rng.integers(-50, 51, size=(b, 6))
+        bad = np.zeros(b, bool)
+        for d in range(1, 7):
+            at = np.flatnonzero(lengths == d)
+            S, A2 = _vanishing_sides(rows[at, :d])
+            bad[at] = S != A2
+        violations += [tuple(map(int, rows[i, :lengths[i]])) for i in np.flatnonzero(bad)]
         random_checked += b
     return counts, random_checked, violations
 

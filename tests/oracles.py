@@ -2,8 +2,9 @@
 
 Everything here is deliberately primitive: plain quadrature, truncated
 Fraction Taylor series, the closed-form residue and the multi-sums built
-on them, the partition counts from explicit sets and the enumeration of
-every instance with its O(d) count, dense linear solves and
+on them, the scalar vanishing kernel one tuple at a time, the partition
+counts from explicit sets and the enumeration of every instance with its
+O(d) count, dense linear solves and
 eigenvalues, the involutions, norms and energies on coefficient dicts,
 perturbation formulas, the scaling products one factor at a time, the
 eigenfunction chain one shifted projection at a time, the RK4
@@ -122,6 +123,49 @@ def series_residue_pole_shift(ls, n):
     shift = [Fraction((-1) ** k, n ** (k + 1)) for k in range(order + 1)]
     value = _series_mul(series, shift, order)[order]
     return -value if zeros % 2 else value
+
+
+def _vanishing_terms(ls):
+    """The two sides (S, A2) of D(ls) P^(Z+2) (-1)^Z = S - A2, as integers.
+
+    ls is a nonempty tuple of integers, P the product of its nonzero
+    entries, Z the number of zeros and y_j = P / l_j (y_j = 0 marks a zero
+    entry).  A2 = h_(Z+1)(y) and S = sum_m w_m h_(z(1..m))(y_1..y_m)
+    h_(z(m..d))(y_m..y_d), with w_m = y_m, or -1 where l_m = 0.  The left
+    pass builds the prefix values by the recurrence h_i += y_j h_(i-1)
+    (i ascending) and ends with A2; the right pass builds the suffix values
+    the same way and accumulates S.  D vanishes iff S == A2.
+    """
+    P = 1
+    for l in ls:
+        if l:
+            P *= l
+    ys = [P // l if l else 0 for l in ls]
+    Z = ys.count(0)
+    top = range(1, Z + 2)
+    h = [1] + [0] * (Z + 1)
+    left = []
+    z = 0
+    for y in ys:
+        if y:
+            for i in top:
+                h[i] += y * h[i - 1]
+        else:
+            z += 1
+        left.append(h[z])
+    top = range(1, Z + 1)
+    g = [1] + [0] * Z
+    S = z = 0
+    for m in range(len(ys) - 1, -1, -1):
+        y = ys[m]
+        if y:
+            for i in top:
+                g[i] += y * g[i - 1]
+            S += y * left[m] * g[z]
+        else:
+            z += 1
+            S -= left[m] * g[z]
+    return S, h[Z + 1]
 
 
 def delta_series(coeffs, n, d_max):

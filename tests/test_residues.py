@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from bonft import cli, residues
 from bonft.hardy import Potential
 from bonft.lax import spectrum
-from bonft.residues import RANDOM_BLOCK, _vanishing_terms, sweep_combi, sweep_vanishing
-from oracles import (admissible_counts, combi_check, compositions, contour_residue_quadrature,
-                     delta_series, iter_partition_instances, projector_delta, psi_series,
-                     residue_pair, series_residue, series_residue_pole_shift,
-                     vanishing_sum_quadrature)
+from bonft.residues import RANDOM_BLOCK, _vanishing_sides, sweep_combi, sweep_vanishing
+from oracles import (_vanishing_terms, admissible_counts, combi_check, compositions,
+                     contour_residue_quadrature, delta_series, iter_partition_instances,
+                     projector_delta, psi_series, residue_pair, series_residue,
+                     series_residue_pole_shift, vanishing_sum_quadrature)
 
 QUAD_TOL = 1e-10
 
@@ -43,8 +43,18 @@ def walk_key(d, J, q):
 
 def vanishing_D(ls):
     """D(ls) (-1)^Z P^(Z+2) as the kernel's S - A2; zero iff S == A2."""
-    S, A2 = _vanishing_terms(tuple(ls))
-    return S - A2
+    (S,), (A2,) = _vanishing_sides(np.array([ls]))
+    return int(S) - int(A2)
+
+
+def sides(rows):
+    """_vanishing_sides(rows) as a list of (S, A2) pairs of Python ints."""
+    return list(zip(*(side.tolist() for side in _vanishing_sides(np.array(rows)))))
+
+
+def scalar_sides(rows):
+    """The scalar oracle's (S, A2) for each row, one tuple at a time."""
+    return [_vanishing_terms(tuple(ls)) for ls in np.asarray(rows).tolist()]
 
 
 def test_residue_examples():
@@ -123,10 +133,14 @@ def test_vanishing_terms_match_series_oracle():
     assert any(ls.count(0) >= 2 for ls in cases)
     assert any(len(set(ls)) < len(ls) for ls in cases if 0 not in ls)
     assert max(len(ls) for ls in cases) == 6 and max(max(map(abs, ls)) for ls in cases) == 40
-    for ls in cases:
+    checked = []
+    for d in range(1, 7):
+        block = [ls for ls in cases if len(ls) == d]
+        checked += zip(block, sides(block))
+    assert len(checked) == len(cases)
+    for ls, (S, A2) in checked:
         Z = ls.count(0)
         scale = (-1) ** Z * math.prod(l for l in ls if l) ** (Z + 2)
-        S, A2 = _vanishing_terms(ls)
         assert A2 == scale * series_residue(ls, 1), ls
         assert S == scale * sum(series_residue(ls[:m]) * series_residue(ls[m - 1:])
                                 for m in range(1, len(ls) + 1)), ls
@@ -137,18 +151,19 @@ def test_vanishing_holds_for_every_tuple_up_to_length_6():
     Nullstellensatz (1999, Lemma 2.1): with the zeros' positions fixed, S and
     A2 are integer polynomials in the d - Z nonzero entries of degree <= Z + 1
     in each (the next test), so S == A2 on {1..Z+2}^(d-Z) makes S - A2 the
-    zero polynomial, and P != 0 then gives D == 0."""
-    calls = 0
+    zero polynomial, and P != 0 then gives D == 0.  The kernel takes one block
+    per zero pattern."""
+    checked = 0
     for d in range(1, 7):
         for zeros in itertools.product((False, True), repeat=d):
             Z = sum(zeros)
-            for values in itertools.product(range(1, Z + 3), repeat=d - Z):
-                entries = iter(values)
-                ls = tuple(0 if zero else next(entries) for zero in zeros)
-                S, A2 = _vanishing_terms(ls)
-                assert S == A2, ls
-                calls += 1
-    assert calls == 10106
+            values = list(itertools.product(range(1, Z + 3), repeat=d - Z))
+            rows = np.zeros((len(values), d), np.int64)
+            rows[:, np.logical_not(zeros)] = values
+            S, A2 = _vanishing_sides(rows)
+            assert (S == A2).all(), rows[S != A2][0]
+            checked += len(rows)
+    assert checked == 10106
 
 
 def _difference(values):
@@ -160,7 +175,7 @@ def _difference(values):
 def test_vanishing_sides_have_degree_at_most_z_plus_1():
     # the (Z+2)-th difference of each side along a nonzero entry is exactly 0,
     # and the (Z+1)-th is not always; the entry steps away from 0, so the zero
-    # pattern stays fixed
+    # pattern stays fixed; the kernel takes the Z + 3 tuples as one block
     checks = reached = 0
     for ls in _seeded_tuples(36, 200, 5, 2):
         Z = ls.count(0)
@@ -168,49 +183,125 @@ def test_vanishing_sides_have_degree_at_most_z_plus_1():
             if not v:
                 continue
             step = 1 if v > 0 else -1
-            sides = [_vanishing_terms(ls[:i] + (v + j * step,) + ls[i + 1:]) for j in range(Z + 3)]
-            for side in zip(*sides):
+            family = [ls[:i] + (v + j * step,) + ls[i + 1:] for j in range(Z + 3)]
+            for side in zip(*sides(family)):
                 assert _difference(side) == 0, (ls, i)
                 reached += _difference(side[:-1]) != 0
                 checks += 1
     assert checks == 950 and reached
 
 
+def test_vanishing_sides_match_the_scalar_oracle():
+    # every tuple with d <= 4 and |l| <= 6, one block per d
+    checked = 0
+    for d in range(1, 5):
+        rows = list(itertools.product(range(-6, 7), repeat=d))
+        assert sides(rows) == scalar_sides(rows), d
+        checked += len(rows)
+    assert checked == 30940
+
+
+def _rows_with_zeros(rng, count, d, Z, bound):
+    """count rows of length d with exactly Z zeros, placed at random, and the
+    other entries uniform on +-[1, bound]."""
+    rows = rng.integers(1, bound + 1, size=(count, d)) * rng.choice((-1, 1), size=(count, d))
+    for row in rows:
+        row[rng.permutation(d)[:Z]] = 0
+    return rows
+
+
+def test_vanishing_sides_are_exact_at_the_int64_bound_and_past_it():
+    # d = 6 with entries +-50 is the random part's worst case: its largest
+    # bound, at Z = 2, is 4.69e18 < 2^63, so every group runs on int64
+    assert residues._side_bound(6, 2, 50) == 4687500000000000000
+    assert max(residues._side_bound(6, Z, 50) for Z in range(7)) < 2 ** 63
+    rng = np.random.default_rng(37)
+    for Z in range(7):
+        rows = _rows_with_zeros(rng, 300, 6, Z, 50)
+        rows[:20] = 50 * np.sign(rows[:20])  # every |l| at the bound
+        S, A2 = _vanishing_sides(rows)
+        assert S.dtype == A2.dtype == np.int64, Z
+        assert sides(rows) == scalar_sides(rows), Z
+    # entries +-10^4 pass the bound for Z <= 4, where the group runs on Python
+    # ints, and at Z = 0 the sides themselves leave int64
+    blocks = [_rows_with_zeros(rng, 100, 6, Z, 10 ** 4) for Z in range(7)]
+    for Z, rows in enumerate(blocks):
+        S, A2 = _vanishing_sides(rows)
+        past = residues._side_bound(6, Z, int(abs(rows).max())) > 2 ** 63 - 1
+        assert past == (Z <= 4), Z
+        assert S.dtype == A2.dtype == (object if past else np.int64), Z
+        assert sides(rows) == scalar_sides(rows), Z
+    assert max(abs(v) for pair in sides(blocks[0]) for v in pair) > 2 ** 63
+    # one block mixing int64 and object groups keeps each row's values
+    rows = np.concatenate(blocks)[rng.permutation(700)]
+    assert _vanishing_sides(rows)[0].dtype == object
+    assert sides(rows) == scalar_sides(rows)
+
+
 def test_sweep_vanishing_reports_a_corrupted_tuple(monkeypatch, capsys):
-    real = residues._vanishing_terms
-    bad = (1, -2, 0)
+    # (2, 1, -1) has no zero and (1, -2, 0) one, so the kernel's Z groups
+    # meet them in the opposite order to the sweep's
+    real = residues._vanishing_sides
+    bad = [(1, -2, 0), (2, 1, -1)]
 
-    def corrupted(ls):
-        S, A2 = real(ls)
-        return (S + 1, A2) if ls == bad else (S, A2)
+    def corrupted(rows):
+        S, A2 = real(rows)
+        return S + [tuple(ls) in bad for ls in rows.tolist()], A2
 
-    monkeypatch.setattr(residues, "_vanishing_terms", corrupted)
+    monkeypatch.setattr(residues, "_vanishing_sides", corrupted)
     counts, rc, violations = sweep_vanishing(3, 2, random_count=50, rng=np.random.default_rng(1))
     assert counts == {1: 5, 2: 25, 3: 125} and rc == 50
-    assert violations == [bad]
+    assert violations == bad
+    assert all(type(v) is int for ls in violations for v in ls)
     assert cli.main(["vanishing", "--max-d", "3", "--l-bound", "2"]) == 3
-    assert "first: (1, -2, 0)" in capsys.readouterr().err
+    assert "2 tuples violate the vanishing identity, first: (1, -2, 0)" in capsys.readouterr().err
+
+
+def _recording_sweep(monkeypatch, *args):
+    """sweep_vanishing(*args) with every tuple flagged, and the row counts the
+    kernel received."""
+    real = residues._vanishing_sides
+    seen = []
+
+    def recording(rows):
+        seen.append(len(rows))
+        S, A2 = real(rows)
+        return S + 1, A2
+
+    monkeypatch.setattr(residues, "_vanishing_sides", recording)
+    return sweep_vanishing(*args), seen
 
 
 def test_random_tuples_are_drawn_in_blocks(monkeypatch):
-    real = residues._vanishing_terms
-    seen = []
-
-    def recording(ls):
-        seen.append(ls)
-        return real(ls)
-
-    monkeypatch.setattr(residues, "_vanishing_terms", recording)
     count = RANDOM_BLOCK + 3
-    counts, rc, violations = sweep_vanishing(1, 0, random_count=count,
-                                             rng=np.random.default_rng(3))
-    assert (counts, rc, violations) == ({1: 1}, count, [])
-    drawn = seen[1:]
-    assert len(drawn) == count
+    (counts, rc, drawn), seen = _recording_sweep(monkeypatch, 1, 0, count, np.random.default_rng(3))
+    assert (counts, rc) == ({1: 1}, count)
+    assert max(seen) <= RANDOM_BLOCK and sum(seen) == count + 1
+    assert drawn[0] == (0,)
+    drawn = drawn[1:]
+    # the same rng calls as a block draw, one block of RANDOM_BLOCK then one of 3
+    rng = np.random.default_rng(3)
+    want = []
+    for b in (RANDOM_BLOCK, 3):
+        lengths = rng.integers(1, 7, size=b).tolist()
+        want += [tuple(row[:d]) for d, row in zip(lengths, rng.integers(-50, 51, size=(b, 6)).tolist())]
+    assert drawn == want
     assert {len(ls) for ls in drawn} == set(range(1, 7))
     entries = [v for ls in drawn for v in ls]
     assert all(type(v) is int for v in entries)
     assert min(entries) == -50 and max(entries) == 50
+    # the exhaustive part is cut into blocks of RANDOM_BLOCK as well
+    (counts, rc, found), seen = _recording_sweep(monkeypatch, 1, 3000, 0, None)
+    assert (counts, rc) == ({1: 6001}, 0)
+    assert seen == [RANDOM_BLOCK, 6001 - RANDOM_BLOCK]
+    assert found == [(v,) for v in range(-3000, 3001)]
+    assert all(type(ls[0]) is int for ls in found)
+    # past 2^63 tuples the enumeration and the kernel run on Python ints
+    first = next(residues._lex_blocks(2, 2 ** 62))
+    assert first.dtype == object and len(first) == RANDOM_BLOCK
+    assert first[:2].tolist() == [[-2 ** 62, -2 ** 62], [-2 ** 62, 1 - 2 ** 62]]
+    S, A2 = _vanishing_sides(first)
+    assert S.dtype == object and (S == A2).all()
 
 
 def test_partition_instance_validation():
