@@ -4,10 +4,10 @@ The coordinates are assembled from truncated spectral data in three layers:
 
   1. scaling_constants: products over the gaps give kappa_n and mu_n;
   2. eigen_chain(sd, kappa, mu): the chain f_n = P_n(S f_{n-1}) / sqrt(mu_n)
-     lies in the range of the rank-one projector P_n, so f_n = a_n h_n with
-     h_n = P_n e_n, and a_n = a_0 prod_{k<=n} nu_k / sqrt(mu_k) with
-     nu_n = w_n^H S h_{n-1} / conj(w_n[n]), one pairing per column and a
-     cumulative product; no vector is formed;
+     lies in the range of the rank-one projector P_n, so f_n = b_n v_n on
+     the eigenvector v_n itself, and
+     b_n = b_0 prod_{k<=n} (w_k^H S v_{k-1}) / (w_k^H v_k) / sqrt(mu_k),
+     one pairing per column and a cumulative product; no vector is formed;
   3. birkhoff_forward: the coordinate of index n is <1|f_n> / sqrt(kappa_n),
      one side formula for real and complex potentials alike, read off one
      spectral record, its chain and its kappa: it gives zeta_{-n}(u), and
@@ -18,7 +18,7 @@ The coordinates are assembled from truncated spectral data in three layers:
      (lax.conjugate_spectrum) under u's labels without a second
      eigensolve, with u's kappa_n and mu_n conjugated; only its chain runs.
      The norm drift pairs the two chains, sum_k f_n(u)_k conj(f_n(conj u)_k),
-     against 1.
+     against 1, and one shift-drop warning covers them both.
 
 Principal square roots throughout, with the branch cut treated as an error.
 """
@@ -55,27 +55,7 @@ def sqrt_plus(z):
     if cut.size:
         raise BranchCutError("square root argument %r on the branch cut"
                              % (complex(z.flat[cut[0]]),))
-    # a Python complex on 0-d input keeps eigen_chain's sqrt_plus(kappa[0]) / h0_zero
-    # a Python division, which rounds apart from numpy's; the goldens hold its bits
-    return complex(np.sqrt(z)) if z.ndim == 0 else np.sqrt(z)
-
-
-def _mul(a, b):
-    """Elementwise a * b, rounded like numpy's scalar complex product.
-
-    numpy's vectorised complex multiply can round the last bit differently
-    from its scalar product (its SIMD loop may fuse a multiply and an add);
-    spelled out in real arithmetic, each component rounds as the scalar
-    product does, so vectorised code keeps the bits of a scalar loop.
-    """
-    if not (np.iscomplexobj(a) or np.iscomplexobj(b)):
-        return a * b
-    a = np.asarray(a)
-    b = np.asarray(b)
-    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
+    return np.sqrt(z)
 
 
 def scaling_constants(sd):
@@ -91,7 +71,9 @@ def scaling_constants(sd):
     factors, an estimate of what truncating the products discards.
 
     Row n of a factor matrix holds the factors k != n in increasing k, and
-    np.prod takes them left to right, as a scalar loop would.
+    np.prod takes them left to right, as a scalar loop would: kappa keeps
+    the loop's bits, while mu's factors take numpy's vectorised complex
+    products, which may round a last bit apart from scalar ones.
     """
     K = sd.K_use
     lam = sd.lambdas[:K + 1]
@@ -110,8 +92,8 @@ def scaling_constants(sd):
     kappa = np.empty(K + 1, dtype=complex)
     kappa[0] = np.prod(lead)
     kappa[1:] = np.prod(kap, axis=1) / (lam[1:] - lam[0])
-    mus = np.concatenate((lead[:, None], 1.0 - _mul(gam[n - 1], gam[k - 1])
-                          / _mul(lam[k - 1] - lam[n - 1], lam[k] - lam[n])), axis=1)
+    mus = np.concatenate((lead[:, None], 1.0 - gam[n - 1] * gam[k - 1]
+                          / ((lam[k - 1] - lam[n - 1]) * (lam[k] - lam[n]))), axis=1)
     # column 0 holds mu_n's leading factor, the n-th factor of kappa_0, which
     # passed the kappa guard: a flagged factor lies in a later column
     bad = np.argwhere(~(np.abs(mus) >= DEGENERATE_TOL))
@@ -121,44 +103,44 @@ def scaling_constants(sd):
                                 % (row + 1, abs(mus[row, col]), k[row, col - 1]))
     mu = np.full(K + 1, np.nan, dtype=complex)
     mu[1:] = np.prod(mus, axis=1)
-    # the tails are reported to the last digit, so they take the scalar abs
-    # of each last factor: np.abs on an array may round differently
     last_kap = np.concatenate((lead[-1:], kap[:, -1:].ravel()))
     last_mu = mus[:, -1] if K > 1 else lead[:0]
-    return kappa, mu, {"kappa_tail": float(max([0.0, *map(abs, last_kap - 1.0)])),
-                       "mu_tail": float(max([0.0, *map(abs, last_mu - 1.0)]))}
+    return kappa, mu, {"kappa_tail": float(np.abs(last_kap - 1.0).max(initial=0.0)),
+                       "mu_tail": float(np.abs(last_mu - 1.0).max(initial=0.0))}
 
 
 def eigen_chain(sd, kappa, mu):
-    """The scaling constants a_0..a_K of the normalized chain f_0..f_K.
+    """The scalars b_0..b_K of the normalized chain f_n = b_n v_n.
 
-    The chain starts at f_0 = a_0 h_0 with a_0 = sqrt(kappa_0) / <h_0, 1>
-    (bilinear pairing) and runs f_n = P_n(S f_{n-1}) / sqrt(mu_n).  P_n has
-    rank one, so f_n = a_n h_n with h_n = P_n e_n, and only the scalars a_n
-    are computed.  The projector couplings
+    The chain starts at the vacuum with mean sqrt(kappa_0) (bilinear
+    pairing), f_0 = b_0 v_0 with b_0 = sqrt(kappa_0) / v_0[0], and runs
+    f_n = P_n(S f_{n-1}) / sqrt(mu_n), where S shifts every mode up by one
+    and drops the top one and P_n = v_n w_n^H / (w_n^H v_n).  P_n has rank
+    one, so f_n lies on v_n, and only the scalars
 
-        alpha_n = <P_n e_n | e_n>,
-        beta_n  = <P_n S h_{n-1} | e_n>
+        b_n = b_{n-1} (w_n^H S v_{n-1}) / (w_n^H v_n) / sqrt(mu_n)
 
-    share the factor v_n[n] / (w_n^H v_n), so their ratio is one pairing,
+    are computed: one column pairing for every n at once and a cumulative
+    product, with kappa and mu from scaling_constants(sd).  The coupling
 
-        nu_n = beta_n / alpha_n = w_n^H S h_{n-1} / conj(w_n[n]),
+        alpha_n = <P_n e_n | e_n> = v_n[n] conj(w_n[n]) / (w_n^H v_n)
 
-    taken for every n at once.  Then a_n = a_0 prod_{k<=n} nu_k / sqrt(mu_k),
-    with kappa and mu from scaling_constants(sd).  The admissibility guards
-    |mu_n - 1| < 1/2 and |alpha_n| >= 1/2 delimit the neighborhood where the
-    construction is trusted; leaving it raises OutOfNeighborhood at the
-    first offending n (mu before alpha).  The alpha guard also keeps w_n[n]
-    away from zero.  Returns the array a.
+    is read by its modulus and never enters the chain: a vacuum with
+    |alpha_0| < DEGENERATE_TOL has no mean to normalize and raises
+    DegenerateProjector, and the admissibility guards |mu_n - 1| < 1/2 and
+    |alpha_n| >= 1/2 delimit the neighborhood where the construction is
+    trusted; leaving it raises OutOfNeighborhood at the first offending n
+    (mu before alpha).  Returns the array b.
     """
     K = sd.K_use
-    h = sd.h
-    h0_zero = complex(h[0, 0])  # bilinear <h_0, 1>
-    if not abs(h0_zero) >= DEGENERATE_TOL:
+    V = sd.right_vecs[:, :K + 1]
+    W = sd.left_vecs[:, :K + 1]
+    pairs = np.sum(np.conj(W) * V, axis=0)  # w_n^H v_n
+    abs_alpha = np.abs(np.diagonal(V) * np.diagonal(W)) / np.abs(pairs)
+    if not abs_alpha[0] >= DEGENERATE_TOL:
         raise DegenerateProjector("projected vacuum has zero mean component")
-    alpha = np.diagonal(h)
     far_mu = ~(np.abs(mu[1:] - 1.0) < NEIGHBORHOOD_MU)  # NaN is far
-    far_alpha = ~(np.abs(alpha[1:]) >= NEIGHBORHOOD_ALPHA)
+    far_alpha = ~(abs_alpha[1:] >= NEIGHBORHOOD_ALPHA)
     bad = np.flatnonzero(far_mu | far_alpha)
     if bad.size:
         n = bad[0] + 1
@@ -166,24 +148,14 @@ def eigen_chain(sd, kappa, mu):
             raise OutOfNeighborhood("|mu_%d - 1| = %.3f >= %.1f"
                                     % (n, abs(mu[n] - 1.0), NEIGHBORHOOD_MU))
         raise OutOfNeighborhood("|alpha_%d| = %.3f < %.1f"
-                                % (n, abs(alpha[n]), NEIGHBORHOOD_ALPHA))
-    # w_n pairs with S h_{n-1}: h_{n-1} shifted up a mode, its top mode dropped
-    w = sd.left_vecs[:, 1:K + 1]
-    nu = (np.sum(np.conj(w[1:]) * h[:-1, :K], axis=0)
-          / np.conj(np.diagonal(sd.left_vecs)[1:K + 1]))
-    a = np.cumprod(np.concatenate(([sqrt_plus(kappa[0]) / h0_zero],
+                                % (n, abs_alpha[n], NEIGHBORHOOD_ALPHA))
+    # w_n pairs with S v_{n-1}: v_{n-1} shifted up a mode, its top mode dropped
+    nu = np.sum(np.conj(W[1:, 1:]) * V[:-1, :K], axis=0) / pairs[1:]
+    b = np.cumprod(np.concatenate(([sqrt_plus(kappa[0]) / V[0, 0]],
                                    nu / sqrt_plus(mu[1:]))))
-    if not (np.isfinite(a).all() and np.isfinite(h).all()):
+    if not np.isfinite(b).all():
         raise ValueError("non-finite Hardy coefficients")
-    # S drops the top mode of every vector it shifts, h_0..h_{K-1}, and of
-    # f_n = a_n h_n, whose top-mode ratio is h_n's
-    size = np.abs(h[:, :K])
-    scale = size.max(axis=0, initial=0.0)
-    drop = (scale > 0.0) & (size[-1] > SHIFT_DROP_THRESHOLD * scale)
-    if drop.any():
-        warnings.warn("chain shift dropped top coefficient of relative size %.3e"
-                      % np.max(size[-1, drop] / scale[drop]), TruncationWarning)
-    return a
+    return b
 
 
 class BirkhoffState:
@@ -263,48 +235,58 @@ def state_from_json(obj):
     return BirkhoffState(s, plus, minus, real)
 
 
-def _zeta_minus(sd, a, kappa):
-    """zeta_{-n} = sqrt(n) a_n Psi_n / sqrt(n kappa_n) for n = 1..K_use, read off
+def _zeta_minus(sd, b, kappa):
+    """zeta_{-n} = sqrt(n) b_n v_n[0] / sqrt(n kappa_n) for n = 1..K_use, read off
     one spectral record, its chain and its kappa: zeta_{-n}(u) from those of u
     and, conjugated, zeta_n(u) from those of conj(u)."""
     ns = np.arange(1, sd.K_use + 1)
-    return _mul(_mul(np.sqrt(ns), a[1:]), sd.h[0, 1:]) / sqrt_plus(_mul(ns, kappa[1:]))
+    return np.sqrt(ns) * b[1:] * sd.right_vecs[0, 1:sd.K_use + 1] / sqrt_plus(ns * kappa[1:])
 
 
 def birkhoff_forward(u, M=None, k_use=None):
     """The coordinate map on a trig-polynomial potential.
 
-    With f_n = a_n h_n, zeta_n = <1|f_n> / sqrt(kappa_n) takes a product
+    With f_n = b_n v_n, zeta_n = <1|f_n> / sqrt(kappa_n) takes a product
     form, one assembly path for real and complex u alike.  Index -n takes
 
-        zeta_{-n}(u) = sqrt(n) a_n(u) Psi_n(u) / sqrt(n kappa_n(u))
+        zeta_{-n}(u) = sqrt(n) b_n(u) v_n(u)[0] / sqrt(n kappa_n(u)),
 
-    with Psi_n = <1|h_n>, and the analytic extension gives index n as
-    zeta_n(u) = conj(zeta_{-n}(u-)) with u- = conj(u), the same formula on
-    the spectral record and chain of u-.  For real u the chain of u- is the
-    chain of u and the minus side is conj(plus).  For complex u the spectrum
-    of u- is read off that of u under the same labels (L_{conj u} =
-    L_u^H, so one eigensolve serves both), kappa_n and mu_n of u- are u's
-    conjugated to the last bit, and only the chain of u- runs again.
+    and the analytic extension gives index n as zeta_n(u) = conj(zeta_{-n}(u-))
+    with u- = conj(u), the same formula on the spectral record and chain of
+    u-.  For real u the chain of u- is the chain of u and the minus side is
+    conj(plus).  For complex u the spectrum of u- is read off that of u
+    under the same labels (L_{conj u} = L_u^H, so one eigensolve serves
+    both), kappa_n and mu_n of u- are u's conjugated to the last bit, and
+    only the chain of u- runs again.
 
-    Attaches .diagnostics with the product tails and the chain norm drift
-    max_n |a_n conj(a-_n) <h-_n|h_n> - 1|, the pairing
+    S drops the top mode of each f_0..f_{K-1} it shifts, of either chain;
+    f_n's top-mode ratio is v_n's, and past SHIFT_DROP_THRESHOLD one
+    TruncationWarning names the largest.  Attaches .diagnostics with the
+    product tails and the chain norm drift
+    max_n |b_n conj(b-_n) (v-_n)^H v_n - 1|, the pairing
     sum_k f_n(u)_k conj(f_n(u-)_k) of the two chains against 1: the analytic
-    extension of ||f_n||^2 = 1, which is |a_n|^2 ||h_n||^2 for real u.
+    extension of ||f_n||^2 = 1, which is |b_n|^2 for real u.
     """
     if M is None:
         M = default_lax_dim(u.N)
     sd = spectrum(u, M, k_use=k_use)
     kappa, mu, tails = scaling_constants(sd)
-    a = eigen_chain(sd, kappa, mu)
+    b = eigen_chain(sd, kappa, mu)
     if u.real:
-        sd_c, a_c, kappa_c = sd, a, kappa
+        sd_c, b_c, kappa_c = sd, b, kappa
     else:
         sd_c, kappa_c = conjugate_spectrum(sd), np.conj(kappa)
-        a_c = eigen_chain(sd_c, kappa_c, np.conj(mu))
-    pairing = a * np.conj(a_c) * np.sum(np.conj(sd_c.h) * sd.h, axis=0)
-    plus = np.conj(_zeta_minus(sd_c, a_c, kappa_c))
-    minus = np.conj(plus) if u.real else _zeta_minus(sd, a, kappa)
+        b_c = eigen_chain(sd_c, kappa_c, np.conj(mu))
+    K = sd.K_use
+    V, V_c = sd.right_vecs[:, :K + 1], sd_c.right_vecs[:, :K + 1]
+    size = np.abs(V[:, :K] if u.real else np.hstack((V[:, :K], V_c[:, :K])))
+    top = np.max(size[-1] / size.max(axis=0))
+    if top > SHIFT_DROP_THRESHOLD:
+        warnings.warn("chain shift dropped top coefficient of relative size %.3e" % top,
+                      TruncationWarning)
+    pairing = b * np.conj(b_c) * np.sum(np.conj(V_c) * V, axis=0)
+    plus = np.conj(_zeta_minus(sd_c, b_c, kappa_c))
+    minus = np.conj(plus) if u.real else _zeta_minus(sd, b, kappa)
     state = BirkhoffState(u.s, plus, minus, real_flag=u.real)
     state.diagnostics = dict(tails, norm_drift=float(np.max(np.abs(pairing - 1.0))))
     return state

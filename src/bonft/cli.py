@@ -85,7 +85,7 @@ def _cmd_spectrum(args):
              "gap_re": gam[n - 1].real if n else 0.0, "gap_im": gam[n - 1].imag if n else 0.0}
             for n in range(sd.K_use + 1)]
     _write(args, {
-        "M": sd.M,
+        "M": len(sd.lambdas) - 1,
         "K_use": sd.K_use,
         "hermitian": sd.hermitian,
         "min_separation": sd.min_separation,

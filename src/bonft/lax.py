@@ -7,11 +7,11 @@ mode index minus a Toeplitz part built from the potential:
 
 Everything downstream (gaps, norming constants, the coordinate map) reads
 off this one matrix, so this module owns assembly, the eigensolve with its
-simplicity guard, the rank-one spectral projectors, and the spectral data
-of the conjugated potential derived from them under u's labels.  A real
-potential gives a Hermitian matrix and numpy's eigh, its eigenvalues kept
-real; a complex one gives numpy's eig for the right eigenvectors, with the
-left ones read off the inverse of their matrix.
+simplicity and near-orthogonality guards, and the spectral data of the
+conjugated potential read off it under u's labels.  A real potential
+gives a Hermitian matrix and numpy's eigh, its eigenvalues kept real; a
+complex one gives numpy's eig for the right eigenvectors, with the left
+ones read off the inverse of their matrix.
 """
 
 import warnings
@@ -46,36 +46,35 @@ def assemble_lax(u, M):
 
 @dataclass
 class SpectralData:
-    """Sorted truncated spectrum with its projected basis.
+    """Sorted truncated spectrum with its left and right eigenvectors.
 
     lambdas are sorted by increasing real part (real for a Hermitian
-    truncation, complex otherwise); right_vecs and left_vecs store
-    eigenvectors columnwise (left vectors w satisfy w^H L = lambda w^H, so
-    for a Hermitian matrix they coincide with the right ones; otherwise w_n
-    is the conjugate of row n of V^{-1}, scaled to unit length); column n
-    of the (M+1) x (K_use+1) array h is the projected basis vector P_n e_n,
-    for n <= K_use.
+    truncation, complex otherwise) and hold M+1 eigenvalues; right_vecs and
+    left_vecs store unit eigenvectors columnwise (left vectors w satisfy
+    w^H L = lambda w^H, so for a Hermitian matrix they coincide with the
+    right ones; otherwise w_n is the conjugate of row n of V^{-1}, scaled to
+    unit length).  The labels n <= K_use are the ones the chain reads.
     """
 
     lambdas: np.ndarray
     right_vecs: np.ndarray
     left_vecs: np.ndarray
-    h: np.ndarray
     K_use: int
-    M: int
     hermitian: bool
     min_separation: float
 
 
 def spectrum(u, M, k_use=None):
-    """Eigendecomposition of the truncated Lax matrix with projector data.
+    """Eigendecomposition of the truncated Lax matrix with its guards.
 
     Labels follow increasing real part, then imaginary part; eigh's
     ascending order of a real spectrum already satisfies this rule.  A pair
     of eigenvalues closer than SIMPLICITY_TOL leaves the labeling (and every
     rank-one projector) undefined, so that raises NumericalFailure rather
-    than picking an order.  K_use defaults to M/2: the upper half of a
-    truncated spectrum is polluted by the cut.
+    than picking an order.  With unit vectors 1/|w_n^H v_n| is the condition
+    number of lambda_n, and the chain divides by w_n^H v_n: below 1e-12 for
+    some n <= K_use that raises NumericalFailure too.  K_use defaults to
+    M/2: the upper half of a truncated spectrum is polluted by the cut.
     """
     K_use = M // 2 if k_use is None else int(k_use)
     if not 1 <= K_use <= M:
@@ -103,23 +102,16 @@ def spectrum(u, M, k_use=None):
         W = V
     else:
         # rows of V^{-1} are the left vectors; unscaled, every w^H v would be
-        # 1 and the near-orthogonality guard in _projected_basis could not fire
+        # 1 and the near-orthogonality guard below could not fire
         W = np.linalg.inv(V).conj().T
         W /= np.linalg.norm(W, axis=0)
-    return SpectralData(lam, V, W, _projected_basis(V, W, K_use), K_use, M,
-                        hermitian, min_separation)
-
-
-def _projected_basis(V, W, K_use):
-    """The columns P_n e_n = v_n conj(w_n[n]) / (w_n^H v_n), n <= K_use; with unit
-    vectors 1/|w_n^H v_n| is the condition number of lambda_n, guarded at 1e-12."""
     n_use = K_use + 1
-    pairs = np.array([np.vdot(W[:, n], V[:, n]) for n in range(n_use)], dtype=complex)
+    pairs = np.sum(np.conj(W[:, :n_use]) * V[:, :n_use], axis=0)
     small = np.flatnonzero(np.abs(pairs) < 1e-12)
     if small.size:
         raise NumericalFailure("left/right eigenvectors nearly orthogonal at n=%d"
                                % small[0])
-    return V[:, :n_use] * (np.conj(np.diagonal(W)[:n_use]) / pairs)
+    return SpectralData(lam, V, W, K_use, hermitian, min_separation)
 
 
 def conjugate_spectrum(sd):
@@ -131,11 +123,11 @@ def conjugate_spectrum(sd):
     one.  The labels are kept, not sorted again: they differ from those
     spectrum(conj u) would pick only on an exact tie in the real part,
     which conjugation reverses in the imaginary order.  Everything but the
-    eigenvalues, the vectors and h carries over.
+    eigenvalues and the vectors carries over, the near-orthogonality guard
+    included: |v_n^H w_n| = |w_n^H v_n|.
     """
     return replace(sd, lambdas=np.conj(sd.lambdas), right_vecs=sd.left_vecs,
-                   left_vecs=sd.right_vecs,
-                   h=_projected_basis(sd.left_vecs, sd.right_vecs, sd.K_use))
+                   left_vecs=sd.right_vecs)
 
 
 def gaps(sd):

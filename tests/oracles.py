@@ -287,7 +287,7 @@ def iter_partition_instances(d):
 
 
 def psi_series(coeffs, n, d_max):
-    """Taylor sum of the zero-mode coefficient of the projected basis vector h_n.
+    """Taylor sum of the zero-mode coefficient of h_n = P_n e_n (projected_basis).
 
     coeffs maps n -> u_hat(n) over both signs.  The first-order term is
     -u_hat(-n)/n; each degree m+1 <= d_max adds the finite sum over tuples
@@ -551,23 +551,35 @@ def scaling_constants_loop(sd, tol=1e-12):
     return kappa, mu, {"kappa_tail": kappa_tail, "mu_tail": mu_tail}
 
 
+def projected_basis(sd):
+    """The projected basis h_n = P_n e_n = v_n conj(w_n[n]) / (w_n^H v_n), n <= K_use.
+
+    One vdot per column; the chain runs on the eigenvectors themselves, and
+    f_n = a_n h_n is the same chain in this basis, with h_n[n] = alpha_n.
+    Returns the (M+1) x (K_use+1) array whose column n is h_n.
+    """
+    V, W = sd.right_vecs, sd.left_vecs
+    return np.stack([V[:, n] * (np.conj(W[n, n]) / np.vdot(W[:, n], V[:, n]))
+                     for n in range(sd.K_use + 1)], axis=1)
+
+
 def chain_loop(sd):
     """The normalized chain f_0..f_K as vectors, one shifted projection at a time.
 
-    f_0 = a_0 h_0 with a_0 = sqrt(kappa_0) / h_0[0], then
-    f_n = P_n(S f_{n-1}) / sqrt(mu_n), where S shifts every mode up by one
-    and drops the top one, and P_n x = v_n (w_n^H x) / (w_n^H v_n).
-    kappa and mu come from scaling_constants_loop; square roots are
-    principal.  Reads sd.right_vecs, sd.left_vecs, sd.h, sd.M
-    besides what scaling_constants_loop reads, and runs no guard.  Returns
-    the (M+1) x (K+1) array whose column n is f_n.
+    f_0 = a_0 h_0 with a_0 = sqrt(kappa_0) / h_0[0] and h from
+    projected_basis, then f_n = P_n(S f_{n-1}) / sqrt(mu_n), where S shifts
+    every mode up by one and drops the top one, and
+    P_n x = v_n (w_n^H x) / (w_n^H v_n).  kappa and mu come from
+    scaling_constants_loop; square roots are principal.  Reads
+    sd.right_vecs and sd.left_vecs besides what scaling_constants_loop
+    reads, and runs no guard.  Returns the (M+1) x (K+1) array whose column
+    n is f_n.
     """
     kappa, mu, _ = scaling_constants_loop(sd)
-    K = sd.K_use
-    f = np.empty((sd.M + 1, K + 1), dtype=complex)
-    f[:, 0] = np.sqrt(kappa[0]) / sd.h[0, 0] * sd.h[:, 0]
-    for n in range(1, K + 1):
-        shifted = np.zeros(sd.M + 1, dtype=complex)
+    h = projected_basis(sd)
+    f = np.sqrt(kappa[0]) / h[0, 0] * h
+    for n in range(1, sd.K_use + 1):
+        shifted = np.zeros(len(f), dtype=complex)
         shifted[1:] = f[:-1, n - 1]
         v = sd.right_vecs[:, n]
         w = sd.left_vecs[:, n]
@@ -579,17 +591,18 @@ def projector_couplings(sd):
     """alpha_n = <P_n e_n | e_n> and beta_n = <P_n S h_{n-1} | e_n> for n = 1..K_use.
 
     P_n = v_n w_n^H / (w_n^H v_n) is the rank-one projector formed as a
-    matrix, and S shifts every mode up by one and drops the top one.  Reads
-    sd.right_vecs, sd.left_vecs, sd.h, sd.M and sd.K_use.  Returns (alpha,
-    beta), index-aligned with slot 0 NaN.
+    matrix, S shifts every mode up by one and drops the top one, and h comes
+    from projected_basis.  Reads sd.right_vecs, sd.left_vecs and sd.K_use.
+    Returns (alpha, beta), index-aligned with slot 0 NaN.
     """
+    h = projected_basis(sd)
     alpha = np.full(sd.K_use + 1, np.nan, dtype=complex)
     beta = alpha.copy()
     for n in range(1, sd.K_use + 1):
         v, w = sd.right_vecs[:, n], sd.left_vecs[:, n]
         P = np.outer(v, np.conj(w)) / np.vdot(w, v)
-        shifted = np.zeros(sd.M + 1, dtype=complex)
-        shifted[1:] = sd.h[:-1, n - 1]
+        shifted = np.zeros(len(h), dtype=complex)
+        shifted[1:] = h[:-1, n - 1]
         alpha[n], beta[n] = P[n, n], (P @ shifted)[n]
     return alpha, beta
 

@@ -11,7 +11,7 @@ import pytest
 from bonft import cli, flow, pde
 from bonft.birkhoff import state_from_json
 from bonft.hardy import potential_from_json, potential_to_json
-from test_golden import CASES, GOLDEN, STATE, U
+from test_golden import CASES, GOLDEN, STATE, U, UC
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::bonft.errors.TruncationWarning")
@@ -423,13 +423,17 @@ def test_blow_up_exits_2_without_stepping_to_the_end():
      "warning: dt=0.25 spins the top mode 64 radians per step\n"),
     (["transform", "-i", U, "--lax-dim", "10"],
      "warning: chain shift dropped top coefficient of relative size 6.484e-08\n"),
+    # the chains of u and conj(u) both drop a top mode; one line names the larger
+    (["transform", "-i", UC, "--lax-dim", "32", "--modes", "32"],
+     "warning: chain shift dropped top coefficient of relative size 1.301e-02\n"),
     # max |n^2 + Omega_n| = 63.9986 on this state, so the 2^52 phase bound
     # falls at t = 7.04e13
     (["evolve", "-i", STATE, "--t", "1e15"],
      "warning: t=1e+15 spins a phase 6.4e+16 radians, past 2^52: no digit of the flow"
      " is certain\n"),
     (["evolve", "-i", STATE, "--t", "7e13"], ""),
-], ids=["phase-budget", "shift-drop", "evolve-no-digit", "evolve-below-bound"])
+], ids=["phase-budget", "shift-drop", "shift-drop-complex", "evolve-no-digit",
+        "evolve-below-bound"])
 def test_each_warning_prints_as_one_line(argv, err):
     # one warning: line per warning, with no source path or code line
     out = _bonft(argv)

@@ -3,11 +3,13 @@ import pytest
 import scipy.linalg
 
 import bonft.lax
+from bonft import cli
 from bonft.errors import NumericalFailure, TruncationWarning
 from bonft.hardy import Potential
 from bonft.lax import SpectralData, assemble_lax, conjugate_spectrum, gaps, spectrum
 from oracles import (involute, lax_matrix, perturbative_gamma1, perturbative_lambda0,
-                     riesz_column_quadrature, symmetry_audit)
+                     projected_basis, riesz_column_quadrature, symmetry_audit)
+from test_golden import UC
 
 PERTURB_TOL = 2e-4
 
@@ -68,9 +70,9 @@ def test_hermitian_and_general_paths_agree():
     a = spectrum(u, 24)
     b = spectrum(v, 24)
     assert np.max(np.abs(a.lambdas - b.lambdas)) < 1e-11
-    for n in range(5):
-        ha, hb = a.h[:, n], b.h[:, n]
-        assert np.max(np.abs(ha - hb)) < 1e-9
+    # phase-free: h_n = P_n e_n does not depend on how eigh and eig scale v_n
+    ha, hb = projected_basis(a), projected_basis(b)
+    assert np.max(np.abs(ha[:, :5] - hb[:, :5])) < 1e-9
 
 
 def test_projected_columns_match_contour_quadrature():
@@ -93,13 +95,28 @@ def test_simplicity_guard_fires(monkeypatch):
         spectrum(u, 16)
 
 
+def test_near_orthogonality_guard_fires(monkeypatch, capsys):
+    """Eigenvalues 0, 1, 2 coupled by 1e14: w_0^H v_0 = 2e-14, a condition
+    number past 1e12, which the chain would divide by."""
+    L = np.diag([0.0, 1.0, 2.0]).astype(complex)
+    L[0, 2] = 1e14
+    monkeypatch.setattr(bonft.lax, "assemble_lax", lambda u, M: L)
+    u = Potential(0.5, 1, {1: 0.01, -1: 0.02})
+    message = "left/right eigenvectors nearly orthogonal at n=0"
+    with pytest.raises(NumericalFailure, match="^%s$" % message):
+        spectrum(u, 2, k_use=2)
+    assert cli.main(["spectrum", "-i", UC, "--lax-dim", "2", "--modes", "2"]) == 2
+    assert capsys.readouterr() == ("", "numerical failure: %s\n" % message)
+
+
 def test_h_normalization():
-    """The projected basis columns satisfy h_n(n) adjusted so <h_n, e_n> pairing is 1."""
+    """The oracle's projected basis is the projectors' column P_n e_n."""
     u = Potential(0.5, 2, {1: 0.02, 2: -0.01}, real=True)
     sd = spectrum(u, 32, k_use=5)
+    h = projected_basis(sd)
     for n in range(6):
         proj = projectors(sd.right_vecs, sd.left_vecs, n)[n] @ np.eye(33)[n]
-        assert proj[n] == pytest.approx(sd.h[n, n], abs=1e-12)
+        assert np.max(np.abs(proj - h[:, n])) < 1e-12
 
 
 def test_symmetry_audit_small_for_complex_potential():
@@ -138,14 +155,14 @@ def test_conjugate_spectrum_matches_independent_eigensolve():
         order = np.lexsort((lam.imag, lam.real))
         lam, V, W = lam[order], V[:, order], WL[:, order]
         K = got.K_use
-        assert K == (M // 2 if k_use is None else k_use) and got.M == M
+        assert K == (M // 2 if k_use is None else k_use) and len(got.lambdas) == M + 1
         assert not got.hermitian
         assert np.max(np.abs(got.lambdas - lam)) < 1e-12
         for p_got, p_ref in zip(projectors(got.right_vecs, got.left_vecs, K),
                                 projectors(V, W, K)):
             assert np.max(np.abs(p_got - p_ref)) < 1e-10
         h_ref = np.stack([p[:, n] for n, p in enumerate(projectors(V, W, K))], axis=1)
-        assert np.max(np.abs(got.h - h_ref)) < 1e-10
+        assert np.max(np.abs(projected_basis(got) - h_ref)) < 1e-10
 
 
 def test_conjugate_spectrum_keeps_the_labels_through_a_tie():
@@ -158,18 +175,16 @@ def test_conjugate_spectrum_keeps_the_labels_through_a_tie():
     W = np.linalg.inv(V).conj().T  # w_n^H v_m = delta_nm
     W /= np.linalg.norm(W, axis=0)
     L = V @ np.diag(lam) @ np.linalg.inv(V)
-    h = V * (np.conj(np.diagonal(W)) / [np.vdot(W[:, n], V[:, n]) for n in range(4)])
     sep = abs(lam[1])  # the closest pair is 0 and 1 -+ 1j
-    got = conjugate_spectrum(SpectralData(lam, V, W, h, 3, 3, False, sep))
+    got = conjugate_spectrum(SpectralData(lam, V, W, 3, False, sep))
     assert np.array_equal(got.lambdas, np.conj(lam))
     assert np.array_equal(got.right_vecs, W) and np.array_equal(got.left_vecs, V)
-    assert got.min_separation == sep and got.K_use == 3 and got.M == 3
+    assert got.min_separation == sep and got.K_use == 3
     A = L.conj().T
     for n in range(4):
         v, w = got.right_vecs[:, n], got.left_vecs[:, n]
         assert np.max(np.abs(A @ v - got.lambdas[n] * v)) < 1e-12
         assert np.max(np.abs(w.conj() @ A - got.lambdas[n] * w.conj())) < 1e-12
-        assert np.array_equal(got.h[:, n], v * (np.conj(w[n]) / np.vdot(w, v)))
 
 
 @pytest.mark.parametrize("M", [16, 32, 64, 96, 128])
