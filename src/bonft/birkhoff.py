@@ -2,23 +2,23 @@
 
 The coordinates are assembled from truncated spectral data in three layers:
 
-  1. scaling_constants: products over the gaps give kappa_n and mu_n;
-  2. eigen_chain(sd, kappa, mu): the chain f_n = P_n(S f_{n-1}) / sqrt(mu_n)
+  1. scaling_constants(lam): products over the gaps give kappa_n and mu_n;
+  2. eigen_chain(V, W, kappa, mu): the chain f_n = P_n(S f_{n-1}) / sqrt(mu_n)
      lies in the range of the rank-one projector P_n, so f_n = b_n v_n on
      the eigenvector v_n itself, and
      b_n = b_0 prod_{k<=n} (w_k^H S v_{k-1}) / (w_k^H v_k) / sqrt(mu_k),
      one pairing per column and a cumulative product; no vector is formed;
   3. birkhoff_forward: the coordinate of index n is <1|f_n> / sqrt(kappa_n),
-     one side formula for real and complex potentials alike, read off one
-     spectral record, its chain and its kappa: it gives zeta_{-n}(u), and
+     one side formula for real and complex potentials alike, read off right
+     vectors, their chain and kappa: it gives zeta_{-n}(u), and
      zeta_n(u) = conj(zeta_{-n}(conj u)).  On complex potentials
      conjugation symmetry no longer supplies the second half of the data,
-     and the analytic extension reads it from the record and chain of
-     conj(u): its spectrum comes from L_u^H = L_{conj u}
-     (lax.conjugate_spectrum) under u's labels without a second
-     eigensolve, with u's kappa_n and mu_n conjugated; only its chain runs.
-     The norm drift pairs the two chains, sum_k f_n(u)_k conj(f_n(conj u)_k),
-     against 1, and one shift-drop warning covers them both.
+     and the analytic extension reads it from the vectors and chain of
+     conj(u): L_{conj u} = L_u^H, so under u's labels they are u's with
+     right and left swapped, without a second eigensolve, and u's kappa_n
+     and mu_n conjugated; only its chain runs.  The norm drift pairs the two
+     chains, sum_k f_n(u)_k conj(f_n(conj u)_k), against 1, and one
+     shift-drop warning covers them both.
 
 Principal square roots throughout, with the branch cut treated as an error.
 """
@@ -32,7 +32,7 @@ from .errors import (BranchCutError, DegenerateProduct, DegenerateProjector,
                      OutOfNeighborhood, TruncationWarning)
 from .hardy import (Potential, coeffs_from_json, coeffs_to_json, json_value,
                     sobolev_exponent)
-from .lax import conjugate_spectrum, spectrum
+from .lax import spectrum
 
 DEGENERATE_TOL = 1e-12
 SHIFT_DROP_THRESHOLD = 1e-10  # relative size of a top mode that S may drop silently
@@ -58,25 +58,25 @@ def sqrt_plus(z):
     return np.sqrt(z)
 
 
-def scaling_constants(sd):
-    """Norming constants kappa_n and scaling factors mu_n from the spectrum.
+def scaling_constants(lam):
+    """Norming constants kappa_n and scaling factors mu_n from lambda_0..lambda_K.
 
     kappa_0 = prod_{k>=1} (1 - gamma_k/(lambda_k - lambda_0)),
     kappa_n = (lambda_n - lambda_0)^{-1} prod_{k != n} (1 - gamma_k/(lambda_k - lambda_n)),
     mu_n    = (1 - gamma_n/(lambda_n - lambda_0)) *
               prod_{k != n} (1 - gamma_n gamma_k /
                              ((lambda_{k-1} - lambda_{n-1})(lambda_k - lambda_n))),
-    with products over k = 1..K_use.  Returns (kappa, mu, tails): the tail
-    dict reports the largest deviation from 1 among the last retained
-    factors, an estimate of what truncating the products discards.
+    with products over k = 1..K, K = len(lam) - 1.  Returns (kappa, mu,
+    tails): the tail dict reports the largest deviation from 1 among the
+    last retained factors, an estimate of what truncating the products
+    discards.
 
     Row n of a factor matrix holds the factors k != n in increasing k, and
     np.prod takes them left to right, as a scalar loop would: kappa keeps
     the loop's bits, while mu's factors take numpy's vectorised complex
     products, which may round a last bit apart from scalar ones.
     """
-    K = sd.K_use
-    lam = sd.lambdas[:K + 1]
+    K = len(lam) - 1
     gam = lam[1:] - lam[:-1] - 1.0  # gam[k-1] = gamma_k
     n = np.arange(1, K + 1)[:, None]
     j = np.arange(1, K)
@@ -109,8 +109,8 @@ def scaling_constants(sd):
                        "mu_tail": float(np.abs(last_mu - 1.0).max(initial=0.0))}
 
 
-def eigen_chain(sd, kappa, mu):
-    """The scalars b_0..b_K of the normalized chain f_n = b_n v_n.
+def eigen_chain(V, W, kappa, mu):
+    """The scalars b_0..b_K of the chain f_n = b_n v_n, v_n and w_n the columns of V and W.
 
     The chain starts at the vacuum with mean sqrt(kappa_0) (bilinear
     pairing), f_0 = b_0 v_0 with b_0 = sqrt(kappa_0) / v_0[0], and runs
@@ -121,7 +121,7 @@ def eigen_chain(sd, kappa, mu):
         b_n = b_{n-1} (w_n^H S v_{n-1}) / (w_n^H v_n) / sqrt(mu_n)
 
     are computed: one column pairing for every n at once and a cumulative
-    product, with kappa and mu from scaling_constants(sd).  The coupling
+    product, with kappa and mu from scaling_constants.  The coupling
 
         alpha_n = <P_n e_n | e_n> = v_n[n] conj(w_n[n]) / (w_n^H v_n)
 
@@ -132,9 +132,6 @@ def eigen_chain(sd, kappa, mu):
     trusted; leaving it raises OutOfNeighborhood at the first offending n
     (mu before alpha).  Returns the array b.
     """
-    K = sd.K_use
-    V = sd.right_vecs[:, :K + 1]
-    W = sd.left_vecs[:, :K + 1]
     pairs = np.sum(np.conj(W) * V, axis=0)  # w_n^H v_n
     abs_alpha = np.abs(np.diagonal(V) * np.diagonal(W)) / np.abs(pairs)
     if not abs_alpha[0] >= DEGENERATE_TOL:
@@ -150,7 +147,7 @@ def eigen_chain(sd, kappa, mu):
         raise OutOfNeighborhood("|alpha_%d| = %.3f < %.1f"
                                 % (n, abs_alpha[n], NEIGHBORHOOD_ALPHA))
     # w_n pairs with S v_{n-1}: v_{n-1} shifted up a mode, its top mode dropped
-    nu = np.sum(np.conj(W[1:, 1:]) * V[:-1, :K], axis=0) / pairs[1:]
+    nu = np.sum(np.conj(W[1:, 1:]) * V[:-1, :-1], axis=0) / pairs[1:]
     b = np.cumprod(np.concatenate(([sqrt_plus(kappa[0]) / V[0, 0]],
                                    nu / sqrt_plus(mu[1:]))))
     if not np.isfinite(b).all():
@@ -235,12 +232,12 @@ def state_from_json(obj):
     return BirkhoffState(s, plus, minus, real)
 
 
-def _zeta_minus(sd, b, kappa):
-    """zeta_{-n} = sqrt(n) b_n v_n[0] / sqrt(n kappa_n) for n = 1..K_use, read off
-    one spectral record, its chain and its kappa: zeta_{-n}(u) from those of u
+def _zeta_minus(V, b, kappa):
+    """zeta_{-n} = sqrt(n) b_n v_n[0] / sqrt(n kappa_n) for n = 1..K, read off
+    the right vectors, their chain and kappa: zeta_{-n}(u) from those of u
     and, conjugated, zeta_n(u) from those of conj(u)."""
-    ns = np.arange(1, sd.K_use + 1)
-    return np.sqrt(ns) * b[1:] * sd.right_vecs[0, 1:sd.K_use + 1] / sqrt_plus(ns * kappa[1:])
+    ns = np.arange(1, len(b))
+    return np.sqrt(ns) * b[1:] * V[0, 1:] / sqrt_plus(ns * kappa[1:])
 
 
 def birkhoff_forward(u, M=None, k_use=None):
@@ -252,12 +249,11 @@ def birkhoff_forward(u, M=None, k_use=None):
         zeta_{-n}(u) = sqrt(n) b_n(u) v_n(u)[0] / sqrt(n kappa_n(u)),
 
     and the analytic extension gives index n as zeta_n(u) = conj(zeta_{-n}(u-))
-    with u- = conj(u), the same formula on the spectral record and chain of
-    u-.  For real u the chain of u- is the chain of u and the minus side is
-    conj(plus).  For complex u the spectrum of u- is read off that of u
-    under the same labels (L_{conj u} = L_u^H, so one eigensolve serves
-    both), kappa_n and mu_n of u- are u's conjugated to the last bit, and
-    only the chain of u- runs again.
+    with u- = conj(u), the same formula on the vectors and chain of u-.
+    For real u the chain of u- is the chain of u and the minus side is
+    conj(plus).  For complex u the vectors of u- are u's, swapped, under
+    the same labels, kappa_n and mu_n of u- are u's conjugated to the last
+    bit, and only the chain of u- runs again.
 
     S drops the top mode of each f_0..f_{K-1} it shifts, of either chain;
     f_n's top-mode ratio is v_n's, and past SHIFT_DROP_THRESHOLD one
@@ -270,23 +266,25 @@ def birkhoff_forward(u, M=None, k_use=None):
     if M is None:
         M = default_lax_dim(u.N)
     sd = spectrum(u, M, k_use=k_use)
-    kappa, mu, tails = scaling_constants(sd)
-    b = eigen_chain(sd, kappa, mu)
+    V, W = sd.right_vecs, sd.left_vecs  # the same array for real u
+    kappa, mu, tails = scaling_constants(sd.lambdas)
+    b = eigen_chain(V, W, kappa, mu)
     if u.real:
-        sd_c, b_c, kappa_c = sd, b, kappa
+        b_c, kappa_c = b, kappa
     else:
-        sd_c, kappa_c = conjugate_spectrum(sd), np.conj(kappa)
-        b_c = eigen_chain(sd_c, kappa_c, np.conj(mu))
-    K = sd.K_use
-    V, V_c = sd.right_vecs[:, :K + 1], sd_c.right_vecs[:, :K + 1]
-    size = np.abs(V[:, :K] if u.real else np.hstack((V[:, :K], V_c[:, :K])))
+        # L_{conj u} = L_u^H entry for entry: under u's labels (which
+        # spectrum(conj u) would reorder only on an exact tie in the real
+        # part) the right vectors of conj(u) are W and its left ones V
+        kappa_c = np.conj(kappa)
+        b_c = eigen_chain(W, V, kappa_c, np.conj(mu))
+    size = np.abs(V[:, :-1] if u.real else np.hstack((V[:, :-1], W[:, :-1])))
     top = np.max(size[-1] / size.max(axis=0))
     if top > SHIFT_DROP_THRESHOLD:
         warnings.warn("chain shift dropped top coefficient of relative size %.3e" % top,
                       TruncationWarning)
-    pairing = b * np.conj(b_c) * np.sum(np.conj(V_c) * V, axis=0)
-    plus = np.conj(_zeta_minus(sd_c, b_c, kappa_c))
-    minus = np.conj(plus) if u.real else _zeta_minus(sd, b, kappa)
+    pairing = b * np.conj(b_c) * np.sum(np.conj(W) * V, axis=0)
+    plus = np.conj(_zeta_minus(W, b_c, kappa_c))
+    minus = np.conj(plus) if u.real else _zeta_minus(V, b, kappa)
     state = BirkhoffState(u.s, plus, minus, real_flag=u.real)
     state.diagnostics = dict(tails, norm_drift=float(np.max(np.abs(pairing - 1.0))))
     return state

@@ -80,13 +80,13 @@ def _cmd_spectrum(args):
     u = potential_from_json(_read_json(args.input))
     sd = spectrum(u, args.lax_dim, k_use=args.modes)
     gam = gaps(sd)
-    lam = sd.lambdas[:sd.K_use + 1]
+    lam = sd.lambdas
     rows = [{"n": n, "lambda_re": lam[n].real, "lambda_im": lam[n].imag,
              "gap_re": gam[n - 1].real if n else 0.0, "gap_im": gam[n - 1].imag if n else 0.0}
-            for n in range(sd.K_use + 1)]
+            for n in range(len(lam))]
     _write(args, {
-        "M": len(sd.lambdas) - 1,
-        "K_use": sd.K_use,
+        "M": args.lax_dim,
+        "K_use": len(lam) - 1,
         "hermitian": sd.hermitian,
         "min_separation": sd.min_separation,
         "lambdas": [[v.real, v.imag] for v in lam],

@@ -6,16 +6,16 @@ mode index minus a Toeplitz part built from the potential:
     (L)_{jk} = j delta_{jk} - u_hat(j - k),   0 <= j, k <= M.
 
 Everything downstream (gaps, norming constants, the coordinate map) reads
-off this one matrix, so this module owns assembly, the eigensolve with its
-simplicity and near-orthogonality guards, and the spectral data of the
-conjugated potential read off it under u's labels.  A real potential
-gives a Hermitian matrix and numpy's eigh, its eigenvalues kept real; a
-complex one gives numpy's eig for the right eigenvectors, with the left
-ones read off the inverse of their matrix.
+off this one matrix, so this module owns assembly and the eigensolve with
+its simplicity and near-orthogonality guards; it keeps the K_use + 1
+lowest eigenpairs, the ones the pipeline reads.  A real potential gives a
+Hermitian matrix and numpy's eigh, its eigenvalues kept real; a complex
+one gives numpy's eig for the right eigenvectors, with the left ones read
+off the inverse of their matrix.
 """
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,26 +46,25 @@ def assemble_lax(u, M):
 
 @dataclass
 class SpectralData:
-    """Sorted truncated spectrum with its left and right eigenvectors.
+    """The labels n <= K_use of a truncated spectrum, K_use = len(lambdas) - 1.
 
     lambdas are sorted by increasing real part (real for a Hermitian
-    truncation, complex otherwise) and hold M+1 eigenvalues; right_vecs and
-    left_vecs store unit eigenvectors columnwise (left vectors w satisfy
-    w^H L = lambda w^H, so for a Hermitian matrix they coincide with the
-    right ones; otherwise w_n is the conjugate of row n of V^{-1}, scaled to
-    unit length).  The labels n <= K_use are the ones the chain reads.
+    truncation, complex otherwise); right_vecs and left_vecs store their
+    unit eigenvectors columnwise (left vectors w satisfy w^H L = lambda w^H,
+    so for a Hermitian matrix they coincide with the right ones; otherwise
+    w_n is the conjugate of row n of V^{-1}, scaled to unit length).
+    min_separation is taken over all M+1 eigenvalues.
     """
 
     lambdas: np.ndarray
     right_vecs: np.ndarray
     left_vecs: np.ndarray
-    K_use: int
     hermitian: bool
     min_separation: float
 
 
 def spectrum(u, M, k_use=None):
-    """Eigendecomposition of the truncated Lax matrix with its guards.
+    """The eigenpairs n <= K_use of the truncated Lax matrix, with its guards.
 
     Labels follow increasing real part, then imaginary part; eigh's
     ascending order of a real spectrum already satisfies this rule.  A pair
@@ -78,7 +77,7 @@ def spectrum(u, M, k_use=None):
     """
     K_use = M // 2 if k_use is None else int(k_use)
     if not 1 <= K_use <= M:
-        raise ValueError("k_use must lie in 1..M")
+        raise ValueError("k_use=%d must lie in 1..M=%d" % (K_use, M))
     L = assemble_lax(u, M)
     hermitian = bool(u.real)
     if hermitian:
@@ -98,36 +97,22 @@ def spectrum(u, M, k_use=None):
             "eigenvalue cluster: min separation %.3e <= %.1e; potential outside "
             "the simple-spectrum regime or truncation too small"
             % (min_separation, SIMPLICITY_TOL))
+    n_use = K_use + 1
     if hermitian:
-        W = V
+        W = V = V[:, :n_use]
     else:
         # rows of V^{-1} are the left vectors; unscaled, every w^H v would be
         # 1 and the near-orthogonality guard below could not fire
-        W = np.linalg.inv(V).conj().T
+        W = np.linalg.inv(V)[:n_use].conj().T
         W /= np.linalg.norm(W, axis=0)
-    n_use = K_use + 1
-    pairs = np.sum(np.conj(W[:, :n_use]) * V[:, :n_use], axis=0)
+        V = V[:, :n_use]
+    lam = lam[:n_use]
+    pairs = np.sum(np.conj(W) * V, axis=0)
     small = np.flatnonzero(np.abs(pairs) < 1e-12)
     if small.size:
         raise NumericalFailure("left/right eigenvectors nearly orthogonal at n=%d"
                                % small[0])
-    return SpectralData(lam, V, W, K_use, hermitian, min_separation)
-
-
-def conjugate_spectrum(sd):
-    """The spectral data of conj(u), read off the spectral data of u.
-
-    The truncation satisfies L_{conj u} = L_u^H entry for entry, so no
-    second eigensolve is needed: label n of conj(u) is conj(lambda_n(u)),
-    its right eigenvector u's left one and its left eigenvector u's right
-    one.  The labels are kept, not sorted again: they differ from those
-    spectrum(conj u) would pick only on an exact tie in the real part,
-    which conjugation reverses in the imaginary order.  Everything but the
-    eigenvalues and the vectors carries over, the near-orthogonality guard
-    included: |v_n^H w_n| = |w_n^H v_n|.
-    """
-    return replace(sd, lambdas=np.conj(sd.lambdas), right_vecs=sd.left_vecs,
-                   left_vecs=sd.right_vecs)
+    return SpectralData(lam, V, W, hermitian, min_separation)
 
 
 def gaps(sd):
@@ -136,7 +121,7 @@ def gaps(sd):
     For a Hermitian truncation the gaps must be nonnegative; below -1e-10
     that is a property violation, not a tolerance issue.
     """
-    lam = sd.lambdas[:sd.K_use + 1]
+    lam = sd.lambdas
     g = lam[1:] - lam[:-1] - 1.0
     if sd.hermitian:
         worst = float(g.min())

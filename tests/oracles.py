@@ -399,7 +399,7 @@ def symmetry_audit(coeffs, M):
     L_{u_*} is L_u^T and L_{conj u} is L_u^H entry for entry, so both
     entries are linear-algebra identities on matrices built here: they
     check the eigensolver on each pair and certify nothing about the
-    package, whose spectrum and conjugate_spectrum criterion 13 reads.
+    package, whose spectrum criterion 13 reads, its swapped vectors included.
     """
     lam_u = sorted_eigenvalues(lax_matrix(coeffs, M))
     lam_star = sorted_eigenvalues(lax_matrix(involute(coeffs, "star"), M))
@@ -500,13 +500,13 @@ def scaling_constants_loop(sd, tol=1e-12):
 
     The loop form of the scaling products: kappa_n as np.prod over the
     factors k != n, mu_n multiplied up factor by factor in increasing k.
-    Reads only sd.lambdas, sd.K_use and sd.hermitian.  A factor below tol
+    Reads only sd.lambdas and sd.hermitian.  A factor below tol
     raises ValueError with the message the package gives its
     DegenerateProduct, at the same first (n, k); a NaN factor counts as
     below tol.
     """
-    K = sd.K_use
-    lam = sd.lambdas[:K + 1]
+    lam = sd.lambdas
+    K = len(lam) - 1
     if sd.hermitian:
         lam = lam.real
     gam = lam[1:] - lam[:-1] - 1.0  # gam[k-1] = gamma_k
@@ -552,15 +552,15 @@ def scaling_constants_loop(sd, tol=1e-12):
 
 
 def projected_basis(sd):
-    """The projected basis h_n = P_n e_n = v_n conj(w_n[n]) / (w_n^H v_n), n <= K_use.
+    """The projected basis h_n = P_n e_n = v_n conj(w_n[n]) / (w_n^H v_n), n <= K.
 
     One vdot per column; the chain runs on the eigenvectors themselves, and
     f_n = a_n h_n is the same chain in this basis, with h_n[n] = alpha_n.
-    Returns the (M+1) x (K_use+1) array whose column n is h_n.
+    Returns the (M+1) x (K+1) array whose column n is h_n.
     """
     V, W = sd.right_vecs, sd.left_vecs
     return np.stack([V[:, n] * (np.conj(W[n, n]) / np.vdot(W[:, n], V[:, n]))
-                     for n in range(sd.K_use + 1)], axis=1)
+                     for n in range(len(sd.lambdas))], axis=1)
 
 
 def chain_loop(sd):
@@ -578,7 +578,7 @@ def chain_loop(sd):
     kappa, mu, _ = scaling_constants_loop(sd)
     h = projected_basis(sd)
     f = np.sqrt(kappa[0]) / h[0, 0] * h
-    for n in range(1, sd.K_use + 1):
+    for n in range(1, len(sd.lambdas)):
         shifted = np.zeros(len(f), dtype=complex)
         shifted[1:] = f[:-1, n - 1]
         v = sd.right_vecs[:, n]
@@ -588,17 +588,17 @@ def chain_loop(sd):
 
 
 def projector_couplings(sd):
-    """alpha_n = <P_n e_n | e_n> and beta_n = <P_n S h_{n-1} | e_n> for n = 1..K_use.
+    """alpha_n = <P_n e_n | e_n> and beta_n = <P_n S h_{n-1} | e_n> for n = 1..K.
 
     P_n = v_n w_n^H / (w_n^H v_n) is the rank-one projector formed as a
     matrix, S shifts every mode up by one and drops the top one, and h comes
-    from projected_basis.  Reads sd.right_vecs, sd.left_vecs and sd.K_use.
+    from projected_basis.  Reads sd.lambdas, sd.right_vecs and sd.left_vecs.
     Returns (alpha, beta), index-aligned with slot 0 NaN.
     """
     h = projected_basis(sd)
-    alpha = np.full(sd.K_use + 1, np.nan, dtype=complex)
+    alpha = np.full(len(sd.lambdas), np.nan, dtype=complex)
     beta = alpha.copy()
-    for n in range(1, sd.K_use + 1):
+    for n in range(1, len(sd.lambdas)):
         v, w = sd.right_vecs[:, n], sd.left_vecs[:, n]
         P = np.outer(v, np.conj(w)) / np.vdot(w, v)
         shifted = np.zeros(len(h), dtype=complex)

@@ -16,7 +16,7 @@ from bonft.continuity import ratio_slope, sweep
 from bonft.errors import InversionFailure
 from bonft.flow import evolve, frequency_shifts, invert, solve_trajectory
 from bonft.hardy import Potential, l2_distance
-from bonft.lax import conjugate_spectrum, gaps, spectrum
+from bonft.lax import gaps, spectrum
 from bonft.pde import IntegratorConfig, integrate
 from bonft.residues import sweep_combi, sweep_vanishing
 from oracles import (delta_series, finite_gap, hamiltonian_b, hamiltonian_phys,
@@ -104,9 +104,9 @@ def test_criterion_02_partition_count_identity():
 def test_criterion_03_zero_potential_fixed_points():
     u = Potential(0.5, 1, {}, real=True)
     sd = spectrum(u, 32, k_use=8)
-    ns = np.arange(sd.K_use + 1)
-    assert np.max(np.abs(sd.lambdas[: sd.K_use + 1] - ns)) < FIXED_POINT_TOL
-    kappa, mu, _ = scaling_constants(sd)
+    ns = np.arange(9)
+    assert np.max(np.abs(sd.lambdas - ns)) < FIXED_POINT_TOL
+    kappa, mu, _ = scaling_constants(sd.lambdas)
     assert abs(kappa[0] - 1.0) < FIXED_POINT_TOL
     assert np.max(np.abs(ns[1:] * kappa[1:] - 1.0)) < FIXED_POINT_TOL
     assert np.max(np.abs(mu[1:] - 1.0)) < FIXED_POINT_TOL
@@ -254,15 +254,20 @@ def test_criterion_13_spectral_symmetries():
     assert report_c["minus_vs_star"] < SYMMETRY_TOL
     assert report_c["conj_equivariance"] < SYMMETRY_TOL
     # the oracle only checks numpy on matrix pairs it builds; the library's
-    # own eigensolve and conj(u) shortcut are read here.  One mode's phase
-    # is a translation, so u2 gives the modes a relative phase.
+    # own eigensolve, over the whole truncation, and the conj(u) shortcut
+    # (u's labels, conjugated, with the right and left vectors swapped) are
+    # read here.  One mode's phase is a translation, so u2 gives the modes a
+    # relative phase.
     u2 = Potential(0.5, 2, {1: 0.04 + 0.01j, -1: 0.02, 2: -0.03j})
     for p, M in ((u, 64), (uc, 48), (u2, 48)):
-        sd = spectrum(p, M)
-        star = spectrum(involuted(p, "star"), M)
+        sd = spectrum(p, M, k_use=M)
+        star = spectrum(involuted(p, "star"), M, k_use=M)
         assert np.max(np.abs(star.lambdas - sd.lambdas)) < SYMMETRY_TOL
-        conj = spectrum(involuted(p, "conj"), M)
-        assert np.max(np.abs(conjugate_spectrum(sd).lambdas - conj.lambdas)) < SYMMETRY_TOL
+        conj = spectrum(involuted(p, "conj"), M, k_use=M)
+        assert np.max(np.abs(np.conj(sd.lambdas) - conj.lambdas)) < SYMMETRY_TOL
+        for n in range(8):
+            v, w = sd.left_vecs[:, n], conj.right_vecs[:, n]
+            assert abs(abs(np.vdot(w, v)) - 1.0) < SYMMETRY_TOL
 
 
 @pytest.mark.parametrize("q", [0.1, 0.3, 0.4])

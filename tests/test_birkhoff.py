@@ -24,7 +24,7 @@ def test_zero_potential_maps_to_zero():
 def test_forward_needs_at_least_one_mode():
     # k_use = 0 used to give an empty state
     for k_use in (0, 33):
-        with pytest.raises(ValueError, match=r"^k_use must lie in 1\.\.M$"):
+        with pytest.raises(ValueError, match=r"^k_use=%d must lie in 1\.\.M=32$" % k_use):
             birkhoff_forward(small_real(), M=32, k_use=k_use)
 
 
@@ -39,8 +39,8 @@ def test_sqrt_plus_branch_cut():
 def test_chain_is_normalized_with_positive_vacuum_mean():
     u = small_real()
     sd = spectrum(u, 64, k_use=10)
-    kappa, mu, _ = scaling_constants(sd)
-    f = sd.right_vecs[:, :11] * eigen_chain(sd, kappa, mu)
+    kappa, mu, _ = scaling_constants(sd.lambdas)
+    f = sd.right_vecs * eigen_chain(sd.right_vecs, sd.left_vecs, kappa, mu)
     assert f.shape == (65, 11)
     for v in f.T:
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
@@ -73,8 +73,9 @@ def test_complex_storage_agrees_with_real_path():
 
 def one_side(sd):
     """zeta_{-n} of the record sd, its chain and its kappa, each from its own products."""
-    kappa, mu, _ = scaling_constants(sd)
-    return _zeta_minus(sd, eigen_chain(sd, kappa, mu), kappa)
+    kappa, mu, _ = scaling_constants(sd.lambdas)
+    V = sd.right_vecs
+    return _zeta_minus(V, eigen_chain(V, sd.left_vecs, kappa, mu), kappa)
 
 
 def two_solve_forward(u, M, k_use):

@@ -23,17 +23,16 @@ from bonft.birkhoff import birkhoff_forward, eigen_chain, scaling_constants
 from bonft.errors import (DegenerateProduct, DegenerateProjector, OutOfNeighborhood,
                           TruncationWarning)
 from bonft.hardy import Potential
-from bonft.lax import SpectralData, conjugate_spectrum, spectrum
+from bonft.lax import SpectralData, spectrum
 from oracles import chain_loop, projected_basis, projector_couplings, scaling_constants_loop
 from test_birkhoff import count_calls
 
 
-def hand_built(lambdas, vecs=None):
-    """Hermitian spectral data with the given eigenvalues, and identity vectors
-    unless vecs gives them (as both the right and the left ones)."""
+def hand_built(lambdas):
+    """Hermitian spectral data with the given eigenvalues and identity vectors."""
     lam = np.asarray(lambdas)
-    vecs = np.eye(len(lam), dtype=complex) if vecs is None else vecs
-    return SpectralData(lam, vecs, vecs, len(lam) - 1, True, 1.0)
+    vecs = np.eye(len(lam), dtype=complex)
+    return SpectralData(lam, vecs, vecs, True, 1.0)
 
 
 def seeded(rng, N, scale, real):
@@ -51,7 +50,7 @@ ULPS = 4 * np.finfo(float).eps
 
 
 def assert_same_constants(sd):
-    kappa, mu, tails = scaling_constants(sd)
+    kappa, mu, tails = scaling_constants(sd.lambdas)
     ref_kappa, ref_mu, ref_tails = scaling_constants_loop(sd)
     assert np.array_equal(kappa, ref_kappa)
     assert np.isnan(mu[0]) and np.isnan(ref_mu[0])
@@ -82,8 +81,8 @@ def test_scaling_constants_of_the_conjugate_are_exact_conjugates():
     birkhoff_forward's one side formula takes it: every operation in
     scaling_constants commutes exactly with conjugation."""
     for sd in seeded_spectra(False):
-        kappa, mu, tails = scaling_constants(sd)
-        kappa_c, mu_c, tails_c = scaling_constants(conjugate_spectrum(sd))
+        kappa, mu, tails = scaling_constants(sd.lambdas)
+        kappa_c, mu_c, tails_c = scaling_constants(np.conj(sd.lambdas))
         assert np.array_equal(kappa_c, np.conj(kappa))
         assert np.array_equal(mu_c, np.conj(mu), equal_nan=True)
         assert tails_c == tails
@@ -105,17 +104,16 @@ def assert_projector_form(sd, b, mu):
     against P_n = v_n w_n^H / (w_n^H v_n) applied to S h_{n-1}:
     a_n / a_{n-1} = (beta_n / alpha_n) / sqrt(mu_n)."""
     alpha, beta = projector_couplings(sd)
-    K = sd.K_use
-    a = b * np.diagonal(sd.right_vecs)[:K + 1] / np.diagonal(projected_basis(sd))
+    a = b * np.diagonal(sd.right_vecs) / np.diagonal(projected_basis(sd))
     assert np.max(np.abs(a[1:] / a[:-1] - beta[1:] / alpha[1:] / np.sqrt(mu[1:]))) <= 1e-13
 
 
 def oracle_chain(sd):
     """The oracle's chain f of sd and kappa, checked against eigen_chain's b."""
-    kappa, mu, _ = scaling_constants(sd)
-    b = eigen_chain(sd, kappa, mu)
+    kappa, mu, _ = scaling_constants(sd.lambdas)
+    b = eigen_chain(sd.right_vecs, sd.left_vecs, kappa, mu)
     f = chain_loop(sd)
-    assert np.max(np.abs(f - sd.right_vecs[:, :sd.K_use + 1] * b)) <= 1e-13 * np.max(np.abs(f))
+    assert np.max(np.abs(f - sd.right_vecs * b)) <= 1e-13 * np.max(np.abs(f))
     assert_projector_form(sd, b, mu)
     return f, kappa
 
@@ -132,7 +130,9 @@ def assert_chain_matches_oracle(u, M, k_use):
         return False
     sd = spectrum(u, M, k_use=k_use)
     f, kappa = oracle_chain(sd)
-    f_c, kappa_c = (f, kappa) if u.real else oracle_chain(conjugate_spectrum(sd))
+    # L_{conj u} = L_u^H: the record of conj(u) under u's labels
+    f_c, kappa_c = (f, kappa) if u.real else oracle_chain(SpectralData(
+        np.conj(sd.lambdas), sd.left_vecs, sd.right_vecs, False, sd.min_separation))
     # the analytic extension of ||f_n||^2 = 1, the pairing of the two chains;
     # off 1 by no more than the truncated products drop
     drift = np.max(np.abs(np.sum(f * np.conj(f_c), axis=0) - 1.0))
@@ -166,8 +166,8 @@ def test_norm_drift_sees_a_scaled_conjugate_chain(monkeypatch):
     assert birkhoff_forward(u, M=32, k_use=8).diagnostics["norm_drift"] <= 1e-13
     chains = []
 
-    def scaled(sd, kappa, mu):
-        chains.append(eigen_chain(sd, kappa, mu))
+    def scaled(V, W, kappa, mu):
+        chains.append(eigen_chain(V, W, kappa, mu))
         if len(chains) == 2:  # the chain of conj(u)
             return chains[-1] * (1.0 + 1e-9)
         return chains[-1]
@@ -178,7 +178,7 @@ def test_norm_drift_sees_a_scaled_conjugate_chain(monkeypatch):
 
 def assert_same_degeneracy(sd, message):
     with pytest.raises(DegenerateProduct, match="^%s$" % re.escape(message)):
-        scaling_constants(sd)
+        scaling_constants(sd.lambdas)
     with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
         scaling_constants_loop(sd)
 
@@ -208,17 +208,16 @@ def test_degenerate_mu_factor():
 def test_degenerate_projector():
     vecs = np.eye(5, dtype=complex)
     vecs[:, 0] = [0.0, 0.6, 0.0, 0.0, 0.8]  # a vacuum with no mean component
-    sd = hand_built(np.arange(5.0), vecs)
-    kappa, mu, _ = scaling_constants(sd)
+    kappa, mu, _ = scaling_constants(np.arange(5.0))
     with pytest.raises(DegenerateProjector, match="zero mean component"):
-        eigen_chain(sd, kappa, mu)
+        eigen_chain(vecs, vecs, kappa, mu)
 
 
 def test_nan_eigenvalue_is_a_numerical_failure(monkeypatch, capsys):
     # NaN compares false against every bound, so each guard is written to fail on it
     sd = hand_built([0.0, 1.0, np.nan, 3.0])
     with pytest.raises(DegenerateProduct, match="^kappa_0 product factor of size nan$"):
-        scaling_constants(sd)
+        scaling_constants(sd.lambdas)
     monkeypatch.setattr(birkhoff, "spectrum", lambda u, M, k_use=None: sd)
     u_path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "u.json")
     assert cli.main(["transform", "-i", u_path]) == 2
@@ -226,25 +225,25 @@ def test_nan_eigenvalue_is_a_numerical_failure(monkeypatch, capsys):
 
 
 def test_nan_projector_data_fails_the_chain_guards():
-    kappa, mu, _ = scaling_constants(hand_built(np.arange(5.0)))
+    kappa, mu, _ = scaling_constants(np.arange(5.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # and without a numpy RuntimeWarning
         vecs = np.eye(5, dtype=complex)
         vecs[0, 0] = np.nan
         with pytest.raises(DegenerateProjector, match="zero mean component"):
-            eigen_chain(hand_built(np.arange(5.0), vecs), kappa, mu)
+            eigen_chain(vecs, vecs, kappa, mu)
         vecs = np.eye(5, dtype=complex)
         vecs[2, 2] = np.nan
         with pytest.raises(OutOfNeighborhood, match=r"^\|alpha_2\| = nan < 0\.5$"):
-            eigen_chain(hand_built(np.arange(5.0), vecs), kappa, mu)
+            eigen_chain(vecs, vecs, kappa, mu)
 
 
 def test_nan_mu_is_out_of_neighborhood():
-    sd = hand_built(np.arange(4.0))
-    kappa, mu, _ = scaling_constants(sd)
+    kappa, mu, _ = scaling_constants(np.arange(4.0))
     mu[1] = np.nan
+    vecs = np.eye(4, dtype=complex)
     with pytest.raises(OutOfNeighborhood, match=r"^\|mu_1 - 1\| = nan >= 0\.5$"):
-        eigen_chain(sd, kappa, mu)
+        eigen_chain(vecs, vecs, kappa, mu)
 
 
 def test_complex_route_takes_the_scaling_products_once(monkeypatch):

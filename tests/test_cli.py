@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,14 +32,14 @@ def test_transform_then_inverse_round_trip(tmp_path, potential_file):
     rc = cli.main(["transform", "-i", potential_file, "-o", state_path,
                    "--lax-dim", "48"])
     assert rc == 0
-    state = state_from_json(json.loads(open(state_path).read()))
+    state = state_from_json(json.loads(Path(state_path).read_text()))
     assert state.real_flag
     back_path = str(tmp_path / "back.json")
     rc = cli.main(["inverse", "-i", state_path, "-o", back_path,
                    "--lax-dim", "48"])
     assert rc == 0
-    u = potential_from_json(json.loads(open(back_path).read()))
-    want = potential_from_json(json.loads(open(potential_file).read()))
+    u = potential_from_json(json.loads(Path(back_path).read_text()))
+    want = potential_from_json(json.loads(Path(potential_file).read_text()))
     for n in (1, 2):
         assert u.coeff(n) == pytest.approx(want.coeff(n), abs=1e-9)
 
@@ -48,7 +49,7 @@ def test_spectrum_output_is_deterministic(tmp_path, potential_file):
     for name in ("a.json", "b.json"):
         path = str(tmp_path / name)
         assert cli.main(["spectrum", "-i", potential_file, "-o", path]) == 0
-        outs.append(open(path, "rb").read())
+        outs.append(Path(path).read_bytes())
     assert outs[0] == outs[1]
     payload = json.loads(outs[0])
     assert payload["lambdas"][0] != payload["lambdas"][1]
@@ -62,8 +63,8 @@ def test_evolve_preserves_moduli(tmp_path, potential_file):
     out_path = str(tmp_path / "later.json")
     assert cli.main(["evolve", "-i", state_path, "--t", "0.7",
                      "-o", out_path]) == 0
-    before = state_from_json(json.loads(open(state_path).read()))
-    after = state_from_json(json.loads(open(out_path).read()))
+    before = state_from_json(json.loads(Path(state_path).read_text()))
+    after = state_from_json(json.loads(Path(out_path).read_text()))
     for side in ("plus", "minus"):
         assert np.abs(getattr(after, side)[:2]) == pytest.approx(
             np.abs(getattr(before, side)[:2]), abs=1e-14)
@@ -73,7 +74,7 @@ def test_vanishing_csv_counts(tmp_path):
     path = str(tmp_path / "v.csv")
     assert cli.main(["vanishing", "--max-d", "2", "--l-bound", "2",
                      "-o", path]) == 0
-    lines = open(path).read().strip().splitlines()
+    lines = Path(path).read_text().strip().splitlines()
     assert lines[0] == "check,count"
     rows = dict(line.split(",") for line in lines[1:])
     assert rows == {"exhaustive_d1": "5", "exhaustive_d2": "25",
@@ -84,7 +85,7 @@ def test_combi_json_counts(tmp_path):
     path = str(tmp_path / "c.json")
     assert cli.main(["combi", "--max-d", "3", "--format", "json",
                      "-o", path]) == 0
-    payload = json.loads(open(path).read())
+    payload = json.loads(Path(path).read_text())
     assert payload["instances"] == {"1": 1, "2": 4, "3": 15}
     assert payload["violations"] == 0
 
@@ -94,7 +95,7 @@ def test_continuity_csv_columns(tmp_path):
     assert cli.main(["continuity", "--s", "-0.45", "--k", "8",
                      "--max-m", "1500", "--max-probes", "3",
                      "-o", path]) == 0
-    lines = open(path).read().strip().splitlines()
+    lines = Path(path).read_text().strip().splitlines()
     header = lines[0].split(",")
     assert header == ["m", "delta", "d0", "dt", "ratio", "omega_gap_pred",
                       "omega_gap_meas", "phase_bound_ok"]
@@ -107,7 +108,7 @@ def test_continuity_given_delta_exits_0(tmp_path):
     path = str(tmp_path / "cont.csv")
     assert cli.main(["continuity", "--s", "-0.45", "--k", "8", "--max-m", "4000",
                      "--delta", "0.7", "-o", path]) == 0
-    lines = open(path).read().strip().splitlines()
+    lines = Path(path).read_text().strip().splitlines()
     assert any(line.split(",")[-1] == "0" for line in lines[1:])
 
 
@@ -126,7 +127,7 @@ def test_bracket_small(tmp_path):
     path = str(tmp_path / "b.json")
     assert cli.main(["bracket", "--modes", "1", "--scale", "0.005",
                      "-o", path]) == 0
-    payload = json.loads(open(path).read())
+    payload = json.loads(Path(path).read_text())
     assert payload["max_dev_canonical"] < 1e-5
     assert payload["max_dev_holomorphic"] < 1e-5
 
@@ -210,6 +211,7 @@ def _potential_doc(s=0.5, coeffs=((1, 0.01),), **fields):
     (["evolve", "--t", "1"], _state_doc(minus=(1,)), "index 1 outside -1..-1"),
     (["inverse", "-i", os.path.join(GOLDEN, "transform_complex.json")], None,
      "inversion is defined for real-flagged targets"),
+    (["inverse", "-i", STATE, "--lax-dim", "4"], None, "k_use=8 must lie in 1..M=4"),
     (["compare", "-i", U, "--t", "abc"], None,
      "bad time grid 'abc'; want comma-separated floats"),
     (["compare", "-i", U, "--t", "0,0.5"], None, "time grid must be positive"),
@@ -245,7 +247,7 @@ def _potential_doc(s=0.5, coeffs=((1, 0.01),), **fields):
         "bracket-format-removed", "transform-format-removed", "lax-dim-below-band",
         "potential-N-0", "potential-n-past-N", "real-potential-negative-n",
         "potential-nan", "potential-1e400", "state-plus-n-past-N_b", "state-minus-n-positive",
-        "inverse-complex-target", "compare-t-not-a-number", "compare-t-zero",
+        "inverse-complex-target", "inverse-lax-dim-below-n-modes", "compare-t-not-a-number", "compare-t-zero",
         "compare-t-negative", "continuity-t-1e308", "continuity-t-9e307",
         "continuity-delta-1e-154", "continuity-t-1e-307", "continuity-t-1e305-small-s",
         "continuity-phase-overflow", "compare-steps-overflow-t", "compare-steps-overflow-dt"])
@@ -289,7 +291,7 @@ def test_document_numbers_are_typed(capsys, monkeypatch, verb, key, kind, value)
 def test_transform_without_modes_exits_1(potential_file, capsys):
     # used to exit 0 with an empty state
     assert cli.main(["transform", "-i", potential_file, "--modes", "0"]) == 1
-    assert capsys.readouterr() == ("", "error: k_use must lie in 1..M\n")
+    assert capsys.readouterr() == ("", "error: k_use=0 must lie in 1..M=32\n")
 
 
 @pytest.mark.parametrize("name", ["u.json", "uc.json"])
@@ -302,7 +304,7 @@ def test_bad_modes_exit_1_before_the_eigensolve(monkeypatch, capsys, name, modes
     monkeypatch.setattr(np.linalg, "eig", refused)
     argv = ["transform", "-i", os.path.join(GOLDEN, name), "--lax-dim", "32", "--modes", modes]
     assert cli.main(argv) == 1
-    assert capsys.readouterr() == ("", "error: k_use must lie in 1..M\n")
+    assert capsys.readouterr() == ("", "error: k_use=%s must lie in 1..M=32\n" % modes)
 
 
 @pytest.mark.parametrize("exc, message", [
@@ -361,7 +363,7 @@ def test_compare_rejects_nonpositive_modes(potential_file, monkeypatch, capsys, 
     argv = ["compare", "-i", potential_file, "--lax-dim", "32", "--grid", "32",
             "--t", "0.05", "--modes", modes]
     assert cli.main(argv) == 1
-    assert capsys.readouterr() == ("", "error: k_use must lie in 1..M\n")
+    assert capsys.readouterr() == ("", "error: k_use=%s must lie in 1..M=32\n" % modes)
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -6,7 +6,7 @@ import bonft.lax
 from bonft import cli
 from bonft.errors import NumericalFailure, TruncationWarning
 from bonft.hardy import Potential
-from bonft.lax import SpectralData, assemble_lax, conjugate_spectrum, gaps, spectrum
+from bonft.lax import assemble_lax, gaps, spectrum
 from oracles import (involute, lax_matrix, perturbative_gamma1, perturbative_lambda0,
                      projected_basis, riesz_column_quadrature, symmetry_audit)
 from test_golden import UC
@@ -27,7 +27,7 @@ def test_truncation_below_twice_the_band_warns():
 
 
 def test_zero_potential_spectrum_is_integers():
-    sd = spectrum(Potential(0.5, 1, {}, real=True), 16)
+    sd = spectrum(Potential(0.5, 1, {}, real=True), 16, k_use=16)
     assert np.max(np.abs(sd.lambdas - np.arange(17))) == 0.0
     assert sd.hermitian
 
@@ -50,14 +50,26 @@ def test_gaps_nonnegative_for_real_potential():
 
 
 def test_min_separation_equals_all_pairs_minimum():
+    """Over all M+1 eigenvalues, not only the K_use + 1 that spectrum returns."""
     rng = np.random.default_rng(8)
     for scale, M in ((0.0, 8), (0.05, 32), (0.3, 48)):
         coeffs = {n: scale * (rng.standard_normal() + 1j * rng.standard_normal())
                   for n in range(1, 4)}
-        sd = spectrum(Potential(0.5, 3, coeffs, real=True), M)
-        sep = np.abs(sd.lambdas[:, None] - sd.lambdas[None, :])
+        u = Potential(0.5, 3, coeffs, real=True)
+        lam = np.linalg.eigvalsh(assemble_lax(u, M))
+        sep = np.abs(lam[:, None] - lam[None, :])
         np.fill_diagonal(sep, np.inf)
-        assert sd.min_separation == float(sep.min())
+        assert spectrum(u, M).min_separation == float(sep.min())
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_spectrum_returns_the_labels_up_to_k_use(real):
+    u = Potential(0.5, 2, {1: 0.03, 2: 0.01j} if real else {1: 0.03, -2: 0.01j}, real=real)
+    for M, k_use in ((8, 1), (16, None), (16, 11), (16, 16)):
+        sd = spectrum(u, M, k_use=k_use)
+        n_use = (M // 2 if k_use is None else k_use) + 1
+        assert sd.lambdas.shape == (n_use,)
+        assert sd.right_vecs.shape == sd.left_vecs.shape == (M + 1, n_use)
 
 
 def test_hermitian_and_general_paths_agree():
@@ -128,8 +140,8 @@ def test_symmetry_audit_small_for_complex_potential():
 
 def test_star_spectrum_equals_transpose_spectrum():
     u = Potential(0.5, 2, {1: 0.05 + 0.02j, -2: 0.01 - 0.03j})
-    a = spectrum(u, 20)
-    b = spectrum(Potential(u.s, u.N, involute(u.nonzero_coeffs(), "star")), 20)
+    a = spectrum(u, 20, k_use=20)
+    b = spectrum(Potential(u.s, u.N, involute(u.nonzero_coeffs(), "star")), 20, k_use=20)
     assert np.max(np.abs(a.lambdas - b.lambdas)) < 1e-11
 
 
@@ -140,6 +152,9 @@ def projectors(V, W, K):
 
 
 def test_conjugate_spectrum_matches_independent_eigensolve():
+    """L_{conj u} = L_u^H: under u's labels, conj(lambda_n) with the swapped
+    vectors of spectrum(u) are the eigenpairs of conj(u), against scipy's
+    eigensolve of L^H and the package's own spectrum(conj u)."""
     rng = np.random.default_rng(11)
     for M, k_use, scale in ((16, 8, 0.05), (32, None, 0.02), (48, 20, 0.1), (64, 16, 0.01)):
         N = int(rng.integers(1, 5))
@@ -147,44 +162,42 @@ def test_conjugate_spectrum_matches_independent_eigensolve():
                   for n in range(-N, N + 1) if n}
         u = Potential(0.5, N, coeffs)
         L = assemble_lax(u, M)
+        u_c = Potential(u.s, N, involute(coeffs, "conj"))
         # the premise: the truncation of conj(u) is exactly the adjoint
-        assert np.array_equal(assemble_lax(Potential(u.s, N, involute(coeffs, "conj")), M),
-                              L.conj().T)
-        got = conjugate_spectrum(spectrum(u, M, k_use=k_use))
+        assert np.array_equal(assemble_lax(u_c, M), L.conj().T)
+        sd = spectrum(u, M, k_use=k_use)
+        K = len(sd.lambdas) - 1
+        assert K == (M // 2 if k_use is None else k_use) and not sd.hermitian
         lam, WL, V = scipy.linalg.eig(L.conj().T, left=True, right=True)
-        order = np.lexsort((lam.imag, lam.real))
+        order = np.lexsort((lam.imag, lam.real))[:K + 1]
         lam, V, W = lam[order], V[:, order], WL[:, order]
-        K = got.K_use
-        assert K == (M // 2 if k_use is None else k_use) and len(got.lambdas) == M + 1
-        assert not got.hermitian
-        assert np.max(np.abs(got.lambdas - lam)) < 1e-12
-        for p_got, p_ref in zip(projectors(got.right_vecs, got.left_vecs, K),
-                                projectors(V, W, K)):
-            assert np.max(np.abs(p_got - p_ref)) < 1e-10
-        h_ref = np.stack([p[:, n] for n, p in enumerate(projectors(V, W, K))], axis=1)
-        assert np.max(np.abs(projected_basis(got) - h_ref)) < 1e-10
+        sd_c = spectrum(u_c, M, k_use=k_use)
+        for ref_lam, ref_V, ref_W in ((lam, V, W), (sd_c.lambdas, sd_c.right_vecs,
+                                                    sd_c.left_vecs)):
+            assert np.max(np.abs(np.conj(sd.lambdas) - ref_lam)) < 1e-12
+            for p_got, p_ref in zip(projectors(sd.left_vecs, sd.right_vecs, K),
+                                    projectors(ref_V, ref_W, K)):
+                assert np.max(np.abs(p_got - p_ref)) < 1e-10
 
 
-def test_conjugate_spectrum_keeps_the_labels_through_a_tie():
+def test_conjugate_spectrum_keeps_the_labels_through_a_tie(monkeypatch):
     """1 - 1j and 1 + 1j tie in the real part; label n of conj(u) stays
-    conj(lambda_n(u)) with its vectors, though a fresh sort would swap them."""
+    conj(lambda_n(u)) with the swapped vectors, though a fresh sort would
+    swap the two labels."""
     lam = np.array([0.0, 1.0 - 1.0j, 1.0 + 1.0j, 3.0])
-    rng = np.random.default_rng(4)
-    V = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    V /= np.linalg.norm(V, axis=0)
-    W = np.linalg.inv(V).conj().T  # w_n^H v_m = delta_nm
-    W /= np.linalg.norm(W, axis=0)
-    L = V @ np.diag(lam) @ np.linalg.inv(V)
-    sep = abs(lam[1])  # the closest pair is 0 and 1 -+ 1j
-    got = conjugate_spectrum(SpectralData(lam, V, W, 3, False, sep))
-    assert np.array_equal(got.lambdas, np.conj(lam))
-    assert np.array_equal(got.right_vecs, W) and np.array_equal(got.left_vecs, V)
-    assert got.min_separation == sep and got.K_use == 3
+    # triangular, so eig reads the eigenvalues off the diagonal exactly
+    L = np.diag(lam) + np.triu([[0.0, 0.4, 0.3j, 0.2], [0.0, 0.0, 0.5, 0.1j],
+                                [0.0, 0.0, 0.0, 0.6], [0.0, 0.0, 0.0, 0.0]])
+    monkeypatch.setattr(bonft.lax, "assemble_lax", lambda u, M: L)
+    sd = spectrum(Potential(0.5, 1, {1: 0.01, -1: 0.02}), 3, k_use=3)
+    assert np.array_equal(sd.lambdas, lam)
+    lam_c = np.conj(sd.lambdas)
+    assert not np.array_equal(np.lexsort((lam_c.imag, lam_c.real)), np.arange(4))
     A = L.conj().T
     for n in range(4):
-        v, w = got.right_vecs[:, n], got.left_vecs[:, n]
-        assert np.max(np.abs(A @ v - got.lambdas[n] * v)) < 1e-12
-        assert np.max(np.abs(w.conj() @ A - got.lambdas[n] * w.conj())) < 1e-12
+        v, w = sd.left_vecs[:, n], sd.right_vecs[:, n]
+        assert np.max(np.abs(A @ v - lam_c[n] * v)) < 1e-12
+        assert np.max(np.abs(w.conj() @ A - lam_c[n] * w.conj())) < 1e-12
 
 
 @pytest.mark.parametrize("M", [16, 32, 64, 96, 128])
@@ -194,7 +207,7 @@ def test_left_vectors_from_the_inverse_match_an_independent_eigensolve(M):
     coeffs = {n: 0.05 * complex(rng.standard_normal(), rng.standard_normal()) / abs(n)
               for n in range(-N, N + 1) if n}
     u = Potential(0.5, N, coeffs)
-    sd = spectrum(u, M)
+    sd = spectrum(u, M, k_use=M)
     L = assemble_lax(u, M)
     W = sd.left_vecs
     assert np.max(np.abs(np.linalg.norm(W, axis=0) - 1.0)) < 1e-14
@@ -203,7 +216,7 @@ def test_left_vectors_from_the_inverse_match_an_independent_eigensolve(M):
     lam, WL, V = scipy.linalg.eig(L, left=True, right=True)
     order = np.lexsort((lam.imag, lam.real))
     V, WL = V[:, order], WL[:, order]
-    K = sd.K_use
+    K = M
     # |w^H v| is the reciprocal condition number the near-orthogonality guard reads
     ref = np.abs([np.vdot(WL[:, n], V[:, n]) for n in range(K + 1)])
     got = np.abs([np.vdot(W[:, n], sd.right_vecs[:, n]) for n in range(K + 1)])
