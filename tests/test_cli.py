@@ -53,7 +53,7 @@ def test_spectrum_output_is_deterministic(tmp_path, potential_file):
     assert outs[0] == outs[1]
     payload = json.loads(outs[0])
     assert payload["lambdas"][0] != payload["lambdas"][1]
-    assert len(payload["lambdas"]) == payload["K_use"] + 1
+    assert payload["K_use"] == 64 // 2 and len(payload["lambdas"]) == 64 // 2 + 1
 
 
 def test_evolve_preserves_moduli(tmp_path, potential_file):

@@ -79,8 +79,8 @@ def test_hermitian_and_general_paths_agree():
     full = dict(coeffs)
     full.update({-n: np.conj(v) for n, v in coeffs.items()})
     v = Potential(0.5, 2, full, real=False)
-    a = spectrum(u, 24)
-    b = spectrum(v, 24)
+    a = spectrum(u, 24, k_use=24)
+    b = spectrum(v, 24, k_use=24)
     assert np.max(np.abs(a.lambdas - b.lambdas)) < 1e-11
     # phase-free: h_n = P_n e_n does not depend on how eigh and eig scale v_n
     ha, hb = projected_basis(a), projected_basis(b)
