@@ -290,21 +290,18 @@ def birkhoff_forward(u, M=None, k_use=None):
     return state
 
 
-def _perturbed(u, k, step):
-    coeffs = u.nonzero_coeffs()
-    coeffs[k] = coeffs.get(k, 0.0) + step
-    return Potential(u.s, max(u.N, abs(k)), coeffs, real=False)
-
-
 def canonical_bracket_table(u, n_max, h):
     """Brackets among the coordinate functionals, sharing the transforms.
 
     Returns (plus_minus, plus_plus) where plus_minus[i, j] approximates
     {zeta_{i+1}, zeta_{-(j+1)}}(u) (target -i delta_ij) and plus_plus[i, j]
-    approximates {zeta_{i+1}, zeta_{j+1}}(u) (target 0).  The minus-index
-    functional is the analytic extension's minus component, which on real
-    potentials coincides with conj(zeta).  Each perturbed potential is
-    transformed once and every partial is read from that table.
+    approximates {zeta_{i+1}, zeta_{j+1}}(u) (target 0).  Every forward map
+    runs on a real potential: central differences of zeta_1..zeta_{n_max}
+    along u_hat(k) +- h and u_hat(k) +- ih, k >= 1, give D_1 = d_k + d_{-k}
+    and D_2 = i (d_k - d_{-k}), which the analytic extension splits as
+    d_{+-k} = (D_1 -+ i D_2) / 2.  Its minus component
+    zeta_{-n}(u) = conj(zeta_n(conj u)) is conj(zeta_n) on real potentials,
+    and at a real u, d zeta_{-n} / du_hat(k) = conj(d zeta_n / du_hat(-k)).
     """
     if not u.real:
         raise ValueError("bracket evaluation point must be a real potential")
@@ -317,16 +314,18 @@ def canonical_bracket_table(u, n_max, h):
     # the scaling products at index n carry factors from every open gap, so
     # the chain must run well past n_max or the partials inherit O(u^2) bias
     depth = min(M // 2, n_max + 2 * u.N + 8)
-    dplus = {}
-    dminus = {}
-    for k in [k for k in range(-reach, reach + 1) if k != 0]:
-        hi = birkhoff_forward(_perturbed(u, k, h), M=M, k_use=depth)
-        lo = birkhoff_forward(_perturbed(u, k, -h), M=M, k_use=depth)
-        dplus[k] = (hi.plus[:n_max] - lo.plus[:n_max]) / (2.0 * h)
-        dminus[k] = (hi.minus[:n_max] - lo.minus[:n_max]) / (2.0 * h)
-    plus_minus = np.zeros((n_max, n_max), dtype=complex)
-    plus_plus = np.zeros((n_max, n_max), dtype=complex)
-    for k in dplus:
-        plus_minus += 1j * k * np.outer(dplus[-k], dminus[k])
-        plus_plus += 1j * k * np.outer(dplus[-k], dplus[k])
+    base = dict(enumerate(u.band()[u.N + 1:], 1))
+
+    def plus_side(k, step):
+        coeffs = {**base, k: base.get(k, 0.0) + step}
+        v = Potential(u.s, max(u.N, k), coeffs, real=True)
+        return birkhoff_forward(v, M=M, k_use=depth).plus[:n_max]
+
+    # column k - 1 holds D_1 and D_2 of zeta_1..zeta_{n_max} at k
+    d1, d2 = (np.array([(plus_side(k, step) - plus_side(k, -step)) / (2.0 * h)
+                        for k in range(1, reach + 1)]).T for step in (h, 1j * h))
+    up, down = (d1 - 1j * d2) / 2.0, (d1 + 1j * d2) / 2.0  # d_k and d_{-k}
+    ik = 1j * np.arange(1, reach + 1)
+    plus_minus = (down * ik) @ down.conj().T - (up * ik) @ up.conj().T
+    plus_plus = (down * ik) @ up.T - (up * ik) @ down.T
     return plus_minus, plus_plus

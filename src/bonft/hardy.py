@@ -30,11 +30,18 @@ _JSON_TYPES = {"integer": int, "number": (int, float), "boolean": bool}
 
 def json_value(obj, key, kind, default=None):
     """obj[key] as a JSON integer, number or boolean (kind); a bool is neither
-    of the first two.  An absent key reads as default, or is a KeyError when
-    default is None."""
+    of the first two.  A number reads as a float, and an integer no float
+    can hold is a ValueError.  An absent key reads as default, or is a
+    KeyError when default is None."""
     v = obj[key] if default is None or key in obj else default
     if isinstance(v, bool) != (kind == "boolean") or not isinstance(v, _JSON_TYPES[kind]):
         raise ValueError("%s must be a JSON %s, got %r" % (key, kind, v))
+    if kind == "number":
+        try:
+            return float(v)
+        except OverflowError:
+            raise ValueError("%s must be a JSON number within the float range, got an "
+                             "integer of %d digits" % (key, len(str(abs(v))))) from None
     return v
 
 

@@ -34,6 +34,8 @@ def assemble_lax(u, M):
     M = int(M)
     if M < u.N:
         raise ValueError("truncation M=%d cannot hold a band of width N=%d" % (M, u.N))
+    if 16 * (M + 1) ** 2 > np.iinfo(np.intp).max:  # the bytes of the complex matrix
+        raise ValueError("truncation M=%d too large for an array" % M)
     if M < 2 * u.N:
         warnings.warn("truncation M=%d below 2N=%d; band only partially resolved"
                       % (M, 2 * u.N), TruncationWarning)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from bonft.birkhoff import (BirkhoffState, _perturbed, _zeta_minus, birkhoff_forward,
-                            canonical_bracket_table, eigen_chain, scaling_constants,
-                            sqrt_plus, state_from_json, state_to_json)
+from bonft.birkhoff import (BirkhoffState, _zeta_minus, birkhoff_forward,
+                            canonical_bracket_table, default_lax_dim, eigen_chain,
+                            scaling_constants, sqrt_plus, state_from_json, state_to_json)
 from bonft.errors import BranchCutError
 from bonft.hardy import Potential
 from bonft.lax import spectrum
@@ -104,12 +104,18 @@ def test_derived_conjugate_spectrum_keeps_the_coordinates():
         norm = (0.01 + 0.01 * rng.random()) / sobolev_norm(raw, 0.5)
         assert_matches_two_solve_route(
             Potential(0.5, N, {n: norm * v for n, v in raw.items()}), 64, 16)
-    # one of the perturbed inputs of `bonft bracket`: its seed-0 base point,
-    # M and chain depth as canonical_bracket_table picks them for 3 modes
-    base = np.random.default_rng(0)
-    u = Potential(0.5, 4, {n: 0.01 * (base.standard_normal() + 1j * base.standard_normal())
-                           for n in range(1, 5)}, real=True)
-    assert_matches_two_solve_route(_perturbed(u, -7, 1e-5), 52, 19)
+    # a one-sided perturbation of `bonft bracket`'s seed-0 base point, with M
+    # and chain depth as canonical_bracket_table picks them for 3 modes
+    coeffs = bracket_base(0.01).nonzero_coeffs()
+    coeffs[-7] = 1e-5
+    assert_matches_two_solve_route(Potential(0.5, 7, coeffs, real=False), 52, 19)
+
+
+def bracket_base(scale):
+    """`bonft bracket`'s seed-0 base point at --scale scale."""
+    rng = np.random.default_rng(0)
+    return Potential(0.5, 4, {n: scale * (rng.standard_normal() + 1j * rng.standard_normal())
+                              for n in range(1, 5)}, real=True)
 
 
 def count_calls(monkeypatch, module, name):
@@ -165,6 +171,49 @@ def test_canonical_bracket_table_small():
     target = -1j * np.eye(2)
     assert np.max(np.abs(pm - target)) < 1e-6
     assert np.max(np.abs(pp)) < 1e-6
+
+
+def one_sided_bracket_table(u, n_max, h):
+    """The bracket table from central differences along each one-sided
+    coefficient u_hat(k), k = +-1..+-reach: every perturbed potential is
+    complex, and the minus side is read off its own forward map."""
+    reach = u.N + n_max + 2
+    M = default_lax_dim(u.N + reach)
+    depth = min(M // 2, n_max + 2 * u.N + 8)
+    d = {}
+    for k in [k for k in range(-reach, reach + 1) if k]:
+        ends = []
+        for step in (h, -h):
+            coeffs = u.nonzero_coeffs()
+            coeffs[k] = coeffs.get(k, 0.0) + step
+            z = birkhoff_forward(Potential(u.s, max(u.N, abs(k)), coeffs), M=M, k_use=depth)
+            ends.append(np.concatenate((z.plus[:n_max], z.minus[:n_max])))
+        d[k] = (ends[0] - ends[1]) / (2.0 * h)
+    plus_minus = sum(1j * k * np.outer(d[-k][:n_max], d[k][n_max:]) for k in d)
+    plus_plus = sum(1j * k * np.outer(d[-k][:n_max], d[k][:n_max]) for k in d)
+    return plus_minus, plus_plus
+
+
+@pytest.mark.parametrize("scale, modes", [(0.01, 3), (0.1, 4)])
+def test_bracket_table_matches_one_sided_perturbations(scale, modes):
+    # the central differences' own noise at h = 1e-5 is about 1e-10
+    u = bracket_base(scale)
+    for got, want in zip(canonical_bracket_table(u, modes, 1e-5),
+                         one_sided_bracket_table(u, modes, 1e-5)):
+        assert np.max(np.abs(got - want)) < 1e-9
+
+
+def test_bracket_runs_no_nonhermitian_eigensolve(monkeypatch):
+    # every perturbed potential is real, so each of the 4 reach forward maps
+    # at `bonft bracket`'s defaults runs eigh and never eig or inv(V)
+    def refused(*args, **kwargs):
+        raise AssertionError("non-Hermitian route ran")
+    monkeypatch.setattr(np.linalg, "eig", refused)
+    monkeypatch.setattr(np.linalg, "inv", refused)
+    eigh = count_calls(monkeypatch, np.linalg, "eigh")
+    pm, pp = canonical_bracket_table(bracket_base(0.01), 3, 1e-5)
+    assert len(eigh) == 4 * (4 + 3 + 2)
+    assert np.max(np.abs(pm + 1j * np.eye(3))) < 1e-6 and np.max(np.abs(pp)) < 1e-6
 
 
 def test_series_validate_contracts():

@@ -232,6 +232,8 @@ def _potential_doc(s=0.5, coeffs=((1, 0.01),), **fields):
      "the step count T/dt is not finite (T=1e+300, dt=1e-10)"),
     (["compare", "-i", U, "--t", "0.05", "--dt", "5e-324"], None,
      "the step count T/dt is not finite (T=0.05, dt=4.94066e-324)"),
+    (["transform", "-i", U, "--lax-dim", "100000000000000000000000000000"], None,
+     "truncation M=100000000000000000000000000000 too large for an array"),
 ], ids=["fd-step-0", "fd-step-negative", "fd-step-nan", "bracket-modes-0", "max-d-0",
         "l-bound-negative", "random-count-negative", "combi-max-d-negative",
         "n-base-negative", "max-probes-0", "max-m-0", "continuity-small-s-one-probe",
@@ -250,7 +252,8 @@ def _potential_doc(s=0.5, coeffs=((1, 0.01),), **fields):
         "inverse-complex-target", "inverse-lax-dim-below-n-modes", "compare-t-not-a-number", "compare-t-zero",
         "compare-t-negative", "continuity-t-1e308", "continuity-t-9e307",
         "continuity-delta-1e-154", "continuity-t-1e-307", "continuity-t-1e305-small-s",
-        "continuity-phase-overflow", "compare-steps-overflow-t", "compare-steps-overflow-dt"])
+        "continuity-phase-overflow", "compare-steps-overflow-t", "compare-steps-overflow-dt",
+        "lax-dim-past-any-array"])
 def test_vacuous_or_ill_posed_runs_exit_1(capsys, monkeypatch, argv, stdin, message):
     # each of these used to exit 0 after checking nothing, print NaN or
     # Infinity (not JSON), keep only the last of a repeated index, truncate
@@ -276,16 +279,30 @@ def test_vacuous_or_ill_posed_runs_exit_1(capsys, monkeypatch, argv, stdin, mess
 def test_document_numbers_are_typed(capsys, monkeypatch, verb, key, kind, value):
     # the readers used to pass a string, a bool or null through float() or
     # complex(), so "0.01" read as 0.01 and true as 1
+    assert _run_with(monkeypatch, verb, key, value) == 1
+    assert capsys.readouterr() == ("", "error: %s must be a JSON %s, got %r\n"
+                                   % (key, kind, value))
+
+
+@pytest.mark.parametrize("verb", ["transform", "evolve"])
+@pytest.mark.parametrize("key", ["s", "re", "im"])
+def test_document_numbers_past_the_floats_exit_1(capsys, monkeypatch, verb, key):
+    # an integer of 401 digits used to end in float()'s OverflowError traceback
+    assert _run_with(monkeypatch, verb, key, 10 ** 400) == 1
+    assert capsys.readouterr() == ("", "error: %s must be a JSON number within the float "
+                                   "range, got an integer of 401 digits\n" % key)
+
+
+def _run_with(monkeypatch, verb, key, value):
+    """Exit code of transform (or evolve) on the one-mode potential (or state)
+    document with every key set to value, read from stdin."""
     doc = json.loads(_potential_doc() if verb == "transform" else _state_doc())
     items = doc["coeffs"] if verb == "transform" else doc["plus"] + doc["minus"]
     for obj in [doc] + items:
         if key in obj:
             obj[key] = value
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
-    argv = [verb] if verb == "transform" else [verb, "--t", "1"]
-    assert cli.main(argv) == 1
-    assert capsys.readouterr() == ("", "error: %s must be a JSON %s, got %r\n"
-                                   % (key, kind, value))
+    return cli.main([verb] if verb == "transform" else [verb, "--t", "1"])
 
 
 def test_transform_without_modes_exits_1(potential_file, capsys):
@@ -401,12 +418,20 @@ def test_compare_stores_only_the_requested_samples(monkeypatch, times, stored):
     assert lengths == [stored]
 
 
-def _bonft(argv):
+def _bonft(argv, timeout=60):
     """python -m bonft.cli argv in a fresh interpreter, under the default warning
     filters (this module ignores TruncationWarning)."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     return subprocess.run([sys.executable, "-m", "bonft.cli"] + argv, capture_output=True,
-                          text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+                          text=True, timeout=timeout, env=dict(os.environ, PYTHONPATH=src))
+
+
+def test_bracket_with_modes_past_any_array_exits_1_at_once():
+    # the table used to list 2e29 signed indices before its first forward
+    # map; a subprocess, so an unbounded loop fails by its timeout
+    out = _bonft(["bracket", "--modes", "100000000000000000000000000000"], timeout=20)
+    assert (out.returncode, out.stdout, out.stderr) == (
+        1, "", "error: truncation M=400000000000000000000000000040 too large for an array\n")
 
 
 def test_blow_up_exits_2_without_stepping_to_the_end():
