@@ -17,25 +17,25 @@ The coordinates are assembled from truncated spectral data in three layers:
      conj(u): L_{conj u} = L_u^H, so under u's labels they are u's with
      right and left swapped, without a second eigensolve, and u's kappa_n
      and mu_n conjugated; only its chain runs.  The norm drift pairs the two
-     chains, sum_k f_n(u)_k conj(f_n(conj u)_k), against 1, and one
-     shift-drop warning covers them both.
+     chains, sum_k f_n(u)_k conj(f_n(conj u)_k), against 1.
+
+Nothing here judges the truncation: lax.spectrum certifies the cut at M by
+the Lax residual of the eigenpairs it returns.
 
 Principal square roots throughout, with the branch cut treated as an error.
 """
 
 import math
-import warnings
 
 import numpy as np
 
 from .errors import (BranchCutError, DegenerateProduct, DegenerateProjector,
-                     OutOfNeighborhood, TruncationWarning)
+                     OutOfNeighborhood)
 from .hardy import (Potential, coeffs_from_json, coeffs_to_json, json_value,
                     sobolev_exponent)
 from .lax import spectrum
 
 DEGENERATE_TOL = 1e-12
-SHIFT_DROP_THRESHOLD = 1e-10  # relative size of a top mode that S may drop silently
 NEIGHBORHOOD_MU = 0.5
 NEIGHBORHOOD_ALPHA = 0.5
 
@@ -256,8 +256,8 @@ def birkhoff_forward(u, M=None, k_use=None):
     bit, and only the chain of u- runs again.
 
     S drops the top mode of each f_0..f_{K-1} it shifts, of either chain;
-    f_n's top-mode ratio is v_n's, and past SHIFT_DROP_THRESHOLD one
-    TruncationWarning names the largest.  Attaches .diagnostics with the
+    what the cut at M loses there is lax.spectrum's to warn about, by the
+    Lax residual of v_n and w_n.  Attaches .diagnostics with the
     product tails and the chain norm drift
     max_n |b_n conj(b-_n) (v-_n)^H v_n - 1|, the pairing
     sum_k f_n(u)_k conj(f_n(u-)_k) of the two chains against 1: the analytic
@@ -277,11 +277,6 @@ def birkhoff_forward(u, M=None, k_use=None):
         # part) the right vectors of conj(u) are W and its left ones V
         kappa_c = np.conj(kappa)
         b_c = eigen_chain(W, V, kappa_c, np.conj(mu))
-    size = np.abs(V[:, :-1] if u.real else np.hstack((V[:, :-1], W[:, :-1])))
-    top = np.max(size[-1] / size.max(axis=0))
-    if top > SHIFT_DROP_THRESHOLD:
-        warnings.warn("chain shift dropped top coefficient of relative size %.3e" % top,
-                      TruncationWarning)
     pairing = b * np.conj(b_c) * np.sum(np.conj(W) * V, axis=0)
     plus = np.conj(_zeta_minus(W, b_c, kappa_c))
     minus = np.conj(plus) if u.real else _zeta_minus(V, b, kappa)

@@ -10,6 +10,7 @@ bytes are reproducible.
 import argparse
 import functools
 import json
+import re
 import sys
 import warnings
 
@@ -30,6 +31,9 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, **kwargs):
         # a unique prefix of a flag would otherwise stand for the whole flag
         super().__init__(allow_abbrev=False, **kwargs)
+        # argparse reads -1e3 as a flag, not a value; no bonft flag looks like
+        # a number, so every negative number, exponent form too, is a value
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     # argparse exits with its own code 2 on bad flags, which collides with
     # the numerical-failure code; route everything through ValueError -> 1

@@ -8,7 +8,9 @@ mode index minus a Toeplitz part built from the potential:
 Everything downstream (gaps, norming constants, the coordinate map) reads
 off this one matrix, so this module owns assembly and the eigensolve with
 its simplicity and near-orthogonality guards; it keeps the K_use + 1
-lowest eigenpairs, the ones the pipeline reads.  A real potential gives a
+lowest eigenpairs, the ones the pipeline reads, and it is the one place
+that judges the cut at M: the Lax residual of each kept eigenpair against
+the infinite operator (see spectrum).  A real potential gives a
 Hermitian matrix and numpy's eigh, its eigenvalues kept real; a complex
 one gives numpy's eig for the right eigenvectors, with the left ones read
 off the inverse of their matrix.
@@ -23,22 +25,20 @@ from .errors import NumericalFailure, PropertyViolation, TruncationWarning
 
 SIMPLICITY_TOL = 1e-8
 GAP_TOL = 1e-10
+RESIDUAL_TOL = 1e-6
 
 
 def assemble_lax(u, M):
     """The (M+1) x (M+1) truncation of D - T_u as a dense complex array.
 
-    M must at least cover the band of u (M >= N); truncations below 2N are
-    accepted with a warning since the top rows then clip the Toeplitz band.
+    M must at least cover the band of u (M >= N).  Whether the cut is fine
+    enough is not judged here but by the Lax residual in spectrum.
     """
     M = int(M)
     if M < u.N:
         raise ValueError("truncation M=%d cannot hold a band of width N=%d" % (M, u.N))
     if 16 * (M + 1) ** 2 > np.iinfo(np.intp).max:  # the bytes of the complex matrix
         raise ValueError("truncation M=%d too large for an array" % M)
-    if M < 2 * u.N:
-        warnings.warn("truncation M=%d below 2N=%d; band only partially resolved"
-                      % (M, 2 * u.N), TruncationWarning)
     j = np.arange(M + 1)
     diff = j[:, None] - j[None, :]
     coeffs = np.zeros(2 * M + 1, dtype=complex)
@@ -76,6 +76,47 @@ def spectrum(u, M, k_use=None):
     number of lambda_n, and the chain divides by w_n^H v_n: below 1e-12 for
     some n <= K_use that raises NumericalFailure too.  K_use defaults to
     M/2: the upper half of a truncated spectrum is polluted by the cut.
+
+    The cut is certified by the Lax residual.  Past RESIDUAL_TOL for some
+    kept label, one TruncationWarning names M, the worst label n and its
+    residual; labels past what the cut resolves warn too.  The argument,
+    with L_M the truncation, L_u the operator on all modes j >= 0 and
+    x = [v_n; 0] the unit eigenvector v_n of L_M padded with zeros:
+
+      1. The residual.  rho = lambda_n(L_M) = x^H L_u x, and
+         (L_u - rho) x vanishes in rows 0..M up to the eigensolver's
+         rounding.  Row j > M is -sum_k u_hat(j - k) v_n[k], nonzero only
+         for k >= j - N, so it lives in rows M+1..M+N:
+         r_n = -T v_n[M-N+1:], T[i, l] = u_hat(N+i-l) for l >= i and 0
+         below, an N x N upper-triangular Toeplitz block.  A left vector
+         w_n solves L_u^H w = conj(lambda_n) w on the cut, and the same
+         rows of L_u^H hold conj(u_hat(l-i-N)).
+      2. An eigenvalue nearby.  For real u, L_u is self-adjoint, so some
+         eigenvalue lies within ||r_n|| of rho (Krylov-Weinstein).  Its
+         eigenvalues are simple with lambda_{m+1} - lambda_m = 1 +
+         gamma_{m+1} >= 1, so for ||r_n|| < 1/2 it is the only one there.
+      3. Min-max ties the label n.  L_M is the compression of L_u to modes
+         0..M, so rho >= lambda_n(L_u), and the gap of at least 1 below
+         lambda_n(L_u) puts the eigenvalue of step 2 at label n or above.
+         The trace identities lambda_m(L_u) = m - sum_{k>m} gamma_k and
+         sum_k k gamma_k = sum_{k>=1} |u_hat(k)|^2 = P give
+         lambda_m(L_u) in [m - P, m], so while rho + ||r_n|| < n + 1 - P
+         the label is not above n either: it is lambda_n(L_u).
+      4. The eigenvalue.  The rest of the spectrum lies at least
+         1 - ||r_n|| from rho, so Kato-Temple gives
+         |lambda_n(L_M) - lambda_n(L_u)| <= ||r_n||^2 / (1 - ||r_n||).
+      5. The vector.  With the same separation, Davis-Kahan's sin theta
+         theorem bounds the angle between v_n and the eigenvector of L_u
+         by ||r_n|| / (1 - ||r_n||) (Parlett, The Symmetric Eigenvalue
+         Problem, for steps 2, 4 and 5).
+      6. For complex u, L_u is not normal, so neither Kato-Temple nor
+         Davis-Kahan holds: ||r_n|| (the larger of the right and the left
+         vector's) is a number, not a bound, next to the condition number
+         1/|w_n^H v_n| that Bauer-Fike would multiply it by.
+
+    So at RESIDUAL_TOL = 1e-6 a silent real spectrum has its eigenvalues to
+    about 1e-12 and its vectors to about 1e-6 in angle.  The check costs
+    one N x N product per side, O(N^2 K_use).
     """
     K_use = M // 2 if k_use is None else int(k_use)
     if not 1 <= K_use <= M:
@@ -114,6 +155,15 @@ def spectrum(u, M, k_use=None):
     if small.size:
         raise NumericalFailure("left/right eigenvectors nearly orthogonal at n=%d"
                                % small[0])
+    # rows M+1..M+N of L_u [v_n; 0], -T v_n[M-N+1:], with T[i, l] = u_hat(N+i-l)
+    # for l >= i; against L_u^H the left vectors meet conj(u_hat(l-i-N))
+    c, d = u.band(), np.abs(np.subtract.outer(np.arange(u.N), np.arange(u.N)))
+    res = np.linalg.norm(np.triu(c[2 * u.N - d]) @ V[M - u.N + 1:], axis=0)
+    if not hermitian:
+        res = np.maximum(res, np.linalg.norm(np.triu(c[d].conj()) @ W[M - u.N + 1:], axis=0))
+    if res.max() > RESIDUAL_TOL:
+        warnings.warn("truncation M=%d leaves a Lax residual %.3e at n=%d, past %.0e"
+                      % (M, res.max(), res.argmax(), RESIDUAL_TOL), TruncationWarning)
     return SpectralData(lam, V, W, hermitian, min_separation)
 
 

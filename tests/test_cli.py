@@ -448,11 +448,11 @@ def test_blow_up_exits_2_without_stepping_to_the_end():
     (["compare", "-i", U, "--lax-dim", "32", "--modes", "8", "--grid", "32",
       "--t", "0.25", "--dt", "0.25"],
      "warning: dt=0.25 spins the top mode 64 radians per step\n"),
-    (["transform", "-i", U, "--lax-dim", "10"],
-     "warning: chain shift dropped top coefficient of relative size 6.484e-08\n"),
-    # the chains of u and conj(u) both drop a top mode; one line names the larger
+    (["transform", "-i", U, "--lax-dim", "5"],
+     "warning: truncation M=5 leaves a Lax residual 1.066e-04 at n=2, past 1e-06\n"),
+    # the right and the left vectors both miss the cut; one line names the worse
     (["transform", "-i", UC, "--lax-dim", "32", "--modes", "32"],
-     "warning: chain shift dropped top coefficient of relative size 1.301e-02\n"),
+     "warning: truncation M=32 leaves a Lax residual 1.527e-02 at n=32, past 1e-06\n"),
     # max |n^2 + Omega_n| = 63.9986 on this state, so the 2^52 phase bound
     # falls at t = 7.04e13
     (["evolve", "-i", STATE, "--t", "1e15"],
@@ -540,3 +540,22 @@ def test_repeated_calls_share_one_parser(capsys):
             with open(os.path.join(GOLDEN, name), "rb") as fh:
                 assert (rc, out.encode(), err) == (0, fh.read(), ""), argv
     assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize("spaced, joined", [
+    (["evolve", "-i", STATE, "--t", "-1e3"], ["evolve", "-i", STATE, "--t=-1e3"]),
+    (["evolve", "-i", STATE, "--t", "-2.5E+2"], ["evolve", "-i", STATE, "--t=-2.5E+2"]),
+    (["continuity", "--s", "-4.5e-1", "--k", "8", "--max-m", "4000"],
+     ["continuity", "--s=-4.5e-1", "--k", "8", "--max-m", "4000"]),
+], ids=["t-exponent", "t-signed-exponent", "s-exponent"])
+def test_negative_values_in_exponent_form_are_values(capsys, spaced, joined):
+    # argparse's own pattern took -1e3 for a flag, and --t found no value
+    assert cli.main(joined) == 0
+    expected = capsys.readouterr()
+    assert cli.main(spaced) == 0
+    assert capsys.readouterr() == expected
+
+
+def test_a_flag_in_place_of_a_value_still_exits_1(capsys):
+    assert cli.main(["evolve", "-i", STATE, "--t", "-x"]) == 1
+    assert capsys.readouterr() == ("", "error: argument --t: expected one argument\n")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -22,7 +24,8 @@ def test_matrix_matches_oracle():
 
 def test_truncation_below_twice_the_band_warns():
     u = Potential(0.5, 2, {1: 0.02, 2: 0.01j}, real=True)
-    with pytest.warns(TruncationWarning, match="truncation M=3 below 2N=4"):
+    with pytest.warns(TruncationWarning, match="^truncation M=3 leaves a Lax residual 3.040e-04 "
+                                               "at n=1, past 1e-06$"):
         spectrum(u, 3)
 
 
@@ -62,6 +65,8 @@ def test_min_separation_equals_all_pairs_minimum():
         assert spectrum(u, M).min_separation == float(sep.min())
 
 
+# k_use = M reads labels the cut does not resolve
+@pytest.mark.filterwarnings("ignore::bonft.errors.TruncationWarning")
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
 def test_spectrum_returns_the_labels_up_to_k_use(real):
     u = Potential(0.5, 2, {1: 0.03, 2: 0.01j} if real else {1: 0.03, -2: 0.01j}, real=real)
@@ -72,6 +77,8 @@ def test_spectrum_returns_the_labels_up_to_k_use(real):
         assert sd.right_vecs.shape == sd.left_vecs.shape == (M + 1, n_use)
 
 
+# compares all 25 eigenvalues, the top ones past what M = 24 resolves
+@pytest.mark.filterwarnings("ignore::bonft.errors.TruncationWarning")
 def test_hermitian_and_general_paths_agree():
     """A real potential stored without the real flag must give the same spectrum."""
     coeffs = {1: 0.02 + 0.01j, 2: -0.015j}
@@ -138,6 +145,8 @@ def test_symmetry_audit_small_for_complex_potential():
     assert audit["conj_equivariance"] < 1e-11
 
 
+# compares all 21 eigenvalues, the top ones past what M = 20 resolves
+@pytest.mark.filterwarnings("ignore::bonft.errors.TruncationWarning")
 def test_star_spectrum_equals_transpose_spectrum():
     u = Potential(0.5, 2, {1: 0.05 + 0.02j, -2: 0.01 - 0.03j})
     a = spectrum(u, 20, k_use=20)
@@ -180,6 +189,8 @@ def test_conjugate_spectrum_matches_independent_eigensolve():
                 assert np.max(np.abs(p_got - p_ref)) < 1e-10
 
 
+# the patched 4 x 4 matrix is no truncation of the potential's Lax operator
+@pytest.mark.filterwarnings("ignore::bonft.errors.TruncationWarning")
 def test_conjugate_spectrum_keeps_the_labels_through_a_tie(monkeypatch):
     """1 - 1j and 1 + 1j tie in the real part; label n of conj(u) stays
     conj(lambda_n(u)) with the swapped vectors, though a fresh sort would
@@ -200,6 +211,8 @@ def test_conjugate_spectrum_keeps_the_labels_through_a_tie(monkeypatch):
         assert np.max(np.abs(w.conj() @ A - lam_c[n] * w.conj())) < 1e-12
 
 
+# k_use = M reads labels the cut does not resolve
+@pytest.mark.filterwarnings("ignore::bonft.errors.TruncationWarning")
 @pytest.mark.parametrize("M", [16, 32, 64, 96, 128])
 def test_left_vectors_from_the_inverse_match_an_independent_eigensolve(M):
     rng = np.random.default_rng(M)
@@ -223,3 +236,38 @@ def test_left_vectors_from_the_inverse_match_an_independent_eigensolve(M):
     assert np.max(np.abs(got - ref)) < 1e-10
     for p_got, p_ref in zip(projectors(sd.right_vecs, W, K), projectors(V, WL, K)):
         assert np.max(np.abs(p_got - p_ref)) < 1e-10
+
+
+def lax_residuals(A, M, X, lam):
+    """||rows M+1..M+N of (A - lambda_n) [x_n; 0]|| for the columns x_n of X."""
+    pad = np.vstack((X, np.zeros((len(A) - M - 1, X.shape[1]))))
+    return np.linalg.norm((A @ pad - pad * lam)[M + 1:], axis=0)
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_truncation_warning_reports_the_lax_residual(monkeypatch, real):
+    """With RESIDUAL_TOL at 0 every spectrum warns, and its message must give the
+    largest residual of rows M+1..M+N, right and left vectors alike, and its label:
+    an index of the Toeplitz block off by one moves both."""
+    monkeypatch.setattr(bonft.lax, "RESIDUAL_TOL", 0.0)
+    rng = np.random.default_rng(17 if real else 18)
+    left_worse = 0
+    for N, M in ((1, 1), (3, 3), (3, 5), (4, 8), (6, 13)):  # M = N and M < 2N among them
+        modes = range(1, N + 1) if real else [n for n in range(-N, N + 1) if n]
+        coeffs = {n: 0.1 * complex(rng.standard_normal(), rng.standard_normal()) / abs(n)
+                  for n in modes}
+        u = Potential(0.5, N, coeffs, real=real)
+        for k_use in range(1, M + 1):
+            with pytest.warns(TruncationWarning) as caught:
+                sd = spectrum(u, M, k_use=k_use)
+            assert len(caught) == 1
+            L = assemble_lax(u, M + N)
+            right = lax_residuals(L, M, sd.right_vecs, sd.lambdas)
+            left = lax_residuals(L.conj().T, M, sd.left_vecs, np.conj(sd.lambdas))
+            ref = np.maximum(right, left)
+            got = re.fullmatch(r"truncation M=(\d+) leaves a Lax residual (\S+) at n=(\d+), "
+                               r"past 0e\+00", str(caught[0].message))
+            assert int(got[1]) == M and int(got[3]) == np.argmax(ref)
+            assert float(got[2]) == pytest.approx(ref.max(), rel=1e-3)
+            left_worse += left[np.argmax(ref)] > 1.01 * right[np.argmax(ref)]
+    assert left_worse if not real else left_worse == 0
