@@ -22,7 +22,6 @@ from .flow import coordinate_weights, shift_sums
 from .hardy import weighted_norm
 
 CLOSED_FORM_RTOL = 1e-12
-DELTA_CAP = 10.0  # largest perturbation size sweep accepts
 
 
 def _window_end(x, a, cap):
@@ -101,9 +100,10 @@ def sweep(s, t, base, k, max_m, delta, max_probes):
     the phase bound |e^{i t gap} - 1| > 1, so it is enforced on the rows
     where the phase bound holds.  The phase bound itself is enforced only
     for the resonant delta, where admissibility guarantees it; a given
-    delta keeps phase_bound_ok as a row field.  A ValueError rejects a delta
-    with delta^2 m^{-1-s} subnormal or 4 delta^2 m^{-2s} max(1, |t|), the
-    largest shift or phase, overflowing at the largest probe m.
+    delta keeps phase_bound_ok as a row field.  A ValueError rejects a given
+    delta that is not > 0, and any delta with delta^2 m^{-1-s} subnormal or
+    4 delta^2 m^{-2s} max(1, |t|), the largest shift or phase, overflowing
+    at the largest probe m.
     """
     if not -0.5 < s < 0.0:
         raise ValueError("s must lie strictly in (-1/2, 0)")
@@ -120,8 +120,8 @@ def sweep(s, t, base, k, max_m, delta, max_probes):
     resonant = delta is None
     if resonant:
         delta = math.sqrt(math.pi * k ** s / 2.0 / abs(t))  # 2|t| overflows past 8.99e307
-    elif not 0 < delta <= DELTA_CAP:
-        raise ValueError("delta must lie in (0, %g]" % DELTA_CAP)
+    elif not delta > 0:  # NaN too; a large delta meets the float-range check below
+        raise ValueError("delta must be > 0, got %g" % delta)
     delta = float(delta)
     probes = probe_indices(s, k, max_m, len(base), max_probes)
     if len(probes) < 2:

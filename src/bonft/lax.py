@@ -6,14 +6,16 @@ mode index minus a Toeplitz part built from the potential:
     (L)_{jk} = j delta_{jk} - u_hat(j - k),   0 <= j, k <= M.
 
 Everything downstream (gaps, norming constants, the coordinate map) reads
-off this one matrix, so this module owns assembly and the eigensolve with
-its simplicity and near-orthogonality guards; it keeps the K_use + 1
-lowest eigenpairs, the ones the pipeline reads, and it is the one place
-that judges the cut at M: the Lax residual of each kept eigenpair against
-the infinite operator (see spectrum).  A real potential gives a
-Hermitian matrix and numpy's eigh, its eigenvalues kept real; a complex
-one gives numpy's eig for the right eigenvectors, with the left ones read
-off the inverse of their matrix.
+off this one matrix, so this module owns assembly, the one place that
+writes its entries, and the eigensolve with its simplicity and
+near-orthogonality guards; it keeps the K_use + 1 lowest eigenpairs, the
+ones the pipeline reads, and it is the one place that judges the cut at
+M: the Lax residual of each kept eigenpair against the infinite operator,
+read off a window of the truncation at 2N - 1 (see spectrum).  A real
+potential gives a Hermitian matrix and numpy's eigh, its eigenvalues kept
+real; a complex one gives numpy's eig for the right eigenvectors, with
+the left ones read off the inverse of their matrix, whose row norms are
+their condition numbers.
 """
 
 import warnings
@@ -73,24 +75,31 @@ def spectrum(u, M, k_use=None):
     of eigenvalues closer than SIMPLICITY_TOL leaves the labeling (and every
     rank-one projector) undefined, so that raises NumericalFailure rather
     than picking an order.  With unit vectors 1/|w_n^H v_n| is the condition
-    number of lambda_n, and the chain divides by w_n^H v_n: below 1e-12 for
-    some n <= K_use that raises NumericalFailure too.  K_use defaults to
-    M/2: the upper half of a truncated spectrum is polluted by the cut.
+    number of lambda_n, and the chain divides by w_n^H v_n.  For complex u
+    that number is the norm of row n of V^{-1}, since the row meets the unit
+    v_n in 1: past 1e12 for some n <= K_use, or for a singular V, that
+    raises NumericalFailure too; eigh's orthonormal vectors have it 1.
+    K_use defaults to M/2: the upper half of a truncated spectrum is
+    polluted by the cut.
 
     The cut is certified by the Lax residual.  Past RESIDUAL_TOL for some
-    kept label, one TruncationWarning names M, the worst label n and its
-    residual; labels past what the cut resolves warn too.  The argument,
-    with L_M the truncation, L_u the operator on all modes j >= 0 and
-    x = [v_n; 0] the unit eigenvector v_n of L_M padded with zeros:
+    kept label, or not finite, one TruncationWarning names M, the worst
+    label n and its residual; labels past what the cut resolves warn too.
+    The argument, with L_M the truncation, L_u the operator on all modes
+    j >= 0 and x = [v_n; 0] the unit eigenvector v_n of L_M padded with
+    zeros:
 
       1. The residual.  rho = lambda_n(L_M) = x^H L_u x, and
          (L_u - rho) x vanishes in rows 0..M up to the eigensolver's
          rounding.  Row j > M is -sum_k u_hat(j - k) v_n[k], nonzero only
          for k >= j - N, so it lives in rows M+1..M+N:
          r_n = -T v_n[M-N+1:], T[i, l] = u_hat(N+i-l) for l >= i and 0
-         below, an N x N upper-triangular Toeplitz block.  A left vector
-         w_n solves L_u^H w = conj(lambda_n) w on the cut, and the same
-         rows of L_u^H hold conj(u_hat(l-i-N)).
+         below, an N x N upper-triangular Toeplitz block.  Off its
+         diagonal L_u is Toeplitz, so -T is rows N..2N-1, columns 0..N-1
+         of L_{2N-1}, the truncation at 2N-1.  A left vector w_n solves
+         L_u^H w = conj(lambda_n) w on the cut, against the conjugate
+         transpose of rows 0..N-1, columns N..2N-1; for real u the two
+         blocks are equal.  The residual is the larger of the two.
       2. An eigenvalue nearby.  For real u, L_u is self-adjoint, so some
          eigenvalue lies within ||r_n|| of rho (Krylov-Weinstein).  Its
          eigenvalues are simple with lambda_{m+1} - lambda_m = 1 +
@@ -116,7 +125,7 @@ def spectrum(u, M, k_use=None):
 
     So at RESIDUAL_TOL = 1e-6 a silent real spectrum has its eigenvalues to
     about 1e-12 and its vectors to about 1e-6 in angle.  The check costs
-    one N x N product per side, O(N^2 K_use).
+    one N x N product per side, O(N^2 K_use), on both routes.
     """
     K_use = M // 2 if k_use is None else int(k_use)
     if not 1 <= K_use <= M:
@@ -144,24 +153,26 @@ def spectrum(u, M, k_use=None):
     if hermitian:
         W = V = V[:, :n_use]
     else:
-        # rows of V^{-1} are the left vectors; unscaled, every w^H v would be
-        # 1 and the near-orthogonality guard below could not fire
-        W = np.linalg.inv(V)[:n_use].conj().T
-        W /= np.linalg.norm(W, axis=0)
+        # rows of V^{-1} are the left vectors; row n meets the unit v_n in 1, so
+        # its norm is the condition number 1/|w_n^H v_n| of the unit w_n
+        try:
+            W = np.linalg.inv(V)[:n_use].conj().T
+        except np.linalg.LinAlgError:
+            raise NumericalFailure("eigenvector matrix singular: no left vectors") from None
+        cond = np.linalg.norm(W, axis=0)
+        far = np.flatnonzero(~(cond <= 1e12))  # NaN too
+        if far.size:
+            raise NumericalFailure("left/right eigenvectors nearly orthogonal at n=%d" % far[0])
+        W /= cond
         V = V[:, :n_use]
     lam = lam[:n_use]
-    pairs = np.sum(np.conj(W) * V, axis=0)
-    small = np.flatnonzero(np.abs(pairs) < 1e-12)
-    if small.size:
-        raise NumericalFailure("left/right eigenvectors nearly orthogonal at n=%d"
-                               % small[0])
-    # rows M+1..M+N of L_u [v_n; 0], -T v_n[M-N+1:], with T[i, l] = u_hat(N+i-l)
-    # for l >= i; against L_u^H the left vectors meet conj(u_hat(l-i-N))
-    c, d = u.band(), np.abs(np.subtract.outer(np.arange(u.N), np.arange(u.N)))
-    res = np.linalg.norm(np.triu(c[2 * u.N - d]) @ V[M - u.N + 1:], axis=0)
-    if not hermitian:
-        res = np.maximum(res, np.linalg.norm(np.triu(c[d].conj()) @ W[M - u.N + 1:], axis=0))
-    if res.max() > RESIDUAL_TOL:
+    # rows M+1..M+N of L_u [v_n; 0] and of L_u^H [w_n; 0]: off its diagonal L_u
+    # is Toeplitz, so their blocks are windows of L_{2N-1}
+    N, B = u.N, assemble_lax(u, 2 * u.N - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = np.maximum(np.linalg.norm(B[N:, :N] @ V[M - N + 1:], axis=0),
+                         np.linalg.norm(B[:N, N:].conj().T @ W[M - N + 1:], axis=0))
+    if not res.max() <= RESIDUAL_TOL:  # NaN too
         warnings.warn("truncation M=%d leaves a Lax residual %.3e at n=%d, past %.0e"
                       % (M, res.max(), res.argmax(), RESIDUAL_TOL), TruncationWarning)
     return SpectralData(lam, V, W, hermitian, min_separation)

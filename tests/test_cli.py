@@ -112,6 +112,14 @@ def test_continuity_given_delta_exits_0(tmp_path):
     assert any(line.split(",")[-1] == "0" for line in lines[1:])
 
 
+@pytest.mark.parametrize("delta", ["100", "1e100"])
+def test_continuity_large_given_delta_exits_0(capsys, delta):
+    # a given delta used to be capped at 10 while the resonant one was not;
+    # both now meet only the float-range check
+    assert cli.main(["continuity", "--delta", delta, "--max-m", "2000", "-o", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
 @pytest.mark.parametrize("argv", [
     ["--t", "1e6"], ["--t", "1e12", "--max-m", "2000"],
     ["--t", "1e16", "--max-m", "2000"], ["--t", "1e20", "--max-m", "2000"]],
@@ -228,6 +236,8 @@ def _potential_doc(s=0.5, coeffs=((1, 0.01),), **fields):
      "delta=3.89524e-153 at t=1e+305 leaves the float range at probe m=6973568802"),
     (["continuity", "--delta", "1", "--t", "2e307", "--max-m", "2000"], None,
      "delta=1 at t=2e+307 leaves the float range at probe m=1250"),
+    (["continuity", "--delta", "0"], None, "delta must be > 0, got 0"),
+    (["continuity", "--delta", "-1"], None, "delta must be > 0, got -1"),
     (["compare", "-i", U, "--t", "1e300", "--dt", "1e-10"], None,
      "the step count T/dt is not finite (T=1e+300, dt=1e-10)"),
     (["compare", "-i", U, "--t", "0.05", "--dt", "5e-324"], None,
@@ -252,7 +262,8 @@ def _potential_doc(s=0.5, coeffs=((1, 0.01),), **fields):
         "inverse-complex-target", "inverse-lax-dim-below-n-modes", "compare-t-not-a-number", "compare-t-zero",
         "compare-t-negative", "continuity-t-1e308", "continuity-t-9e307",
         "continuity-delta-1e-154", "continuity-t-1e-307", "continuity-t-1e305-small-s",
-        "continuity-phase-overflow", "compare-steps-overflow-t", "compare-steps-overflow-dt",
+        "continuity-phase-overflow", "continuity-delta-0", "continuity-delta-negative",
+        "compare-steps-overflow-t", "compare-steps-overflow-dt",
         "lax-dim-past-any-array"])
 def test_vacuous_or_ill_posed_runs_exit_1(capsys, monkeypatch, argv, stdin, message):
     # each of these used to exit 0 after checking nothing, print NaN or
@@ -466,6 +477,43 @@ def test_each_warning_prints_as_one_line(argv, err):
     out = _bonft(argv)
     assert out.returncode == 0
     assert out.stderr == err
+
+
+# |u_hat(1)| = 1e200 overflows the Lax residual; at 1e50 eig returns an
+# eigenvector matrix that numpy cannot invert
+EXTREME_DOCS = ['{"s":0.5,"N":1,"real":true,"coeffs":[{"n":1,"re":1e200,"im":0}]}',
+                '{"s":0.5,"N":1,"coeffs":[{"n":1,"re":1e50,"im":0}]}']
+
+
+def _extreme_docs(count, seed):
+    """(document, M): EXTREME_DOCS at M = 16, then count seeded potentials, real
+    and complex, N in 1..4, every coefficient 10^U(-3, 300) (x + iy)."""
+    rng = np.random.default_rng(seed)
+    for doc in EXTREME_DOCS:
+        yield doc, 16
+    for _ in range(count):
+        N, real = int(rng.integers(1, 5)), bool(rng.random() < 0.5)
+        amp = 10 ** rng.uniform(-3, 300)
+        coeffs = [{"n": n, "re": amp * rng.standard_normal(), "im": amp * rng.standard_normal()}
+                  for n in range(1 if real else -N, N + 1) if n]
+        doc = {"s": 0.5, "N": N, "real": real, "coeffs": coeffs}
+        yield json.dumps(doc), int(rng.integers(N + 1, 4 * N + 17))
+
+
+@pytest.mark.parametrize("verb", ["transform", "spectrum"])
+def test_extreme_inputs_print_only_package_lines(monkeypatch, capsys, verb):
+    # past |u_hat| ~ 1e154 the residual used to print numpy's overflow warning,
+    # and a singular eigenvector matrix exited 1 with numpy's text
+    for doc, M in _extreme_docs(100, 38):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            rc = cli.main([verb, "--lax-dim", str(M)])
+        err = capsys.readouterr().err
+        assert rc in (0, 2), (doc, M, err)
+        for line in err.splitlines():
+            assert line.startswith(("warning: truncation M=", "numerical failure: ")), (doc, M, line)
+            assert "encountered" not in line and "Singular matrix" not in line
 
 
 def test_compare_rejects_complex_potential_before_any_forward_map(monkeypatch, capsys):

@@ -1,4 +1,6 @@
+import io
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -126,6 +128,20 @@ def test_near_orthogonality_guard_fires(monkeypatch, capsys):
         spectrum(u, 2, k_use=2)
     assert cli.main(["spectrum", "-i", UC, "--lax-dim", "2", "--modes", "2"]) == 2
     assert capsys.readouterr() == ("", "numerical failure: %s\n" % message)
+
+
+def test_singular_eigenvector_matrix_is_a_numerical_failure(monkeypatch, capsys):
+    """At u_hat(1) = 1e50 numpy cannot invert eig's eigenvector matrix: an
+    infinite condition number, so the guard's failure (exit 2), not numpy's
+    LinAlgError, a ValueError the CLI read as invalid input (exit 1)."""
+    doc = '{"s":0.5,"N":1,"coeffs":[{"n":1,"re":1e50,"im":0}]}'
+    message = "eigenvector matrix singular: no left vectors"
+    with pytest.raises(NumericalFailure, match="^%s$" % message):
+        spectrum(Potential(0.5, 1, {1: 1e50}), 16)
+    for verb in ("transform", "spectrum"):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+        assert cli.main([verb, "--lax-dim", "16"]) == 2
+        assert capsys.readouterr() == ("", "numerical failure: %s\n" % message)
 
 
 def test_h_normalization():
