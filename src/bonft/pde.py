@@ -6,8 +6,9 @@ Modewise the equation reads
 
 and the linear phase is integrated exactly (integrating factor), so the
 only discretization errors are the RK4 step on the slow nonlinear part and
-the dealiasing cut.  This module never touches the coordinate pipeline;
-it exists to cross-validate it.
+the dealiasing cut.  The state is real, so the steps carry only its modes
+0..grid/2, through rfft and irfft.  This module never touches the
+coordinate pipeline; it exists to cross-validate it.
 """
 
 import cmath
@@ -93,41 +94,49 @@ def integrate(u0, cfg):
     flags steps asking the top retained mode to rotate through more than
     PHASE_BUDGET radians, where the RK4 treatment of the nonlinear term
     loses accuracy even though the linear phase is exact.
+
+    The steps carry only modes 0..grid/2 of the real state, and each stored
+    sample is rebuilt in np.fft layout as c(-n) = conj(c(n)), so it is
+    exactly Hermitian.  The trajectory equals the plain half-spectrum loop
+    (tests/oracles.py::integrate_loop_half) bit for bit.
     """
     if not u0.real:
         raise ValueError("direct integration needs a real potential")
     grid = cfg.grid_size
     check_band(grid, u0.N)
-    n = np.fft.fftfreq(grid, d=1.0 / grid).astype(int)
+    n = np.arange(grid // 2 + 1)
     keep = int(np.floor((grid // 2) * DEALIAS_FRACTION))
     if cfg.dt * (grid // 2) ** 2 > PHASE_BUDGET:
         warnings.warn("dt=%g spins the top mode %.3g radians per step"
                       % (cfg.dt, cfg.dt * (grid // 2) ** 2), TruncationWarning)
 
-    c = np.zeros(grid, dtype=complex)
-    c[np.arange(-u0.N, u0.N + 1) % grid] = u0.band()
+    c = np.zeros(grid // 2 + 1, dtype=complex)
+    c[:u0.N + 1] = u0.band()[u0.N:]
 
     # The inverse FFT runs unscaled and the forward FFT's 1/grid sits in coef
     # with the factor -i n and the dealias mask: all exact (powers of two,
-    # zeros and ones).  The square fills the real part of a complex buffer,
-    # which spares fft() a conversion.  Every complex product keeps its
-    # operand order, because numpy's vectorised complex multiply need not
-    # round commutatively.
-    coef = (-1j * n) * (np.abs(n) <= keep) / grid
-    sq = np.zeros(grid, dtype=complex)
+    # zeros and ones).  Both FFTs write into reused buffers.  Every complex
+    # product keeps its operand order, because numpy's vectorised complex
+    # multiply need not round commutatively.
+    coef = (-1j * n) * (n <= keep) / grid
+    phys = np.empty(grid)
+    k1, k2, k3, k4 = (np.empty_like(c) for _ in range(4))
 
-    def rhs(state):
-        np.square(np.fft.ifft(state, norm="forward").real, out=sq.real)
-        out = np.fft.fft(sq)
+    def rhs(state, out):
+        np.fft.irfft(state, grid, norm="forward", out=phys)
+        np.square(phys, out=phys)
+        np.fft.rfft(phys, out=out)
         np.multiply(coef, out, out=out)
         out[0] = 0.0
-        return out
+
+    def full(c):
+        return np.concatenate((c, np.conj(c[-2:0:-1])))
 
     dt = cfg.T / cfg.steps[-1]
-    E = np.exp(1j * n * np.abs(n) * dt / 2.0)
+    E = np.exp(1j * n * n * dt / 2.0)
     E2 = E * E
     twoE, dtE, half, sixth = 2.0 * E, dt * E, dt / 2.0, dt / 6.0
-    times, stored = [0.0], [c]
+    times, stored = [0.0], [full(c)]
     step = 0
     for k in cfg.steps:
         while step < k:
@@ -135,16 +144,16 @@ def integrate(u0, cfg):
             # k2 = rhs(E (c + dt/2 k1)), k3 = rhs(E c + dt/2 k2), k4 = rhs(E2 c + dt E k3),
             # c <- E2 c + dt/6 (E2 k1 + 2E (k2 + k3) + k4), on reused buffers
             E2c = E2 * c
-            k1 = rhs(c)
+            rhs(c, k1)
             stage = half * k1
             stage += c
-            k2 = rhs(np.multiply(E, stage, out=stage))
+            rhs(np.multiply(E, stage, out=stage), k2)
             np.multiply(half, k2, out=stage)
             stage += E * c
-            k3 = rhs(stage)
+            rhs(stage, k3)
             np.multiply(dtE, k3, out=stage)
             stage += E2c
-            k4 = rhs(stage)
+            rhs(stage, k4)
             k2 += k3
             np.multiply(twoE, k2, out=k2)
             np.multiply(E2, k1, out=k1)
@@ -152,12 +161,12 @@ def integrate(u0, cfg):
             k1 += k4
             np.multiply(sixth, k1, out=k1)
             E2c += k1
-            c = E2c  # a fresh array every step, so stored samples never alias
+            c = E2c
             c[0] = 0.0
             # the next inverse FFT and square carry a non-finite mode into
             # mode 1, so one entry per step, and all of a stored one, suffice
             if not cmath.isfinite(c[1]) or step == k and not np.isfinite(c).all():
                 raise NumericalFailure("non-finite state at t=%g" % (step * dt))
         times.append(k * dt)
-        stored.append(c)
+        stored.append(full(c))
     return Trajectory(times, stored, u0.s, keep)

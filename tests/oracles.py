@@ -8,7 +8,8 @@ O(d) count, dense linear solves and
 eigenvalues, the involutions, norms and energies on coefficient dicts,
 perturbation formulas, the scaling products one factor at a time, the
 eigenfunction chain one shifted projection at a time, the RK4
-loop with its products spelled out, the time-discrete equation residual,
+loop with its products spelled out, on the full spectrum and on the
+real half, the time-discrete equation residual,
 a continuity probe on the full index range with its own copy of the
 flow, the probe search that scores every multiple in each window, the
 one-gap potential with its coordinate and gap in closed form, and the
@@ -658,6 +659,58 @@ def integrate_loop(u0, cfg, dealias_fraction=2.0 / 3.0):
         for _ in range(steps.count(step)):
             times.append(step * dt)
             stored.append(c.copy())
+    return np.asarray(times, dtype=float), np.asarray(stored, dtype=complex)
+
+
+def integrate_loop_half(u0, cfg, dealias_fraction=2.0 / 3.0):
+    """integrate_loop on the real half-spectrum: modes 0..grid/2 only.
+
+    The same spelled-out step, with irfft and rfft in place of ifft and fft
+    (irfft reads only the real part of the grid/2 bin, as the real part of
+    ifft would).  There n = grid/2 labels the top bin, where np.fft.fftfreq
+    says -grid/2, so at dealias_fraction 1 the value kept there is the
+    conjugate of integrate_loop's.  Each stored sample is rebuilt in np.fft
+    layout as c(-n) = conj(c(n)); returns (times, coeffs) as integrate_loop.
+    """
+    grid = int(cfg.grid_size)
+    n = np.arange(grid // 2 + 1)
+    keep = int(np.floor((grid // 2) * dealias_fraction))
+    mask = n <= keep
+
+    c = np.zeros(grid // 2 + 1, dtype=complex)
+    for m, v in u0.nonzero_coeffs().items():
+        if m >= 0:
+            c[m] = v
+
+    lin = 1j * n * n
+
+    def rhs(state):
+        phys = np.fft.irfft(state * grid, grid)
+        sq = np.fft.rfft(phys ** 2) / grid
+        sq *= mask
+        out = -1j * n * sq
+        out[0] = 0.0
+        return out
+
+    def full(c):
+        return np.concatenate((c, np.conj(c[-2:0:-1])))
+
+    steps = [round(t / cfg.dt) for t in cfg.times]
+    dt = cfg.times[-1] / steps[-1]
+    E = np.exp(lin * dt / 2.0)
+    E2 = E * E
+    times = [0.0]
+    stored = [full(c)]
+    for step in range(1, max(steps) + 1):
+        k1 = rhs(c)
+        k2 = rhs(E * (c + dt / 2.0 * k1))
+        k3 = rhs(E * c + dt / 2.0 * k2)
+        k4 = rhs(E2 * c + dt * E * k3)
+        c = E2 * c + dt / 6.0 * (E2 * k1 + 2.0 * E * (k2 + k3) + k4)
+        c[0] = 0.0
+        for _ in range(steps.count(step)):
+            times.append(step * dt)
+            stored.append(full(c))
     return np.asarray(times, dtype=float), np.asarray(stored, dtype=complex)
 
 

@@ -8,7 +8,7 @@ from bonft.hardy import Potential
 import bonft.pde
 from bonft.pde import IntegratorConfig, Trajectory, integrate
 from oracles import (direct_bo_rhs, equation_residual, hamiltonian_phys,
-                     integrate_loop, isospectral_audit)
+                     integrate_loop, integrate_loop_half, isospectral_audit)
 
 
 def smooth_potential(scale=0.1):
@@ -22,30 +22,64 @@ def edge_potential():
                      real=True)
 
 
+def edge_config(grid, every):
+    """A sample every `every` steps and one at step 23, not a multiple of 7."""
+    dt = 0.03 / 23
+    return IntegratorConfig(grid_size=grid, dt=dt,
+                            times=[k * dt for k in range(every, 23, every)] + [0.03])
+
+
+def compare_config(T):
+    """compare's grid and step; T = 0.0005 samples after one step and after two."""
+    return IntegratorConfig(grid_size=256, dt=2.5e-4, times=(T / 2, T))
+
+
+def assert_matches_half_loop(u0, cfg, fraction=2.0 / 3.0):
+    traj = integrate(u0, cfg)
+    times, coeffs = integrate_loop_half(u0, cfg, fraction)
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.coeffs, coeffs)
+
+
+def assert_matches_full_loop(u0, cfg, fraction=2.0 / 3.0):
+    """integrate against the full-spectrum loop, to rounding.
+
+    At fraction 1 the grid/2 bin is kept; fftfreq labels it -grid/2, so the
+    full loop holds the conjugate of the half-spectrum value there.
+    """
+    traj = integrate(u0, cfg)
+    times, coeffs = integrate_loop(u0, cfg, fraction)
+    top = cfg.grid_size // 2
+    coeffs[:, top] = np.conj(coeffs[:, top])
+    assert np.array_equal(traj.times, times)
+    assert np.max(np.abs(traj.coeffs - coeffs)) <= 1e-15 * np.max(np.abs(coeffs))
+
+
 @pytest.mark.parametrize("every", [1, 7, 1000])
 @pytest.mark.parametrize("fraction", [2.0 / 3.0, 1.0, 0.5])
 @pytest.mark.parametrize("grid", [32, 64, 128, 256])
 def test_integrate_matches_loop_oracle_exactly(grid, fraction, every, monkeypatch):
     # integrate() reads the 2/3 rule from the module; patching it moves the cut
     monkeypatch.setattr(bonft.pde, "DEALIAS_FRACTION", fraction)
-    # a sample every `every` steps and one at step 23, not a multiple of 7
-    dt = 0.03 / 23
-    cfg = IntegratorConfig(grid_size=grid, dt=dt,
-                           times=[k * dt for k in range(every, 23, every)] + [0.03])
-    traj = integrate(edge_potential(), cfg)
-    times, coeffs = integrate_loop(edge_potential(), cfg, fraction)
-    assert np.array_equal(traj.times, times)
-    assert np.array_equal(traj.coeffs, coeffs)
+    assert_matches_half_loop(edge_potential(), edge_config(grid, every), fraction)
 
 
 @pytest.mark.parametrize("T", [0.0005, 0.05])
 def test_integrate_matches_loop_oracle_at_compare_setting(T):
-    # 0.0005 samples after one step and after two, the shortest grid
-    cfg = IntegratorConfig(grid_size=256, dt=2.5e-4, times=(T / 2, T))
-    traj = integrate(smooth_potential(0.4), cfg)
-    times, coeffs = integrate_loop(smooth_potential(0.4), cfg)
-    assert np.array_equal(traj.times, times)
-    assert np.array_equal(traj.coeffs, coeffs)
+    assert_matches_half_loop(smooth_potential(0.4), compare_config(T))
+
+
+@pytest.mark.parametrize("every", [1, 7, 1000])
+@pytest.mark.parametrize("fraction", [2.0 / 3.0, 1.0, 0.5])
+@pytest.mark.parametrize("grid", [32, 64, 128, 256])
+def test_integrate_matches_full_spectrum_loop(grid, fraction, every, monkeypatch):
+    monkeypatch.setattr(bonft.pde, "DEALIAS_FRACTION", fraction)
+    assert_matches_full_loop(edge_potential(), edge_config(grid, every), fraction)
+
+
+@pytest.mark.parametrize("T", [0.0005, 0.05])
+def test_integrate_matches_full_spectrum_loop_at_compare_setting(T):
+    assert_matches_full_loop(smooth_potential(0.4), compare_config(T))
 
 
 def test_config_validation():
@@ -77,7 +111,7 @@ def test_config_sorts_times_and_counts_their_steps():
 def test_integrate_keeps_exactly_the_requested_samples():
     cfg = IntegratorConfig(grid_size=64, dt=1e-3, times=(0.005, 0.002, 0.005))
     traj = integrate(smooth_potential(), cfg)
-    times, coeffs = integrate_loop(smooth_potential(), cfg)
+    times, coeffs = integrate_loop_half(smooth_potential(), cfg)
     assert len(traj.coeffs) == 4
     assert np.array_equal(traj.times, times)
     assert np.array_equal(traj.coeffs, coeffs)
@@ -111,8 +145,8 @@ def test_mean_pinned_and_real():
     assert np.all(traj.coeffs[:, 0] == 0)
     for i in range(len(traj.times)):
         c = traj.coeffs[i]
-        # reality: c(-n) = conj(c(n)) on the grid
-        assert np.max(np.abs(c[1:] - np.conj(c[1:][::-1]))) < 1e-13
+        # reality: c(-n) = conj(c(n)) on the grid, bit for bit
+        assert np.array_equal(c[1:], np.conj(c[1:][::-1]))
 
 
 def test_energy_conserved():
