@@ -207,10 +207,10 @@ def state_to_json(state, diagnostics=None):
     return obj
 
 
-def _side_from_json(items, n_modes, sign):
-    """One side of a state: entry n goes to slot sign n - 1."""
+def _side_from_json(obj, key, n_modes, sign):
+    """One side of a state, obj[key]: entry n goes to slot sign n - 1."""
     side = np.zeros(n_modes, dtype=complex)
-    for n, v in coeffs_from_json(items, None).items():
+    for n, v in coeffs_from_json(obj, key, None).items():
         if not 1 <= sign * n <= n_modes:
             raise ValueError("index %d outside %d..%d" % (n, sign, sign * n_modes))
         side[sign * n - 1] = v
@@ -220,11 +220,13 @@ def _side_from_json(items, n_modes, sign):
 def state_from_json(obj):
     """Read the documented schema; every item must carry n, re and im."""
     try:
+        if not isinstance(obj, dict):
+            raise TypeError("the document must be a JSON object, got %r" % (obj,))
         n_modes = json_value(obj, "N_b", "integer")
         if n_modes < 1:  # an empty state would evolve and print nothing
             raise ValueError("need N_b >= 1, got %d" % n_modes)
-        plus = _side_from_json(obj["plus"], n_modes, 1)
-        minus = _side_from_json(obj["minus"], n_modes, -1)
+        plus = _side_from_json(obj, "plus", n_modes, 1)
+        minus = _side_from_json(obj, "minus", n_modes, -1)
         s = json_value(obj, "s", "number")
         real = json_value(obj, "real", "boolean", False)
     except (KeyError, TypeError) as exc:

@@ -128,7 +128,7 @@ def _cmd_compare(args):
     traj = pde.integrate(u0, icfg)
 
     band = min(u0.N * 2, traj.band)
-    rows = [{"t": t, "l2_diff": l2_distance(u_b, traj.potential_at(i), band)}
+    rows = [{"t": t, "l2_diff": l2_distance(u_b, traj.coeffs[i], band)}
             for i, (t, u_b) in enumerate(samples[1:], 1)]
     _write(args, dict(diag, rows=rows), rows)
 

@@ -45,10 +45,13 @@ def json_value(obj, key, kind, default=None):
     return v
 
 
-def coeffs_from_json(items, im_default):
-    """{n: re + i im} from {"n", "re", "im"} items, each n at most once; n is a
-    JSON integer, re and im JSON numbers, and an absent im reads as im_default
-    (a KeyError when that is None)."""
+def coeffs_from_json(obj, key, im_default):
+    """{n: re + i im} from obj[key], a JSON array of {"n", "re", "im"} objects,
+    each n at most once; n is a JSON integer, re and im JSON numbers, and an
+    absent im reads as im_default (a KeyError when that is None)."""
+    items = obj[key]
+    if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
+        raise ValueError("%s must be a JSON array of objects, got %r" % (key, items))
     coeffs = {}
     for item in items:
         n = json_value(item, "n", "integer")
@@ -132,10 +135,11 @@ def weighted_norm(x, w):
     return float(np.sqrt(np.sum(w * np.abs(x) ** 2)))
 
 
-def l2_distance(u, v, band):
-    """L^2 distance of two real potentials over 0 < |n| <= band: each n >= 1
-    enters twice, once per side of the band."""
-    diff = np.array([u.coeff(n) - v.coeff(n) for n in range(1, band + 1)])
+def l2_distance(u, c, band):
+    """L^2 distance over 0 < |n| <= band of the real potential u and the real
+    state with c[n] = v_hat(n) for n >= 0: each n >= 1 enters twice, once
+    per side of the band."""
+    diff = np.array([u.coeff(n) - c[n] for n in range(1, band + 1)])
     return weighted_norm(diff, 2.0)
 
 
@@ -149,10 +153,12 @@ def potential_to_json(u):
 def potential_from_json(obj):
     """Read the documented schema; an item without im is real."""
     try:
+        if not isinstance(obj, dict):
+            raise TypeError("the document must be a JSON object, got %r" % (obj,))
         s = json_value(obj, "s", "number")
         N = json_value(obj, "N", "integer")
         real = json_value(obj, "real", "boolean", False)
-        coeffs = coeffs_from_json(obj["coeffs"], 0.0)
+        coeffs = coeffs_from_json(obj, "coeffs", 0.0)
     except (KeyError, TypeError) as exc:
         raise ValueError("malformed potential object: %s" % exc) from exc
     return Potential(s, N, coeffs, real=real)

@@ -127,10 +127,10 @@ def spectrum(u, M, k_use=None):
     about 1e-12 and its vectors to about 1e-6 in angle.  The check costs
     one N x N product per side, O(N^2 K_use), on both routes.
     """
+    L = assemble_lax(u, M)
     K_use = M // 2 if k_use is None else int(k_use)
     if not 1 <= K_use <= M:
         raise ValueError("k_use=%d must lie in 1..M=%d" % (K_use, M))
-    L = assemble_lax(u, M)
     hermitian = bool(u.real)
     if hermitian:
         lam, V = np.linalg.eigh(L)

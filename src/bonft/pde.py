@@ -7,8 +7,8 @@ Modewise the equation reads
 and the linear phase is integrated exactly (integrating factor), so the
 only discretization errors are the RK4 step on the slow nonlinear part and
 the dealiasing cut.  The state is real, so the steps carry only its modes
-0..grid/2, through rfft and irfft.  This module never touches the
-coordinate pipeline; it exists to cross-validate it.
+0..grid/2, through rfft and irfft, and the samples are those modes.  This
+module never touches the coordinate pipeline; it exists to cross-validate it.
 """
 
 import cmath
@@ -19,11 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure, TruncationWarning
-from .hardy import Potential
 
 PHASE_BUDGET = 50.0
 DEALIAS_FRACTION = 2.0 / 3.0  # the 2/3 rule: keep |n| <= DEALIAS_FRACTION * grid/2
-DROP_TOL = 1e-13  # potential_at drops coefficients of at most this modulus
 
 
 @dataclass
@@ -57,24 +55,13 @@ class IntegratorConfig:
 
 
 class Trajectory:
-    """Sampled spectral states: times[i] pairs with coeffs[i] in np.fft layout."""
+    """Sampled real states: times[i] pairs with coeffs[i], whose entry n is
+    u_hat(n) for n = 0..grid/2, and modes past band are dealiased away."""
 
-    def __init__(self, times, coeffs, s, band):
+    def __init__(self, times, coeffs, band):
         self.times = np.asarray(times, dtype=float)
         self.coeffs = np.asarray(coeffs, dtype=complex)
-        self.s = float(s)
         self.band = int(band)
-
-    def potential_at(self, i):
-        """The i-th sample as a real potential on its retained support.
-
-        The dealias band is scanned and the declared width shrinks to the
-        retained support, so downstream truncation checks see the actual
-        content rather than the grid.
-        """
-        c = self.coeffs[i][:self.band + 1]
-        coeffs = {int(n): complex(c[n]) for n in np.flatnonzero(np.abs(c[1:]) > DROP_TOL) + 1}
-        return Potential(self.s, max(coeffs, default=1), coeffs, real=True)
 
 
 def check_band(grid_size, N):
@@ -95,9 +82,9 @@ def integrate(u0, cfg):
     PHASE_BUDGET radians, where the RK4 treatment of the nonlinear term
     loses accuracy even though the linear phase is exact.
 
-    The steps carry only modes 0..grid/2 of the real state, and each stored
-    sample is rebuilt in np.fft layout as c(-n) = conj(c(n)), so it is
-    exactly Hermitian.  The trajectory equals the plain half-spectrum loop
+    The steps carry only modes 0..grid/2 of the real state, u_hat(-n) =
+    conj(u_hat(n)) being implied, and each sample is the state as stepped.
+    The trajectory equals the plain half-spectrum loop
     (tests/oracles.py::integrate_loop_half) bit for bit.
     """
     if not u0.real:
@@ -129,20 +116,18 @@ def integrate(u0, cfg):
         np.multiply(coef, out, out=out)
         out[0] = 0.0
 
-    def full(c):
-        return np.concatenate((c, np.conj(c[-2:0:-1])))
-
     dt = cfg.T / cfg.steps[-1]
     E = np.exp(1j * n * n * dt / 2.0)
     E2 = E * E
     twoE, dtE, half, sixth = 2.0 * E, dt * E, dt / 2.0, dt / 6.0
-    times, stored = [0.0], [full(c)]
+    times, stored = [0.0], [c]
     step = 0
     for k in cfg.steps:
         while step < k:
             step += 1
             # k2 = rhs(E (c + dt/2 k1)), k3 = rhs(E c + dt/2 k2), k4 = rhs(E2 c + dt E k3),
-            # c <- E2 c + dt/6 (E2 k1 + 2E (k2 + k3) + k4), on reused buffers
+            # c <- E2 c + dt/6 (E2 k1 + 2E (k2 + k3) + k4), on reused buffers; the
+            # new c is a new array, so a stored c is never written again
             E2c = E2 * c
             rhs(c, k1)
             stage = half * k1
@@ -168,5 +153,5 @@ def integrate(u0, cfg):
             if not cmath.isfinite(c[1]) or step == k and not np.isfinite(c).all():
                 raise NumericalFailure("non-finite state at t=%g" % (step * dt))
         times.append(k * dt)
-        stored.append(full(c))
-    return Trajectory(times, stored, u0.s, keep)
+        stored.append(c)
+    return Trajectory(times, stored, keep)

@@ -9,7 +9,8 @@ eigenvalues, the involutions, norms and energies on coefficient dicts,
 perturbation formulas, the scaling products one factor at a time, the
 eigenfunction chain one shifted projection at a time, the RK4
 loop with its products spelled out, on the full spectrum and on the
-real half, the time-discrete equation residual,
+real half, a real half-spectrum sample as a coefficient dict, the
+time-discrete equation residual,
 a continuity probe on the full index range with its own copy of the
 flow, the probe search that scores every multiple in each window, the
 one-gap potential with its coordinate and gap in closed form, and the
@@ -483,17 +484,18 @@ def finite_gap(qs):
     return dict(zip(n.tolist(), np.sum(qs[:, None] ** n, axis=0).tolist()))
 
 
-def direct_bo_rhs(u_hat_full, n_index):
-    """Modewise right side i n |n| u_hat(n) - i n (u^2)_hat(n) on a full FFT grid.
+def direct_bo_rhs(u_hat_half):
+    """Modewise right side i n |n| u_hat(n) - i n (u^2)_hat(n) of a real state.
 
-    u_hat_full is the numpy FFT-layout coefficient array (already divided by
-    the grid size); returns the same layout.  No dealiasing here: the oracle
-    integrator is meant for tiny, well-resolved data only.
+    u_hat_half holds u_hat(n) for n = 0..G/2 on a grid of G points (already
+    divided by G); returns the same layout.  No dealiasing here: the oracle
+    is meant for tiny, well-resolved data only.
     """
-    G = u_hat_full.shape[0]
-    u = np.fft.ifft(u_hat_full * G)
-    sq = np.fft.fft(u * u) / G
-    return 1j * n_index * np.abs(n_index) * u_hat_full - 1j * n_index * sq
+    G = 2 * (len(u_hat_half) - 1)
+    n = np.arange(len(u_hat_half))
+    u = np.fft.irfft(u_hat_half * G, G)
+    sq = np.fft.rfft(u * u) / G
+    return 1j * n * n * u_hat_half - 1j * n * sq
 
 
 def scaling_constants_loop(sd, tol=1e-12):
@@ -669,8 +671,8 @@ def integrate_loop_half(u0, cfg, dealias_fraction=2.0 / 3.0):
     (irfft reads only the real part of the grid/2 bin, as the real part of
     ifft would).  There n = grid/2 labels the top bin, where np.fft.fftfreq
     says -grid/2, so at dealias_fraction 1 the value kept there is the
-    conjugate of integrate_loop's.  Each stored sample is rebuilt in np.fft
-    layout as c(-n) = conj(c(n)); returns (times, coeffs) as integrate_loop.
+    conjugate of integrate_loop's.  Returns (times, coeffs) as integrate_loop
+    does, coeffs holding modes 0..grid/2.
     """
     grid = int(cfg.grid_size)
     n = np.arange(grid // 2 + 1)
@@ -692,15 +694,12 @@ def integrate_loop_half(u0, cfg, dealias_fraction=2.0 / 3.0):
         out[0] = 0.0
         return out
 
-    def full(c):
-        return np.concatenate((c, np.conj(c[-2:0:-1])))
-
     steps = [round(t / cfg.dt) for t in cfg.times]
     dt = cfg.times[-1] / steps[-1]
     E = np.exp(lin * dt / 2.0)
     E2 = E * E
     times = [0.0]
-    stored = [full(c)]
+    stored = [c.copy()]
     for step in range(1, max(steps) + 1):
         k1 = rhs(c)
         k2 = rhs(E * (c + dt / 2.0 * k1))
@@ -710,24 +709,36 @@ def integrate_loop_half(u0, cfg, dealias_fraction=2.0 / 3.0):
         c[0] = 0.0
         for _ in range(steps.count(step)):
             times.append(step * dt)
-            stored.append(full(c))
+            stored.append(c.copy())
     return np.asarray(times, dtype=float), np.asarray(stored, dtype=complex)
 
 
-def equation_residual(traj):
+def sample_coeffs(c, band, tol=1e-13):
+    """A real sample c, c[n] = u_hat(n) for n = 0.., as a dict n -> u_hat(n)
+    over both signs and 0 < |n| <= band, without the entries of modulus at
+    most tol: the sample's content rather than the width of its band."""
+    coeffs = {}
+    for n in range(1, band + 1):
+        if abs(c[n]) > tol:
+            coeffs[n], coeffs[-n] = complex(c[n]), complex(c[n]).conjugate()
+    return coeffs
+
+
+def equation_residual(traj, s):
     """Defect of the stored samples in the equation, in the H^{s-2} norm.
 
     Central differences in time at interior samples against
-    i n |n| u_hat(n) - i n (u^2)_hat(n); the quadratic term is evaluated on
-    the trajectory's own dealiased band.  Returns the max over interior
-    samples; at least 3 samples are required.
+    i n |n| u_hat(n) - i n (u^2)_hat(n); the samples hold modes 0..grid/2
+    of a real state, so each n >= 1 counts twice, once per sign, and the
+    quadratic term is evaluated on the trajectory's own dealiased band.
+    Returns the max over interior samples; at least 3 samples are required.
     """
     if len(traj.times) < 3:
         raise ValueError("need at least 3 samples for a central difference")
-    grid = traj.coeffs.shape[1]
-    n = np.fft.fftfreq(grid, d=1.0 / grid).astype(int)
-    band_mask = np.abs(n) <= traj.band
-    weight = np.maximum(1.0, np.abs(n)) ** (traj.s - 2.0)
+    n = np.arange(traj.coeffs.shape[1])
+    grid = 2 * (len(n) - 1)
+    band_mask = n <= traj.band
+    weight = np.where(n > 0, 2.0, 1.0) * np.maximum(1.0, n) ** (2.0 * (s - 2.0))
     worst = 0.0
     for i in range(1, len(traj.times) - 1):
         dt_back = traj.times[i] - traj.times[i - 1]
@@ -736,11 +747,11 @@ def equation_residual(traj):
             raise ValueError("residual needs uniformly spaced samples")
         du = (traj.coeffs[i + 1] - traj.coeffs[i - 1]) / (dt_back + dt_fwd)
         c = traj.coeffs[i]
-        phys = np.fft.ifft(c * grid)
-        sq = np.fft.fft(np.real(phys) ** 2) / grid * band_mask
-        field = 1j * n * np.abs(n) * c - 1j * n * sq
+        phys = np.fft.irfft(c * grid, grid)
+        sq = np.fft.rfft(phys ** 2) / grid * band_mask
+        field = 1j * n * n * c - 1j * n * sq
         defect = (du - field) * band_mask
-        worst = max(worst, float(np.sqrt(np.sum(weight ** 2 * np.abs(defect) ** 2))))
+        worst = max(worst, float(np.sqrt(np.sum(weight * np.abs(defect) ** 2))))
     return worst
 
 

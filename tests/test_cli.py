@@ -219,7 +219,8 @@ def _potential_doc(s=0.5, coeffs=((1, 0.01),), **fields):
     (["evolve", "--t", "1"], _state_doc(minus=(1,)), "index 1 outside -1..-1"),
     (["inverse", "-i", os.path.join(GOLDEN, "transform_complex.json")], None,
      "inversion is defined for real-flagged targets"),
-    (["inverse", "-i", STATE, "--lax-dim", "4"], None, "k_use=8 must lie in 1..M=4"),
+    (["inverse", "-i", STATE, "--lax-dim", "4"], None,
+     "truncation M=4 cannot hold a band of width N=8"),
     (["compare", "-i", U, "--t", "abc"], None,
      "bad time grid 'abc'; want comma-separated floats"),
     (["compare", "-i", U, "--t", "0,0.5"], None, "time grid must be positive"),
@@ -244,6 +245,28 @@ def _potential_doc(s=0.5, coeffs=((1, 0.01),), **fields):
      "the step count T/dt is not finite (T=0.05, dt=4.94066e-324)"),
     (["transform", "-i", U, "--lax-dim", "100000000000000000000000000000"], None,
      "truncation M=100000000000000000000000000000 too large for an array"),
+    (["transform", "-i", U, "--lax-dim", "1"], None,
+     "truncation M=1 cannot hold a band of width N=2"),
+    (["spectrum", "-i", U, "--lax-dim", "-3"], None,
+     "truncation M=-3 cannot hold a band of width N=2"),
+    (["transform"], '{"s": 0.5, "N": 1, "coeffs": {}}',
+     "coeffs must be a JSON array of objects, got {}"),
+    (["transform"], '{"s": 0.5, "N": 1, "coeffs": ""}',
+     "coeffs must be a JSON array of objects, got ''"),
+    (["transform"], '{"s": 0.5, "N": 1, "coeffs": {"1": 5}}',
+     "coeffs must be a JSON array of objects, got {'1': 5}"),
+    (["transform"], '{"s": 0.5, "N": 1, "coeffs": [{"n": 1, "re": 0.01}, 5]}',
+     "coeffs must be a JSON array of objects, got [{'n': 1, 're': 0.01}, 5]"),
+    (["evolve", "--t", "1"], '{"s": 0.5, "N_b": 2, "real": true, "plus": "", "minus": {}}',
+     "plus must be a JSON array of objects, got ''"),
+    (["evolve", "--t", "1"], '{"s": 0.5, "N_b": 2, "real": true, "plus": [], "minus": {}}',
+     "minus must be a JSON array of objects, got {}"),
+    (["evolve", "--t", "1"], '{"s": 0.5, "N_b": 1, "plus": [], "minus": [[-1, 0.1, 0]]}',
+     "minus must be a JSON array of objects, got [[-1, 0.1, 0]]"),
+    (["transform"], "[1, 2]",
+     "malformed potential object: the document must be a JSON object, got [1, 2]"),
+    (["evolve", "--t", "1"], '"state"',
+     "malformed state object: the document must be a JSON object, got 'state'"),
 ], ids=["fd-step-0", "fd-step-negative", "fd-step-nan", "bracket-modes-0", "max-d-0",
         "l-bound-negative", "random-count-negative", "combi-max-d-negative",
         "n-base-negative", "max-probes-0", "max-m-0", "continuity-small-s-one-probe",
@@ -264,7 +287,11 @@ def _potential_doc(s=0.5, coeffs=((1, 0.01),), **fields):
         "continuity-delta-1e-154", "continuity-t-1e-307", "continuity-t-1e305-small-s",
         "continuity-phase-overflow", "continuity-delta-0", "continuity-delta-negative",
         "compare-steps-overflow-t", "compare-steps-overflow-dt",
-        "lax-dim-past-any-array"])
+        "lax-dim-past-any-array", "lax-dim-below-band-default-modes",
+        "spectrum-lax-dim-negative", "potential-coeffs-object", "potential-coeffs-string",
+        "potential-coeffs-keyed-object", "potential-coeffs-number-item",
+        "state-plus-string", "state-minus-object", "state-minus-array-item",
+        "potential-document-array", "state-document-string"])
 def test_vacuous_or_ill_posed_runs_exit_1(capsys, monkeypatch, argv, stdin, message):
     # each of these used to exit 0 after checking nothing, print NaN or
     # Infinity (not JSON), keep only the last of a repeated index, truncate
@@ -427,6 +454,24 @@ def test_compare_stores_only_the_requested_samples(monkeypatch, times, stored):
             "-o", os.devnull]
     assert cli.main(argv) == 0
     assert lengths == [stored]
+
+
+def test_compare_measures_l2_diff_on_every_coefficient(monkeypatch, capsys):
+    # l2_diff used to read an RK4 coefficient of modulus <= 1e-13 as 0, and
+    # on this tiny potential modes of the compared band are that small
+    doc = {"s": 0.5, "N": 2, "real": True,
+           "coeffs": [{"n": 1, "re": 2e-7, "im": 1e-7}, {"n": 2, "re": 0, "im": -1.5e-7}]}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    argv = ["compare", "--lax-dim", "32", "--modes", "8", "--grid", "32", "--t", "0.05"]
+    assert cli.main(argv) == 0
+    got = json.loads(capsys.readouterr().out)["rows"][0]["l2_diff"]
+    u0 = potential_from_json(doc)
+    (_, u_b), = flow.solve_trajectory(u0, (0.0, 0.05), 32, 8)[0][1:]
+    c = pde.integrate(u0, pde.IntegratorConfig(32, 2.5e-4, (0.05,))).coeffs[1]
+    band = 4  # 2N, inside the dealias band 10 of grid 32
+    assert np.min(np.abs(c[1:band + 1])) <= 1e-13
+    diff = [u_b.coeff(n) - c[n] for n in range(1, band + 1)]
+    assert got == pytest.approx(np.sqrt(2.0 * np.sum(np.abs(diff) ** 2)), rel=1e-12, abs=0)
 
 
 def _bonft(argv, timeout=60):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bonft.birkhoff import state_from_json
 from bonft.hardy import Potential, potential_from_json, potential_to_json
 from oracles import involute, sobolev_norm
 
@@ -64,6 +65,13 @@ def test_potential_item_without_im_is_real():
     u = potential_from_json({"s": 0.5, "N": 2, "coeffs": [{"n": 2, "re": 0.25}]})
     assert u.coeff(2) == complex(0.25, 0.0)
     assert u.coeff(-2) == 0
+
+
+def test_empty_item_arrays_are_the_zero_data():
+    u = potential_from_json({"s": 0.5, "N": 2, "coeffs": []})
+    assert u.nonzero_coeffs() == {}
+    z = state_from_json({"s": 0.5, "N_b": 2, "plus": [], "minus": []})
+    assert not z.plus.any() and not z.minus.any()
 
 
 def test_potential_json_round_trip():
