@@ -40,11 +40,6 @@ NEIGHBORHOOD_MU = 0.5
 NEIGHBORHOOD_ALPHA = 0.5
 
 
-def default_lax_dim(N):
-    """Truncation heuristic for a band of width N: several bands of headroom, never tiny."""
-    return max(4 * N, 32)
-
-
 def sqrt_plus(z):
     """Principal square root, Re > 0 off the cut; the cut (-inf, 0] is an error.
 
@@ -257,16 +252,15 @@ def birkhoff_forward(u, M=None, k_use=None):
     the same labels, kappa_n and mu_n of u- are u's conjugated to the last
     bit, and only the chain of u- runs again.
 
-    S drops the top mode of each f_0..f_{K-1} it shifts, of either chain;
-    what the cut at M loses there is lax.spectrum's to warn about, by the
-    Lax residual of v_n and w_n.  Attaches .diagnostics with the
-    product tails and the chain norm drift
+    M and k_use go to lax.spectrum as given, so with M None the Lax
+    residual picks the cut.  S drops the top mode of each f_0..f_{K-1} it
+    shifts, of either chain; what the cut at M loses there is
+    lax.spectrum's to warn about, by the Lax residual of v_n and w_n.
+    Attaches .diagnostics with the product tails and the chain norm drift
     max_n |b_n conj(b-_n) (v-_n)^H v_n - 1|, the pairing
     sum_k f_n(u)_k conj(f_n(u-)_k) of the two chains against 1: the analytic
     extension of ||f_n||^2 = 1, which is |b_n|^2 for real u.
     """
-    if M is None:
-        M = default_lax_dim(u.N)
     sd = spectrum(u, M, k_use=k_use)
     V, W = sd.right_vecs, sd.left_vecs  # the same array for real u
     kappa, mu, tails = scaling_constants(sd.lambdas)
@@ -299,6 +293,8 @@ def canonical_bracket_table(u, n_max, h):
     d_{+-k} = (D_1 -+ i D_2) / 2.  Its minus component
     zeta_{-n}(u) = conj(zeta_n(conj u)) is conj(zeta_n) on real potentials,
     and at a real u, d zeta_{-n} / du_hat(k) = conj(d zeta_n / du_hat(-k)).
+    Each forward map keeps the labels up to n_max + 2N + 8 and leaves its
+    cut to lax.spectrum's default, which the Lax residual certifies.
     """
     if not u.real:
         raise ValueError("bracket evaluation point must be a real potential")
@@ -307,16 +303,15 @@ def canonical_bracket_table(u, n_max, h):
     if not (math.isfinite(h) and h > 0):
         raise ValueError("need a finite step h > 0, got %r" % h)
     reach = u.N + n_max + 2
-    M = default_lax_dim(u.N + reach)
     # the scaling products at index n carry factors from every open gap, so
     # the chain must run well past n_max or the partials inherit O(u^2) bias
-    depth = min(M // 2, n_max + 2 * u.N + 8)
+    depth = n_max + 2 * u.N + 8
     base = dict(enumerate(u.band()[u.N + 1:], 1))
 
     def plus_side(k, step):
         coeffs = {**base, k: base.get(k, 0.0) + step}
         v = Potential(u.s, max(u.N, k), coeffs, real=True)
-        return birkhoff_forward(v, M=M, k_use=depth).plus[:n_max]
+        return birkhoff_forward(v, k_use=depth).plus[:n_max]
 
     # column k - 1 holds D_1 and D_2 of zeta_1..zeta_{n_max} at k
     d1, d2 = (np.array([(plus_side(k, step) - plus_side(k, -step)) / (2.0 * h)

@@ -89,7 +89,7 @@ def _cmd_spectrum(args):
              "gap_re": gam[n - 1].real if n else 0.0, "gap_im": gam[n - 1].imag if n else 0.0}
             for n in range(len(lam))]
     _write(args, {
-        "M": args.lax_dim,
+        "M": len(sd.right_vecs) - 1,
         "K_use": len(lam) - 1,
         "hermitian": sd.hermitian,
         "min_separation": sd.min_separation,
@@ -205,7 +205,7 @@ def build_parser():
     sub.required = True
 
     sp = _verb(sub, "spectrum", _cmd_spectrum, "truncated Lax eigenvalues and gaps", fmt="json")
-    sp.add_argument("--lax-dim", type=int, default=64)
+    sp.add_argument("--lax-dim", type=int, default=None)
     sp.add_argument("--modes", type=int, default=None)
 
     sp = _verb(sub, "transform", _cmd_transform, "potential to coordinate state")
@@ -221,7 +221,7 @@ def build_parser():
 
     sp = _verb(sub, "compare", _cmd_compare, "coordinate flow vs direct integration", fmt="json")
     sp.add_argument("--t", default="0.25,0.5,1.0", help="comma-separated times")
-    sp.add_argument("--lax-dim", type=int, default=96)
+    sp.add_argument("--lax-dim", type=int, default=None)
     sp.add_argument("--modes", type=int, default=None)
     sp.add_argument("--grid", type=int, default=256)
     sp.add_argument("--dt", type=float, default=2.5e-4)

@@ -89,14 +89,16 @@ def invert(target, M=None, tol=NEWTON_TOL, start=None):
     """Recover the real potential mapping to the target coordinates.
 
     Good-Broyden iteration on the real view of u_hat(1..N_b), with every
-    forward map at truncation M, until the weighted residual is below tol.
-    The inverse Jacobian starts as the exact inverse of the differential at
-    zero (u_hat(n) -> -u_hat(n)/sqrt(n)), so the first step is the chord
-    step from u_hat(n) = -sqrt(n) zeta_n, or from start, an earlier result
-    at the same N_b whose image costs no forward map; every accepted step
-    makes a Sherman-Morrison rank-one update.  A trial step that does not
-    lower the weighted residual, or leaves the forward map's trusted regime,
-    is halved, at most MAX_HALVINGS times; each trial costs one forward map.
+    forward map at truncation M (with M None, at the cut that lax.spectrum's
+    default certifies for that map), until the weighted residual is below
+    tol.  The inverse Jacobian starts as the exact inverse of the
+    differential at zero (u_hat(n) -> -u_hat(n)/sqrt(n)), so the first step
+    is the chord step from u_hat(n) = -sqrt(n) zeta_n, or from start, an
+    earlier result at the same N_b whose image costs no forward map; every
+    accepted step makes a Sherman-Morrison rank-one update.  A trial step
+    that does not lower the weighted residual, or leaves the forward map's
+    trusted regime, is halved, at most MAX_HALVINGS times; each trial costs
+    one forward map.
     Returns (u, image, history): the potential, its image
     birkhoff_forward(u, M=M, k_use=N_b) and every trial residual, the last
     one the image's.  Failure, at the start point too, raises
@@ -163,10 +165,12 @@ def solve_trajectory(u0, t_grid, M, k_use):
     Returns (samples, diagnostics): samples is a list of (t, Potential), one
     per entry of t_grid; diagnostics holds per-sample inversion residuals
     (newton_residuals) and the largest action drift of the samples' images
-    against the initial state (action_drift).  Every forward map runs at the
-    one truncation M and K_use = k_use (None: M/2).  Each inversion starts
-    from the previous sample's result, whose image it reuses; the first from
-    the linearized guess.
+    against the initial state (action_drift).  Every forward map keeps
+    K_use = k_use labels and, with M given, runs at the one truncation M;
+    with M None each certifies its own cut by lax.spectrum's default, and
+    k_use None takes that default's K_use too.  Each inversion starts from
+    the previous sample's result, whose image it reuses; the first from the
+    linearized guess.
     """
     t_grid = tuple(float(t) for t in t_grid)
     if not all(np.isfinite(t_grid)):

@@ -22,8 +22,8 @@ import pytest
 
 from bonft import birkhoff, cli
 from bonft.birkhoff import birkhoff_forward, eigen_chain, scaling_constants
-from bonft.errors import (DegenerateProduct, DegenerateProjector, OutOfNeighborhood,
-                          TruncationWarning)
+from bonft.errors import (DegenerateProduct, DegenerateProjector, NumericalFailure,
+                          OutOfNeighborhood, TruncationWarning)
 from bonft.hardy import Potential
 from bonft.lax import SpectralData, spectrum
 from oracles import chain_loop, projected_basis, projector_couplings, scaling_constants_loop
@@ -333,3 +333,36 @@ def test_diagnostics_bound_the_error_of_the_cut_at_k():
         bound = max(st.diagnostics["norm_drift"], st.diagnostics["kappa_tail"])
         assert np.abs(st.plus - ref.plus[:k_use]).max() <= bound, (u, M, k_use)
     assert kept >= 30
+
+
+def test_default_cut_is_silent_and_keeps_the_first_cuts_bits():
+    """At its default, lax.spectrum picks M by the Lax residual.  On seeded
+    draws at scales 0.1-0.3 the default forward map warns on none that the
+    guards accept.  Where the first cut, M = max(4N, 32) at K_use =
+    max(2N, 16), passes, the default spectrum is that cut's, bit for bit;
+    where it does not, it is the one doubling's, at 2M."""
+    rng = np.random.default_rng(2027)
+    first_silent = doubled = 0
+    for _ in range(60):
+        N = int(rng.integers(1, 9))
+        u = seeded(rng, N, rng.uniform(0.1, 0.3), bool(rng.uniform() < 0.5))
+        M, K = max(4 * N, 32), max(2 * N, 16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", TruncationWarning)
+            try:
+                birkhoff_forward(u)
+            except NumericalFailure:
+                continue
+            got = spectrum(u)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            want = spectrum(u, M, K)
+        if caught:
+            doubled += 1
+            want = spectrum(u, 2 * M, K)
+        else:
+            first_silent += 1
+        assert (got.hermitian, got.min_separation) == (want.hermitian, want.min_separation)
+        for name in ("lambdas", "right_vecs", "left_vecs"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (u, name)
+    assert first_silent >= 10 and doubled >= 10

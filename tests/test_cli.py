@@ -53,7 +53,8 @@ def test_spectrum_output_is_deterministic(tmp_path, potential_file):
     assert outs[0] == outs[1]
     payload = json.loads(outs[0])
     assert payload["lambdas"][0] != payload["lambdas"][1]
-    assert payload["K_use"] == 64 // 2 and len(payload["lambdas"]) == 64 // 2 + 1
+    # the default cut: K_use = max(2N, 16) and M = max(4N, 32, 2 K_use) for N = 2
+    assert payload["M"] == 32 and payload["K_use"] == 16 and len(payload["lambdas"]) == 17
 
 
 def test_evolve_preserves_moduli(tmp_path, potential_file):
@@ -487,7 +488,7 @@ def test_bracket_with_modes_past_any_array_exits_1_at_once():
     # map; a subprocess, so an unbounded loop fails by its timeout
     out = _bonft(["bracket", "--modes", "100000000000000000000000000000"], timeout=20)
     assert (out.returncode, out.stdout, out.stderr) == (
-        1, "", "error: truncation M=400000000000000000000000000040 too large for an array\n")
+        1, "", "error: truncation M=200000000000000000000000000032 too large for an array\n")
 
 
 def test_blow_up_exits_2_without_stepping_to_the_end():
@@ -559,6 +560,44 @@ def test_extreme_inputs_print_only_package_lines(monkeypatch, capsys, verb):
         for line in err.splitlines():
             assert line.startswith(("warning: truncation M=", "numerical failure: ")), (doc, M, line)
             assert "encountered" not in line and "Singular matrix" not in line
+
+
+# at the first default cut, M = 32, this potential's label 16 leaves a Lax
+# residual of 1.979e-06, past RESIDUAL_TOL; the one doubling passes
+WARNED_AT_32 = ('{"s":0.5,"N":4,"real":true,"coeffs":[{"n":1,"re":-0.21,"im":-0.07},'
+                '{"n":2,"re":0.04,"im":-0.21},{"n":3,"re":-0.17,"im":-0.11},'
+                '{"n":4,"re":-0.15,"im":-0.07}]}')
+
+
+def _main_out(argv, capsys):
+    """(exit code, stdout, stderr) of cli.main with every warning let through."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        rc = cli.main(argv)
+    out = capsys.readouterr()
+    return rc, out.out, out.err
+
+
+def test_default_cut_doubles_once_where_the_first_one_warns(tmp_path, capsys):
+    path = tmp_path / "u.json"
+    path.write_text(WARNED_AT_32)
+    transform = ["transform", "-i", str(path)]
+    rc, out, err = _main_out(transform, capsys)
+    assert (rc, err) == (0, "")
+    assert out == _main_out(transform + ["--lax-dim", "64", "--modes", "16"], capsys)[1]
+    rc, out, err = _main_out(["spectrum", "-i", str(path)], capsys)
+    assert (rc, err, json.loads(out)["M"]) == (0, "", 64)
+    rc, _, err = _main_out(transform + ["--lax-dim", "32"], capsys)
+    assert (rc, err) == (
+        0, "warning: truncation M=32 leaves a Lax residual 1.979e-06 at n=16, past 1e-06\n")
+
+
+def test_default_cut_holds_the_labels_asked_for(capsys):
+    # M defaults to at least 2 K_use; it was max(4N, 32) = 32 whatever --modes said
+    transform = ["transform", "-i", U, "--modes", "40"]
+    rc, out, err = _main_out(transform, capsys)
+    assert (rc, err) == (0, "")
+    assert out == _main_out(transform + ["--lax-dim", "80"], capsys)[1]
 
 
 def test_compare_rejects_complex_potential_before_any_forward_map(monkeypatch, capsys):

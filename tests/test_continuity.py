@@ -103,7 +103,7 @@ def test_build_pair_distances_and_flags():
     amp = delta / 40 ** (0.5 + s)
     assert zeta[39] == pytest.approx(amp)
     assert xi[39] == pytest.approx(amp * (1 + 1j * 40 ** (s / 2)))
-    assert row["d0"] == pytest.approx(delta * 40 ** (s / 2), rel=1e-12)
+    assert row["d0"] == pytest.approx(delta * 40 ** (s / 2), rel=1e-12, abs=0)
     with pytest.raises(ValueError):
         dense_probe(s, t, base, delta, 2)
     # the sweep never places a probe on the base support
@@ -210,7 +210,7 @@ def test_sweep_rows_and_bound():
         assert row["dt"] >= (math.sqrt(1 + row["m"] ** s)
                              - row["m"] ** (s / 2)) * row["delta"] - 1e-12
         assert row["omega_gap_meas"] == pytest.approx(row["omega_gap_pred"],
-                                                      rel=1e-10)
+                                                      rel=1e-10, abs=0)
     # the initial distances shrink while the evolved ones stay bounded below
     d0s = [row["d0"] for row in rows]
     assert all(b < a for a, b in zip(d0s, d0s[1:]))

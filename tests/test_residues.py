@@ -425,7 +425,7 @@ def test_delta_series_leading_order_single_mode():
     v2 = delta_series(u.nonzero_coeffs(), 1, 2)
     v4 = delta_series(u.nonzero_coeffs(), 1, 4)
     assert v2 == 0
-    assert v4 == pytest.approx(eps ** 4, rel=1e-12)
+    assert v4 == pytest.approx(eps ** 4, rel=1e-12, abs=0)
 
 
 def test_delta_series_matches_spectral_delta():
