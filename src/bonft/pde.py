@@ -84,7 +84,9 @@ def integrate(u0, cfg):
 
     The steps carry only modes 0..grid/2 of the real state, u_hat(-n) =
     conj(u_hat(n)) being implied, and each sample is the state as stepped.
-    The trajectory equals the plain half-spectrum loop
+    Each right-hand side calls pocketfft's irfft and rfft_n_even kernels,
+    the ones np.fft.irfft and np.fft.rfft call, without np.fft's wrapper.
+    The trajectory equals the plain half-spectrum loop on np.fft
     (tests/oracles.py::integrate_loop_half) bit for bit.
     """
     if not u0.real:
@@ -100,6 +102,14 @@ def integrate(u0, cfg):
     c = np.zeros(grid // 2 + 1, dtype=complex)
     c[:u0.N + 1] = u0.band()[u0.N:]
 
+    # np.fft's Python wrapper (dispatch, dtype and norm lookup, shape checks)
+    # costs about 40% of a step, so rhs calls the kernels it would pick: irfft
+    # (length from phys) and, the grid being even, rfft_n_even, each with the
+    # factor 1.0 that irfft(norm="forward") and rfft() pass.  The bit-exact
+    # oracle tests tie these private calls to the public np.fft.  Imported
+    # here, so that verbs which never integrate do not load numpy.fft.
+    from numpy.fft import _pocketfft_umath as pocketfft
+
     # The inverse FFT runs unscaled and the forward FFT's 1/grid sits in coef
     # with the factor -i n and the dealias mask: all exact (powers of two,
     # zeros and ones).  Both FFTs write into reused buffers.  Every complex
@@ -107,12 +117,12 @@ def integrate(u0, cfg):
     # multiply need not round commutatively.
     coef = (-1j * n) * (n <= keep) / grid
     phys = np.empty(grid)
-    k1, k2, k3, k4 = (np.empty_like(c) for _ in range(4))
+    k1, k2, k3, k4, stage, Ec = (np.empty_like(c) for _ in range(6))
 
     def rhs(state, out):
-        np.fft.irfft(state, grid, norm="forward", out=phys)
+        pocketfft.irfft(state, 1.0, out=phys)
         np.square(phys, out=phys)
-        np.fft.rfft(phys, out=out)
+        pocketfft.rfft_n_even(phys, 1.0, out=out)
         np.multiply(coef, out, out=out)
         out[0] = 0.0
 
@@ -130,11 +140,11 @@ def integrate(u0, cfg):
             # new c is a new array, so a stored c is never written again
             E2c = E2 * c
             rhs(c, k1)
-            stage = half * k1
+            np.multiply(half, k1, out=stage)
             stage += c
             rhs(np.multiply(E, stage, out=stage), k2)
             np.multiply(half, k2, out=stage)
-            stage += E * c
+            stage += np.multiply(E, c, out=Ec)
             rhs(stage, k3)
             np.multiply(dtE, k3, out=stage)
             stage += E2c

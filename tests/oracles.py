@@ -13,8 +13,9 @@ real half, a real half-spectrum sample as a coefficient dict, the
 time-discrete equation residual,
 a continuity probe on the full index range with its own copy of the
 flow, the probe search that scores every multiple in each window, the
-one-gap potential with its coordinate and gap in closed form, and the
-finite-gap potentials sum_j q_j^n.
+one-gap potential with its coordinate and gap in closed form, the
+finite-gap potentials sum_j q_j^n, and the quadratic term of zeta_n on
+two modes n apart.
 Nothing imports the package under test, so agreement between a package
 routine and its oracle is evidence, not circularity.
 """
@@ -482,6 +483,18 @@ def finite_gap(qs):
         N += 1
     n = np.arange(1, N + 1)
     return dict(zip(n.tolist(), np.sum(qs[:, None] ** n, axis=0).tolist()))
+
+
+def two_mode_quadratic(a, b, m, n):
+    """zeta_n to second order on the real potential whose only modes are
+    u_hat(m) = a and u_hat(m+n) = b, m, n >= 1: -b conj(a) / (sqrt(n) m).
+
+    The rest is O(|u_hat|^3), except at m = 2n, where the cubic term
+    a^2 conj(b) lands on mode n as well.  With a = b = eps m^{-s} / sqrt(2)
+    at n = 1, |zeta_1| / eps^2 = m^{-1-2s} / 2: bounded in m, at fixed
+    H^s norm, exactly when s >= -1/2, the exponent of the paper's theorem.
+    """
+    return -b * complex(a).conjugate() / (math.sqrt(n) * m)
 
 
 def direct_bo_rhs(u_hat_half):

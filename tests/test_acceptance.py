@@ -6,6 +6,7 @@ pass/fail line.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from bonft.birkhoff import (BirkhoffState, birkhoff_forward, canonical_bracket_table,
                             scaling_constants)
 from bonft.continuity import ratio_slope, sweep
-from bonft.errors import InversionFailure
+from bonft.errors import InversionFailure, TruncationWarning
 from bonft.flow import evolve, frequency_shifts, invert, solve_trajectory
 from bonft.hardy import Potential, l2_distance
 from bonft.lax import gaps, spectrum
@@ -21,7 +22,7 @@ from bonft.pde import IntegratorConfig, integrate
 from bonft.residues import sweep_combi, sweep_vanishing
 from oracles import (delta_series, finite_gap, hamiltonian_b, hamiltonian_phys,
                      involute, isospectral_audit, one_gap, projector_delta,
-                     sample_coeffs, sobolev_norm, symmetry_audit)
+                     sample_coeffs, sobolev_norm, symmetry_audit, two_mode_quadratic)
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::bonft.errors.TruncationWarning")
@@ -52,6 +53,10 @@ ONE_GAP_STALL_RES = 1.5e-10      # where the inversion stalls at q = 0.45
 # measured 2.5e-14 and 2.3e-15 over the three finite-gap rows
 CLOSED_GAP_TOL = 1e-13           # gaps past the open ones of sum_j q_j^n
 ACTION_GAP_TOL = 5e-15           # |zeta_n|^2 vs gamma_n on the open gaps
+# two modes n apart: measured 1.2e-9 at (n, m) = (1, 4) down to 1.1e-11 at
+# m = 40, and 2.2e-5 at the excluded m = 2n; slopes within 3e-5 of -1 - 2s
+TWO_MODE_REL_TOL = 1e-6          # zeta_n vs its quadratic term, |u_hat| = 1e-4
+EXPONENT_SLOPE_TOL = 0.01        # fitted log-log slope of |zeta_1| / eps^2 in m
 
 
 def norm(u, s=0.5):
@@ -325,3 +330,41 @@ def test_criterion_14_inversion_boundary():
     with pytest.raises(InversionFailure, match="no convergence in 40 iterations") as exc:
         invert(z, M=4 * len(coeffs))
     assert exc.value.history[-1] <= ONE_GAP_STALL_RES
+
+
+def test_criterion_16_quadratic_term_on_two_modes():
+    """zeta_n of the real potential with only u_hat(m) = a, u_hat(m+n) = b
+    is -b conj(a) / (sqrt(n) m) to third order, for m != 2n."""
+    a, b = 1e-4 * np.exp(0.7j), 1e-4 * np.exp(-1.9j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        for n in range(1, 6):
+            for m in sorted(set(range(n + 3, 41, 3)) - {2 * n} | {40}):
+                u = Potential(0.5, m + n, {m: a, m + n: b}, real=True)
+                zeta = birkhoff_forward(u, M=4 * (m + n + 1)).plus[n - 1]
+                ref = two_mode_quadratic(a, b, m, n)
+                assert abs(zeta - ref) <= TWO_MODE_REL_TOL * abs(ref), (n, m)
+
+
+@pytest.mark.parametrize("s", [-0.45, -0.5, -0.55])
+def test_criterion_16_exponent_of_the_quadratic_term(s):
+    """With u_hat(m) = u_hat(m+1) = eps m^{-s} / sqrt(2), ||u||_{H^s} =
+    eps sqrt(1 + (1 + 1/m)^{2s}), about sqrt(2) eps at every m, while
+    |zeta_1| / eps^2 grows like m^{-1-2s}: the
+    quadratic term is bounded into h^{s+1/2} uniformly in m exactly when
+    s >= -1/2.  Only the amplitudes read s (Potential refuses s <= -1/2 and
+    the forward map never reads it).  K_use = N + 1 keeps every label
+    touching the band, well inside M = 4(N + 1), where all maps pass the
+    Lax residual check."""
+    eps = 0.02
+    ms = np.array([8, 16, 32, 64, 128])
+    ratios = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        for m in ms.tolist():
+            amp = eps * m ** -s / math.sqrt(2.0)
+            u = Potential(0.5, m + 1, {m: amp, m + 1: amp}, real=True)
+            zeta_1 = birkhoff_forward(u, M=4 * (m + 2), k_use=m + 2).plus[0]
+            ratios.append(abs(zeta_1) / eps ** 2)
+    slope = np.polyfit(np.log(ms), np.log(ratios), 1)[0]
+    assert abs(slope - (-1.0 - 2.0 * s)) <= EXPONENT_SLOPE_TOL, slope

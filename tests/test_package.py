@@ -132,3 +132,24 @@ def test_cli_runs_without_loading_scipy():
                          capture_output=True, text=True, check=True, timeout=120,
                          env=dict(os.environ, PYTHONPATH=src))
     assert json.loads(out.stdout) == [[0, 0], []]
+
+
+def test_only_the_integrating_verbs_load_numpy_fft():
+    """pde imports numpy.fft inside integrate: a transform in a fresh
+    interpreter leaves it unloaded, so a process that never integrates does
+    not pay its import, and a compare then loads it."""
+    argvs = dict((name, argv) for argv, name in CASES)
+    script = (
+        "import json, os, sys\n"
+        "import bonft.cli\n"
+        "loaded = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert bonft.cli.main(argv + ['-o', os.devnull]) == 0\n"
+        "    loaded.append('numpy.fft' in sys.modules)\n"
+        "print(json.dumps(loaded))\n")
+    src = str(Path(bonft.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", script,
+                          json.dumps([argvs["transform_complex.json"], argvs["compare.json"]])],
+                         capture_output=True, text=True, check=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert json.loads(out.stdout) == [False, True]

@@ -65,6 +65,17 @@ def test_integrate_matches_loop_oracle_exactly(grid, fraction, every, monkeypatc
     assert_matches_half_loop(edge_potential(), edge_config(grid, every), fraction)
 
 
+@pytest.mark.parametrize("fraction", [2.0 / 3.0, 1.0])
+@pytest.mark.parametrize("grid", [4, 8, 16])
+def test_integrate_matches_loop_oracle_at_small_grids(grid, fraction, monkeypatch):
+    # lengths compare never uses, each carrying the widest band it can dealias
+    monkeypatch.setattr(bonft.pde, "DEALIAS_FRACTION", fraction)
+    band = grid // 4
+    u0 = Potential(0.5, band, {n: (0.3 - 0.1j) / n for n in range(1, band + 1)},
+                   real=True)
+    assert_matches_half_loop(u0, edge_config(grid, 7), fraction)
+
+
 @pytest.mark.parametrize("T", [0.0005, 0.05])
 def test_integrate_matches_loop_oracle_at_compare_setting(T):
     assert_matches_half_loop(smooth_potential(0.4), compare_config(T))
