@@ -14,8 +14,9 @@ time-discrete equation residual,
 a continuity probe on the full index range with its own copy of the
 flow, the probe search that scores every multiple in each window, the
 one-gap potential with its coordinate and gap in closed form, the
-finite-gap potentials sum_j q_j^n, and the quadratic term of zeta_n on
-two modes n apart.
+finite-gap potentials sum_j q_j^n, the quadratic term of zeta_n on
+two modes n apart, and the exact flow of a real potential by Gerard's
+explicit formula on a dense Lax matrix.
 Nothing imports the package under test, so agreement between a package
 routine and its oracle is evidence, not circularity.
 """
@@ -375,6 +376,33 @@ def lax_matrix(coeffs, M):
         for k in range(M + 1):
             L[j, k] -= coeffs.get(j - k, 0.0)
     return L
+
+
+def explicit_flow(coeffs, ts, M, band):
+    """The exact flow of a real mean-zero potential by Gerard's explicit formula.
+
+    coeffs maps n -> u_hat(n) over both signs.  With the Lax matrix
+    L = lax_matrix(coeffs, M) = V diag(lam) V^H and the shift (S* x)_j =
+    x_{j+1}, 0 in the top slot, u_hat(t, k) = (A^k x0)_0 for
+    A = e^{it} V e^{2it lam} V^H S*, where x0 holds u_hat(1..N) in slots 1..N
+    and 0 elsewhere (P. Gerard, "An explicit formula for the Benjamin-Ono
+    equation", 2023, on the torus).  The only error is the cut at M, which
+    the caller sizes by comparing two values of M.  Returns an array whose
+    row i holds u_hat(ts[i], k) for k = 0..band.
+    """
+    lam, V = np.linalg.eigh(lax_matrix(coeffs, M))
+    x0 = np.array([coeffs.get(n, 0.0) if n > 0 else 0.0 for n in range(M + 1)],
+                  dtype=complex)
+    out = np.zeros((len(ts), band + 1), dtype=complex)
+    for i, t in enumerate(ts):
+        flow = np.exp(1j * t) * (V * np.exp(2j * t * lam)) @ V.conj().T
+        A = np.zeros_like(flow)
+        A[:, 1:] = flow[:, :-1]  # A x = flow (S* x)
+        x = x0
+        for k in range(band + 1):
+            out[i, k] = x[0]
+            x = A @ x
+    return out
 
 
 def sorted_eigenvalues(L):

@@ -424,7 +424,7 @@ def test_compare_rejects_nonpositive_modes(potential_file, monkeypatch, capsys, 
 
 @pytest.mark.parametrize("flags, message", [
     (["--t", "0.25", "--dt", "0.3"], "every time must be a multiple of dt=0.3"),
-    (["--t", "1e-13,0.05"], "time 1e-13 is shorter than one step dt=0.00025"),
+    (["--t", "1e-13,0.05"], "time 1e-13 is shorter than one step dt=0.0005"),
     (["--dt", "0"], "need finite dt > 0, got 0.0"),
     (["--dt", "nan"], "need finite dt > 0, got nan"),
     (["--t", "inf"], "time grid must be finite"),
@@ -441,7 +441,7 @@ def test_compare_checks_time_grid_before_the_solve(potential_file, monkeypatch, 
     assert capsys.readouterr().err == "error: %s\n" % message
 
 
-@pytest.mark.parametrize("times, stored", [("0.00025,1.0", 3), ("0.25,0.5,1.0", 4)])
+@pytest.mark.parametrize("times, stored", [("0.0005,1.0", 3), ("0.25,0.5,1.0", 4)])
 def test_compare_stores_only_the_requested_samples(monkeypatch, times, stored):
     # the direct run keeps t = 0 and the times asked for, nothing between
     lengths = []
@@ -468,8 +468,9 @@ def test_compare_measures_l2_diff_on_every_coefficient(monkeypatch, capsys):
     got = json.loads(capsys.readouterr().out)["rows"][0]["l2_diff"]
     u0 = potential_from_json(doc)
     (_, u_b), = flow.solve_trajectory(u0, (0.0, 0.05), 32, 8)[0][1:]
-    c = pde.integrate(u0, pde.IntegratorConfig(32, 2.5e-4, (0.05,))).coeffs[1]
-    band = 4  # 2N, inside the dealias band 10 of grid 32
+    dt = cli.build_parser().parse_args(["compare"]).dt
+    traj = pde.integrate(u0, pde.IntegratorConfig(32, dt, (0.05,)))
+    c, band = traj.coeffs[1], traj.band  # every mode RK4 carries at grid 32
     assert np.min(np.abs(c[1:band + 1])) <= 1e-13
     diff = [u_b.coeff(n) - c[n] for n in range(1, band + 1)]
     assert got == pytest.approx(np.sqrt(2.0 * np.sum(np.abs(diff) ** 2)), rel=1e-12, abs=0)

@@ -1,14 +1,18 @@
+import functools
 import warnings
 
 import numpy as np
 import pytest
 
+from bonft import cli
 from bonft.errors import NumericalFailure, TruncationWarning
 from bonft.hardy import Potential
 import bonft.pde
 from bonft.pde import IntegratorConfig, Trajectory, integrate
-from oracles import (direct_bo_rhs, equation_residual, hamiltonian_phys,
+from oracles import (direct_bo_rhs, equation_residual, explicit_flow, hamiltonian_phys,
                      integrate_loop, integrate_loop_half, isospectral_audit, sample_coeffs)
+
+COMPARE_DT = cli.build_parser().parse_args(["compare"]).dt
 
 
 def smooth_potential(scale=0.1):
@@ -30,8 +34,9 @@ def edge_config(grid, every):
 
 
 def compare_config(T):
-    """compare's grid and step; T = 0.0005 samples after one step and after two."""
-    return IntegratorConfig(grid_size=256, dt=2.5e-4, times=(T / 2, T))
+    """compare's grid and step, sampled at T and 2T; T = dt samples after one
+    step and after two."""
+    return IntegratorConfig(grid_size=256, dt=COMPARE_DT, times=(T, 2 * T))
 
 
 def assert_matches_half_loop(u0, cfg, fraction=2.0 / 3.0):
@@ -76,7 +81,7 @@ def test_integrate_matches_loop_oracle_at_small_grids(grid, fraction, monkeypatc
     assert_matches_half_loop(u0, edge_config(grid, 7), fraction)
 
 
-@pytest.mark.parametrize("T", [0.0005, 0.05])
+@pytest.mark.parametrize("T", [COMPARE_DT, 0.05])
 def test_integrate_matches_loop_oracle_at_compare_setting(T):
     assert_matches_half_loop(smooth_potential(0.4), compare_config(T))
 
@@ -89,7 +94,7 @@ def test_integrate_matches_full_spectrum_loop(grid, fraction, every, monkeypatch
     assert_matches_full_loop(edge_potential(), edge_config(grid, every), fraction)
 
 
-@pytest.mark.parametrize("T", [0.0005, 0.05])
+@pytest.mark.parametrize("T", [COMPARE_DT, 0.05])
 def test_integrate_matches_full_spectrum_loop_at_compare_setting(T):
     assert_matches_full_loop(smooth_potential(0.4), compare_config(T))
 
@@ -218,3 +223,61 @@ def test_step_past_the_phase_budget_warns():
     cfg = IntegratorConfig(grid_size=256, dt=0.01, times=(0.01,))
     with pytest.warns(TruncationWarning, match="dt=0.01 spins the top mode 164 radians per step"):
         integrate(smooth_potential(), cfg)
+
+
+# Criterion 06's initial state (test_acceptance.py's flow_bundle), |u|_{1/2} <= 0.02,
+# at the three times compare samples by default
+EXACT_TIMES = (0.25, 0.5, 1.0)
+
+
+def criterion_06_potential(scale):
+    coeffs = {1: 0.0076 + 0.0038j, 2: 0.00475 - 0.00285j,
+              3: 0.00285 + 0.0019j, 4: -0.0019j, 5: 0.001425, 6: 0.00095j}
+    return Potential(0.5, 6, {n: scale * v for n, v in coeffs.items()}, real=True)
+
+
+@functools.cache
+def exact_flow(scale, M=192):
+    return explicit_flow(criterion_06_potential(scale).nonzero_coeffs(), EXACT_TIMES, M, 85)
+
+
+def worst_l2(a, b):
+    """The largest over the three times of the L^2 distance over modes 1..85,
+    each mode counted once per side, as compare's l2_diff counts it."""
+    diff = a[:, 1:86] - b[:, 1:86]
+    return np.max(np.sqrt(2.0 * np.sum(np.abs(diff) ** 2, axis=1)))
+
+
+def error_against_exact_flow(scale, dt):
+    """RK4 at grid 256, whose dealiased band is modes 1..85, against the
+    explicit formula."""
+    traj = integrate(criterion_06_potential(scale), IntegratorConfig(256, dt, EXACT_TIMES))
+    assert traj.band == 85
+    return worst_l2(traj.coeffs[1:], exact_flow(scale))
+
+
+@pytest.mark.parametrize("scale", [1, 10, 40])
+def test_explicit_formula_is_converged_in_its_cut(scale):
+    # the oracle's only error is its cut M: 192 and 256 agree to rounding
+    assert worst_l2(exact_flow(scale), exact_flow(scale, 256)) <= 1e-14
+
+
+@pytest.mark.parametrize("scale, bound", [(1, 1e-14), (10, 1e-12)])
+def test_compare_step_meets_the_explicit_formula(scale, bound):
+    # at scale 1 rounding, not the step, sets the error (measured 1.4e-15;
+    # 4.1e-15 at half the step); at scale 10, 1.2e-13
+    assert error_against_exact_flow(scale, COMPARE_DT) <= bound
+
+
+def test_compare_step_is_in_the_fourth_order_regime():
+    # at scale 40 truncation dominates: doubling the step multiplies the
+    # error by about 2^4 (measured 16.0, 1.1e-10 -> 1.7e-9)
+    ratio = error_against_exact_flow(40, 2 * COMPARE_DT) / error_against_exact_flow(40, COMPARE_DT)
+    assert 12 <= ratio <= 20
+
+
+def test_compare_step_is_inside_the_phase_budget_up_to_grid_512():
+    # dt (512/2)^2 = 32.8 radians per step at the default dt, under PHASE_BUDGET
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        integrate(criterion_06_potential(1), IntegratorConfig(512, COMPARE_DT, (COMPARE_DT,)))
